@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import InputError
+from .errors import InputError, parse_int
 
 ADDITIVE = "additive-naturals"
 MULTIPLICATIVE = "multiplicative-naturals"
@@ -471,14 +471,14 @@ def _atomic_predicate(name: str, args: list[str]) -> Callable[[Payload], bool]:
     if name == "multiples":
         if len(args) != 1:
             raise InputError("multiples:<m> takes one argument")
-        m = int(args[0])
+        m = parse_int(args[0], "multiples:<m>")
         if m < 1:
             raise InputError("multiples modulus must be >= 1")
         return lambda v: isinstance(v, int) and v % m == 0
     if name == "interval":
         if len(args) != 2:
             raise InputError("interval:<lo>:<hi> takes two arguments")
-        lo, hi = int(args[0]), int(args[1])
+        lo, hi = (parse_int(a, "interval:<lo>:<hi>") for a in args)
         return lambda v: isinstance(v, int) and lo <= v <= hi
     if name == "all":
         return lambda v: True

@@ -5,6 +5,8 @@ family member mapping F^n into B.  For explicit finite A the single query
 F = A settles the whole relation (images of subsets are subsets of images),
 so the decision procedure is: stream candidate parameters for (F, B), verify
 each by direct evaluation, and report the first witness in stream order.
+Families with a bitset kernel (additive translations, affine maps) jump
+straight to that witness and count the candidates before it.
 
 Verdicts are three-valued: "no" is reserved for exhausted *complete* streams,
 bounded scans that find nothing return "unknown".
@@ -80,22 +82,39 @@ def embed_finite(F: Iterable[Payload], B: GroundSet, family: FamilySpec,
         raise InputError(
             f"|F|={len(fpay)} exceeds the tuple cap {tuple_cap} for "
             f"arity {family.arity}; raise tuple_cap explicitly if intended")
-    stream = family.enumerate_params(fpay, B, bound)
     tuples = list(itertools.product(fpay, repeat=family.arity))
-    examined = 0
-    for params in stream.params:
-        examined += 1
+
+    def image_in_b(params: Params) -> tuple[Payload, ...] | None:
         image = set()
-        ok = True
         for tup in tuples:
             y = family.g(tup, params)
             if y is None or not B.contains_value(y):
-                ok = False
-                break
+                return None
             image.add(y)
-        if ok:
-            witness = EmbedWitness(
-                fpay, params, tuple(sorted(image, key=family.window.encoding)))
+        return tuple(sorted(image, key=family.window.encoding))
+
+    # A bitset kernel, where the family has one, finds the same canonical
+    # witness and count as walking the anchored list below; its witness is
+    # still checked by direct evaluation.
+    found = family.anchored_search(fpay, B)
+    if found is not None:
+        params, examined = found
+        stats = SearchStats(examined, True)
+        if params is None:
+            return EmbedVerdict(NO, None, stats)
+        image = image_in_b(params)
+        if image is None:
+            raise RuntimeError(
+                f"{family.name} kernel returned {params!r}, which does not "
+                f"map {fpay!r} into {B.label!r}")
+        return EmbedVerdict(YES, EmbedWitness(fpay, params, image), stats)
+    stream = family.enumerate_params(fpay, B, bound)
+    examined = 0
+    for params in stream.params:
+        examined += 1
+        image = image_in_b(params)
+        if image is not None:
+            witness = EmbedWitness(fpay, params, image)
             return EmbedVerdict(YES, witness, SearchStats(examined, stream.complete))
     outcome = NO if stream.complete else UNKNOWN
     return EmbedVerdict(outcome, None, SearchStats(examined, stream.complete))

@@ -16,6 +16,12 @@ Parameter enumeration for a concrete query (F, B) is either
       max-norm-then-lexicographic order, with no completeness claim.
 
 Every stream is deterministic, so the first witness found is canonical.
+
+Additive translations and affine maps also carry a bitset kernel: their
+anchored candidates for F are the set bits of shifts of B's bitset, one
+shift per slope, so the canonical witness and the number of candidates up to
+it come from word-parallel ANDs without listing the candidates
+(FamilySpec.anchored_search).  The anchored list stays the reference.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ class FamilySpec:
     _anchored: Callable[[Tuple_, GroundSet], list[Params]] | None = None
     _explicit_params: tuple[Params, ...] | None = None
     default_bound: int = 64
+    _kernel: Callable[[Tuple_, int], tuple[Params | None, int]] | None = None
 
     # -- evaluation -------------------------------------------------------
 
@@ -104,6 +111,19 @@ class FamilySpec:
         lists = self._scan_lists(b)
         it = (p for p in _shell_order(lists) if self._r(p))
         return ParamStream(it, False)
+
+    def anchored_search(self, F: Iterable[Payload],
+                        B: GroundSet) -> tuple[Params | None, int] | None:
+        """The first anchored candidate mapping F into B, and the number of
+        anchored candidates up to and including it in canonical order (all
+        of them when there is no witness), found on B's bitset without
+        listing candidates.  None when the family has no bitset kernel for
+        B, and callers walk enumerate_params instead.  Candidates the kernel
+        reports are not re-evaluated here; callers verify the witness.
+        """
+        if self._kernel is None or not self.window.compatible(B.window):
+            return None
+        return self._kernel(self._normalize_f(F), B.bits())
 
     def param_sample(self, count: int, bound: int | None = None) -> list[Params]:
         """First count parameter tuples of R in canonical scan order."""
@@ -170,6 +190,62 @@ def _shell_order(lists: Sequence[Sequence]) -> Iterator[Params]:
         yield from rec(0, shell, True, [])
 
 
+def _shift_search(bits: int, bound: int, slopes: range, anchors: Sequence[int],
+                  checks: Sequence[int]) -> tuple[tuple[int, int] | None, int]:
+    """Least (a, s) in (a, s) order with a + s*f in bits for every f in
+    anchors and checks, s ranging over slopes, plus the number of pairs
+    (a, s) <= it with a + s*f in bits for every anchor f; with no such
+    witness, None and the number of all those anchor pairs.
+
+    bits is a bitset over 0..bound, and every slope must keep s*f <= bound
+    for every anchor f.  Row s holds the pairs with slope s as an int whose
+    bit a stands for (a, s): the AND over f of bits s*f .. s*f+n-1 of B, one
+    word-parallel op per f.  Once a witness (a*, s*) is known, later rows
+    can only win below bit a*, so n shrinks to a* and the scan stops once
+    nothing is left below it; the count pass reads a* + 1 bits per row.
+    """
+    buf = bits.to_bytes(bound // 8 + 1, "little")
+    top = max(anchors)
+
+    def row_of(s: int, offsets: Sequence[int], row: int) -> int:
+        n = row.bit_length()
+        for f in offsets:
+            if not row:
+                break
+            k = s * f
+            # Slicing bytes costs O(n), shifting the int O(bound - k).
+            if 2 * n < bound - k:
+                row &= int.from_bytes(buf[k >> 3:(k + n + 7) >> 3],
+                                      "little") >> (k & 7)
+            else:
+                row &= bits >> k
+        return row
+
+    best, total = None, 0
+    for s in slopes:
+        n = bound + 1 - s * top
+        if best is not None:
+            n = min(n, best[0])
+            if not n:
+                break
+        row = row_of(s, anchors, (1 << n) - 1)
+        if best is None:
+            total += row.bit_count()
+        row = row_of(s, checks, row)
+        if row:
+            best = ((row & -row).bit_length() - 1, s)
+    if best is None:
+        return None, total
+    a_best, s_best = best
+    count = 0
+    for s in slopes:
+        n = min(bound + 1 - s * top, a_best + (s <= s_best))
+        if not n:
+            break
+        count += row_of(s, anchors, (1 << n) - 1).bit_count()
+    return best, count
+
+
 # -- built-in families ------------------------------------------------------
 
 def builtin_right_translations(window: Window) -> FamilySpec:
@@ -196,14 +272,31 @@ def _translations(window: Window, right: bool) -> FamilySpec:
                 cands.append((r,))
         return cands
 
-    payloads = list(window.payloads())
+    def kernel(fpay: Tuple_, bits: int) -> tuple[Params | None, int]:
+        # Left and right translations agree on this carrier.  The
+        # candidates r are the members of B >> min F; witnesses also have
+        # r + f in B for the other f.
+        fs = sorted(set(fpay))
+        best, count = _shift_search(bits, window.bound, range(1, 2),
+                                    fs[:1], fs[1:])
+        return (best[:1] if best else None), count
+
+    payloads: list[Payload] = []
+
+    def scan_lists(bound: int) -> Sequence[Sequence]:
+        # Listed on first use: anchored queries never scan.
+        if not payloads:
+            payloads.extend(window.payloads())
+        return [payloads]
+
     return FamilySpec(
         name="translations-right" if right else "translations-left",
         window=window, arity=1, param_arity=1,
         _g=g, _r=lambda p: window.contains_value(p[0]),
-        _scan_lists=lambda bound: [payloads],
+        _scan_lists=scan_lists,
         _anchored=anchored,
-        default_bound=window.bound)
+        default_bound=window.bound,
+        _kernel=kernel if window.kind == ADDITIVE else None)
 
 
 def _solve_translation(window: Window, w0: Payload, b: Payload,
@@ -235,6 +328,9 @@ def builtin_affine(window: Window) -> FamilySpec:
     Anchored enumeration: with two anchor points f1 < f2 in F, every witness
     (a, b) sends them to some pair (beta1, beta2) in B^2 and is recovered by
     solving the two linear equations; singleton F admits a direct solve.
+    Each candidate comes from exactly one pair, so the candidates with slope
+    b are the set bits a of (B >> b*f1) & (B >> b*f2), which is what the
+    bitset kernel scans, slope by slope.
     """
     _require_kind(window, ADDITIVE, "affine")
 
@@ -268,12 +364,22 @@ def builtin_affine(window: Window) -> FamilySpec:
                         cands.append((beta - slope * x, slope))
         return cands
 
+    def kernel(fpay: Tuple_, bits: int) -> tuple[Params | None, int]:
+        fs = sorted(set(fpay))
+        anchors, checks = fs[:2], fs[2:]
+        # Slope s has candidates only while s * (largest anchor) <= W; a
+        # lone anchor at 0 admits the slope-1 candidates alone.
+        top = anchors[-1]
+        slopes = range(1, window.bound // top + 1 if top else 2)
+        return _shift_search(bits, window.bound, slopes, anchors, checks)
+
     return FamilySpec(
         name="affine", window=window, arity=1, param_arity=2,
         _g=g, _r=lambda p: p[0] >= 0 and p[1] >= 1,
         _scan_lists=lambda bound: [range(bound + 1)] * 2,
         _anchored=anchored,
-        default_bound=max(window.bound, 64))
+        default_bound=max(window.bound, 64),
+        _kernel=kernel)
 
 
 def builtin_geoarithmetic(window: Window) -> FamilySpec:

@@ -40,7 +40,7 @@ def window_from_json(obj: Any) -> Window:
     if "bound" not in obj:
         raise InputError("window object needs a 'bound' field")
     kind, bound = obj["kind"], obj["bound"]
-    if not isinstance(bound, int):
+    if not isinstance(bound, int) or isinstance(bound, bool):
         raise InputError("window 'bound' must be an integer")
     alphabet = obj.get("alphabet")
     if kind == FREE_WORDS and alphabet is None:
@@ -62,6 +62,10 @@ def set_body_from_json(window: Window, body: Any, label: str = "") -> GroundSet:
         values = body["explicit"]
         if not isinstance(values, list):
             raise InputError("'explicit' must be a list of elements")
+        # bool is an int subclass: true would otherwise read as element 1
+        if any(isinstance(v, bool) for v in values):
+            raise InputError("'explicit' elements must be numbers or words, "
+                             "not booleans")
         parsed = [window.payload(window.parse(str(v)).encoding)
                   if isinstance(v, str) else v for v in values]
         return GroundSet.from_values(window, parsed,

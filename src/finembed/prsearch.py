@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .errors import BudgetError, InputError
+from .errors import BudgetError, InputError, parse_int
 
 DEFAULT_INSTANCE_BUDGET = 500_000
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -294,17 +294,19 @@ def parse_pattern(spec: str) -> Pattern:
     parts = spec.split(":")
     head = parts[0]
     if head == "ap" and len(parts) == 2:
-        return ap_pattern(int(parts[1]))
+        return ap_pattern(parse_int(parts[1], "ap:<l>"))
     if head == "schur" and len(parts) == 1:
         return schur_pattern()
     if head == "gap-grid" and len(parts) in (2, 3):
         strict = len(parts) == 3 and parts[2] == "strict"
         if len(parts) == 3 and not strict:
             raise InputError(f"unknown pattern flag {parts[2]!r}")
-        return gap_grid_pattern(int(parts[1]), strict)
+        return gap_grid_pattern(parse_int(parts[1], "gap-grid:<n>"), strict)
     if head == "poly" and len(parts) == 4:
-        d_indices = [int(x) for x in parts[3].split(",")]
-        return poly_progression_pattern(int(parts[1]), int(parts[2]),
+        what = "poly:<l>:<d>:<D>"
+        d_indices = [parse_int(x, what) for x in parts[3].split(",")]
+        return poly_progression_pattern(parse_int(parts[1], what),
+                                        parse_int(parts[2], what),
                                         None, d_indices)
     raise InputError(f"unknown pattern {spec!r}")
 

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 from .carrier import (ADDITIVE, MULTIPLICATIVE, GroundSet, Payload, Window)
 from .embed import DEFAULT_TUPLE_CAP, EmbedVerdict, embed_finite
-from .errors import InputError
+from .errors import InputError, parse_int
 from .families import FamilySpec
 
 
@@ -385,8 +385,9 @@ def _ps_multiplicative(A: GroundSet, g: int, spans: Sequence[int]) -> ShiftRepor
     bits = A.bits()
 
     def covered(u: int) -> bool:
+        # value v sits at encoding v - 1 on this carrier
         hi = min(u * g, W)
-        return any(bits >> v & 1 for v in range(u, hi + 1) if v >= 1)
+        return any(bits >> (v - 1) & 1 for v in range(max(u, 1), hi + 1))
 
     entries = []
     for L in spans:
@@ -413,10 +414,10 @@ def set_property(name: str) -> tuple[Callable[[GroundSet], bool], str]:
     """
     head, _, arg = name.partition(":")
     if head == "contains-ap":
-        l = int(arg)
+        l = parse_int(arg, "contains-ap:<l>")
         return (lambda A: longest_ap(A).length >= l), name
     if head == "contains-gap-grid":
-        k = int(arg)
+        k = parse_int(arg, "contains-gap-grid:<k>")
         return (lambda A: longest_gap_grid(A).length >= k), name
     if head == "contains-element":
         return (lambda A: A.window.contains_value(_parse_arg(arg))

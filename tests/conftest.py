@@ -10,6 +10,12 @@ import os
 
 from hypothesis import settings
 
+# pyproject's pythonpath puts src/ on this process's path; the CLI tests
+# that spawn `python -m finembed` need it on the children's path as well.
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+
 settings.register_profile("ci", settings(max_examples=200, deadline=None))
 settings.register_profile("dev", settings(max_examples=60, deadline=None))
 settings.load_profile(os.getenv("HYPOTHESIS_PROFILE", "dev"))

@@ -247,3 +247,48 @@ def test_entry_point_module_runs():
          "schur", "--colors", "2", "--nmax", "10"],
         capture_output=True, check=True)
     assert json.loads(out.stdout)["threshold"] == 5
+
+
+def assert_input_error(capsys, *argv):
+    """Bad input exits 2 with one "error:" line and no traceback."""
+    code = dispatch(list(argv))
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+@pytest.mark.parametrize("spec", ["ap:x", "gap-grid:y", "poly:3:2:0,z"])
+def test_pr_cli_malformed_pattern_numbers(capsys, spec):
+    assert_input_error(capsys, "pr", "search", "--pattern", spec,
+                       "--colors", "2", "--n", "9")
+    assert_input_error(capsys, "pr", "threshold", "--pattern", spec,
+                       "--colors", "2", "--nmax", "9")
+
+
+@pytest.mark.parametrize("predicate", ["multiples:0x", "interval:a:b",
+                                       "union(evens,interval:3:b)"])
+def test_cli_malformed_predicate_numbers(capsys, tmp_path, predicate):
+    p = tmp_path / "set.json"
+    p.write_text(json.dumps({"window": {"kind": "additive-naturals",
+                                        "bound": 20},
+                             "set": {"predicate": predicate}}))
+    assert_input_error(capsys, "rich", "--set", str(p), "--detect", "ap")
+
+
+def test_cli_rejects_boolean_elements(capsys, tmp_path, files):
+    from finembed.carrier import make_window
+    from finembed.errors import InputError
+    from finembed.jsonio import set_body_from_json
+    with pytest.raises(InputError):
+        set_body_from_json(make_window("additive-naturals", 10),
+                           {"explicit": [True, 3]})
+    p = tmp_path / "bools.json"
+    p.write_text(json.dumps({"window": {"kind": "additive-naturals",
+                                        "bound": 60},
+                             "set": {"explicit": [True, 3]}}))
+    assert_input_error(capsys, "embed", "--set-a", str(p), "--set-b",
+                       files["b"], "--family", files["translations"])
+    p.write_text(json.dumps({"window": {"kind": "additive-naturals",
+                                        "bound": True},
+                             "set": {"explicit": [1]}}))
+    assert_input_error(capsys, "rich", "--set", str(p), "--detect", "ap")

@@ -242,6 +242,16 @@ def test_piecewise_syndetic_multiplicative_ratio_gaps():
     assert not rep.entries[0].found
 
 
+def test_piecewise_syndetic_multiplicative_reads_values_not_encodings():
+    # [1, 3] holds no multiple of 4, so shift 1 fails; every ratio-3 range
+    # from 2 on meets 4 or 8.  Reading the bitset at v instead of v - 1
+    # tested v + 1 and reported shift 1.
+    win = make_window(MULTIPLICATIVE, 126)
+    fours = GroundSet.from_predicate(win, lambda v: v % 4 == 0)
+    rep = is_piecewise_syndetic_window(fours, 3, [4])
+    assert rep.entries[0].found and rep.entries[0].shift == 2
+
+
 def test_gap_grid_embed_consistency():
     """longest_gap_grid(A) >= k exactly when [1..k] (squared, as argument
     pairs) embeds into A through the geoarithmetic family."""
@@ -290,3 +300,9 @@ def test_set_property_registry():
     assert prop(ground(win, [4, 6, 8, 12]))
     with pytest.raises(InputError):
         set_property("no-such-property")
+
+
+@pytest.mark.parametrize("name", ["contains-ap:x", "contains-gap-grid:"])
+def test_set_property_malformed_number_is_input_error(name):
+    with pytest.raises(InputError):
+        set_property(name)
