@@ -1,0 +1,111 @@
+"""Window-size sweeps of the set-scanning layers, as BENCH_*.json records.
+
+    PYTHONPATH=src python scripts/set_sweeps.py --side change > sweeps.json
+
+Times predicate fill, longest_ap, is_thick_window, the piecewise-syndetic
+probe and upper_density over an interval net, each on fresh sets at growing
+W, in-process and single-threaded.  A case stops growing W once one run
+takes longer than MAX_SECONDS, so slow (quadratic) implementations can be
+swept with the same script.  Only the public API is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import time
+
+from finembed import (ADDITIVE, GroundSet, interval_net,
+                      is_piecewise_syndetic_window, is_thick_window,
+                      longest_ap, make_window, parse_predicate, upper_density)
+
+SIZES = (10_000, 25_000, 50_000, 100_000, 200_000, 400_000)
+REPEATS = 3        # best of
+MAX_SECONDS = 2.0  # a case stops growing W after a run this slow
+
+
+def fresh(W: int, spec: str) -> GroundSet:
+    return GroundSet.from_predicate(make_window(ADDITIVE, W),
+                                    parse_predicate(spec), spec)
+
+
+def fill(W):
+    A = fresh(W, "primes")
+    return lambda: A.count()
+
+
+def ap_evens(W):
+    A = fresh(W, "evens")
+    A.count()
+    return lambda: longest_ap(A).length
+
+
+def ap_primes(W):
+    A = fresh(W // 50, "primes")  # sparse: many strides before the break
+    A.count()
+    return lambda: longest_ap(A).length
+
+
+def thick(W):
+    lo = W - W // 50
+    A = fresh(W, f"union(multiples:3,interval:{lo}:{lo + 20})")
+    A.count()
+    return lambda: [e.shift for e in is_thick_window(A, [1, 2, 4, 8]).entries]
+
+
+def ps(W):
+    lo = W // 7
+    A = fresh(W, f"union(multiples:3,interval:{lo}:{lo + 30})")
+    A.count()
+    return lambda: [e.shift for e in
+                    is_piecewise_syndetic_window(A, 2, [4, 8, 16]).entries]
+
+
+def density(W):
+    A = fresh(W, "multiples:7")
+    A.count()
+    net = interval_net(1000)
+    return lambda: str(upper_density(A, net).value)
+
+
+CASES = (
+    ("primes fill", "carrier.fill", fill),
+    ("longest_ap(evens)", "rich.longest_ap", ap_evens),
+    ("longest_ap(primes), W/50", "rich.longest_ap", ap_primes),
+    ("is_thick_window probes 1,2,4,8", "rich.is_thick_window", thick),
+    ("piecewise syndetic g=2 spans 4,8,16", "rich.is_piecewise_syndetic_window", ps),
+    ("upper_density interval:1000", "density.upper_density", density),
+)
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--side", required=True, help="label for the records")
+    args = ap.parse_args()
+    records = []
+    for case, layer, build in CASES:
+        for W in SIZES:
+            best, result = float("inf"), None
+            for _ in range(REPEATS):
+                run = build(W)
+                t0 = time.perf_counter()
+                result = run()
+                best = min(best, time.perf_counter() - t0)
+                if best > MAX_SECONDS:
+                    break
+            records.append({"case": case, "layer": layer, "size": W,
+                            "side": args.side, "seconds": best,
+                            "counters": {"result": result},
+                            "how": "scripts/set_sweeps.py, best of "
+                                   f"{REPEATS}, set filled before timing "
+                                   "except for the fill case"})
+            print(f"{case:40s} W={W:>7d} {best:9.4f}s", file=sys.stderr)
+            if best > MAX_SECONDS:
+                break
+    json.dump(records, sys.stdout, indent=1)
+    print()
+
+
+if __name__ == "__main__":
+    main()

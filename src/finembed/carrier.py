@@ -22,6 +22,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import InputError, parse_int
 
 ADDITIVE = "additive-naturals"
@@ -33,6 +35,9 @@ KINDS = (ADDITIVE, MULTIPLICATIVE, FREE_WORDS, TABLE)
 
 # Hard cap on window size so word windows cannot blow up the encoding space.
 MAX_WINDOW_SIZE = 1 << 20
+
+# Smallest prefix a vectorized predicate fill evaluates at once.
+_FILL_CHUNK = 1024
 
 Payload = int | str
 
@@ -329,7 +334,13 @@ def op_apply(window: Window, x: Element, y: Element) -> Element | _Overflow:
 
 
 class GroundSet:
-    """A subset of a window: explicit bitset, or a memoized predicate.
+    """A subset of a window: one byte per encoding, 1 for a member.
+
+    Explicit sets are filled on construction; predicate sets fill a prefix
+    of the encodings on demand and memoize it.  Builtin predicates carry a
+    vector form (see parse_predicate), which numeric windows use to fill
+    the prefix in chunks that at least double; any other predicate is
+    evaluated one element at a time, and only up to the encoding asked for.
 
     Membership queries outside the window raise InputError rather than
     answering False.  Instances are immutable from the caller's view; the
@@ -337,25 +348,28 @@ class GroundSet:
     consistent answers.
     """
 
-    def __init__(self, window: Window, *, bits: int | None = None,
+    def __init__(self, window: Window, *, members: bytearray | None = None,
                  predicate: Callable[[Payload], bool] | None = None,
                  label: str = ""):
-        if (bits is None) == (predicate is None):
-            raise InputError("exactly one of bits/predicate required")
+        if (members is None) == (predicate is None):
+            raise InputError("exactly one of members/predicate required")
         self.window = window
         self.label = label
-        self._bits = bits if bits is not None else 0
+        self._mem = members if members is not None else bytearray(window.size)
+        self._arr = np.frombuffer(self._mem, dtype=np.uint8)
         self._pred = predicate
-        self._known_upto = window.size if bits is not None else 0
-        self.explicit = bits is not None
+        self._vector = (getattr(predicate, "vector", None)
+                        if window.kind in (ADDITIVE, MULTIPLICATIVE) else None)
+        self._known_upto = window.size if members is not None else 0
+        self.explicit = members is not None
 
     @classmethod
     def from_values(cls, window: Window, values: Iterable[Payload],
                     label: str = "") -> "GroundSet":
-        bits = 0
+        mem = bytearray(window.size)
         for v in values:
-            bits |= 1 << window.encoding(v)
-        return cls(window, bits=bits, label=label)
+            mem[window.encoding(v)] = 1
+        return cls(window, members=mem, label=label)
 
     @classmethod
     def from_predicate(cls, window: Window, pred: Callable[[Payload], bool],
@@ -364,26 +378,42 @@ class GroundSet:
 
     @classmethod
     def full(cls, window: Window, label: str = "window") -> "GroundSet":
-        return cls(window, bits=(1 << window.size) - 1, label=label)
+        return cls(window, members=bytearray(b"\x01") * window.size,
+                   label=label)
 
     @classmethod
     def empty(cls, window: Window, label: str = "empty") -> "GroundSet":
-        return cls(window, bits=0, label=label)
+        return cls(window, members=bytearray(window.size), label=label)
+
+    def _fill_to(self, enc: int) -> None:
+        """Make encodings 0..enc known.  A vector predicate fills past enc,
+        to at least twice the known prefix and at least _FILL_CHUNK
+        encodings, so a full scan takes O(log W) vector calls; any other
+        predicate stops at enc."""
+        if self._vector is not None:
+            enc = min(self.window.size - 1,
+                      max(enc, 2 * self._known_upto, _FILL_CHUNK - 1))
+        self._extend(enc)
 
     def _extend(self, upto: int) -> None:
-        bits = self._bits
-        for enc in range(self._known_upto, upto + 1):
-            if self._pred(self.window.payload(enc)):  # type: ignore[misc]
-                bits |= 1 << enc
-        self._bits = bits
+        lo = self._known_upto
+        if self._vector is not None:
+            first = self.window.payload(0)
+            self._arr[lo:upto + 1] = self._vector(
+                np.arange(lo + first, upto + 1 + first, dtype=np.int64))
+        else:
+            mem, pred, payload = self._mem, self._pred, self.window.payload
+            for enc in range(lo, upto + 1):
+                if pred(payload(enc)):  # type: ignore[misc]
+                    mem[enc] = 1
         self._known_upto = upto + 1
 
     def contains_enc(self, enc: int) -> bool:
         if not 0 <= enc < self.window.size:
             raise InputError(f"membership query outside window: encoding {enc}")
         if enc >= self._known_upto:
-            self._extend(enc)
-        return bool(self._bits >> enc & 1)
+            self._fill_to(enc)
+        return self._mem[enc] == 1
 
     def contains_value(self, value: Payload) -> bool:
         return self.contains_enc(self.window.encoding(value))
@@ -392,31 +422,52 @@ class GroundSet:
         return self.contains_value(value)
 
     def iter_enc(self) -> Iterator[int]:
-        for enc in range(self.window.size):
-            if self.contains_enc(enc):
-                yield enc
+        """Member encodings in ascending order, filling only as far as the
+        iteration gets."""
+        mem, size = self._mem, self.window.size
+        enc = 0
+        while enc < size:
+            if enc >= self._known_upto:
+                self._fill_to(enc)
+            hit = mem.find(1, enc, self._known_upto)
+            if hit < 0:
+                enc = self._known_upto
+            else:
+                yield hit
+                enc = hit + 1
 
     def values(self) -> Iterator[Payload]:
         for enc in self.iter_enc():
             yield self.window.payload(enc)
 
-    def bits(self) -> int:
-        """Dense bitset over all encodings (forces full evaluation)."""
+    def array(self) -> np.ndarray:
+        """Membership over all encodings as a read-only uint8 array, 1 for a
+        member; a zero-copy view (forces full evaluation)."""
         if self._known_upto < self.window.size:
             self._extend(self.window.size - 1)
-        return self._bits
+        view = self._arr.view()
+        view.flags.writeable = False
+        return view
+
+    def bits(self) -> int:
+        """Dense bitset over all encodings, bit e for encoding e (forces
+        full evaluation)."""
+        packed = np.packbits(self.array(), bitorder="little")
+        return int.from_bytes(packed.tobytes(), "little")
 
     def count(self) -> int:
-        return self.bits().bit_count()
+        return int(np.count_nonzero(self.array()))
 
     def union(self, other: "GroundSet", label: str = "") -> "GroundSet":
         self._require_same_window(other)
-        return GroundSet(self.window, bits=self.bits() | other.bits(),
+        return GroundSet(self.window,
+                         members=bytearray(self.array() | other.array()),
                          label=label or f"union({self.label},{other.label})")
 
     def intersect(self, other: "GroundSet", label: str = "") -> "GroundSet":
         self._require_same_window(other)
-        return GroundSet(self.window, bits=self.bits() & other.bits(),
+        return GroundSet(self.window,
+                         members=bytearray(self.array() & other.array()),
                          label=label or f"intersect({self.label},{other.label})")
 
     def _require_same_window(self, other: "GroundSet") -> None:
@@ -459,29 +510,68 @@ def _is_square(v: int) -> bool:
     return v >= 0 and math.isqrt(v) ** 2 == v
 
 
+# Vector forms of the builtin predicates: the same test over an int64 array
+# of numeric payloads, returning a boolean array.  Payloads lie in
+# 0..MAX_WINDOW_SIZE, so clamping constants into [-1, _VECTOR_INT_CAP]
+# keeps every comparison and divisibility test while fitting int64.
+_VECTOR_INT_CAP = 1 << 62
+
+def _squares_vector(v: np.ndarray) -> np.ndarray:
+    # float sqrt is exact on squares and never rounds a non-square up to
+    # the next integer below 2**52, far above any window payload
+    root = np.sqrt(np.maximum(v, 0)).astype(np.int64)
+    return (v >= 0) & (root * root == v)
+
+
+def _primes_vector(v: np.ndarray) -> np.ndarray:
+    top = int(v.max(initial=0))
+    sieve = np.ones(max(top + 1, 2), dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(top) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    return (v >= 0) & sieve[np.clip(v, 0, top)]
+
+
+def _with_vector(test: Callable[[Payload], bool],
+                 vector: Callable[[np.ndarray], np.ndarray]
+                 ) -> Callable[[Payload], bool]:
+    test.vector = vector  # type: ignore[attr-defined]
+    return test
+
+
 def _atomic_predicate(name: str, args: list[str]) -> Callable[[Payload], bool]:
     if name == "evens":
-        return lambda v: isinstance(v, int) and v % 2 == 0
+        return _with_vector(lambda v: isinstance(v, int) and v % 2 == 0,
+                            lambda v: v % 2 == 0)
     if name == "odds":
-        return lambda v: isinstance(v, int) and v % 2 == 1
+        return _with_vector(lambda v: isinstance(v, int) and v % 2 == 1,
+                            lambda v: v % 2 == 1)
     if name == "squares":
-        return lambda v: isinstance(v, int) and _is_square(v)
+        return _with_vector(lambda v: isinstance(v, int) and _is_square(v),
+                            _squares_vector)
     if name == "primes":
-        return lambda v: isinstance(v, int) and _is_prime(v)
+        return _with_vector(lambda v: isinstance(v, int) and _is_prime(v),
+                            _primes_vector)
     if name == "multiples":
         if len(args) != 1:
             raise InputError("multiples:<m> takes one argument")
         m = parse_int(args[0], "multiples:<m>")
         if m < 1:
             raise InputError("multiples modulus must be >= 1")
-        return lambda v: isinstance(v, int) and v % m == 0
+        mv = min(m, _VECTOR_INT_CAP)
+        return _with_vector(lambda v: isinstance(v, int) and v % m == 0,
+                            lambda v: v % mv == 0)
     if name == "interval":
         if len(args) != 2:
             raise InputError("interval:<lo>:<hi> takes two arguments")
         lo, hi = (parse_int(a, "interval:<lo>:<hi>") for a in args)
-        return lambda v: isinstance(v, int) and lo <= v <= hi
+        vlo, vhi = (max(min(x, _VECTOR_INT_CAP), -1) for x in (lo, hi))
+        return _with_vector(lambda v: isinstance(v, int) and lo <= v <= hi,
+                            lambda v: (vlo <= v) & (v <= vhi))
     if name == "all":
-        return lambda v: True
+        return _with_vector(lambda v: True,
+                            lambda v: np.ones(v.shape, dtype=bool))
     raise InputError(f"unknown builtin predicate {name!r}")
 
 
@@ -503,15 +593,21 @@ def parse_predicate(spec: str) -> Callable[[Payload], bool]:
     """Parse the builtin predicate language of the JSON set format.
 
     Atoms: evens odds squares primes all multiples:<m> interval:<lo>:<hi>.
-    Combinators: union(p,q,...) and intersect(p,q,...), nestable.
+    Combinators: union(p,q,...) and intersect(p,q,...), nestable.  The
+    returned test also carries, as its `vector` attribute, the same test
+    over an int64 array of numeric payloads.
     """
     spec = spec.strip()
-    for comb, fold in (("union", any), ("intersect", all)):
+    for comb, fold, vfold in (("union", any, np.logical_or),
+                              ("intersect", all, np.logical_and)):
         if spec.startswith(comb + "(") and spec.endswith(")"):
             inner = spec[len(comb) + 1:-1]
             subs = [parse_predicate(p) for p in _split_top(inner)]
             if not subs:
                 raise InputError(f"{comb}() needs at least one operand")
-            return lambda v, subs=subs, fold=fold: fold(p(v) for p in subs)
+            return _with_vector(
+                lambda v, subs=subs, fold=fold: fold(p(v) for p in subs),
+                lambda v, subs=subs, vfold=vfold: vfold.reduce(
+                    [p.vector(v) for p in subs]))
     head, *args = spec.split(":")
     return _atomic_predicate(head.strip(), [a.strip() for a in args])

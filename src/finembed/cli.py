@@ -217,7 +217,12 @@ def dispatch(argv: list[str] | None = None) -> int:
     except (InputError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(jsonio.dumps(payload))
+    try:
+        print(jsonio.dumps(payload), flush=True)
+    except BrokenPipeError:
+        # The reader left early (`finembed verify | head`); the answer
+        # stands.  Point stdout at devnull so the exit flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     elapsed = time.monotonic() - started
     print(f"{args.command}: done in {elapsed:.2f}s (exit {code})",
           file=sys.stderr)

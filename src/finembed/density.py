@@ -33,14 +33,15 @@ class Net:
     def __post_init__(self):
         if not self.sets:
             raise InputError("net needs at least one index")
-        prev: frozenset = frozenset()
+        prev: tuple = ()
         for i, fn in enumerate(self.sets, start=1):
             if not fn:
                 raise InputError(f"net set F_{i} is empty")
-            cur = frozenset(fn)
-            if not prev <= cur:
+            # A set that starts with the previous one contains it.
+            if (fn[:len(prev)] != prev
+                    and not frozenset(prev) <= frozenset(fn)):
                 raise InputError(f"net is not ascending at index {i}")
-            prev = cur
+            prev = fn
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -83,10 +84,13 @@ def upper_density(A: GroundSet, net: Net, tail_start: int = 1) -> DensityReport:
     N = len(net)
     if not 1 <= tail_start <= N:
         raise InputError(f"tail_start must be in 1..{N}")
-    for i, fn in enumerate(net.sets, start=1):
-        for v in fn:
-            if not win.contains_value(v):
-                raise InputError(f"net-exceeds-window at F_{i}: {v!r}")
+    # The net ascends, so F_N holds every other F_i: check it alone, and
+    # walk the net only to name the first offending index.
+    if not all(win.contains_value(v) for v in net.sets[-1]):
+        for i, fn in enumerate(net.sets, start=1):
+            for v in fn:
+                if not win.contains_value(v):
+                    raise InputError(f"net-exceeds-window at F_{i}: {v!r}")
 
     best, skipped = _per_index_best(A, net)
 
@@ -111,8 +115,8 @@ def _per_index_best(A: GroundSet, net: Net):
     """For each net index, the best shifted-intersection ratio and a shift
     achieving it (None = formal identity)."""
     win = A.window
-    if win.kind == ADDITIVE and all(
-            fn == tuple(range(1, len(fn) + 1)) for fn in net.sets):
+    first = tuple(range(1, len(net.sets[-1]) + 1))
+    if win.kind == ADDITIVE and all(fn == first[:len(fn)] for fn in net.sets):
         return _per_index_best_intervals(A, net)
     best: list[tuple[Fraction, Payload | None]] = []
     skipped = 0
@@ -146,21 +150,22 @@ def _per_index_best(A: GroundSet, net: Net):
 def _per_index_best_intervals(A: GroundSet, net: Net):
     """Vectorized scan for interval nets on the additive carrier.
 
-    F_n . x = [1+x, n+x]; prefix sums turn each shifted count into a
-    difference, and one vector op per net index finds the best shift.
+    F_n . x = [1+x, n+x] for the shifts x = 0..W-n that keep it in the
+    window.  counts[x] = |A n F_n . x| grows with n one membership slice at
+    a time, and one argmax per net index finds the first best shift.  No
+    count exceeds the largest |F_n|, which sets the narrowest dtype.
     """
-    win = A.window
-    W = win.bound
-    member = np.zeros(W + 1, dtype=np.int64)
-    bits = A.bits()
-    for v in range(W + 1):
-        member[v] = bits >> v & 1
-    pref = np.concatenate([[0], np.cumsum(member)])
+    W = A.window.bound
+    mem = A.array()
+    counts = np.zeros(W + 1, dtype=np.min_scalar_type(len(net.sets[-1])))
     best: list[tuple[Fraction, Payload | None]] = []
     skipped = 0
+    n = 0
     for fn in net.sets:
-        n = len(fn)
-        counts = pref[n + 1: W + 2] - pref[1: W - n + 2]
+        while n < len(fn):
+            n += 1
+            counts = counts[:W - n + 1]
+            counts += mem[n:]
         x = int(np.argmax(counts))
         best.append((Fraction(int(counts[x]), n), x))
         skipped += n  # shifts x > W - n push the interval out of the window

@@ -342,8 +342,9 @@ def builtin_affine(window: Window) -> FamilySpec:
     def anchored(fpay: Tuple_, B: GroundSet) -> list[Params]:
         bvals = list(B.values())
         cands: list[Params] = []
-        if len(fpay) >= 2:
-            f1, f2 = fpay[0], fpay[1]
+        fs = sorted(set(fpay))  # a repeated point is no second anchor
+        if len(fs) >= 2:
+            f1, f2 = fs[0], fs[1]
             den = f2 - f1
             for b1 in bvals:
                 for b2 in bvals:
@@ -355,7 +356,7 @@ def builtin_affine(window: Window) -> FamilySpec:
                     if inter >= 0:
                         cands.append((inter, slope))
         else:
-            x = fpay[0]
+            x = fs[0]
             for beta in bvals:
                 if x == 0:
                     cands.append((beta, 1))

@@ -10,8 +10,11 @@ property.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .carrier import (ADDITIVE, MULTIPLICATIVE, GroundSet, Payload, Window)
 from .embed import DEFAULT_TUPLE_CAP, EmbedVerdict, embed_finite
@@ -42,36 +45,38 @@ class ProgressionCertificate:
 
 def verify_certificate(cert: ProgressionCertificate, A: GroundSet) -> bool:
     """Recompute the generator formula and re-check membership in A."""
-    expected = _realize(cert)
+    expected = _realize(cert.kind, cert.params, cert.length, cert.indexing)
     if expected is None or tuple(expected) != tuple(cert.realized):
         return False
     return all(A.contains_value(v) for v in cert.realized)
 
 
-def _realize(cert: ProgressionCertificate) -> list[int] | None:
-    k = cert.length
-    if cert.kind == "ap":
-        if k == 0:
-            return []
-        a, b = cert.params
+def _certificate(kind: str, params: tuple, length: int,
+                 indexing: str = "") -> ProgressionCertificate:
+    realized = _realize(kind, params, length, indexing)
+    return ProgressionCertificate(kind, params, tuple(realized), length,
+                                  indexing)
+
+
+def _realize(kind: str, params: tuple, k: int,
+             indexing: str = "") -> list[int] | None:
+    if kind not in ("ap", "gap-grid", "polynomial"):
+        return None
+    if k == 0:
+        return []
+    if kind == "ap":
+        a, b = params
         return [a + i * b for i in range(k)]
-    if cert.kind == "gap-grid":
-        if k == 0:
-            return []
-        if cert.indexing == "zero-based":
-            b, q, a, d = cert.params
+    if kind == "gap-grid":
+        if indexing == "zero-based":
+            b, q, a, d = params
             return [b * q ** j * (a + i * d)
                     for i in range(k) for j in range(k)]
-        r, a, b = cert.params
+        r, a, b = params
         return [r ** i * (a + j * b)
                 for i in range(1, k + 1) for j in range(1, k + 1)]
-    if cert.kind == "polynomial":
-        if k == 0:
-            return []
-        coeffs = cert.params
-        return [sum(c * x ** i for i, c in enumerate(coeffs))
-                for x in range(1, k + 1)]
-    return None
+    return [sum(c * x ** i for i, c in enumerate(params))
+            for x in range(1, k + 1)]
 
 
 def _require_additive(A: GroundSet, who: str) -> Window:
@@ -82,55 +87,76 @@ def _require_additive(A: GroundSet, who: str) -> Window:
 
 # -- arithmetic progressions --------------------------------------------------
 
+# Above this many candidate starts per stride, longest_ap filters them with
+# array ops before walking; below it the per-call overhead of numpy costs
+# more than a Python loop over the starts.
+_VECTOR_STARTS = 128
+
+
 def longest_ap(A: GroundSet) -> ProgressionCertificate:
     """A maximum-length arithmetic progression inside A, stride >= 1.
 
     Ties break toward smaller stride, then smaller start, so output is
     reproducible.  Chains are walked from their head only (start - stride
-    not in A), which keeps the scan at O(W) per stride.
+    not in A), which keeps the scan at O(|A|) per stride.  Strides and
+    starts that leave no room for more than the current record are skipped:
+    a progression one term longer spans record * stride.
     """
     win = _require_additive(A, "longest_ap")
-    members = list(A.values())
+    W = win.bound
+    arr = A.array()
+    mem = memoryview(arr)
+    member_arr = np.flatnonzero(arr)
+    members = member_arr.tolist()
     if not members:
-        return ProgressionCertificate("ap", (), (), 0)
-    bits = A.bits()
+        return _certificate("ap", (), 0)
     best_len, best = 1, (members[0], 1)
-    for stride in range(1, win.bound + 1):
-        if best_len * stride > win.bound + stride:
-            break  # even the current record no longer fits in the window
-        for a in members:
+    for stride in range(1, W + 1):
+        if best_len * stride > W:
+            break
+        last = bisect_right(members, W - best_len * stride)
+        if last > _VECTOR_STARTS:
+            # Keep the heads whose chains beat the record; walked below.
+            heads = member_arr[:last]
+            heads = heads[(heads < stride) | (arr[heads - stride] == 0)]
+            for k in range(1, best_len + 1):
+                if not heads.size:
+                    break
+                heads = heads[arr[heads + k * stride] == 1]
+            starts = heads.tolist()
+        else:
+            starts = members[:last]
+        for a in starts:
             prev = a - stride
-            if prev >= 0 and bits >> prev & 1:
+            if prev >= 0 and mem[prev]:
                 continue
-            x, run = a, 0
-            while x <= win.bound and bits >> x & 1:
+            x, run = a + stride, 1
+            while x <= W and mem[x]:
                 run += 1
                 x += stride
             if run > best_len:
                 best_len, best = run, (a, stride)
-    start, stride = best
-    realized = tuple(start + i * stride for i in range(best_len))
-    return ProgressionCertificate("ap", (start, stride), realized, best_len)
+    return _certificate("ap", best, best_len)
 
 
 # -- geoarithmetic grids ------------------------------------------------------
 
-def _grid_side(bits: int, bound: int, cell) -> int:
-    """Largest k with cell(i, j) in the set for all 1 <= i, j <= k.
+def _grid_side(mem: memoryview, W: int, cell: Callable[[int, int], int],
+               lo: int) -> int:
+    """Largest m with cell(i, j) in the set for all lo <= i, j < lo + m.
 
-    Grown one ring at a time; only the new ring max(i, j) == k needs checking.
+    Grown one ring at a time; only the new ring max(i, j) == lo + m needs
+    checking.
     """
-    k = 0
+    m = 0
     while True:
-        nxt = k + 1
-        for i in range(1, nxt + 1):
-            for j in range(1, nxt + 1):
-                if max(i, j) < nxt:
-                    continue
+        top = lo + m
+        for i in range(lo, top + 1):
+            for j in range(lo, top + 1) if i == top else (top,):
                 v = cell(i, j)
-                if v < 0 or v > bound or not bits >> v & 1:
-                    return k
-        k = nxt
+                if v < 0 or v > W or not mem[v]:
+                    return m
+        m += 1
 
 
 def longest_gap_grid(A: GroundSet,
@@ -145,47 +171,25 @@ def longest_gap_grid(A: GroundSet,
     same certificate.
     """
     win = _require_additive(A, "longest_gap_grid")
-    bits = A.bits()
+    mem = memoryview(A.array())
     W = win.bound
     if zero_based:
-        return _longest_grid_zero_based(A, bits, W)
+        return _longest_grid_zero_based(A, mem, W)
     best_k, best = 0, ()
     for r in range(2, W + 1):
         top = W // r  # the (1,1) cell forces a + b <= W // r
         for b in range(1, top + 1):
             for a in range(0, top - b + 1):
-                k = _grid_side(bits, W, lambda i, j: r ** i * (a + j * b))
+                k = _grid_side(mem, W, lambda i, j: r ** i * (a + j * b), 1)
                 if k > best_k:
                     best_k, best = k, (r, a, b)
-    realized: tuple[int, ...] = ()
-    if best_k:
-        r, a, b = best
-        realized = tuple(r ** i * (a + j * b)
-                         for i in range(1, best_k + 1)
-                         for j in range(1, best_k + 1))
-    return ProgressionCertificate("gap-grid", best, realized, best_k,
-                                  indexing="one-based")
+    return _certificate("gap-grid", best, best_k, indexing="one-based")
 
 
-def _longest_grid_zero_based(A: GroundSet, bits: int,
+def _longest_grid_zero_based(A: GroundSet, mem: memoryview,
                              W: int) -> ProgressionCertificate:
     """Zero-based grids with a >= 1, so the i = 0 row is never the constant
     zero row; cells stay positive, matching the search pattern's domain."""
-
-    def side(b: int, q: int, a: int, d: int) -> int:
-        """Largest n with the full (n+1) x (n+1) zero-based grid present."""
-        n = -1
-        while True:
-            nxt = n + 1
-            for i in range(nxt + 1):
-                for j in range(nxt + 1):
-                    if max(i, j) < nxt:
-                        continue
-                    v = b * q ** j * (a + i * d)
-                    if v > W or not bits >> v & 1:
-                        return n
-            n = nxt
-
     best_n, best = -1, ()
     # Any positive member m gives an n = 0 grid (b=1, a=m); rings beyond
     # need the (1,1) cell b q (a + d) <= W, which bounds the whole search.
@@ -196,18 +200,13 @@ def _longest_grid_zero_based(A: GroundSet, bits: int,
         for b in range(1, W // q + 1):
             for s in range(2, W // (b * q) + 1):  # s = a + d, a >= 1
                 for d in range(1, s):
-                    n = side(b, q, s - d, d)
+                    a = s - d
+                    # (n + 1) x (n + 1) grid: n + 1 full rings from 0
+                    n = _grid_side(
+                        mem, W, lambda i, j: b * q ** j * (a + i * d), 0) - 1
                     if n > best_n:
-                        best_n, best = n, (b, q, s - d, d)
-    if best_n < 0:
-        return ProgressionCertificate("gap-grid", (), (), 0,
-                                      indexing="zero-based")
-    b, q, a, d = best
-    k = best_n + 1
-    realized = tuple(b * q ** j * (a + i * d)
-                     for i in range(k) for j in range(k))
-    return ProgressionCertificate("gap-grid", best, realized, k,
-                                  indexing="zero-based")
+                        best_n, best = n, (b, q, a, d)
+    return _certificate("gap-grid", best, best_n + 1, indexing="zero-based")
 
 
 # -- polynomial progressions --------------------------------------------------
@@ -228,7 +227,7 @@ def longest_poly_progression(A: GroundSet, degree: int,
     if dset[0] < 0 or dset[-1] > degree:
         raise InputError(f"inconsistent-degree: D={dset} vs degree {degree}")
     svals = [v for v in s_coeffs.values()]
-    bits = A.bits()
+    mem = memoryview(A.array())
     W = win.bound
     nonconstant = dset[-1] >= 1
 
@@ -238,7 +237,7 @@ def longest_poly_progression(A: GroundSet, degree: int,
         x, l = 1, 0
         while True:
             y = sum(c * x ** i for i, c in zip(dset, coeffs))
-            if y > W or not bits >> y & 1:
+            if y > W or not mem[y]:
                 return l
             l += 1
             x += 1
@@ -262,13 +261,11 @@ def longest_poly_progression(A: GroundSet, degree: int,
     # P(1) = sum of the chosen coefficients must stay in the window.
     rec(0, W, [])
     if best_coeffs is None:
-        return ProgressionCertificate("polynomial", (), (), 0)
+        return _certificate("polynomial", (), 0)
     dense = [0] * (degree + 1)
     for i, c in zip(dset, best_coeffs):
         dense[i] = c
-    realized = tuple(sum(c * x ** i for i, c in enumerate(dense))
-                     for x in range(1, best_l + 1))
-    return ProgressionCertificate("polynomial", tuple(dense), realized, best_l)
+    return _certificate("polynomial", tuple(dense), best_l)
 
 
 # -- thickness / syndeticity / maximality -------------------------------------
@@ -290,6 +287,20 @@ class ShiftReport:
         return all(e.found for e in self.entries)
 
 
+def _member_prefix(A: GroundSet) -> np.ndarray:
+    """pref[k] = number of members among encodings 0..k-1."""
+    return np.concatenate(([0], np.cumsum(A.array(), dtype=np.int64)))
+
+
+def _first_full_run(ok: np.ndarray, need: int) -> int | None:
+    """Least t with ok[t], ..., ok[t + need - 1] all true, or None."""
+    if need > len(ok):
+        return None
+    pref = np.concatenate(([0], np.cumsum(ok, dtype=np.int64)))
+    hit = np.flatnonzero(pref[need:] - pref[:len(ok) - need + 1] == need)
+    return int(hit[0]) if hit.size else None
+
+
 def is_thick_window(A: GroundSet, probe_intervals: Sequence[int]) -> ShiftReport:
     """Window-scale thickness: for each probe length L, look for a shift s
     with F_L * s inside A, where F_L is the first L+1 canonical elements.
@@ -302,20 +313,45 @@ def is_thick_window(A: GroundSet, probe_intervals: Sequence[int]) -> ShiftReport
     for L in probe_intervals:
         if L + 1 > win.size:
             raise InputError(f"probe length {L} exceeds the window")
-        F = [win.payload(e) for e in range(L + 1)]
-        found, shift = False, None
-        for s in win.payloads():
-            ok = True
-            for f in F:
-                y = win.op_payload(f, s)
-                if y is None or not A.contains_value(y):
-                    ok = False
-                    break
-            if ok:
-                found, shift = True, s
-                break
-        entries.append(ShiftProbe(L, found, shift))
+        if win.kind in (ADDITIVE, MULTIPLICATIVE) and L >= 0:
+            shift = _first_thick_shift(A, L)
+        else:
+            shift = _first_shift_by_scan(A, L)
+        entries.append(ShiftProbe(L, shift is not None, shift))
     return ShiftReport("thick", tuple(entries))
+
+
+def _first_thick_shift(A: GroundSet, L: int) -> int | None:
+    """Least shift s with f * s in A for every f among the first L + 1
+    payloads, on a numeric window, or None.
+
+    Additive: the first full interval [s, s + L].  Multiplicative: shifts
+    s = 1..W // (L + 1); f * s sits at encoding f * s - 1, so the verdicts
+    are the AND over f of the stride-f slices of the array that start at
+    encoding f - 1.
+    """
+    mem = A.array()
+    if A.window.kind == ADDITIVE:
+        return _first_full_run(mem, L + 1)
+    n = A.window.bound // (L + 1)
+    ok = mem[:n].copy()
+    for f in range(2, L + 2):
+        ok &= mem[f - 1::f][:n]
+    hit = np.flatnonzero(ok)
+    return int(hit[0]) + 1 if hit.size else None
+
+
+def _first_shift_by_scan(A: GroundSet, L: int) -> Payload | None:
+    win = A.window
+    F = [win.payload(e) for e in range(L + 1)]
+    for s in win.payloads():
+        for f in F:
+            y = win.op_payload(f, s)
+            if y is None or not A.contains_value(y):
+                break
+        else:
+            return s
+    return None
 
 
 def maximality_probe(A: GroundSet, family: FamilySpec,
@@ -357,49 +393,44 @@ def is_piecewise_syndetic_window(A: GroundSet, gap_bound: int,
 
 def _ps_additive(A: GroundSet, g: int, spans: Sequence[int]) -> ShiftReport:
     W = A.window.bound
-    bits = A.bits()
-    # covered[u]: some member of A in [u, u+g-1]
-    covered = [any(bits >> v & 1 for v in range(u, min(u + g, W + 1)))
-               for u in range(W + 1)]
+    pref = _member_prefix(A)
+    # covered[u]: some member of A in [u, u+g-1], for the subwindow starts
+    # u = 0..W-g+1 that keep the whole subwindow inside the window
+    m = max(W - g + 2, 0)
+    covered = pref[g:g + m] > pref[:m]
     entries = []
     for L in spans:
         if L < 1 or L > W + 1:
             raise InputError(f"span {L} out of range")
-        found, at = False, None
         need = L - g + 1  # number of subwindow starts inside the interval
-        if need <= 0:
-            found, at = True, 0
-        else:
-            run = 0
-            for u in range(W - g + 2):
-                run = run + 1 if covered[u] else 0
-                if run >= need:
-                    found, at = True, u - need + 1
-                    break
-        entries.append(ShiftProbe(L, found, at))
+        at = 0 if need <= 0 else _first_full_run(covered, need)
+        entries.append(ShiftProbe(L, at is not None, at))
     return ShiftReport("piecewise-syndetic", tuple(entries))
 
 
 def _ps_multiplicative(A: GroundSet, g: int, spans: Sequence[int]) -> ShiftReport:
     W = A.window.bound
-    bits = A.bits()
-
-    def covered(u: int) -> bool:
-        # value v sits at encoding v - 1 on this carrier
-        hi = min(u * g, W)
-        return any(bits >> (v - 1) & 1 for v in range(max(u, 1), hi + 1))
-
+    pref = _member_prefix(A)  # value v sits at encoding v - 1
+    # Capping g at W + 1 changes no min(u*g, W) or (t*L)//g below, and
+    # keeps the products inside int64.
+    g = min(g, W + 1)
+    # uncovered[u] for u = 1..W: no member among values u..min(u*g, W);
+    # bad[k] counts the uncovered u below k
+    u = np.arange(1, W + 1)
+    uncovered = pref[np.minimum(u * g, W)] == pref[u - 1]
+    bad = np.concatenate(([0, 0], np.cumsum(uncovered, dtype=np.int64)))
     entries = []
     for L in spans:
         if L < 1:
             raise InputError("multiplicative span must be >= 1")
-        found, at = False, None
-        for t in range(1, W // L + 1):
-            hi = (t * L) // g
-            if all(covered(u) for u in range(t, hi + 1)):
-                found, at = True, t
-                break
-        entries.append(ShiftProbe(L, found, at))
+        at = None
+        if L <= W:
+            # shift t needs u covered for every u in t..(t*L)//g
+            t = np.arange(1, W // L + 1)
+            hi = np.maximum(t * L // g, t - 1)
+            hit = np.flatnonzero(bad[hi + 1] == bad[t])
+            at = int(t[hit[0]]) if hit.size else None
+        entries.append(ShiftProbe(L, at is not None, at))
     return ShiftReport("piecewise-syndetic", tuple(entries))
 
 

@@ -292,3 +292,16 @@ def test_cli_rejects_boolean_elements(capsys, tmp_path, files):
                                         "bound": True},
                              "set": {"explicit": [1]}}))
     assert_input_error(capsys, "rich", "--set", str(p), "--detect", "ap")
+
+
+def test_closed_stdout_keeps_exit_code_without_traceback():
+    # `finembed verify | head -c 10`: the reader is gone before the payload
+    # is written.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "finembed", "verify", "--suite", "listona",
+         "--budget", "tiny"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 0
+    assert "Traceback" not in err and "BrokenPipe" not in err, err

@@ -108,3 +108,17 @@ def test_kernel_counts_every_candidate_on_no(builder):
     assert v.outcome == NO and v.stats.complete
     listed = list(family.enumerate_params([0, 4, 8], B).params)
     assert v.stats.params_examined == len(listed) > 0
+
+
+def test_repeated_point_in_filtered_affine_family():
+    # A repeated point is not a second anchor; the list used to divide by
+    # f2 - f1 = 0 there.
+    win = make_window(ADDITIVE, 30)
+    B = GroundSet.from_values(win, [4, 7])
+    affine = builtin_affine(win)
+    filtered = filter_params(affine, lambda p: True, "all-params")
+    for F in ([3, 3], [3, 3, 5], [0, 0, 3]):
+        plain, listed = embed_finite(F, B, affine), embed_finite(F, B, filtered)
+        assert (plain.outcome, plain.witness, plain.stats) == \
+            (listed.outcome, listed.witness, listed.stats)
+        assert plain.outcome == reference(F, B, affine)[0]

@@ -1,0 +1,285 @@
+"""The byte-per-element set representation against plain references.
+
+Vector-filled predicate sets are compared with per-element evaluation of
+the same predicate, and the array-based detectors and density scan with
+brute-force loops over Python sets written from the definitions.  Windows
+are seeded, additive and multiplicative, W <= 500.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from finembed.carrier import (ADDITIVE, FREE_WORDS, MULTIPLICATIVE, GroundSet,
+                              elements, make_window, parse_predicate)
+from finembed.density import Net, TailWitness, interval_net, upper_density
+from finembed.rich import (is_piecewise_syndetic_window, is_thick_window,
+                           longest_ap)
+
+HUGE = 10 ** 20  # beyond int64: the vector forms must clamp it
+
+
+def random_spec(rng: random.Random, W: int, depth: int = 3) -> str:
+    if depth == 0 or rng.random() < 0.35:
+        atom = rng.choice(["evens", "odds", "squares", "primes", "all",
+                           "multiples", "interval"])
+        if atom == "multiples":
+            return f"multiples:{rng.choice([1, 2, 3, 7, rng.randrange(1, W + 3), HUGE])}"
+        if atom == "interval":
+            lo = rng.choice([-5, 0, rng.randrange(W + 1), -HUGE])
+            hi = rng.choice([lo + rng.randrange(40), W + 5, HUGE])
+            return f"interval:{lo}:{hi}"
+        return atom
+    comb = rng.choice(["union", "intersect"])
+    subs = [random_spec(rng, W, depth - 1) for _ in range(rng.randint(1, 3))]
+    return f"{comb}({','.join(subs)})"
+
+
+def random_window(rng: random.Random, top: int = 500):
+    return make_window(rng.choice([ADDITIVE, MULTIPLICATIVE]),
+                       rng.randrange(1, top + 1))
+
+
+def random_set(rng: random.Random, win) -> GroundSet:
+    lo = 1 if win.kind == MULTIPLICATIVE else 0
+    if rng.random() < 0.4:
+        density = rng.choice([0.05, 0.3, 0.7, 0.95])
+        return GroundSet.from_values(
+            win, [v for v in range(lo, win.bound + 1) if rng.random() < density])
+    spec = random_spec(rng, win.bound)
+    return GroundSet.from_predicate(win, parse_predicate(spec), spec)
+
+
+def members(A: GroundSet) -> set:
+    return {A.window.payload(e) for e in range(A.window.size)
+            if A.contains_enc(e)}
+
+
+# -- predicate fill ------------------------------------------------------------
+
+def test_vector_fill_matches_per_element_evaluation():
+    rng = random.Random(31)
+    for _ in range(400):
+        win = random_window(rng)
+        spec = random_spec(rng, win.bound)
+        pred = parse_predicate(spec)
+        want = [bool(pred(win.payload(e))) for e in range(win.size)]
+        A = GroundSet.from_predicate(win, pred)
+        assert A.array().astype(bool).tolist() == want, spec
+
+
+def test_chunked_fill_is_consistent_under_random_access():
+    # Windows wider than the first chunk, probed out of order.
+    rng = random.Random(32)
+    for _ in range(20):
+        win = make_window(rng.choice([ADDITIVE, MULTIPLICATIVE]),
+                          rng.randrange(1000, 6000))
+        spec = random_spec(rng, win.bound)
+        pred = parse_predicate(spec)
+        A = GroundSet.from_predicate(win, pred)
+        for enc in rng.sample(range(win.size), 200):
+            assert A.contains_enc(enc) == bool(pred(win.payload(enc))), spec
+        assert list(A.iter_enc()) == [e for e in range(win.size)
+                                      if pred(win.payload(e))]
+
+
+def test_custom_predicate_sees_only_the_prefix_asked_for():
+    calls = []
+
+    def pred(v):
+        calls.append(v)
+        return v % 3 == 0
+
+    A = GroundSet.from_predicate(make_window(ADDITIVE, 500), pred)
+    assert not A.contains_value(10)
+    assert calls == list(range(11))
+    assert list(itertools.islice(A.values(), 4)) == [0, 3, 6, 9]
+    assert calls == list(range(11))
+    assert list(itertools.islice(A.values(), 5)) == [0, 3, 6, 9, 12]
+    assert calls == list(range(13))
+    assert [e.display for e in elements(A, 3)] == ["0", "3", "6"]
+    assert calls == list(range(13))
+
+
+def test_word_windows_fill_one_element_at_a_time():
+    win = make_window(FREE_WORDS, 6, "ab")
+    calls = []
+
+    def pred(w):
+        calls.append(w)
+        return w.startswith("a")
+
+    pred.vector = lambda v: pytest.fail("no vector fill on word windows")
+    A = GroundSet.from_predicate(win, pred)
+    assert A.contains_value("ab")
+    assert len(calls) == win.encoding("ab") + 1
+
+
+def test_numeric_windows_fill_builtins_by_vector():
+    pred = parse_predicate("union(primes,squares)")
+    scalar_calls = []
+
+    def counting(v):
+        scalar_calls.append(v)
+        return pred(v)
+
+    counting.vector = pred.vector
+    A = GroundSet.from_predicate(make_window(MULTIPLICATIVE, 3000), counting)
+    assert A.contains_value(2999) and A.count() == len(
+        {p for p in range(1, 3001) if pred(p)})
+    assert scalar_calls == []
+
+
+def test_array_bits_count_and_set_algebra_agree():
+    rng = random.Random(33)
+    for _ in range(60):
+        win = random_window(rng)
+        A, B = random_set(rng, win), random_set(rng, win)
+        encs = [e for e in range(win.size) if A.contains_enc(e)]
+        assert A.bits() == sum(1 << e for e in encs)
+        assert A.count() == len(encs)
+        assert list(A.iter_enc()) == encs
+        assert members(A.union(B)) == members(A) | members(B)
+        assert members(A.intersect(B)) == members(A) & members(B)
+    view = A.array()
+    with pytest.raises(ValueError):
+        view[0] = 1
+
+
+# -- detectors ------------------------------------------------------------------
+
+def brute_ap(values: set, W: int):
+    """(start, stride), length: longest run, then smallest stride, then
+    smallest start, over every start and stride."""
+    if not values:
+        return (), 0
+    key, best = (1, -1, -min(values)), (min(values), 1)
+    for a in values:
+        for d in range(1, W + 1):
+            n, x = 0, a
+            while x in values:
+                n += 1
+                x += d
+            if (n, -d, -a) > key:
+                key, best = (n, -d, -a), (a, d)
+    return best, key[0]
+
+
+def test_longest_ap_matches_brute_force():
+    rng = random.Random(34)
+    for _ in range(150):
+        win = make_window(ADDITIVE, rng.randrange(1, 161))
+        A = random_set(rng, win)
+        cert = longest_ap(A)
+        assert (cert.params, cert.length) == brute_ap(members(A), win.bound)
+        assert cert.realized == tuple(cert.params[0] + i * cert.params[1]
+                                      for i in range(cert.length))
+
+
+def test_longest_ap_vector_filter_on_wide_windows():
+    # Enough members per stride to take the array-filtered path.
+    rng = random.Random(35)
+    for _ in range(6):
+        win = make_window(ADDITIVE, rng.randrange(300, 501))
+        A = GroundSet.from_values(
+            win, [v for v in range(win.bound + 1) if rng.random() < 0.6])
+        cert = longest_ap(A)
+        assert (cert.params, cert.length) == brute_ap(members(A), win.bound)
+
+
+def brute_thick(values: set, win, L: int):
+    """First shift s (canonical order) with F_L * s inside the set."""
+    F = [win.payload(e) for e in range(L + 1)]
+    for s in win.payloads():
+        image = [f + s if win.kind == ADDITIVE else f * s for f in F]
+        if all(y <= win.bound and y in values for y in image):
+            return s
+    return None
+
+
+def test_thickness_matches_brute_force():
+    rng = random.Random(36)
+    for _ in range(200):
+        win = random_window(rng)
+        A = random_set(rng, win)
+        probes = sorted(rng.sample(range(min(win.size, 40)),
+                                   min(win.size, 40, 4)))
+        report = is_thick_window(A, probes)
+        values = members(A)
+        for L, entry in zip(probes, report.entries):
+            shift = brute_thick(values, win, L)
+            assert (entry.found, entry.shift) == (shift is not None, shift)
+
+
+def brute_ps(values: set, win, g: int, L: int):
+    W = win.bound
+    if win.kind == ADDITIVE:
+        # every length-g subinterval of [t, t+L-1] meets the set
+        for t in range(0, W - L + 2):
+            if all(any(v in values for v in range(u, min(u + g, W + 1)))
+                   for u in range(t, t + L - g + 1)):
+                return t
+        return None
+    # every ratio-g subrange [u, u*g] with t <= u <= t*L/g meets the set
+    for t in range(1, W // L + 1):
+        if all(any(v in values for v in range(u, min(u * g, W) + 1))
+               for u in range(t, t * L // g + 1)):
+            return t
+    return None
+
+
+def test_piecewise_syndetic_matches_brute_force():
+    rng = random.Random(37)
+    for _ in range(200):
+        win = random_window(rng, 300)
+        A = random_set(rng, win)
+        g = rng.choice([1, 2, 3, 6, win.bound + 2, HUGE])
+        spans = [rng.randint(1, win.bound + 1) for _ in range(3)]
+        if win.kind == MULTIPLICATIVE:
+            spans.append(rng.choice([win.bound + 1, HUGE]))
+        report = is_piecewise_syndetic_window(A, g, spans)
+        values = members(A)
+        for L, entry in zip(spans, report.entries):
+            at = brute_ps(values, win, g, L)
+            assert (entry.found, entry.shift) == (at is not None, at), \
+                (win, A.label, g, L)
+
+
+# -- density --------------------------------------------------------------------
+
+def brute_density(values: set, win, net: Net, tail: int):
+    """Per net index the best ratio over in-window shifts (first shift on
+    ties; shift 1 is the identity on the multiplicative carrier), then per
+    tail m the best index n >= m (largest n on ties), then the min."""
+    best, skipped = [], 0
+    for fn in net.sets:
+        top = None
+        for x in win.payloads():
+            image = [v + x if win.kind == ADDITIVE else v * x for v in fn]
+            if max(image) > win.bound:
+                skipped += 1
+                continue
+            r = Fraction(sum(y in values for y in image), len(fn))
+            if top is None or r > top[0]:
+                top = (r, x)
+        best.append(top)
+    witnesses = []
+    for m in range(tail, len(net) + 1):
+        n = max(range(m, len(net) + 1), key=lambda n: (best[n - 1][0], n))
+        witnesses.append(TailWitness(m, n, best[n - 1][1], best[n - 1][0]))
+    return min(w.ratio for w in witnesses), tuple(witnesses), skipped
+
+
+def test_upper_density_matches_brute_force():
+    rng = random.Random(38)
+    for _ in range(120):
+        win = random_window(rng, 300)
+        A = random_set(rng, win)
+        top = win.bound if win.kind == ADDITIVE else min(win.bound, 12)
+        net = interval_net(rng.randint(1, min(top, 30)))
+        tail = rng.randint(1, len(net))
+        report = upper_density(A, net, tail_start=tail)
+        assert (report.value, report.witnesses, report.skipped_shifts) == \
+            brute_density(members(A), win, net, tail)
