@@ -449,12 +449,6 @@ class GroundSet:
         view.flags.writeable = False
         return view
 
-    def bits(self) -> int:
-        """Dense bitset over all encodings, bit e for encoding e (forces
-        full evaluation)."""
-        packed = np.packbits(self.array(), bitorder="little")
-        return int.from_bytes(packed.tobytes(), "little")
-
     def count(self) -> int:
         return int(np.count_nonzero(self.array()))
 

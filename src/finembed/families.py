@@ -30,6 +30,8 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .carrier import (ADDITIVE, FREE_WORDS, MULTIPLICATIVE, OVERFLOW,
                       Element, GroundSet, Payload, Window, _is_prime)
 from .errors import InputError
@@ -60,7 +62,7 @@ class FamilySpec:
     _anchored: Callable[[Tuple_, GroundSet], list[Params]] | None = None
     _explicit_params: tuple[Params, ...] | None = None
     default_bound: int = 64
-    _kernel: Callable[[Tuple_, int], tuple[Params | None, int]] | None = None
+    _kernel: Callable[[Tuple_, bytes], tuple[Params | None, int]] | None = None
 
     # -- evaluation -------------------------------------------------------
 
@@ -123,7 +125,8 @@ class FamilySpec:
         """
         if self._kernel is None or not self.window.compatible(B.window):
             return None
-        return self._kernel(self._normalize_f(F), B.bits())
+        packed = np.packbits(B.array(), bitorder="little").tobytes()
+        return self._kernel(self._normalize_f(F), packed)
 
     def param_sample(self, count: int, bound: int | None = None) -> list[Params]:
         """First count parameter tuples of R in canonical scan order."""
@@ -190,21 +193,22 @@ def _shell_order(lists: Sequence[Sequence]) -> Iterator[Params]:
         yield from rec(0, shell, True, [])
 
 
-def _shift_search(bits: int, bound: int, slopes: range, anchors: Sequence[int],
+def _shift_search(buf: bytes, bound: int, slopes: range, anchors: Sequence[int],
                   checks: Sequence[int]) -> tuple[tuple[int, int] | None, int]:
-    """Least (a, s) in (a, s) order with a + s*f in bits for every f in
+    """Least (a, s) in (a, s) order with a + s*f in B for every f in
     anchors and checks, s ranging over slopes, plus the number of pairs
-    (a, s) <= it with a + s*f in bits for every anchor f; with no such
+    (a, s) <= it with a + s*f in B for every anchor f; with no such
     witness, None and the number of all those anchor pairs.
 
-    bits is a bitset over 0..bound, and every slope must keep s*f <= bound
-    for every anchor f.  Row s holds the pairs with slope s as an int whose
-    bit a stands for (a, s): the AND over f of bits s*f .. s*f+n-1 of B, one
-    word-parallel op per f.  Once a witness (a*, s*) is known, later rows
-    can only win below bit a*, so n shrinks to a* and the scan stops once
-    nothing is left below it; the count pass reads a* + 1 bits per row.
+    buf is B's membership over 0..bound packed little-endian, 8 elements a
+    byte, and every slope must keep s*f <= bound for every anchor f.  Row s
+    holds the pairs with slope s as an int whose bit a stands for (a, s):
+    the AND over f of bits s*f .. s*f+n-1 of B, one word-parallel op per f.
+    Once a witness (a*, s*) is known, later rows can only win below bit a*,
+    so n shrinks to a* and the scan stops once nothing is left below it;
+    the count pass reads a* + 1 bits per row.
     """
-    buf = bits.to_bytes(bound // 8 + 1, "little")
+    bits = int.from_bytes(buf, "little")
     top = max(anchors)
 
     def row_of(s: int, offsets: Sequence[int], row: int) -> int:
@@ -272,12 +276,12 @@ def _translations(window: Window, right: bool) -> FamilySpec:
                 cands.append((r,))
         return cands
 
-    def kernel(fpay: Tuple_, bits: int) -> tuple[Params | None, int]:
+    def kernel(fpay: Tuple_, buf: bytes) -> tuple[Params | None, int]:
         # Left and right translations agree on this carrier.  The
         # candidates r are the members of B >> min F; witnesses also have
         # r + f in B for the other f.
         fs = sorted(set(fpay))
-        best, count = _shift_search(bits, window.bound, range(1, 2),
+        best, count = _shift_search(buf, window.bound, range(1, 2),
                                     fs[:1], fs[1:])
         return (best[:1] if best else None), count
 
@@ -365,14 +369,14 @@ def builtin_affine(window: Window) -> FamilySpec:
                         cands.append((beta - slope * x, slope))
         return cands
 
-    def kernel(fpay: Tuple_, bits: int) -> tuple[Params | None, int]:
+    def kernel(fpay: Tuple_, buf: bytes) -> tuple[Params | None, int]:
         fs = sorted(set(fpay))
         anchors, checks = fs[:2], fs[2:]
         # Slope s has candidates only while s * (largest anchor) <= W; a
         # lone anchor at 0 admits the slope-1 candidates alone.
         top = anchors[-1]
         slopes = range(1, window.bound // top + 1 if top else 2)
-        return _shift_search(bits, window.bound, slopes, anchors, checks)
+        return _shift_search(buf, window.bound, slopes, anchors, checks)
 
     return FamilySpec(
         name="affine", window=window, arity=1, param_arity=2,
@@ -415,12 +419,7 @@ def builtin_polynomial(s_coeffs: GroundSet, d_indices: Iterable[int],
     """
     window = s_coeffs.window
     _require_kind(window, ADDITIVE, "polynomial")
-    dset = tuple(sorted(set(d_indices)))
-    if not dset:
-        raise InputError("empty-D: need at least one coefficient index")
-    if dset[0] < 0 or dset[-1] > degree:
-        raise InputError(f"inconsistent-degree: D={dset} vs degree {degree}")
-    nonconstant = dset[-1] >= 1
+    dset = poly_indices(d_indices, degree)
 
     def g(tup: Tuple_, params: Params) -> Payload | None:
         (x,) = tup
@@ -428,11 +427,8 @@ def builtin_polynomial(s_coeffs: GroundSet, d_indices: Iterable[int],
         return y if y <= window.bound else None
 
     def r(params: Params) -> bool:
-        if not all(a in s_coeffs for a in params):
-            return False
-        if nonconstant and all(a == 0 for i, a in zip(dset, params) if i >= 1):
-            return False
-        return True
+        return (all(a in s_coeffs for a in params)
+                and not _degenerate(dset, params))
 
     def scan_lists(bound: int) -> Sequence[Sequence]:
         vals = [v for v in s_coeffs.values() if v <= bound]
@@ -443,6 +439,43 @@ def builtin_polynomial(s_coeffs: GroundSet, d_indices: Iterable[int],
         arity=1, param_arity=len(dset),
         _g=g, _r=r, _scan_lists=scan_lists,
         default_bound=max(window.bound, 64))
+
+
+def poly_indices(d_indices: Iterable[int], degree: int) -> tuple[int, ...]:
+    """The coefficient indices D of a restricted-coefficient polynomial of
+    degree at most `degree`, sorted and de-duplicated; the one check of D
+    for the polynomial family, its detector and its partition pattern."""
+    dset = tuple(sorted(set(d_indices)))
+    if not dset:
+        raise InputError("empty-D: need at least one coefficient index")
+    if dset[0] < 0 or dset[-1] > degree:
+        raise InputError(f"inconsistent-degree: D={list(dset)} vs degree {degree}")
+    return dset
+
+
+def _degenerate(dset: Sequence[int], coeffs: Sequence[int]) -> bool:
+    """A constant member of a family whose D reaches past the constant
+    term; such families hold only genuine non-constant polynomials."""
+    return dset[-1] >= 1 and all(c == 0 for i, c in zip(dset, coeffs) if i)
+
+
+def poly_coefficients(dset: Sequence[int], values: Sequence[int],
+                      total: int) -> Iterator[tuple[int, ...]]:
+    """Coefficient vectors for the indices dset, each entry drawn from the
+    ascending list values, with entry sum <= total (P(1) <= total), in
+    ascending lexicographic order and without the degenerate constants."""
+
+    def rec(pos: int, left: int, prefix: tuple[int, ...]):
+        if pos == len(dset):
+            if not _degenerate(dset, prefix):
+                yield prefix
+            return
+        for v in values:
+            if v > left:
+                break
+            yield from rec(pos + 1, left - v, prefix + (v,))
+
+    return rec(0, total, ())
 
 
 def builtin_word_suffix(window: Window, letter: str) -> FamilySpec:

@@ -3,7 +3,8 @@ pattern-avoiding colorings, Ramsey-style thresholds, strong-PR probes on
 explicit sets, and experiments with homogeneous diophantine equations.
 
 A pattern is a finite matcher: it enumerates every instance (a set of
-integers that must not end up monochromatic) inside [1..N].  Searches are
+integers that must not end up monochromatic) inside [1..N].  Every search,
+over [1..N] or over an explicit set, runs through one engine (_search): a
 complete backtracking with color-relabeling symmetry breaking (a fresh color
 index may only be introduced after all smaller ones), so "forced" outcomes
 are exhaustion proofs and avoiding colorings come out canonical and
@@ -14,9 +15,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetError, InputError, parse_int
+from .families import poly_coefficients, poly_indices
 
 DEFAULT_INSTANCE_BUDGET = 500_000
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -125,18 +128,23 @@ class Pattern:
     """A named instance matcher over initial segments [1..N]."""
 
     label: str
-    _enumerate: Callable[[int], list[tuple[int, ...]]]
+    _enumerate: Callable[[int], Iterator[tuple[int, ...]]]
 
     def instances(self, n: int,
                   budget: int = DEFAULT_INSTANCE_BUDGET) -> list[tuple[int, ...]]:
         """All instances inside [1..n], as sorted tuples of distinct values,
-        deduplicated and in lexicographic order."""
-        out = self._enumerate(n)
-        if len(out) > budget:
+        deduplicated and in lexicographic order.
+
+        The enumerator is drawn from at most budget + 1 times, counting
+        instances before deduplication, and one more than budget raises
+        BudgetError, so the budget bounds the enumeration itself.
+        """
+        raw = list(islice(self._enumerate(n), budget + 1))
+        if len(raw) > budget:
             raise BudgetError(
-                f"pattern-instance-overflow: {len(out)} instances for "
-                f"{self.label} at N={n}")
-        return sorted(set(out))
+                f"pattern-instance-overflow: more than {budget} instances "
+                f"for {self.label} at N={n}")
+        return sorted(set(raw))
 
 
 def ap_pattern(length: int) -> Pattern:
@@ -145,12 +153,10 @@ def ap_pattern(length: int) -> Pattern:
     if length < 2:
         raise InputError("AP pattern needs length >= 2")
 
-    def enum(n: int) -> list[tuple[int, ...]]:
-        out = []
+    def enum(n: int) -> Iterator[tuple[int, ...]]:
         for d in range(1, n // (length - 1) + 1):
             for a in range(1, n - (length - 1) * d + 1):
-                out.append(tuple(a + i * d for i in range(length)))
-        return out
+                yield tuple(range(a, a + length * d, d))
 
     return Pattern(f"ap:{length}", enum)
 
@@ -158,12 +164,10 @@ def ap_pattern(length: int) -> Pattern:
 def schur_pattern() -> Pattern:
     """Triples {x, y, x+y}; x equal to y allowed."""
 
-    def enum(n: int) -> list[tuple[int, ...]]:
-        out = []
+    def enum(n: int) -> Iterator[tuple[int, ...]]:
         for x in range(1, n + 1):
             for y in range(x, n - x + 1):
-                out.append(tuple(sorted({x, y, x + y})))
-        return out
+                yield tuple(sorted({x, y, x + y}))
 
     return Pattern("schur", enum)
 
@@ -178,8 +182,7 @@ def gap_grid_pattern(n_index: int, strict: bool = False) -> Pattern:
     if n_index < 1:
         raise InputError("grid index bound must be >= 1 (0 is a single cell)")
 
-    def enum(n: int) -> list[tuple[int, ...]]:
-        out = []
+    def enum(n: int) -> Iterator[tuple[int, ...]]:
         qtop = n_index  # exponent of the largest power-of-q cell
         for q in range(2, n + 1):
             if q ** qtop > n:
@@ -201,8 +204,7 @@ def gap_grid_pattern(n_index: int, strict: bool = False) -> Pattern:
                         inst = set(cells)
                         if strict:
                             inst |= {q, d}
-                        out.append(tuple(sorted(inst)))
-        return out
+                        yield tuple(sorted(inst))
 
     label = f"gap-grid:{n_index}" + (":strict" if strict else "")
     return Pattern(label, enum)
@@ -214,38 +216,21 @@ def poly_progression_pattern(length: int, degree: int,
     """Runs P(1), ..., P(length) of restricted-coefficient polynomials."""
     if length < 2:
         raise InputError("progression length must be >= 2")
-    dset = sorted(set(d_indices))
-    if not dset:
-        raise InputError("empty-D")
-    if dset[0] < 0 or dset[-1] > degree:
-        raise InputError(f"inconsistent-degree: D={dset} vs degree {degree}")
-    pred = coeff_pred or (lambda v: True)
-    nonconstant = dset[-1] >= 1
+    dset = poly_indices(d_indices, degree)
 
-    def enum(n: int) -> list[tuple[int, ...]]:
-        out: list[tuple[int, ...]] = []
-
-        def rec(pos: int, budget: int, chosen: list[int]) -> None:
-            if pos == len(dset):
-                if nonconstant and all(
-                        c == 0 for i, c in zip(dset, chosen) if i >= 1):
-                    return
-                vals = []
-                for x in range(1, length + 1):
-                    y = sum(c * x ** i for i, c in zip(dset, chosen))
-                    if not 1 <= y <= n:
-                        return
-                    vals.append(y)
-                out.append(tuple(sorted(set(vals))))
-                return
-            for v in range(budget + 1):
-                if pred(v):
-                    chosen.append(v)
-                    rec(pos + 1, budget - v, chosen)
-                    chosen.pop()
-
-        rec(0, n, [])  # P(1) = sum of coefficients must land in [1..n]
-        return out
+    def enum(n: int) -> Iterator[tuple[int, ...]]:
+        values = [v for v in range(n + 1)
+                  if coeff_pred is None or coeff_pred(v)]
+        # P(1) = sum of coefficients must land in [1..n]
+        for coeffs in poly_coefficients(dset, values, n):
+            run = set()
+            for x in range(1, length + 1):
+                y = sum(c * x ** i for i, c in zip(dset, coeffs))
+                if not 1 <= y <= n:
+                    break
+                run.add(y)
+            else:
+                yield tuple(sorted(run))
 
     return Pattern(f"poly:{length}:{degree}:{','.join(map(str, dset))}", enum)
 
@@ -254,18 +239,18 @@ def equation_pattern(poly: Polynomial, distinct: bool = False) -> Pattern:
     """Solution sets of P(a_1, ..., a_v) = 0 with entries in [1..N].
 
     Variables may repeat values unless distinct is set; zero never occurs
-    because the search range starts at 1.
+    because the search range starts at 1.  The instance budget counts
+    solutions, not candidate tuples: enumeration still evaluates P on the
+    N^v tuples in order until budget + 1 solutions turn up, so a sparse
+    equation costs all N^v evaluations whatever the budget.
     """
     if poly.nvars < 1:
         raise InputError("zero-variables: the equation needs a variable")
 
-    def enum(n: int) -> list[tuple[int, ...]]:
-        out = []
+    def enum(n: int) -> Iterator[tuple[int, ...]]:
         for sol in _solutions(poly, range(1, n + 1)):
-            if distinct and len(set(sol)) != len(sol):
-                continue
-            out.append(tuple(sorted(set(sol))))
-        return out
+            if not distinct or len(set(sol)) == len(sol):
+                yield tuple(sorted(set(sol)))
 
     label = f"equation:{poly}" + (":distinct" if distinct else "")
     return Pattern(label, enum)
@@ -334,7 +319,7 @@ class ColoringCertificate:
 
 def _backtrack(elements: Sequence[int], r: int,
                instances: Sequence[tuple[int, ...]],
-               node_budget: int, reverse: bool = False
+               node_budget: int, reverse: bool
                ) -> tuple[list[int] | None, int]:
     """Complete search for a coloring with no monochromatic instance.
 
@@ -383,6 +368,30 @@ def _canonicalize(colors: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _search(elements: Sequence[int], pattern: Pattern, r: int,
+            instance_budget: int, node_budget: int,
+            reverse: bool) -> ColoringCertificate:
+    """The coloring engine behind every partition-regularity search: all
+    r-colorings of the ascending elements, against the pattern's instances
+    that lie inside them."""
+    if r < 1 or not elements:
+        raise InputError("need n >= 1 and r >= 1")
+    if elements[0] < 1:
+        raise InputError("pattern search elements must be >= 1")
+    n = elements[-1]
+    instances = pattern.instances(n, instance_budget)
+    if len(elements) < n:  # a set with gaps keeps the instances inside it
+        inside = set(elements)
+        instances = [inst for inst in instances if inside.issuperset(inst)]
+    colors, nodes = _backtrack(elements, r, instances, node_budget, reverse)
+    elements = tuple(elements)
+    if colors is None:
+        return ColoringCertificate("forced", elements, None, nodes, True,
+                                   pattern.label, n, r)
+    return ColoringCertificate("avoiding", elements, _canonicalize(colors),
+                               nodes, False, pattern.label, n, r)
+
+
 def find_avoiding_coloring(n: int, r: int, pattern: Pattern,
                            instance_budget: int = DEFAULT_INSTANCE_BUDGET,
                            node_budget: int = DEFAULT_NODE_BUDGET,
@@ -394,16 +403,8 @@ def find_avoiding_coloring(n: int, r: int, pattern: Pattern,
     exhaustive search.  reverse flips the assignment order, which must not
     change the verdict.
     """
-    if n < 1 or r < 1:
-        raise InputError("need n >= 1 and r >= 1")
-    elements = tuple(range(1, n + 1))
-    instances = pattern.instances(n, instance_budget)
-    colors, nodes = _backtrack(elements, r, instances, node_budget, reverse)
-    if colors is None:
-        return ColoringCertificate("forced", elements, None, nodes, True,
-                                   pattern.label, n, r)
-    return ColoringCertificate("avoiding", elements, _canonicalize(colors),
-                               nodes, False, pattern.label, n, r)
+    return _search(range(1, n + 1), pattern, r, instance_budget, node_budget,
+                   reverse)
 
 
 def verify_coloring(cert: ColoringCertificate, pattern: Pattern) -> bool:
@@ -454,21 +455,8 @@ def strong_pr_probe(a_values: Iterable[int], pattern: Pattern, r: int,
                     reverse: bool = False) -> ColoringCertificate:
     """Partition the explicit set A itself: forced when every r-partition of
     A leaves a monochromatic instance inside A, else an avoiding partition."""
-    elements = tuple(sorted(set(a_values)))
-    if not elements:
-        raise InputError("A must be non-empty")
-    if any(v < 1 for v in elements):
-        raise InputError("pattern search elements must be >= 1")
-    eset = set(elements)
-    instances = [inst for inst in pattern.instances(max(elements),
-                                                    instance_budget)
-                 if all(v in eset for v in inst)]
-    colors, nodes = _backtrack(elements, r, instances, node_budget, reverse)
-    if colors is None:
-        return ColoringCertificate("forced", elements, None, nodes, True,
-                                   pattern.label, max(elements), r)
-    return ColoringCertificate("avoiding", elements, _canonicalize(colors),
-                               nodes, False, pattern.label, max(elements), r)
+    return _search(tuple(sorted(set(a_values))), pattern, r, instance_budget,
+                   node_budget, reverse)
 
 
 # -- homogeneous equations -----------------------------------------------------
@@ -484,14 +472,12 @@ def homogeneous_pr_check(poly: Polynomial, r: int, n: int,
     strict mode rejects non-homogeneous polynomials outright; otherwise the
     report simply records the failure and the search still runs.
     """
-    if poly.nvars < 1:
-        raise InputError("zero-variables")
+    pattern = equation_pattern(poly, distinct)
     report = homogeneity_report(poly)
     if strict and not report.homogeneous:
         raise InputError(f"non-homogeneous-rejected: degrees "
                          f"{report.monomial_degrees}")
-    cert = find_avoiding_coloring(n, r, equation_pattern(poly, distinct),
-                                  instance_budget, node_budget)
+    cert = find_avoiding_coloring(n, r, pattern, instance_budget, node_budget)
     return cert, report
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .carrier import (ADDITIVE, MULTIPLICATIVE, GroundSet, Payload, Window)
 from .embed import DEFAULT_TUPLE_CAP, EmbedVerdict, embed_finite
 from .errors import InputError, parse_int
-from .families import FamilySpec
+from .families import FamilySpec, poly_coefficients, poly_indices
 
 
 @dataclass(frozen=True)
@@ -221,19 +221,11 @@ def longest_poly_progression(A: GroundSet, degree: int,
     ties break toward lexicographically smaller vectors.
     """
     win = _require_additive(A, "longest_poly_progression")
-    dset = sorted(set(d_indices))
-    if not dset:
-        raise InputError("empty-D: need at least one coefficient index")
-    if dset[0] < 0 or dset[-1] > degree:
-        raise InputError(f"inconsistent-degree: D={dset} vs degree {degree}")
-    svals = [v for v in s_coeffs.values()]
+    dset = poly_indices(d_indices, degree)
     mem = memoryview(A.array())
     W = win.bound
-    nonconstant = dset[-1] >= 1
 
-    best_l, best_coeffs = 0, None
-
-    def run_length(coeffs: list[int]) -> int:
+    def run_length(coeffs: tuple[int, ...]) -> int:
         x, l = 1, 0
         while True:
             y = sum(c * x ** i for i, c in zip(dset, coeffs))
@@ -242,24 +234,12 @@ def longest_poly_progression(A: GroundSet, degree: int,
             l += 1
             x += 1
 
-    def rec(pos: int, budget: int, chosen: list[int]) -> None:
-        nonlocal best_l, best_coeffs
-        if pos == len(dset):
-            if nonconstant and all(c == 0 for i, c in zip(dset, chosen) if i >= 1):
-                return
-            l = run_length(chosen)
-            if l > best_l:
-                best_l, best_coeffs = l, list(chosen)
-            return
-        for v in svals:
-            if v > budget:
-                break
-            chosen.append(v)
-            rec(pos + 1, budget - v, chosen)
-            chosen.pop()
-
+    best_l, best_coeffs = 0, None
     # P(1) = sum of the chosen coefficients must stay in the window.
-    rec(0, W, [])
+    for coeffs in poly_coefficients(dset, list(s_coeffs.values()), W):
+        l = run_length(coeffs)
+        if l > best_l:
+            best_l, best_coeffs = l, coeffs
     if best_coeffs is None:
         return _certificate("polynomial", (), 0)
     dense = [0] * (degree + 1)

@@ -12,7 +12,9 @@ from finembed.families import (builtin_affine, builtin_geoarithmetic,
                                builtin_left_translations, builtin_polynomial,
                                builtin_right_translations, builtin_word_suffix,
                                filter_params, make_family_from_pair,
-                               restrict_params)
+                               poly_coefficients, restrict_params)
+from finembed.prsearch import poly_progression_pattern
+from finembed.rich import longest_poly_progression
 
 
 @pytest.fixture
@@ -78,6 +80,34 @@ def test_polynomial_family(win):
         builtin_polynomial(s_all, [], 2)
     with pytest.raises(InputError):
         builtin_polynomial(s_all, [0, 3], 2)
+
+
+@pytest.mark.parametrize("d_indices, degree, text", [
+    ([], 2, "empty-D: need at least one coefficient index"),
+    ([0, 3], 2, "inconsistent-degree: D=[0, 3] vs degree 2"),
+    ((3, 0, 3), 2, "inconsistent-degree: D=[0, 3] vs degree 2"),
+    ([-1, 1], 2, "inconsistent-degree: D=[-1, 1] vs degree 2"),
+])
+def test_polynomial_domain_errors_agree(win, d_indices, degree, text):
+    s_all = GroundSet.from_predicate(win, lambda v: True, "N")
+    entry_points = (
+        lambda: builtin_polynomial(s_all, d_indices, degree),
+        lambda: longest_poly_progression(s_all, degree, s_all, d_indices),
+        lambda: poly_progression_pattern(3, degree, None, d_indices))
+    for call in entry_points:
+        with pytest.raises(InputError) as err:
+            call()
+        assert str(err.value) == text
+
+
+@pytest.mark.parametrize("dset", [(0,), (1,), (0, 2), (0, 1, 2), (1, 3)])
+def test_poly_coefficients_match_filtered_product(dset):
+    values = [0, 1, 3, 4, 7]
+    total = 9
+    want = [c for c in itertools.product(values, repeat=len(dset))
+            if sum(c) <= total
+            and not (dset[-1] >= 1 and all(v == 0 for i, v in zip(dset, c) if i))]
+    assert list(poly_coefficients(dset, values, total)) == want
 
 
 def test_word_suffix():

@@ -6,7 +6,7 @@ from conftest import (brute_instances_ap, brute_instances_equation,
                       brute_instances_schur)
 from finembed.carrier import ADDITIVE, GroundSet, make_window
 from finembed.errors import BudgetError, InputError
-from finembed.prsearch import (ap_pattern, equation_pattern,
+from finembed.prsearch import (Pattern, ap_pattern, equation_pattern,
                                find_avoiding_coloring, gap_grid_pattern,
                                homogeneous_pr_check, parse_pattern,
                                parse_polynomial, poly_progression_pattern,
@@ -114,6 +114,21 @@ def test_instance_budget_overflow():
         ap_pattern(2).instances(300, budget=100)
 
 
+def test_instance_budget_bounds_the_enumeration():
+    drawn = []
+
+    def enum(n):
+        for v in range(1, n + 1):
+            drawn.append(v)
+            yield (v,)
+
+    pattern = Pattern("counting", enum)
+    with pytest.raises(BudgetError, match="more than 10 instances"):
+        pattern.instances(1000, budget=10)
+    assert len(drawn) <= 11
+    assert pattern.instances(10, budget=10) == [(v,) for v in range(1, 11)]
+
+
 def test_parse_pattern_specs():
     assert parse_pattern("ap:3").label == "ap:3"
     assert parse_pattern("schur").label == "schur"
@@ -164,11 +179,21 @@ def test_coloring_is_canonical_and_lex_least():
 
 
 def test_strong_pr_probe_matches_search():
-    ap3 = ap_pattern(3)
-    for n in range(3, 11):
-        probe = strong_pr_probe(range(1, n + 1), ap3, 2)
-        search = find_avoiding_coloring(n, 2, ap3)
-        assert probe.outcome == search.outcome
+    for pattern in (ap_pattern(3), schur_pattern()):
+        for n in range(3, 11):
+            for reverse in (False, True):
+                probe = strong_pr_probe(range(1, n + 1), pattern, 2,
+                                        reverse=reverse)
+                search = find_avoiding_coloring(n, 2, pattern,
+                                                reverse=reverse)
+                assert probe == search
+
+
+def test_strong_pr_probe_rejects_zero_colors():
+    with pytest.raises(InputError, match="r >= 1"):
+        strong_pr_probe([1, 2, 3], ap_pattern(3), 0)
+    with pytest.raises(InputError, match="r >= 1"):
+        find_avoiding_coloring(3, 0, ap_pattern(3))
 
 
 def test_strong_pr_probe_on_sparse_set():

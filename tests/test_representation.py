@@ -138,7 +138,6 @@ def test_array_bits_count_and_set_algebra_agree():
         win = random_window(rng)
         A, B = random_set(rng, win), random_set(rng, win)
         encs = [e for e in range(win.size) if A.contains_enc(e)]
-        assert A.bits() == sum(1 << e for e in encs)
         assert A.count() == len(encs)
         assert list(A.iter_enc()) == encs
         assert members(A.union(B)) == members(A) | members(B)
