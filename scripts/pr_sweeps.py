@@ -1,0 +1,75 @@
+"""Size sweeps of the partition-regularity engine, as BENCH_*.json records.
+
+    PYTHONPATH=src python scripts/pr_sweeps.py --side change > sweeps.json
+
+Times the complete 3-coloring search for 3-term APs over [1..N] for
+N = 20..27 (reporting nodes and nodes per second; N = 27 is the first forced
+size, W(3;3) = 27) and the instance enumeration of x^2 + y^2 = z^2 over
+[1..N] for N = 50, 100, 200, 400, in-process and single-threaded.  A case
+stops growing N once one run takes longer than MAX_SECONDS, so slow
+implementations can be swept with the same script.  Only the public API is
+used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import time
+
+from finembed import (ap_pattern, equation_pattern, find_avoiding_coloring,
+                      parse_polynomial)
+
+REPEATS = 3        # best of
+MAX_SECONDS = 5.0  # a case stops growing N after a run this slow
+
+
+def vdw_search(n):
+    cert = find_avoiding_coloring(n, 3, ap_pattern(3))
+    return {"outcome": cert.outcome, "nodes": cert.nodes}
+
+
+def pythagorean_instances(n):
+    pattern = equation_pattern(parse_polynomial("x^2+y^2-z^2"))
+    return {"instances": len(pattern.instances(n))}
+
+
+CASES = (
+    ("ap:3 r=3 search", "prsearch.find_avoiding_coloring", vdw_search,
+     range(20, 28)),
+    ("x^2+y^2-z^2 instances", "prsearch.Pattern.instances",
+     pythagorean_instances, (50, 100, 200, 400)),
+)
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--side", required=True, help="label for the records")
+    args = ap.parse_args()
+    records = []
+    for case, layer, run, sizes in CASES:
+        for n in sizes:
+            best, counters = float("inf"), None
+            for _ in range(REPEATS):
+                t0 = time.perf_counter()
+                counters = run(n)
+                best = min(best, time.perf_counter() - t0)
+                if best > MAX_SECONDS:
+                    break
+            if "nodes" in counters:
+                counters["nodes_per_s"] = counters["nodes"] / best
+            records.append({"case": case, "layer": layer, "size": n,
+                            "side": args.side, "seconds": best,
+                            "counters": counters,
+                            "how": f"scripts/pr_sweeps.py, best of {REPEATS}"})
+            print(f"{case:24s} N={n:>4d} {best:9.4f}s {counters}",
+                  file=sys.stderr)
+            if best > MAX_SECONDS:
+                break
+    json.dump(records, sys.stdout, indent=1)
+    print()
+
+
+if __name__ == "__main__":
+    main()

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, product
+from math import isqrt
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetError, InputError, parse_int
@@ -240,9 +241,11 @@ def equation_pattern(poly: Polynomial, distinct: bool = False) -> Pattern:
 
     Variables may repeat values unless distinct is set; zero never occurs
     because the search range starts at 1.  The instance budget counts
-    solutions, not candidate tuples: enumeration still evaluates P on the
-    N^v tuples in order until budget + 1 solutions turn up, so a sparse
-    equation costs all N^v evaluations whatever the budget.
+    solutions, not candidate tuples.  When a variable is isolated (alone in
+    its one monomial, like z in x^2+y^2-z^2) it is solved from the others,
+    N^(v-1) evaluations; otherwise P is evaluated on all N^v tuples, so a
+    sparse equation such as x*y-z*w costs N^v evaluations whatever the
+    budget.
     """
     if poly.nvars < 1:
         raise InputError("zero-variables: the equation needs a variable")
@@ -256,21 +259,77 @@ def equation_pattern(poly: Polynomial, distinct: bool = False) -> Pattern:
     return Pattern(label, enum)
 
 
-def _solutions(poly: Polynomial, domain: Sequence[int]) -> Iterable[tuple[int, ...]]:
+def _solutions(poly: Polynomial,
+               domain: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Solutions of P = 0 with every entry in the ascending, distinct
+    domain, in lexicographic order.
+
+    When some variable v is isolated, i.e. occurs only in one monomial
+    c*v^e that holds no other variable, the other variables walk the domain
+    and v is solved: v^e = -Q/c, where Q is the sum of the other monomials,
+    kept when the division and the integer e-th root are exact and the root
+    lies in the domain (N^(v-1) evaluations).  Otherwise every tuple is
+    evaluated (N^v).
+    """
     vals = list(domain)
-    v = poly.nvars
+    k = _isolated_variable(poly)
+    if k is None:
+        for tup in product(vals, repeat=poly.nvars):
+            if poly.evaluate(tup) == 0:
+                yield tup
+        return
+    c, exps = next(mono for mono in poly.monomials if mono[1][k])
+    e = exps[k]
+    rest = Polynomial(tuple(mono for mono in poly.monomials if not mono[1][k]),
+                      poly.nvars)
+    members = set(vals)
+    # v's slot reads 0 in Q, which every monomial of Q raises to the power 0
+    for head in product(vals, repeat=k):
+        block = []
+        for tail in product(vals, repeat=poly.nvars - k - 1):
+            q = rest.evaluate(head + (0,) + tail)
+            if q % c:
+                continue
+            for z in _int_roots(-q // c, e):
+                if z in members:
+                    block.append((z,) + tail)
+        block.sort()  # v before the tail variables
+        for sol in block:
+            yield head + sol
 
-    def rec(prefix: list[int]) -> Iterable[tuple[int, ...]]:
-        if len(prefix) == v:
-            if poly.evaluate(prefix) == 0:
-                yield tuple(prefix)
-            return
-        for x in vals:
-            prefix.append(x)
-            yield from rec(prefix)
-            prefix.pop()
 
-    yield from rec([])
+def _isolated_variable(poly: Polynomial) -> int | None:
+    """The last variable that occurs in exactly one monomial, alone there
+    and with a nonzero coefficient."""
+    for k in reversed(range(poly.nvars)):
+        holders = [(c, exps) for c, exps in poly.monomials if exps[k]]
+        if (len(holders) == 1 and holders[0][0]
+                and sum(map(bool, holders[0][1])) == 1):
+            return k
+    return None
+
+
+def _int_roots(value: int, e: int) -> list[int]:
+    """The integers z with z**e == value, ascending."""
+    if e == 1 or value == 0:
+        return [value]
+    if e % 2 == 0 and value < 0:
+        return []
+    mag = abs(value)
+    if e == 2:
+        z = isqrt(mag)
+    else:  # integer Newton from above converges to floor(mag ** (1/e))
+        z = 1 << -(-mag.bit_length() // e)
+        while True:
+            nxt = ((e - 1) * z + mag // z ** (e - 1)) // e
+            if nxt >= z:
+                break
+            z = nxt
+    if z ** e != mag:
+        return []
+    if e % 2 == 0:
+        return [-z, z]
+    return [z if value > 0 else -z]
 
 
 def parse_pattern(spec: str) -> Pattern:
@@ -325,37 +384,58 @@ def _backtrack(elements: Sequence[int], r: int,
 
     Color-relabeling symmetry is broken by only allowing a new color index
     once all smaller indices exist, which pins element one to color zero.
+
+    Each instance is stored at its last position as a bitmask of its other
+    positions, and each color keeps the mask of the positions it holds, so
+    the instance is monochromatic in c exactly when m & held[c] == m.  The
+    search runs on an explicit stack (one color cursor per position), so
+    its depth is not bounded by the interpreter's recursion limit.
     """
     order = list(elements)
     if reverse:
         order.reverse()
-    pos_of = {v: i for i, v in enumerate(order)}
-    by_last: list[list[tuple[int, ...]]] = [[] for _ in order]
+    bit_of = {v: 1 << i for i, v in enumerate(order)}
+    by_last: list[list[int]] = [[] for _ in order]
     for inst in instances:
-        poss = sorted(pos_of[v] for v in inst)
-        by_last[poss[-1]].append(tuple(poss))
-    colors = [-1] * len(order)
+        m = sum(map(bit_of.__getitem__, inst))  # distinct values: sum is OR
+        last = m.bit_length() - 1
+        by_last[last].append(m ^ (1 << last))
+    size = len(order)
+    colors = [0] * size
+    used = [0] * (size + 1)  # colors in use on positions before i
+    held = [0] * r
     nodes = 0
-
-    def rec(i: int, used: int) -> bool:
-        nonlocal nodes
-        if i == len(order):
-            return True
-        for c in range(min(r - 1, used) + 1):
+    i, c = 0, 0
+    while i < size:
+        u = used[i]
+        top = u if u < r else r - 1
+        ends_here = by_last[i]
+        while c <= top:
             nodes += 1
             if nodes > node_budget:
                 raise BudgetError(f"budget-exceeded: {nodes} search nodes")
+            mask = held[c]
+            for m in ends_here:
+                if m & mask == m:
+                    break
+            else:
+                break
+            c += 1
+        if c <= top:  # c is free at i: assign it and go one deeper
+            held[c] |= 1 << i
             colors[i] = c
-            if not any(all(colors[p] == c for p in ps) for ps in by_last[i]):
-                if rec(i + 1, max(used, c + 1)):
-                    return True
-        colors[i] = -1
-        return False
-
-    if rec(0, 0):
-        by_element = [colors[pos_of[v]] for v in elements]
-        return by_element, nodes
-    return None, nodes
+            used[i + 1] = u + 1 if c == u else u
+            i, c = i + 1, 0
+        elif i == 0:
+            return None, nodes
+        else:  # every color failed at i: retract i - 1 and try its next one
+            i -= 1
+            c = colors[i]
+            held[c] ^= 1 << i
+            c += 1
+    if reverse:
+        colors.reverse()
+    return colors, nodes
 
 
 def _canonicalize(colors: Sequence[int]) -> tuple[int, ...]:

@@ -218,10 +218,15 @@ def longest_poly_progression(A: GroundSet, degree: int,
     polynomials: coefficients live in s_coeffs exactly at the d_indices.
 
     Certificate params are the dense coefficient vector (a_0 ... a_degree);
-    ties break toward lexicographically smaller vectors.
+    ties break toward lexicographically smaller vectors.  D=[0] allows only
+    constant polynomials, whose runs have no end, and raises InputError.
     """
     win = _require_additive(A, "longest_poly_progression")
     dset = poly_indices(d_indices, degree)
+    if dset == (0,):
+        raise InputError("constant-polynomial: D=[0] gives constant "
+                         "polynomials, whose runs are unbounded; "
+                         "D needs an index >= 1")
     mem = memoryview(A.array())
     W = win.bound
 

@@ -129,3 +129,41 @@ def count_shifted_intersection(a_set, window, fn, shift) -> int:
         if y is not None and a_set.contains_value(y):
             count += 1
     return count
+
+
+def reference_backtrack(elements, r, instances, node_budget, reverse):
+    """Pre-change reference for prsearch._backtrack: the recursive search
+    that rescans every instance ending at the current position with a
+    generator, kept verbatim so the bitmask kernel can be compared with it
+    node for node (same colors, same node count, same budget error)."""
+    from finembed.errors import BudgetError
+    order = list(elements)
+    if reverse:
+        order.reverse()
+    pos_of = {v: i for i, v in enumerate(order)}
+    by_last = [[] for _ in order]
+    for inst in instances:
+        poss = sorted(pos_of[v] for v in inst)
+        by_last[poss[-1]].append(tuple(poss))
+    colors = [-1] * len(order)
+    nodes = 0
+
+    def rec(i, used):
+        nonlocal nodes
+        if i == len(order):
+            return True
+        for c in range(min(r - 1, used) + 1):
+            nodes += 1
+            if nodes > node_budget:
+                raise BudgetError(f"budget-exceeded: {nodes} search nodes")
+            colors[i] = c
+            if not any(all(colors[p] == c for p in ps) for ps in by_last[i]):
+                if rec(i + 1, max(used, c + 1)):
+                    return True
+        colors[i] = -1
+        return False
+
+    if rec(0, 0):
+        by_element = [colors[pos_of[v]] for v in elements]
+        return by_element, nodes
+    return None, nodes

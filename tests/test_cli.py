@@ -294,6 +294,19 @@ def test_cli_rejects_boolean_elements(capsys, tmp_path, files):
     assert_input_error(capsys, "rich", "--set", str(p), "--detect", "ap")
 
 
+def test_rich_poly_with_only_constant_polynomials_exits_two(files):
+    # D=[0] leaves only constant polynomials, whose runs never end: the
+    # detector must refuse the input instead of walking x = 1, 2, ...
+    proc = subprocess.run(
+        [sys.executable, "-m", "finembed", "rich", "--set", files["evens"],
+         "--detect", "poly", "--d", "1", "--D", "0"],
+        capture_output=True, timeout=60)
+    err = proc.stderr.decode().strip().splitlines()
+    assert proc.returncode == 2
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert "unbounded" in err[0]
+
+
 def test_closed_stdout_keeps_exit_code_without_traceback():
     # `finembed verify | head -c 10`: the reader is gone before the payload
     # is written.

@@ -100,6 +100,17 @@ def test_polynomial_domain_errors_agree(win, d_indices, degree, text):
         assert str(err.value) == text
 
 
+def test_constant_polynomial_family_and_pattern_accept_d0(win):
+    # D=[0] is finite for the family and the pattern; only the detector,
+    # whose runs would never end, refuses it (checked through the CLI with
+    # a timeout in test_cli.py)
+    s_all = GroundSet.from_predicate(win, lambda v: True, "N")
+    fam = builtin_polynomial(s_all, [0], 1)
+    assert fam.apply((7,), (1,)).display == "7"  # P = 7 at x = 1
+    assert poly_progression_pattern(3, 1, None, [0]).instances(5) == [
+        (v,) for v in range(1, 6)]
+
+
 @pytest.mark.parametrize("dset", [(0,), (1,), (0, 2), (0, 1, 2), (1, 3)])
 def test_poly_coefficients_match_filtered_product(dset):
     values = [0, 1, 3, 4, 7]

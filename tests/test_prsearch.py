@@ -1,15 +1,20 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (brute_instances_ap, brute_instances_equation,
-                      brute_instances_schur)
+                      brute_instances_schur, reference_backtrack)
 from finembed.carrier import ADDITIVE, GroundSet, make_window
 from finembed.errors import BudgetError, InputError
-from finembed.prsearch import (Pattern, ap_pattern, equation_pattern,
-                               find_avoiding_coloring, gap_grid_pattern,
-                               homogeneous_pr_check, parse_pattern,
-                               parse_polynomial, poly_progression_pattern,
+from finembed.prsearch import (Pattern, Polynomial, _canonicalize,
+                               _isolated_variable, _solutions, ap_pattern,
+                               equation_pattern, find_avoiding_coloring,
+                               gap_grid_pattern, homogeneous_pr_check,
+                               parse_pattern, parse_polynomial,
+                               poly_progression_pattern,
                                ps_solutions_experiment, ramsey_threshold,
                                schur_pattern, strong_pr_probe,
                                verify_coloring)
@@ -244,6 +249,151 @@ def test_search_agrees_with_exhaustive_coloring_enumeration(n, r, use_schur):
         for coloring in itertools.product(range(r), repeat=n))
     cert = find_avoiding_coloring(n, r, pattern)
     assert (cert.outcome == "avoiding") == brute_avoidable
+
+
+def test_search_deeper_than_the_recursion_limit():
+    # 1001 positions, past the interpreter's default recursion limit of 1000
+    pattern = ap_pattern(5)
+    cert = find_avoiding_coloring(1001, 5, pattern)
+    assert cert.outcome == "avoiding" and len(cert.colors) == 1001
+    assert verify_coloring(cert, pattern)
+
+
+# -- the bitmask kernel against the pre-change reference -----------------------
+
+KERNEL_PATTERNS = (ap_pattern(3), ap_pattern(4), ap_pattern(5),
+                   schur_pattern(), gap_grid_pattern(1),
+                   equation_pattern(parse_polynomial("x+y-z")),
+                   equation_pattern(parse_polynomial("x+2y-z")),
+                   equation_pattern(parse_polynomial("x^2+y^2-z^2")))
+
+
+def _reference_search(elements, pattern, r, node_budget, reverse):
+    """(outcome, canonical colors, nodes) or the budget text, as the engine
+    would report them with the reference backtracker."""
+    inside = set(elements)
+    instances = [inst for inst in pattern.instances(max(elements))
+                 if inside.issuperset(inst)]
+    try:
+        colors, nodes = reference_backtrack(elements, r, instances,
+                                            node_budget, reverse)
+    except BudgetError as exc:
+        return str(exc)
+    if colors is None:
+        return "forced", None, nodes
+    return "avoiding", _canonicalize(colors), nodes
+
+
+def _engine_search(search):
+    try:
+        cert = search()
+    except BudgetError as exc:
+        return str(exc)
+    return cert.outcome, cert.colors, cert.nodes
+
+
+@pytest.mark.parametrize("pattern", KERNEL_PATTERNS, ids=lambda p: p.label)
+def test_kernel_matches_reference_node_for_node(pattern):
+    rng = random.Random(pattern.label)
+    budgets = (3, 25, 4000)
+    budget_errors = 0
+    for r in range(1, 5):
+        for reverse in (False, True):
+            for n in (1, 4, 8, 13, 21):
+                budget = rng.choice(budgets)
+                want = _reference_search(range(1, n + 1), pattern, r,
+                                         budget, reverse)
+                got = _engine_search(
+                    lambda: find_avoiding_coloring(n, r, pattern,
+                                                   node_budget=budget,
+                                                   reverse=reverse))
+                assert got == want, (n, r, reverse, budget)
+                budget_errors += isinstance(want, str)
+            for _ in range(3):
+                a = sorted(rng.sample(range(1, 41), rng.randint(1, 22)))
+                budget = rng.choice(budgets)
+                want = _reference_search(a, pattern, r, budget, reverse)
+                got = _engine_search(
+                    lambda: strong_pr_probe(a, pattern, r,
+                                            node_budget=budget,
+                                            reverse=reverse))
+                assert got == want, (a, r, reverse, budget)
+                budget_errors += isinstance(want, str)
+    assert budget_errors  # the budget path is compared too
+
+
+# -- solved equation enumeration against the tuple walk -----------------------
+
+def _monomial(coeff, exps):
+    body = "*".join(f"{'xyzw'[i]}^{e}" for i, e in enumerate(exps) if e)
+    sign = "-" if coeff < 0 else "+"
+    return f"{sign}{abs(coeff)}" + (f"*{body}" if body else "")
+
+
+def _random_isolated_polynomial(rng):
+    """A polynomial in 1-4 variables where one variable sits alone in one
+    monomial c*v^e, c in +-1..+-3, e in 1..3."""
+    nvars = rng.randint(1, 4)
+    k = rng.randrange(nvars)
+    exps = [0] * nvars
+    exps[k] = rng.randint(1, 3)
+    text = _monomial(rng.choice([-3, -2, -1, 1, 2, 3]), exps)
+    others = [i for i in range(nvars) if i != k]
+    for _ in range(rng.randint(0, 3)):
+        exps = [0] * nvars
+        for i in others:
+            if rng.random() < 0.6:
+                exps[i] = rng.randint(1, 3)
+        text += _monomial(rng.randint(-5, 5) or 1, exps)
+    return parse_polynomial(text.lstrip("+"))
+
+
+def _domains(rng, nvars):
+    side = {1: 60, 2: 30, 3: 13, 4: 7}[nvars]
+    return (list(range(1, side + 1)),
+            sorted(rng.sample(range(1, 4 * side), side)),
+            list(range(-(side // 2), side - side // 2)))
+
+
+def _tuple_walk(poly, domain):
+    return [t for t in itertools.product(domain, repeat=poly.nvars)
+            if poly.evaluate(t) == 0]
+
+
+def test_solved_enumeration_matches_tuple_walk():
+    rng = random.Random(11)
+    found = 0
+    for _ in range(120):
+        poly = _random_isolated_polynomial(rng)
+        assert _isolated_variable(poly) is not None, poly
+        for domain in _domains(rng, poly.nvars):
+            want = _tuple_walk(poly, domain)
+            assert list(_solutions(poly, domain)) == want, (poly, domain)
+            found += len(want)
+    assert found  # not every random equation is empty
+
+
+@pytest.mark.parametrize("text", [
+    "x^2+y^2-z^2", "x+y-z", "x+y-2z", "2x-3y", "x^3+8", "x^3+y^3-z^3",
+    "3z^2-x*y", "x^2-2y^2", "x^2+x*y-y", "x*y-z*w", "x^2*y-z^2"])
+def test_known_equations_match_tuple_walk(text):
+    poly = parse_polynomial(text)
+    domain_sizes = {1: 40, 2: 30, 3: 13, 4: 7}
+    side = domain_sizes[poly.nvars]
+    for domain in (range(1, side + 1), range(-side // 2, side),
+                   [v for v in range(1, 3 * side) if v % 3 != 1][:side]):
+        assert list(_solutions(poly, domain)) == _tuple_walk(poly, domain)
+
+
+def test_isolated_variable_choice():
+    assert _isolated_variable(parse_polynomial("x^2+y^2-z^2")) == 2
+    assert _isolated_variable(parse_polynomial("x+y*z")) == 0
+    assert _isolated_variable(parse_polynomial("x^2+x*y-y")) is None
+    assert _isolated_variable(parse_polynomial("x*y-z*w")) is None
+    # a hand-built zero coefficient: y - y holds y twice, 0*x cannot be solved
+    zero = Polynomial(((0, (1, 0)), (1, (0, 1)), (-1, (0, 1))), 2)
+    assert _isolated_variable(zero) is None
+    assert list(_solutions(zero, range(1, 3))) == _tuple_walk(zero, range(1, 3))
 
 
 # -- homogeneous equations -------------------------------------------------------
