@@ -3,10 +3,12 @@
     PYTHONPATH=src python scripts/set_sweeps.py --side change > sweeps.json
 
 Times predicate fill, longest_ap, is_thick_window, the piecewise-syndetic
-probe and upper_density over an interval net, each on fresh sets at growing
-W, in-process and single-threaded.  A case stops growing W once one run
-takes longer than MAX_SECONDS, so slow (quadratic) implementations can be
-swept with the same script.  Only the public API is used.
+probe and upper_density (an additive interval net, a multiplicative
+interval net and an additive net that is not an interval), each on fresh
+sets at growing W, in-process and single-threaded.  A case stops growing W
+once one run takes longer than MAX_SECONDS, so slow (quadratic)
+implementations can be swept with the same script.  Only the public API is
+used.
 """
 
 from __future__ import annotations
@@ -16,17 +18,18 @@ import json
 import sys
 import time
 
-from finembed import (ADDITIVE, GroundSet, interval_net,
+from finembed import (ADDITIVE, MULTIPLICATIVE, GroundSet, Net, interval_net,
                       is_piecewise_syndetic_window, is_thick_window,
                       longest_ap, make_window, parse_predicate, upper_density)
 
 SIZES = (10_000, 25_000, 50_000, 100_000, 200_000, 400_000)
+SMALL_SIZES = (400, 1_000, 4_000, 10_000, 25_000, 100_000)
 REPEATS = 3        # best of
 MAX_SECONDS = 2.0  # a case stops growing W after a run this slow
 
 
-def fresh(W: int, spec: str) -> GroundSet:
-    return GroundSet.from_predicate(make_window(ADDITIVE, W),
+def fresh(W: int, spec: str, kind: str = ADDITIVE) -> GroundSet:
+    return GroundSet.from_predicate(make_window(kind, W),
                                     parse_predicate(spec), spec)
 
 
@@ -69,13 +72,34 @@ def density(W):
     return lambda: str(upper_density(A, net).value)
 
 
+def density_mul(W):
+    A = fresh(W, "multiples:3", MULTIPLICATIVE)
+    A.count()
+    net = interval_net(8)
+    return lambda: str(upper_density(A, net).value)
+
+
+def density_spread(W):
+    # F_n = {3, 4, 6, 7, ..., 3n, 3n+1}, each increment listed as (3n+1, 3n)
+    A = fresh(W, "multiples:7")
+    A.count()
+    net = Net([[v for k in range(1, n + 1) for v in (3 * k + 1, 3 * k)]
+               for n in range(1, 41)], label="spread:40")
+    return lambda: str(upper_density(A, net).value)
+
+
 CASES = (
-    ("primes fill", "carrier.fill", fill),
-    ("longest_ap(evens)", "rich.longest_ap", ap_evens),
-    ("longest_ap(primes), W/50", "rich.longest_ap", ap_primes),
-    ("is_thick_window probes 1,2,4,8", "rich.is_thick_window", thick),
-    ("piecewise syndetic g=2 spans 4,8,16", "rich.is_piecewise_syndetic_window", ps),
-    ("upper_density interval:1000", "density.upper_density", density),
+    ("primes fill", "carrier.fill", fill, SIZES),
+    ("longest_ap(evens)", "rich.longest_ap", ap_evens, SIZES),
+    ("longest_ap(primes), W/50", "rich.longest_ap", ap_primes, SIZES),
+    ("is_thick_window probes 1,2,4,8", "rich.is_thick_window", thick, SIZES),
+    ("piecewise syndetic g=2 spans 4,8,16",
+     "rich.is_piecewise_syndetic_window", ps, SIZES),
+    ("upper_density interval:1000", "density.upper_density", density, SIZES),
+    ("upper_density multiplicative interval:8", "density.upper_density",
+     density_mul, SMALL_SIZES),
+    ("upper_density additive spread:40", "density.upper_density",
+     density_spread, SMALL_SIZES),
 )
 
 
@@ -84,8 +108,8 @@ def main() -> None:
     ap.add_argument("--side", required=True, help="label for the records")
     args = ap.parse_args()
     records = []
-    for case, layer, build in CASES:
-        for W in SIZES:
+    for case, layer, build, sizes in CASES:
+        for W in sizes:
             best, result = float("inf"), None
             for _ in range(REPEATS):
                 run = build(W)

@@ -7,44 +7,76 @@ finite-scale evaluation keeps the quantifier structure: per tail index m
 take the max over n >= m and all in-window shifts, then take the min over
 tails.  Values are exact rationals; out-of-window shifts are skipped and
 counted rather than silently undercounting.
+
+On numeric carriers one incremental kernel counts all shifts at once,
+counts_n[x] = counts_{n-1}[x] + sum of A[v . x] over the new v in F_n, with
+one numpy slice of the membership bytes per v: O(|F_N| W) additive,
+O(sum of W / v) multiplicative.  Word and table windows scan each shift.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
-from .carrier import ADDITIVE, GroundSet, Payload, Window
+from .carrier import ADDITIVE, MULTIPLICATIVE, GroundSet, Payload, Window
 from .embed import YES, fe_decide, fe_probe
 from .errors import InputError, UnverifiedPairError
 from .families import FamilySpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Net:
-    """An inclusion-ascending chain of finite element sets, indexed 1..N."""
+    """An inclusion-ascending chain of finite sets F_1..F_N, stored as its
+    increments F_i = F_{i-1} u deltas[i-1], each disjoint from those before
+    it (so no F_i repeats an element)."""
 
-    sets: tuple[tuple[Payload, ...], ...]
+    deltas: tuple[tuple[Payload, ...], ...]
     label: str = ""
 
-    def __post_init__(self):
-        if not self.sets:
-            raise InputError("net needs at least one index")
-        prev: tuple = ()
-        for i, fn in enumerate(self.sets, start=1):
-            if not fn:
-                raise InputError(f"net set F_{i} is empty")
-            # A set that starts with the previous one contains it.
-            if (fn[:len(prev)] != prev
-                    and not frozenset(prev) <= frozenset(fn)):
+    def __init__(self, sets: Sequence[Sequence[Payload]], label: str = ""):
+        deltas, prev = [], frozenset()
+        for i, fn in enumerate(sets, start=1):
+            members = frozenset(fn)
+            if len(members) != len(fn):
+                raise InputError(f"net set F_{i} repeats an element")
+            if not prev <= members:
                 raise InputError(f"net is not ascending at index {i}")
-            prev = fn
+            deltas.append([v for v in fn if v not in prev])
+            prev = members
+        self._set(deltas, label)
+
+    @classmethod
+    def from_deltas(cls, deltas: Sequence[Sequence[Payload]],
+                    label: str = "") -> "Net":
+        """The net F_i = F_{i-1} u deltas[i-1]; deltas[0] must be non-empty."""
+        net = cls.__new__(cls)
+        net._set(deltas, label)
+        return net
+
+    def _set(self, deltas: Sequence[Sequence[Payload]], label: str) -> None:
+        if not deltas or not deltas[0]:
+            raise InputError("net needs a non-empty F_1")
+        seen: set = set()
+        for i, delta in enumerate(deltas, start=1):
+            if not seen.isdisjoint(delta) or len(set(delta)) != len(delta):
+                raise InputError(f"net set F_{i} repeats an element")
+            seen.update(delta)
+        object.__setattr__(self, "deltas", tuple(map(tuple, deltas)))
+        object.__setattr__(self, "label", label)
+
+    @property
+    def sets(self) -> tuple[tuple[Payload, ...], ...]:
+        """F_1, ..., F_N, each listed as F_{i-1} followed by its delta."""
+        return tuple(accumulate(self.deltas))
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return len(self.deltas)
 
 
 def interval_net(max_n: int) -> Net:
@@ -52,8 +84,8 @@ def interval_net(max_n: int) -> Net:
     upper Banach density."""
     if max_n < 1:
         raise InputError("net maxN must be >= 1")
-    return Net(tuple(tuple(range(1, n + 1)) for n in range(1, max_n + 1)),
-               label=f"interval:{max_n}")
+    return Net.from_deltas([(n,) for n in range(1, max_n + 1)],
+                           label=f"interval:{max_n}")
 
 
 @dataclass(frozen=True)
@@ -84,112 +116,95 @@ def upper_density(A: GroundSet, net: Net, tail_start: int = 1) -> DensityReport:
     N = len(net)
     if not 1 <= tail_start <= N:
         raise InputError(f"tail_start must be in 1..{N}")
-    # The net ascends, so F_N holds every other F_i: check it alone, and
-    # walk the net only to name the first offending index.
-    if not all(win.contains_value(v) for v in net.sets[-1]):
-        for i, fn in enumerate(net.sets, start=1):
-            for v in fn:
-                if not win.contains_value(v):
-                    raise InputError(f"net-exceeds-window at F_{i}: {v!r}")
+    for i, delta in enumerate(net.deltas, start=1):
+        for v in delta:
+            if not win.contains_value(v):
+                raise InputError(f"net-exceeds-window at F_{i}: {v!r}")
 
-    best, skipped = _per_index_best(A, net)
+    if win.kind in (ADDITIVE, MULTIPLICATIVE):
+        best, skipped = _per_index_best_numeric(A, net)
+    else:
+        best, skipped = _per_index_best_scan(A, net)
 
-    # Suffix maxima realize the (forall m)(exists n >= m) alternation.
+    # Suffix maxima realize the (forall m)(exists n >= m) alternation.  They
+    # fall as the tail start m grows, so the last tail holds the value.
+    # best[n-1] is (|A n F_n . x|, |F_n|, x); ratios compare cross-multiplied.
     witnesses: list[TailWitness] = []
-    running: tuple[Fraction, int, Payload | None] | None = None
-    per_tail: list[tuple[Fraction, int, Payload | None]] = [None] * N  # type: ignore
-    for n in range(N, 0, -1):
-        ratio, shift = best[n - 1]
-        if running is None or ratio > running[0]:
-            running = (ratio, n, shift)
-        per_tail[n - 1] = running
-    for m in range(tail_start, N + 1):
-        ratio, n, shift = per_tail[m - 1]
-        witnesses.append(TailWitness(m, n, shift, ratio))
-    value = min(w.ratio for w in witnesses)
-    return DensityReport(value, tuple(witnesses), tail_start, skipped,
-                         net.label)
+    top: tuple = ()  # count, |F_n|, n, shift, ratio
+    for m in range(N, tail_start - 1, -1):
+        count, size, shift = best[m - 1]
+        if not top or count * top[1] > top[0] * size:
+            top = (count, size, m, shift, Fraction(count, size))
+        witnesses.append(TailWitness(m, *top[2:]))
+    witnesses.reverse()
+    return DensityReport(witnesses[-1].ratio, tuple(witnesses), tail_start,
+                         skipped, net.label)
 
 
-def _per_index_best(A: GroundSet, net: Net):
-    """For each net index, the best shifted-intersection ratio and a shift
-    achieving it (None = formal identity)."""
+def _per_index_best_numeric(A: GroundSet, net: Net):
+    """Per net index the best count |A n F_n . x|, |F_n| and the first shift
+    x with that count, by the incremental kernel.  F_n . x stays in the
+    window for the first W - max F_n + 1 (additive) or W // max F_n
+    (multiplicative) shifts, so counts shrinks to that prefix; shift 0 is
+    the identity, so the first argmax keeps it on ties."""
     win = A.window
-    first = tuple(range(1, len(net.sets[-1]) + 1))
-    if win.kind == ADDITIVE and all(fn == first[:len(fn)] for fn in net.sets):
-        return _per_index_best_intervals(A, net)
-    best: list[tuple[Fraction, Payload | None]] = []
+    W, additive = win.bound, win.kind == ADDITIVE
+    mem = A.array()
+    counts = np.zeros(win.size, np.min_scalar_type(sum(map(len, net.deltas))))
+    first = win.payload(0)
+    best: list[tuple[int, int, Payload | None]] = []
+    skipped = top = size = 0
+    for delta in net.deltas:
+        for v in delta:
+            top = max(top, v)
+            k = W - top + 1 if additive else W // top
+            counts = counts[:k]
+            counts += mem[v:v + k] if additive else mem[v - 1::v][:k]
+        size += len(delta)
+        x = int(counts.argmax())
+        best.append((int(counts[x]), size, first + x))
+        skipped += win.size - len(counts)
+    return best, skipped
+
+
+def _per_index_best_scan(A: GroundSet, net: Net):
+    """The per-index best count, |F_n| and shift on word and table windows,
+    one shift at a time (None = formal identity)."""
+    win = A.window
+    best: list[tuple[int, int, Payload | None]] = []
     skipped = 0
     identity = (win.payload(win.identity_enc)
                 if win.identity_enc is not None else None)
     for fn in net.sets:
         # Seed with the identity shift: the genuine identity element when the
         # carrier has one, the formal no-op shift (reported as None) otherwise.
-        top = Fraction(sum(1 for v in fn if A.contains_value(v)), len(fn))
-        top_shift: Payload | None = identity
+        top, top_shift = sum(map(A.contains_value, fn)), identity
         for x in win.payloads():
-            count = 0
-            ok = True
-            for v in fn:
-                y = win.op_payload(v, x)
-                if y is None:
-                    ok = False
-                    break
-                if A.contains_value(y):
-                    count += 1
-            if not ok:
+            image = [win.op_payload(v, x) for v in fn]
+            if None in image:
                 skipped += 1
-                continue
-            r = Fraction(count, len(fn))
-            if r > top:
-                top, top_shift = r, x
-        best.append((top, top_shift))
-    return best, skipped
-
-
-def _per_index_best_intervals(A: GroundSet, net: Net):
-    """Vectorized scan for interval nets on the additive carrier.
-
-    F_n . x = [1+x, n+x] for the shifts x = 0..W-n that keep it in the
-    window.  counts[x] = |A n F_n . x| grows with n one membership slice at
-    a time, and one argmax per net index finds the first best shift.  No
-    count exceeds the largest |F_n|, which sets the narrowest dtype.
-    """
-    W = A.window.bound
-    mem = A.array()
-    counts = np.zeros(W + 1, dtype=np.min_scalar_type(len(net.sets[-1])))
-    best: list[tuple[Fraction, Payload | None]] = []
-    skipped = 0
-    n = 0
-    for fn in net.sets:
-        while n < len(fn):
-            n += 1
-            counts = counts[:W - n + 1]
-            counts += mem[n:]
-        x = int(np.argmax(counts))
-        best.append((Fraction(int(counts[x]), n), x))
-        skipped += n  # shifts x > W - n push the interval out of the window
+            elif (count := sum(map(A.contains_value, image))) > top:
+                top, top_shift = count, x
+        best.append((top, len(fn), top_shift))
     return best, skipped
 
 
 def weak_cancellativity_bound(window: Window) -> int:
-    """max over in-window pairs (x, y) of |{s : s * x = y}|.
-
-    Exhaustive over the window (quadratic in its size).
+    """max over in-window pairs (x, y) of |{s : s * x = y}|, exhaustively:
+    one bincount of the in-window products s * x per column x on numeric
+    windows (O(W) memory), a count of all pairs on word and table windows.
     """
-    counts: dict[tuple[int, int], int] = {}
-    top = 0
-    for s in range(window.size):
-        for x in range(window.size):
-            y = window.op_enc(s, x)
-            if y is None:
-                continue
-            key = (x, y)
-            c = counts.get(key, 0) + 1
-            counts[key] = c
-            if c > top:
-                top = c
-    return top
+    if window.kind in (ADDITIVE, MULTIPLICATIVE):
+        W = window.bound
+        s = np.arange(window.payload(0), W + 1, dtype=np.int64)
+        # the in-window s of column x are a prefix of s
+        return max(int(np.bincount(s[:W - x + 1] + x if window.kind == ADDITIVE
+                                   else s[:W // x] * x).max())
+                   for x in s.tolist())
+    n = window.size
+    pairs = Counter((x, y) for s in range(n) for x in range(n)
+                    if (y := window.op_enc(s, x)) is not None)
+    return max(pairs.values(), default=0)
 
 
 @dataclass(frozen=True)
@@ -229,11 +244,10 @@ def check_density_monotonicity(pairs: Sequence[tuple[GroundSet, GroundSet]],
     entries: list[MonotonicityEntry] = []
     for A, B in pairs:
         if A.explicit:
-            v = fe_decide(A, B, family)
-            verified = v.outcome == YES
+            verified = fe_decide(A, B, family).outcome == YES
         else:
-            report = fe_probe(A, B, family, list(probes or [2, 4]))
-            verified = report.overall == "supported"
+            probed = fe_probe(A, B, family, list(probes or [2, 4]))
+            verified = probed.overall == "supported"
         if not verified:
             raise UnverifiedPairError(
                 f"unverified-pair: {A.label!r} vs {B.label!r}")

@@ -15,7 +15,7 @@ from .carrier import (FREE_WORDS, GroundSet, Window, make_window,
                       parse_predicate)
 from .density import DensityReport, MonotonicityReport, Net, interval_net
 from .embed import EmbedVerdict, ProbeReport
-from .errors import InputError
+from .errors import InputError, parse_int
 from .families import (FamilySpec, builtin_affine, builtin_geoarithmetic,
                        builtin_left_translations, builtin_polynomial,
                        builtin_right_translations, builtin_word_suffix,
@@ -46,13 +46,6 @@ def window_from_json(obj: Any) -> Window:
     if kind == FREE_WORDS and alphabet is None:
         raise InputError("free-words window needs an 'alphabet' field")
     return make_window(kind, bound, alphabet)
-
-
-def window_to_json(window: Window) -> dict:
-    out: dict[str, Any] = {"kind": window.kind, "bound": window.bound}
-    if window.alphabet is not None:
-        out["alphabet"] = list(window.alphabet)
-    return out
 
 
 def set_body_from_json(window: Window, body: Any, label: str = "") -> GroundSet:
@@ -126,13 +119,7 @@ def family_from_json(obj: Any, window: Window) -> FamilySpec:
 def net_from_spec(spec: str) -> Net:
     head, _, arg = spec.partition(":")
     if head == "interval":
-        try:
-            max_n = int(arg)
-        except ValueError as exc:
-            raise InputError(f"net interval:<maxN> needs an integer: {spec!r}") from exc
-        if max_n < 1:
-            raise InputError("net maxN must be >= 1")
-        return interval_net(max_n)
+        return interval_net(parse_int(arg, "net interval:<maxN>"))
     raise InputError(f"unknown net spec {spec!r}")
 
 
@@ -158,10 +145,6 @@ def rational(x: Fraction) -> int | str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _payload_json(v):
-    return v  # payloads are already ints or strings
-
-
 def verdict_to_json(v: EmbedVerdict) -> dict:
     out: dict[str, Any] = {
         "outcome": v.outcome,
@@ -171,9 +154,9 @@ def verdict_to_json(v: EmbedVerdict) -> dict:
     }
     if v.witness is not None:
         out["witness"] = {
-            "F": [_payload_json(x) for x in v.witness.F],
-            "params": [_payload_json(x) for x in v.witness.params],
-            "image": [_payload_json(x) for x in v.witness.image],
+            "F": list(v.witness.F),
+            "params": list(v.witness.params),
+            "image": list(v.witness.image),
         }
     return out
 
@@ -184,7 +167,7 @@ def probe_report_to_json(report: ProbeReport) -> dict:
         "probes": [
             {
                 "size": e.size,
-                "F": [_payload_json(x) for x in e.F],
+                "F": list(e.F),
                 "randomized": e.randomized,
                 "verdict": verdict_to_json(e.verdict),
             }
@@ -197,7 +180,7 @@ def certificate_to_json(cert: ProgressionCertificate) -> dict:
     out: dict[str, Any] = {
         "kind": cert.kind,
         "params": list(cert.params),
-        "realized": [_payload_json(v) for v in cert.realized],
+        "realized": list(cert.realized),
         "length": cert.length,
     }
     if cert.indexing:
@@ -211,7 +194,7 @@ def shift_report_to_json(report: ShiftReport) -> dict:
         "all_found": report.all_found,
         "probes": [
             {"length": e.length, "found": e.found,
-             "shift": _payload_json(e.shift) if e.shift is not None else None}
+             "shift": e.shift}
             for e in report.entries
         ],
     }
@@ -227,7 +210,7 @@ def density_report_to_json(report: DensityReport) -> dict:
             {
                 "tail": w.tail,
                 "n": w.n,
-                "shift": "1" if w.shift is None else _payload_json(w.shift),
+                "shift": "1" if w.shift is None else w.shift,
                 "ratio": rational(w.ratio),
             }
             for w in report.witnesses

@@ -567,11 +567,13 @@ def ps_solutions_experiment(poly: Polynomial, A, n: int,
     """All ordered solutions of P = 0 with entries in A intersected [1..n].
 
     A is a ground set on a numeric window; homogeneity is required since the
-    experiment exercises multiplicative upward invariance.
+    experiment exercises multiplicative upward invariance.  The budget bounds
+    the tuples walked: |domain|^(v-1) with a variable solved for, else ^v.
     """
     if not poly.is_homogeneous:
         raise InputError("ps experiment needs a homogeneous polynomial")
     domain = [v for v in A.values() if isinstance(v, int) and 1 <= v <= n]
-    if len(domain) ** poly.nvars > budget:
-        raise BudgetError(f"budget-exceeded: {len(domain)}^{poly.nvars} tuples")
+    walked = poly.nvars - (_isolated_variable(poly) is not None)
+    if len(domain) ** walked > budget:
+        raise BudgetError(f"budget-exceeded: {len(domain)}^{walked} tuples")
     return list(_solutions(poly, domain))

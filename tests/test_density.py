@@ -30,6 +30,29 @@ def test_net_validates_inclusion():
     Net(((2,), (1, 2)))  # ascending works regardless of value order
 
 
+def test_net_rejects_repeated_elements():
+    # |F_n| is the ratio's denominator, so a repeat would count twice
+    for sets in (((1, 1),), ((1,), (1, 2, 2)), ((3,), (3, 1), (1, 3, 1))):
+        with pytest.raises(InputError, match="repeats an element"):
+            Net(sets)
+    for deltas in ([(1,), (2, 1)], [(2, 2)], [(1,), (3, 3)]):
+        with pytest.raises(InputError, match="repeats an element"):
+            Net.from_deltas(deltas)
+    with pytest.raises(InputError):
+        Net.from_deltas([(), (1,)])
+    with pytest.raises(InputError):
+        Net.from_deltas([])
+
+
+def test_net_stores_increments():
+    net = Net(((2,), (3, 2, 1), (1, 2, 3), (4, 1, 2, 3)), label="n")
+    assert net.deltas == ((2,), (3, 1), (), (4,))
+    assert [frozenset(f) for f in net.sets] == \
+        [frozenset(f) for f in ((2,), (1, 2, 3), (1, 2, 3), (1, 2, 3, 4))]
+    assert Net.from_deltas(net.deltas, label="n") == net
+    assert interval_net(4).deltas == ((1,), (2,), (3,), (4,))
+
+
 def test_full_window_density_is_one():
     win = make_window(ADDITIVE, 300)
     assert upper_density(GroundSet.full(win), interval_net(40)).value == 1
@@ -84,8 +107,8 @@ def test_generic_path_agrees_with_interval_fast_path():
     vals = rng.sample(range(121), 35)
     A = GroundSet.from_values(win, vals)
     fast = upper_density(A, interval_net(15))
-    # same intervals, but with 1..n listed descending: the interval detector
-    # does not trigger and the generic shift scan must agree on the value
+    # same intervals, but with 1..n listed descending: the net stores the
+    # same increments, so the report must agree
     shuffled = Net(tuple(tuple(range(n, 0, -1)) for n in range(1, 16)),
                    label="interval-desc:15")
     slow = upper_density(A, shuffled)
@@ -125,6 +148,29 @@ def test_weak_cancellativity_bounds():
     assert b == 11  # s * 10 = 10 for every s <= 10
     count = sum(1 for s in range(11) if max(s, 3) == 3)
     assert count == 4  # the witness pair (3, 3) already gives four solutions
+
+
+def cancellativity_by_scan(window) -> int:
+    """max over (x, y) of |{s : s * x = y}|, counted pair by pair."""
+    counts: dict[tuple[int, int], int] = {}
+    for s in range(window.size):
+        for x in range(window.size):
+            y = window.op_enc(s, x)
+            if y is not None:
+                counts[(x, y)] = counts.get((x, y), 0) + 1
+    return max(counts.values(), default=0)
+
+
+def test_weak_cancellativity_bound_matches_scan():
+    windows = [make_window(kind, W) for kind in (ADDITIVE, MULTIPLICATIVE)
+               for W in (1, 2, 3, 7, 30)]
+    windows += [make_window(FREE_WORDS, L, "ab") for L in (1, 2, 3)]
+    windows += [make_table_window(list(range(n)), op)
+                for n in (1, 5, 9)
+                for op in (max, min, lambda x, y, n=n: (x + y) % n,
+                           lambda x, y, n=n: x + y if x + y < n else None)]
+    for win in windows:
+        assert weak_cancellativity_bound(win) == cancellativity_by_scan(win), win
 
 
 @settings(max_examples=40)

@@ -452,6 +452,21 @@ def test_ps_solutions_experiment():
         ps_solutions_experiment(parse_polynomial("x+y-z-1"), m3, 30)
 
 
+def test_ps_solutions_experiment_budgets_the_walk_it_takes():
+    # z is solved for, so 60 values walk 60^2 (x, y) pairs, not 60^3 tuples
+    dom = GroundSet.full(make_window(ADDITIVE, 60))
+    pyth = parse_polynomial("x^2+y^2-z^2")
+    sols = ps_solutions_experiment(pyth, dom, 60, budget=3600)
+    assert sols == [t for t in itertools.product(range(1, 61), repeat=3)
+                    if pyth.evaluate(t) == 0]
+    with pytest.raises(BudgetError, match=r"60\^2 tuples"):
+        ps_solutions_experiment(pyth, dom, 60, budget=3599)
+    # no isolated variable: every tuple is walked
+    with pytest.raises(BudgetError, match=r"10\^4 tuples"):
+        ps_solutions_experiment(parse_polynomial("x*y-z*w"), dom, 10,
+                                budget=9999)
+
+
 def test_gap_grid_strict_mode_is_stronger():
     loose = set(gap_grid_pattern(1).instances(60))
     strict = set(gap_grid_pattern(1, strict=True).instances(60))

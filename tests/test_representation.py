@@ -3,7 +3,8 @@
 Vector-filled predicate sets are compared with per-element evaluation of
 the same predicate, and the array-based detectors and density scan with
 brute-force loops over Python sets written from the definitions.  Windows
-are seeded, additive and multiplicative, W <= 500.
+are seeded, additive and multiplicative, W <= 500, plus small word windows
+for the density scan.
 """
 
 import itertools
@@ -249,19 +250,23 @@ def test_piecewise_syndetic_matches_brute_force():
 # -- density --------------------------------------------------------------------
 
 def brute_density(values: set, win, net: Net, tail: int):
-    """Per net index the best ratio over in-window shifts (first shift on
-    ties; shift 1 is the identity on the multiplicative carrier), then per
-    tail m the best index n >= m (largest n on ties), then the min."""
+    """Per net index the best ratio over in-window shifts, seeded with the
+    identity (shift 0 or 1 on the numeric carriers, the formal no-op None
+    on words) and then taking the first strictly better shift; per tail m
+    the best index n >= m (largest n on ties); then the min."""
+    identity = None if win.kind == FREE_WORDS else win.payload(0)
     best, skipped = [], 0
     for fn in net.sets:
-        top = None
+        top = (Fraction(sum(v in values for v in fn), len(fn)), identity)
         for x in win.payloads():
-            image = [v + x if win.kind == ADDITIVE else v * x for v in fn]
-            if max(image) > win.bound:
+            image = [v * x if win.kind == MULTIPLICATIVE else v + x
+                     for v in fn]  # words concatenate
+            if any((len(y) if isinstance(y, str) else y) > win.bound
+                   for y in image):
                 skipped += 1
                 continue
             r = Fraction(sum(y in values for y in image), len(fn))
-            if top is None or r > top[0]:
+            if r > top[0]:
                 top = (r, x)
         best.append(top)
     witnesses = []
@@ -271,6 +276,27 @@ def brute_density(values: set, win, net: Net, tail: int):
     return min(w.ratio for w in witnesses), tuple(witnesses), skipped
 
 
+def random_net(rng: random.Random, win) -> Net:
+    """An ascending net given as its sets: deltas of 0-3 elements (only the
+    first is never empty), each F_i listed in shuffled order, 0 included
+    on some additive nets and the window's top on some others."""
+    lo = 0 if win.kind == ADDITIVE else 1
+    top = win.bound if win.kind == ADDITIVE else min(win.bound, 40)
+    pool = rng.sample(range(lo, top + 1), min(top + 1 - lo, rng.randint(1, 14)))
+    if rng.random() < 0.3:
+        pool = [win.bound] + [v for v in pool if v != win.bound]
+    if win.kind == ADDITIVE and rng.random() < 0.3:
+        pool = [v for v in pool if v != 0] + [0]
+    rng.shuffle(pool)
+    sets, fn = [], []
+    while pool or not sets:
+        take = rng.randint(0 if sets else 1, 3)
+        fn = fn + pool[:take]
+        pool = pool[take:]
+        sets.append(rng.sample(fn, len(fn)))
+    return Net(sets, label="random")
+
+
 def test_upper_density_matches_brute_force():
     rng = random.Random(38)
     for _ in range(120):
@@ -278,6 +304,38 @@ def test_upper_density_matches_brute_force():
         A = random_set(rng, win)
         top = win.bound if win.kind == ADDITIVE else min(win.bound, 12)
         net = interval_net(rng.randint(1, min(top, 30)))
+        tail = rng.randint(1, len(net))
+        report = upper_density(A, net, tail_start=tail)
+        assert (report.value, report.witnesses, report.skipped_shifts) == \
+            brute_density(members(A), win, net, tail)
+
+
+def test_upper_density_on_random_nets_matches_brute_force():
+    rng = random.Random(41)
+    seen = {"zero": 0, "top": 0, "multi": 0}
+    for _ in range(150):
+        win = random_window(rng, 200)
+        A = random_set(rng, win)
+        net = random_net(rng, win)
+        tail = rng.randint(1, len(net))
+        report = upper_density(A, net, tail_start=tail)
+        assert (report.value, report.witnesses, report.skipped_shifts) == \
+            brute_density(members(A), win, net, tail), (win, A.label, net)
+        elems = net.sets[-1]
+        seen["zero"] += 0 in elems
+        seen["top"] += win.bound in elems
+        seen["multi"] += any(len(d) > 1 for d in net.deltas)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_word_window_density_matches_brute_force():
+    rng = random.Random(43)
+    for _ in range(20):
+        win = make_window(FREE_WORDS, rng.randint(1, 3), rng.sample("abc", 2))
+        words = list(win.payloads())
+        A = GroundSet.from_values(win, rng.sample(words, rng.randint(0, len(words))))
+        pool = rng.sample(words, rng.randint(1, min(5, len(words))))
+        net = Net([pool[:i] for i in range(1, len(pool) + 1)], label="words")
         tail = rng.randint(1, len(net))
         report = upper_density(A, net, tail_start=tail)
         assert (report.value, report.witnesses, report.skipped_shifts) == \
