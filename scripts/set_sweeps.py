@@ -3,11 +3,12 @@
     PYTHONPATH=src python scripts/set_sweeps.py --side change > sweeps.json
 
 Times predicate fill, longest_ap, is_thick_window, the piecewise-syndetic
-probe and upper_density (an additive interval net, a multiplicative
-interval net and an additive net that is not an interval), each on fresh
-sets at growing W, in-process and single-threaded.  A case stops growing W
-once one run takes longer than MAX_SECONDS, so slow (quadratic)
-implementations can be swept with the same script.  Only the public API is
+probe, upper_density (an additive interval net, a multiplicative
+interval net and an additive net that is not an interval) and the affine
+and translation embedding kernels, each on fresh sets at growing W,
+in-process and single-threaded.  A case stops growing W once one run
+takes longer than MAX_SECONDS, so slow (quadratic) implementations can be
+swept with the same script.  Only the public API is
 used.
 """
 
@@ -15,15 +16,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 import time
 
-from finembed import (ADDITIVE, MULTIPLICATIVE, GroundSet, Net, interval_net,
-                      is_piecewise_syndetic_window, is_thick_window,
-                      longest_ap, make_window, parse_predicate, upper_density)
+from finembed import (ADDITIVE, MULTIPLICATIVE, GroundSet, Net,
+                      builtin_affine, builtin_right_translations, fe_decide,
+                      fe_probe, interval_net, is_piecewise_syndetic_window,
+                      is_thick_window, longest_ap, make_window,
+                      parse_predicate, upper_density)
 
 SIZES = (10_000, 25_000, 50_000, 100_000, 200_000, 400_000)
 SMALL_SIZES = (400, 1_000, 4_000, 10_000, 25_000, 100_000)
+PROBE_SIZES = (2_000, 5_000, 10_000, 25_000, 50_000, 100_000)
 REPEATS = 3        # best of
 MAX_SECONDS = 2.0  # a case stops growing W after a run this slow
 
@@ -88,6 +93,37 @@ def density_spread(W):
     return lambda: str(upper_density(A, net).value)
 
 
+def affine_probe(W):
+    # The prefixes {0,1}, {0,1,2}, {0,1,2,3} find their first witness in a
+    # row at a small intercept, with almost every slope still to go.
+    win = make_window(ADDITIVE, W)
+    A = fresh(W, f"interval:0:{W}")
+    B = fresh(W, "primes")
+    B.count()
+    family = builtin_affine(win)
+    return lambda: [(e.verdict.witness.params, e.verdict.stats.params_examined)
+                    for e in fe_probe(A, B, family, [2, 3, 4]).entries]
+
+
+def tiny_decides(W):
+    # 200 seeded decides on a window as small as the verify suites' W=40:
+    # translations have one slope and few affine witnesses leave more
+    # slopes than intercepts, so nearly every query ends in rows (22 of the
+    # 200 go on by columns).
+    rng = random.Random(W)
+    win = make_window(ADDITIVE, W)
+    families = (builtin_right_translations(win), builtin_affine(win))
+    queries = []
+    for _ in range(200):
+        A = GroundSet.from_values(
+            win, rng.sample(range(W // 3 + 1), rng.randint(1, 7)))
+        B = GroundSet.from_values(
+            win, rng.sample(range(W + 1), rng.randint(3, W // 2)))
+        queries.append((A, B, rng.choice(families)))
+    return lambda: sum(fe_decide(A, B, family).stats.params_examined
+                       for A, B, family in queries)
+
+
 CASES = (
     ("primes fill", "carrier.fill", fill, SIZES),
     ("longest_ap(evens)", "rich.longest_ap", ap_evens, SIZES),
@@ -100,6 +136,10 @@ CASES = (
      density_mul, SMALL_SIZES),
     ("upper_density additive spread:40", "density.upper_density",
      density_spread, SMALL_SIZES),
+    ("fe_probe affine [0..W] into primes, sizes 2,3,4", "embed.fe_probe",
+     affine_probe, PROBE_SIZES),
+    ("fe_decide translations and affine, 200 draws", "embed.fe_decide",
+     tiny_decides, (40,)),
 )
 
 

@@ -20,8 +20,11 @@ Every stream is deterministic, so the first witness found is canonical.
 Additive translations and affine maps also carry a bitset kernel: their
 anchored candidates for F are the set bits of shifts of B's bitset, one
 shift per slope, so the canonical witness and the number of candidates up to
-it come from word-parallel ANDs without listing the candidates
-(FamilySpec.anchored_search).  The anchored list stays the reference.
+it come without listing the candidates (FamilySpec.anchored_search).  The
+kernel reads slope rows with word-parallel ANDs until the first witness,
+then finishes the intercepts below it along the shorter side of the grid,
+strided numpy columns or more rows (_shift_search).  The anchored list
+stays the reference.
 """
 
 from __future__ import annotations
@@ -62,7 +65,8 @@ class FamilySpec:
     _anchored: Callable[[Tuple_, GroundSet], list[Params]] | None = None
     _explicit_params: tuple[Params, ...] | None = None
     default_bound: int = 64
-    _kernel: Callable[[Tuple_, bytes], tuple[Params | None, int]] | None = None
+    _kernel: (Callable[[Tuple_, np.ndarray], tuple[Params | None, int]]
+              | None) = None
 
     # -- evaluation -------------------------------------------------------
 
@@ -125,8 +129,7 @@ class FamilySpec:
         """
         if self._kernel is None or not self.window.compatible(B.window):
             return None
-        packed = np.packbits(B.array(), bitorder="little").tobytes()
-        return self._kernel(self._normalize_f(F), packed)
+        return self._kernel(self._normalize_f(F), B.array())
 
     def param_sample(self, count: int, bound: int | None = None) -> list[Params]:
         """First count parameter tuples of R in canonical scan order."""
@@ -193,21 +196,32 @@ def _shell_order(lists: Sequence[Sequence]) -> Iterator[Params]:
         yield from rec(0, shell, True, [])
 
 
-def _shift_search(buf: bytes, bound: int, slopes: range, anchors: Sequence[int],
-                  checks: Sequence[int]) -> tuple[tuple[int, int] | None, int]:
+def _shift_search(mem: np.ndarray, bound: int, slopes: range,
+                  anchors: Sequence[int], checks: Sequence[int]
+                  ) -> tuple[tuple[int, int] | None, int]:
     """Least (a, s) in (a, s) order with a + s*f in B for every f in
     anchors and checks, s ranging over slopes, plus the number of pairs
     (a, s) <= it with a + s*f in B for every anchor f; with no such
     witness, None and the number of all those anchor pairs.
 
-    buf is B's membership over 0..bound packed little-endian, 8 elements a
-    byte, and every slope must keep s*f <= bound for every anchor f.  Row s
-    holds the pairs with slope s as an int whose bit a stands for (a, s):
-    the AND over f of bits s*f .. s*f+n-1 of B, one word-parallel op per f.
-    Once a witness (a*, s*) is known, later rows can only win below bit a*,
-    so n shrinks to a* and the scan stops once nothing is left below it;
-    the count pass reads a* + 1 bits per row.
+    mem is B's membership over 0..bound, one byte per element, and every
+    slope must keep s*f <= bound for every anchor f.  Row s holds the pairs
+    with slope s as an int whose bit a stands for (a, s): the AND over f of
+    bits s*f .. s*f+n-1 of B, one word-parallel op per f.  Rows are scanned
+    until the first one with a witness (a1, s1).  Later rows can only win
+    below bit a1, so what is left is the block a < a1, s > s1, finished
+    along its shorter side:
+
+      columns, when few intercepts face many slopes: for each a in turn,
+          one strided numpy slice of mem per point, mem[a + f*s] over the
+          slopes left, ANDed; the first a with a hit holds the witness;
+      rows, otherwise: each row cut to the bits below the best intercept
+          so far, until nothing is left below it.
+
+    Every anchor row read is kept (_fold, _tally), so the count is read off
+    the rows and the anchor columns in the end, with no second pass.
     """
+    buf = np.packbits(mem, bitorder="little").tobytes()
     bits = int.from_bytes(buf, "little")
     top = max(anchors)
 
@@ -225,7 +239,11 @@ def _shift_search(buf: bytes, bound: int, slopes: range, anchors: Sequence[int],
                 row &= bits >> k
         return row
 
-    best, total = None, 0
+    # Anchor rows read so far, folded into counters now and then (_fold).
+    rows: list[int] = []
+    planes: list[int] = []
+    fold_at = _TALLY_BITS // (bound + 1)
+    best, extra = None, 0
     for s in slopes:
         n = bound + 1 - s * top
         if best is not None:
@@ -233,21 +251,88 @@ def _shift_search(buf: bytes, bound: int, slopes: range, anchors: Sequence[int],
             if not n:
                 break
         row = row_of(s, anchors, (1 << n) - 1)
-        if best is None:
-            total += row.bit_count()
+        rows.append(row)
+        if len(rows) > fold_at:
+            _fold(rows, planes)
         row = row_of(s, checks, row)
-        if row:
-            best = ((row & -row).bit_length() - 1, s)
-    if best is None:
-        return None, total
-    a_best, s_best = best
-    count = 0
-    for s in slopes:
-        n = min(bound + 1 - s * top, a_best + (s <= s_best))
-        if not n:
+        if not row:
+            continue
+        a = (row & -row).bit_length() - 1
+        # Columns stop at the witness intercept, rows run on through the
+        # slopes left: go by columns when there are fewer intercepts left.
+        if best is None and a < slopes[-1] - s:
+            found, extra = _column_search(mem, a, s, anchors, checks)
+            best = found or (a, s)
             break
-        count += row_of(s, anchors, (1 << n) - 1).bit_count()
-    return best, count
+        best = (a, s)
+    if best is None:
+        return None, _tally(rows, planes, -1)
+    return best, _tally(rows, planes, (1 << best[0] + 1) - 1) + extra
+
+
+def _column_search(mem: np.ndarray, a1: int, s1: int, anchors: Sequence[int],
+                   checks: Sequence[int]) -> tuple[tuple[int, int] | None, int]:
+    """The least (a, s) with a < a1 and s > s1 that maps anchors and checks
+    into B, read column by column, and the number of anchor pairs in those
+    columns up to it (all of them when there is none).
+
+    Column a holds mem[a + f*s] for s1 < s <= (W - a) // top, where W is
+    the last index of mem and top the largest anchor, one strided slice per
+    nonzero point f; f = 0 reads mem[a] alone.  A check slice that leaves
+    the window is shorter, and the AND stops where it ends, since every
+    element past W is outside B.
+    """
+    bound, top = len(mem) - 1, max(anchors)
+    count = 0
+    for a in range(a1):
+        hi = (bound - a) // top
+        if hi <= s1:
+            break
+        if 0 in anchors and not mem[a]:
+            continue
+        col = None
+        for f in anchors:
+            if f:
+                piece = mem[a + f * (s1 + 1):a + f * hi + 1:f]
+                col = piece if col is None else col & piece
+        hits = col
+        for f in checks:
+            piece = mem[a + f * (s1 + 1):a + f * hi + 1:f]
+            hits = hits[:len(piece)] & piece[:len(hits)]
+        where = np.flatnonzero(hits)
+        if where.size:
+            j = int(where[0])
+            return (a, s1 + 1 + j), count + int(np.count_nonzero(col[:j + 1]))
+        count += int(np.count_nonzero(col))
+    return None, count
+
+
+def _fold(rows: list[int], planes: list[int]) -> None:
+    """Sum rows into bit-sliced counters and empty the list: bit a of
+    planes[j] is bit j of the number of rows holding bit a, so a long scan
+    keeps O(W log S) bits instead of every row."""
+    for row in rows:
+        for j, plane in enumerate(planes):
+            if not row:
+                break
+            planes[j], row = plane ^ row, plane & row
+        if row:
+            planes.append(row)
+    rows.clear()
+
+
+def _tally(rows: list[int], planes: list[int], mask: int) -> int:
+    """Set bits of mask over every row, listed or folded."""
+    total = 0
+    for row in rows:
+        total += (row & mask).bit_count()
+    for j, plane in enumerate(planes):
+        total += (plane & mask).bit_count() << j
+    return total
+
+
+# Rows are folded once the list would hold more bits than this.
+_TALLY_BITS = 1 << 23
 
 
 # -- built-in families ------------------------------------------------------
@@ -276,12 +361,12 @@ def _translations(window: Window, right: bool) -> FamilySpec:
                 cands.append((r,))
         return cands
 
-    def kernel(fpay: Tuple_, buf: bytes) -> tuple[Params | None, int]:
+    def kernel(fpay: Tuple_, mem: np.ndarray) -> tuple[Params | None, int]:
         # Left and right translations agree on this carrier.  The
         # candidates r are the members of B >> min F; witnesses also have
         # r + f in B for the other f.
         fs = sorted(set(fpay))
-        best, count = _shift_search(buf, window.bound, range(1, 2),
+        best, count = _shift_search(mem, window.bound, range(1, 2),
                                     fs[:1], fs[1:])
         return (best[:1] if best else None), count
 
@@ -369,14 +454,14 @@ def builtin_affine(window: Window) -> FamilySpec:
                         cands.append((beta - slope * x, slope))
         return cands
 
-    def kernel(fpay: Tuple_, buf: bytes) -> tuple[Params | None, int]:
+    def kernel(fpay: Tuple_, mem: np.ndarray) -> tuple[Params | None, int]:
         fs = sorted(set(fpay))
         anchors, checks = fs[:2], fs[2:]
         # Slope s has candidates only while s * (largest anchor) <= W; a
         # lone anchor at 0 admits the slope-1 candidates alone.
         top = anchors[-1]
         slopes = range(1, window.bound // top + 1 if top else 2)
-        return _shift_search(buf, window.bound, slopes, anchors, checks)
+        return _shift_search(mem, window.bound, slopes, anchors, checks)
 
     return FamilySpec(
         name="affine", window=window, arity=1, param_arity=2,

@@ -40,7 +40,7 @@ def window_from_json(obj: Any) -> Window:
     if "bound" not in obj:
         raise InputError("window object needs a 'bound' field")
     kind, bound = obj["kind"], obj["bound"]
-    if not isinstance(bound, int) or isinstance(bound, bool):
+    if not _is_int(bound):
         raise InputError("window 'bound' must be an integer")
     alphabet = obj.get("alphabet")
     if kind == FREE_WORDS and alphabet is None:
@@ -82,7 +82,7 @@ def family_from_json(obj: Any, window: Window) -> FamilySpec:
         raise InputError("family must be an object")
     if "builtin" in obj:
         name = obj["builtin"]
-        args = obj.get("args", {})
+        args = _object(obj.get("args", {}), "family 'args'")
         if name == "affine":
             return builtin_affine(window)
         if name == "geoarithmetic":
@@ -95,25 +95,59 @@ def family_from_json(obj: Any, window: Window) -> FamilySpec:
             for key in ("degree", "D", "coeffs"):
                 if key not in args:
                     raise InputError(f"polynomial family needs args.{key}")
+            d = args["D"]
+            if not isinstance(d, list) or not all(map(_is_int, d)):
+                raise InputError(
+                    "polynomial args.D must be a list of integers")
+            degree = _int(args["degree"], "polynomial args.degree")
             coeffs = set_body_from_json(window, args["coeffs"], "coeffs")
-            return builtin_polynomial(coeffs, args["D"], args["degree"])
+            return builtin_polynomial(coeffs, d, degree)
         if name == "word-suffix":
             if "letter" not in args:
                 raise InputError("word-suffix family needs args.letter")
-            return builtin_word_suffix(window, args["letter"])
+            return builtin_word_suffix(
+                window, _str(args["letter"], "word-suffix args.letter"))
         raise InputError(f"unknown builtin family {name!r}")
     if "pair" in obj:
-        spec = obj["pair"]
+        spec = _object(obj["pair"], "family 'pair'")
         for key in ("n", "k", "term"):
             if key not in spec:
                 raise InputError(f"pair family needs {key!r}")
-        enum = spec.get("enum", {})
+        enum = _object(spec.get("enum", {}), "pair family 'enum'")
+        bound = enum.get("bound")
+        if bound is not None:
+            bound = _int(bound, "pair family enum.bound")
         return make_family_from_pair(
-            window, spec["n"], spec["k"], spec["term"],
-            r_spec=spec.get("R", "N"),
+            window, _int(spec["n"], "pair family 'n'"),
+            _int(spec["k"], "pair family 'k'"),
+            _str(spec["term"], "pair family 'term'"),
+            r_spec=_str(spec.get("R", "N"), "pair family 'R'"),
             mode=enum.get("mode", "bounded-scan"),
-            bound=enum.get("bound"))
+            bound=bound)
     raise InputError("family needs 'builtin' or 'pair'")
+
+
+def _is_int(value: Any) -> bool:
+    # bool is an int subclass, but true is no count or index
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int(value: Any, what: str) -> int:
+    if not _is_int(value):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _str(value: Any, what: str) -> str:
+    if not isinstance(value, str):
+        raise InputError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _object(value: Any, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise InputError(f"{what} must be an object")
+    return value
 
 
 def net_from_spec(spec: str) -> Net:

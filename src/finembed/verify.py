@@ -71,13 +71,16 @@ def _suite_listona(seed: int, budget: dict) -> list[dict]:
     win = make_window(ADDITIVE, W)
     translations = builtin_right_translations(win)
     affine = builtin_affine(win)
+    steep_affine = filter_params(affine, lambda p: p[1] >= 2, "affine-slope-ge-2")
+    samples = {fam.name: fam.param_sample(6, bound=4)
+               for fam in (translations, affine, steep_affine)}
     checks = []
 
     def construct_yes(fam):
         """A set, parameters and a superset of the image, so fe_decide says yes."""
         while True:
             a_vals = _random_set(rng, W // 3, rng.randint(2, budget["set_size"]))
-            params = rng.choice(fam.param_sample(6, bound=4))
+            params = rng.choice(samples[fam.name])
             img = image_of(fam, params, tuple(a_vals))
             if img is not None:
                 extras = _random_set(rng, W, rng.randint(1, 4))
@@ -104,7 +107,6 @@ def _suite_listona(seed: int, budget: dict) -> list[dict]:
         count += 1
     checks.append({"name": "monotonicity", "instances": count, "status": "pass"})
 
-    steep_affine = filter_params(affine, lambda p: p[1] >= 2, "affine-slope-ge-2")
     count = 0
     for i in range(budget["union"]):
         use_translation = i % 2 == 0

@@ -318,3 +318,40 @@ def test_closed_stdout_keeps_exit_code_without_traceback():
     err = proc.stderr.read().decode()
     assert proc.wait() == 0
     assert "Traceback" not in err and "BrokenPipe" not in err, err
+
+
+POLY = {"degree": 2, "D": [0, 2], "coeffs": {"explicit": [1, 2]}}
+PAIR = {"n": 1, "k": 1, "term": "slot0+param0"}
+
+
+@pytest.mark.parametrize("family", [
+    {"builtin": "polynomial", "args": 5},
+    {"builtin": "polynomial", "args": {**POLY, "degree": "x"}},
+    {"builtin": "polynomial", "args": {**POLY, "degree": True}},
+    {"builtin": "polynomial", "args": {**POLY, "D": "ab"}},
+    {"builtin": "polynomial", "args": {**POLY, "D": [0, "2"]}},
+    {"builtin": "word-suffix", "args": {"letter": 5}},
+    {"pair": 5},
+    {"pair": {**PAIR, "n": "1"}},
+    {"pair": {**PAIR, "k": False}},
+    {"pair": {**PAIR, "enum": 5}},
+    {"pair": {**PAIR, "enum": {"bound": "x"}}},
+    {"pair": {**PAIR, "R": ["N"]}},
+    {"pair": {**PAIR, "term": 5}},
+], ids=lambda fam: json.dumps(fam, separators=(",", ":")))
+def test_cli_malformed_family_fields(capsys, tmp_path, files, family):
+    p = tmp_path / "family.json"
+    p.write_text(json.dumps(family))
+    assert_input_error(capsys, "embed", "--set-a", files["a"], "--set-b",
+                       files["b"], "--family", str(p))
+
+
+def test_cli_well_formed_families_still_answer(capsys, tmp_path, files):
+    for family in ({"builtin": "polynomial", "args": POLY},
+                   {"pair": {**PAIR, "R": "positive",
+                             "enum": {"bound": 10}}}):
+        p = tmp_path / "family.json"
+        p.write_text(json.dumps(family))
+        code, payload = run_cli(capsys, "embed", "--set-a", files["a"],
+                                "--set-b", files["b"], "--family", str(p))
+        assert code == 0 and payload["outcome"] in ("yes", "unknown")

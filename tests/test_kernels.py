@@ -7,7 +7,8 @@ import pytest
 
 from finembed.carrier import (ADDITIVE, MULTIPLICATIVE, GroundSet, make_window,
                               parse_predicate)
-from finembed.embed import NO, YES, embed_finite, fe_decide
+from finembed import families
+from finembed.embed import NO, YES, embed_finite, fe_decide, fe_probe
 from finembed.families import (builtin_affine, builtin_left_translations,
                                builtin_right_translations, filter_params,
                                restrict_params)
@@ -122,3 +123,172 @@ def test_repeated_point_in_filtered_affine_family():
         assert (plain.outcome, plain.witness, plain.stats) == \
             (listed.outcome, listed.witness, listed.stats)
         assert plain.outcome == reference(F, B, affine)[0]
+
+
+# -- the affine search along its shorter side ----------------------------------
+
+@pytest.fixture
+def columns(monkeypatch):
+    """The (a1, s1) of every column search: the first row's witness."""
+    calls = []
+    real = families._column_search
+
+    def spy(mem, a1, s1, anchors, checks):
+        calls.append((a1, s1))
+        return real(mem, a1, s1, anchors, checks)
+
+    monkeypatch.setattr(families, "_column_search", spy)
+    return calls
+
+
+def check(F, B, family):
+    v = embed_finite(F, B, family)
+    got = (v.outcome, v.witness.params if v.witness else None,
+           v.stats.params_examined)
+    assert got == reference(F, B, family), (F, B.label or sorted(B.values()))
+    return got
+
+
+@pytest.mark.parametrize("W", [500, 1500, 3000])
+def test_prefixes_into_primes_read_columns(W, columns):
+    win = make_window(ADDITIVE, W)
+    primes = GroundSet.from_predicate(win, parse_predicate("primes"))
+    affine = builtin_affine(win)
+    assert check([0, 1], primes, affine)[1] == (2, 1)
+    assert check([0, 1, 2], primes, affine)[1] == (3, 2)
+    assert check([0, 1, 2, 3], primes, affine)[1] == (5, 6)
+    assert check([0, 1, 2, 3, 4], primes, affine)[1] == (5, 6)
+    # Row 1 holds no witness for these; their first rows do, far below W.
+    assert len(columns) == 4
+
+
+def test_sparse_targets_read_columns_up_to_large_windows(columns):
+    rng = random.Random(7)
+    for W in (800, 2000, 3000):
+        win = make_window(ADDITIVE, W)
+        affine = builtin_affine(win)
+        for density in (0.02, 0.05, 0.2):
+            B = GroundSet.from_values(
+                win, [v for v in range(W + 1) if rng.random() < density])
+            for F in ([0, 1], [0, 2, 3], [1, 3, 4], [2, 5, 9, 10]):
+                check(F, B, affine)
+    assert columns
+
+
+def test_check_points_leave_the_window_inside_the_columns(columns):
+    # With anchors 0 and 1 the slopes run up to W, while a check point past
+    # W / 4 leaves the window within a few slopes: its slices are short.
+    rng = random.Random(11)
+    in_columns = 0
+    for _ in range(60):
+        W = rng.randrange(100, 400)
+        win = make_window(ADDITIVE, W)
+        B = GroundSet.from_values(
+            win, [v for v in range(W + 1) if rng.random() < 0.5])
+        far = rng.randrange(W // 4, W + 1)
+        F = sorted({0, 1, rng.randrange(2, 6), far})
+        before = len(columns)
+        _, witness, _ = check(F, B, builtin_affine(win))
+        in_columns += len(columns) > before and witness != columns[-1]
+    assert in_columns >= 5
+
+
+def test_columns_find_a_smaller_intercept_at_a_larger_slope(columns):
+    win = make_window(ADDITIVE, 400)
+    # Row 1 holds (7, 1); column 0 holds (0, 5) and column 3 holds (3, 40).
+    B = GroundSet.from_values(win, [0, 5, 10, 3, 43, 83, 7, 8, 9])
+    affine = builtin_affine(win)
+    assert check([0, 1, 2], B, affine)[1] == (0, 5)
+    assert columns == [(7, 1)]
+    B = GroundSet.from_values(win, [3, 43, 83, 7, 8, 9])
+    assert check([0, 1, 2], B, affine)[1] == (3, 40)
+    B = GroundSet.from_values(win, [7, 8, 9, 11, 20])
+    assert check([0, 1, 2], B, affine)[1] == (7, 1)
+    # The check point 11 * 9 lands on W itself, at the last slope left.
+    win = make_window(ADDITIVE, 99)
+    B = GroundSet.from_values(win, [0, 90, 99, 1, 11, 12])
+    assert check([0, 10, 11], B, builtin_affine(win))[1] == (0, 9)
+    assert columns[-1] == (1, 1)
+
+
+def test_intercept_zero_lone_anchor_and_no(columns):
+    win = make_window(ADDITIVE, 2000)
+    affine = builtin_affine(win)
+    thirds = GroundSet.from_predicate(win, parse_predicate("multiples:3"))
+    assert check([0, 3, 6], thirds, affine)[1] == (0, 1)
+    assert check([5, 11, 20], thirds, affine)[1] == (0, 3)
+    # A lone anchor at 0 has the slope-1 candidates alone; F = {x} > 0 has
+    # every slope up to W / x.
+    primes = GroundSet.from_predicate(win, parse_predicate("primes"))
+    assert check([0], primes, affine) == (YES, (2, 1), 1)
+    assert check([7], primes, affine)[1] == (0, 1)
+    empty = GroundSet.from_values(win, [])
+    assert check([0], empty, affine) == (NO, None, 0)
+    assert check([0, 1, 2], empty, affine) == (NO, None, 0)
+    # No witness at all: every anchor pair is counted.
+    assert check([0, 2, 3], GroundSet.from_values(win, [4, 6, 8, 11, 13]),
+                 affine)[0] == NO
+    # The least 10-term progression of primes ends at 2089.
+    assert check(list(range(10)), primes, affine)[0] == NO
+
+
+def test_rows_finish_when_few_slopes_are_left(columns):
+    # Steep maps and a target near the top of the window: the first witness
+    # sits at a large intercept with few slopes left, so the rows go on.
+    win = make_window(ADDITIVE, 1000)
+    top = GroundSet.from_predicate(win, parse_predicate("interval:950:1000"))
+    affine = builtin_affine(win)
+    assert check([0, 2, 4], top, affine)[1] == (950, 1)
+    assert check([0, 20, 25], top, affine)[0] == YES
+    assert check([3, 40], top, affine)[0] == YES
+    mixed = GroundSet.from_values(win, [0, 300, 600, 900, 950, 960, 970])
+    assert check([0, 10, 20], mixed, affine)[1] == (0, 30)
+    translations = builtin_right_translations(win)
+    assert check([0, 10, 20], top, translations)[1] == (950,)
+    assert columns == []
+
+
+def test_both_sides_agree_with_the_list_on_seeded_instances(columns):
+    # Sparse below a random point and dense above it, so the first row's
+    # witness falls anywhere in the window.
+    rng = random.Random(5)
+    yes = 0
+    for _ in range(400):
+        W = rng.randrange(20, 700)
+        win = make_window(ADDITIVE, W)
+        lo = rng.randrange(W + 1)
+        below = rng.choice([0.0, 0.05])
+        B = GroundSet.from_values(win, [
+            v for v in range(W + 1)
+            if rng.random() < (0.6 if v >= lo else below)])
+        k = rng.randint(1, 4)
+        F = sorted(rng.sample(range(min(W, rng.choice([8, 40, W])) + 1), k))
+        yes += check(F, B, builtin_affine(win))[0] == YES
+    # Both sides of the rule ran: columns after some first witnesses, rows
+    # after others.
+    assert 30 < len(columns) < yes - 30
+
+
+def test_rows_folded_into_counters_count_the_same(monkeypatch):
+    # Long scans fold their rows into bit-sliced counters; a tiny limit
+    # folds after every row or few, across all the seeded shapes above.
+    monkeypatch.setattr(families, "_TALLY_BITS", 64)
+    rng = random.Random(9)
+    for _ in range(300):
+        W = rng.randrange(10, 300)
+        win = make_window(ADDITIVE, W)
+        B = random_target(rng, win)
+        F = sorted(rng.sample(range(min(W, rng.choice([6, W])) + 1),
+                              rng.randint(1, 4)))
+        check(F, B, rng.choice(BUILDERS)(win))
+
+
+def test_affine_probe_into_primes_at_large_window():
+    W = 100_000
+    win = make_window(ADDITIVE, W)
+    A = GroundSet.from_predicate(win, parse_predicate(f"interval:0:{W}"))
+    B = GroundSet.from_predicate(win, parse_predicate("primes"))
+    report = fe_probe(A, B, builtin_affine(win), [2, 3, 4])
+    assert [(e.verdict.witness.params, e.verdict.stats.params_examined)
+            for e in report.entries] == [((2, 1), 1), ((3, 2), 9592),
+                                         ((5, 6), 19183)]
