@@ -99,6 +99,7 @@ class Window:
             raise InputError(
                 f"bound-too-large: window would hold {self.size} elements "
                 f"(cap {MAX_WINDOW_SIZE})")
+        self._letter_index = {c: i for i, c in enumerate(alphabet or ())}
         self._enc_of: dict[Payload, int] | None = None
         if self._payloads is not None:
             self._enc_of = {p: i for i, p in enumerate(self._payloads)}
@@ -181,9 +182,9 @@ class Window:
     def _enc_of_word(self, word: str) -> int:
         if not word or len(word) > self.bound:
             raise InputError(f"element-out-of-window: {word!r}")
-        a = len(self.alphabet)  # type: ignore[arg-type]
-        index = {c: i for i, c in enumerate(self.alphabet)}  # type: ignore[arg-type]
-        offset = sum(a ** i for i in range(1, len(word)))
+        a, index = len(self.alphabet), self._letter_index  # type: ignore[arg-type]
+        # the words shorter than word: a + a^2 + ... + a^(len - 1)
+        offset = (a ** len(word) - a) // (a - 1) if a > 1 else len(word) - 1
         rank = 0
         for ch in word:
             if ch not in index:

@@ -13,13 +13,12 @@ import hashlib
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import jsonio
 from .carrier import GroundSet, parse_predicate
 from .density import check_density_monotonicity, upper_density
 from .embed import fe_decide, fe_probe
-from .errors import BudgetError, InputError
+from .errors import BudgetError, InputError, parse_fraction, parse_ints
 from .prsearch import (find_avoiding_coloring, homogeneous_pr_check,
                        parse_pattern, parse_polynomial, ramsey_threshold)
 from .rich import (is_piecewise_syndetic_window, is_thick_window, longest_ap,
@@ -27,13 +26,6 @@ from .rich import (is_piecewise_syndetic_window, is_thick_window, longest_ap,
 from .verify import run_suite
 
 DEFAULT_BUDGET_ENV = "FINEMBED_BUDGET"
-
-
-def _csv_ints(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x != ""]
-    except ValueError as exc:
-        raise InputError(f"expected comma-separated integers, got {text!r}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,15 +97,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_embed(args) -> tuple[dict, int]:
     a = jsonio.ground_set_from_json(jsonio.load_json(args.set_a))
-    b_obj = jsonio.load_json(args.set_b)
-    b = jsonio.set_body_from_json(a.window, b_obj["set"],
-                                  b_obj.get("label", "B")) \
-        if "window" not in b_obj else jsonio.ground_set_from_json(b_obj)
+    b = jsonio.ground_set_from_json(jsonio.load_json(args.set_b))
     if not a.window.compatible(b.window):
         raise InputError("set-a and set-b windows differ")
     family = jsonio.family_from_json(jsonio.load_json(args.family), a.window)
     if args.probes:
-        report = fe_probe(a, b, family, _csv_ints(args.probes),
+        report = fe_probe(a, b, family, parse_ints(args.probes, "--probes"),
                           bound=args.bound)
         return jsonio.probe_report_to_json(report), 0
     verdict = fe_decide(a, b, family, bound=args.bound)
@@ -132,13 +121,13 @@ def _cmd_rich(args) -> tuple[dict, int]:
                                           parse_predicate(args.s_coeffs),
                                           label=args.s_coeffs)
         cert = longest_poly_progression(ground, args.d, coeffs,
-                                        _csv_ints(args.D))
+                                        parse_ints(args.D, "--D"))
         return jsonio.certificate_to_json(cert), 0
     if args.detect == "thick":
-        report = is_thick_window(ground, _csv_ints(args.probes))
+        report = is_thick_window(ground, parse_ints(args.probes, "--probes"))
         return jsonio.shift_report_to_json(report), 0
     report = is_piecewise_syndetic_window(ground, args.g,
-                                          _csv_ints(args.spans))
+                                          parse_ints(args.spans, "--spans"))
     return jsonio.shift_report_to_json(report), 0
 
 
@@ -146,18 +135,19 @@ def _cmd_density(args) -> tuple[dict, int]:
     if args.action == "verify-monotone":
         if not args.pairs or not args.family:
             raise InputError("verify-monotone needs --pairs and --family")
+        tolerance = parse_fraction(args.tol, "--tol")
         window, pairs, probes = jsonio.pairs_from_json(
             jsonio.load_json(args.pairs))
         family = jsonio.family_from_json(jsonio.load_json(args.family), window)
-        net = jsonio.net_from_spec(args.net)
+        net = jsonio.net_from_spec(args.net, window)
         report = check_density_monotonicity(
-            pairs, family, net, tolerance=Fraction(args.tol), probes=probes)
+            pairs, family, net, tolerance=tolerance, probes=probes)
         payload = jsonio.monotonicity_report_to_json(report)
         return payload, 0 if report.all_ok else 1
     if not args.set_path:
         raise InputError("density report needs --set")
     ground = jsonio.ground_set_from_json(jsonio.load_json(args.set_path))
-    net = jsonio.net_from_spec(args.net)
+    net = jsonio.net_from_spec(args.net, ground.window)
     report = upper_density(ground, net, tail_start=args.tail)
     return jsonio.density_report_to_json(report), 0
 

@@ -190,17 +190,12 @@ def _per_index_best_scan(A: GroundSet, net: Net):
 
 
 def weak_cancellativity_bound(window: Window) -> int:
-    """max over in-window pairs (x, y) of |{s : s * x = y}|, exhaustively:
-    one bincount of the in-window products s * x per column x on numeric
-    windows (O(W) memory), a count of all pairs on word and table windows.
-    """
+    """max over in-window pairs (x, y) of |{s : s * x = y}|, a count of all
+    pairs on word and table windows."""
     if window.kind in (ADDITIVE, MULTIPLICATIVE):
-        W = window.bound
-        s = np.arange(window.payload(0), W + 1, dtype=np.int64)
-        # the in-window s of column x are a prefix of s
-        return max(int(np.bincount(s[:W - x + 1] + x if window.kind == ADDITIVE
-                                   else s[:W // x] * x).max())
-                   for x in s.tolist())
+        # cancellative: s * x = y has at most one solution s, and the first
+        # element times itself is a pair with one
+        return 1
     n = window.size
     pairs = Counter((x, y) for s in range(n) for x in range(n)
                     if (y := window.op_enc(s, x)) is not None)

@@ -188,8 +188,10 @@ def fe_probe(A: GroundSet, B: GroundSet, family: FamilySpec,
     With random_subsets > 0, seeded random size-p subsets of A supplement the
     deterministic prefixes.
     """
-    if list(probe_sizes) != sorted(probe_sizes) or not probe_sizes:
-        raise InputError("probe sizes must be a non-empty ascending list")
+    if (not probe_sizes or list(probe_sizes) != sorted(probe_sizes)
+            or probe_sizes[0] < 1):
+        raise InputError("probe sizes must be a non-empty ascending list "
+                         "of positive integers")
     pool: list[Payload] = []
     need = max(probe_sizes) * (4 if random_subsets else 1)
     for enc in A.iter_enc():

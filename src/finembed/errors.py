@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer parse that
+"""Exception types shared across the package, and the number parses that
 every spec string goes through.
 
 InputError covers everything a caller can get wrong (bad kinds, out-of-window
@@ -6,6 +6,8 @@ elements, malformed JSON); the CLI maps it to exit code 2.  BudgetError marks
 searches abandoned because an explicit resource cap was hit, never a wrong
 answer.
 """
+
+from fractions import Fraction
 
 
 class InputError(ValueError):
@@ -30,3 +32,16 @@ def parse_int(text: str, what: str) -> int:
         return int(text)
     except ValueError:
         raise InputError(f"{what} needs an integer, got {text!r}") from None
+
+
+def parse_ints(text: str, what: str) -> list[int]:
+    """The comma-separated integers in text (empty items skipped)."""
+    return [parse_int(x, what) for x in text.split(",") if x]
+
+
+def parse_fraction(text: str, what: str) -> Fraction:
+    """Fraction(text), with a malformed rational reported as bad input."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"{what} needs a rational number, got {text!r}") from None

@@ -112,7 +112,7 @@ class FamilySpec:
             return ParamStream(iter(self._explicit_params), True)
         if self._anchored is not None:
             cands = [p for p in self._anchored(fpay, B) if self._r(p)]
-            return ParamStream(iter(_dedup_sorted(cands)), True)
+            return ParamStream(iter(_dedup_sorted(self.window, cands)), True)
         b = bound if bound is not None else self.default_bound
         lists = self._scan_lists(b)
         it = (p for p in _shell_order(lists) if self._r(p))
@@ -160,12 +160,15 @@ class FamilySpec:
                 f"k={self.param_arity})")
 
 
-def _component_key(v):
-    return (len(v), v) if isinstance(v, str) else (v, "")
-
-
-def _dedup_sorted(cands: Iterable[Params]) -> list[Params]:
-    return sorted(set(cands), key=lambda p: tuple(_component_key(v) for v in p))
+def _dedup_sorted(window: Window, cands: Iterable[Params]) -> list[Params]:
+    """cands without repeats, ordered by their components' encodings; the
+    numbers of word windows, which are no elements (word-suffix exponents),
+    by value."""
+    if window.kind in (ADDITIVE, MULTIPLICATIVE):
+        return sorted(set(cands))  # value order is encoding order here
+    enc, words = window.encoding, window.kind == FREE_WORDS
+    return sorted(set(cands), key=lambda p: tuple(
+        v if words and isinstance(v, int) else enc(v) for v in p))
 
 
 def _shell_order(lists: Sequence[Sequence]) -> Iterator[Params]:

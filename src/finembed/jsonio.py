@@ -28,147 +28,138 @@ def load_json(path: str | Path) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON in {path}: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or JSON
+        raise InputError(f"cannot read JSON from {path}: {exc}") from exc
+
+
+_REQUIRED = object()
+_EMPTY: dict = {}  # default of optional object fields; never written to
+_ELEMENT = (int, str)  # a set element: a number or a word
+_NOUNS = {int: "an integer", str: "a string", list: "a list",
+          dict: "an object", _ELEMENT: "a number or word"}
+
+
+def _field(obj: Any, key: str, kind: type, default: Any = _REQUIRED,
+           where: str = "", item: type | tuple[type, ...] | None = None
+           ) -> Any:
+    """obj[key], checked to have JSON type kind, and each element type item
+    when it is a list.  A JSON integer is never a boolean.  A missing or
+    null field reads as default, and is an error when there is none.  Every
+    field of an input file is read here; where names obj in messages.
+    """
+    if type(obj) is not dict:
+        raise InputError(f"{where} must be an object")
+    value = obj.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise InputError(f"{where} needs {key!r}")
+        return default
+    # bool is an int subclass, but true is no count, index or element
+    if not isinstance(value, kind) or type(value) is bool:
+        raise InputError(
+            f"{where} {key!r} must be {_NOUNS[kind]}, got {value!r}")
+    if item is not None:
+        for v in value:
+            if not isinstance(v, item) or type(v) is bool:
+                raise InputError(f"{where} {key!r} has an element that "
+                                 f"is not {_NOUNS[item]}: {v!r}")
+    return value
 
 
 def window_from_json(obj: Any) -> Window:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise InputError("window object needs a 'kind' field")
-    if "bound" not in obj:
-        raise InputError("window object needs a 'bound' field")
-    kind, bound = obj["kind"], obj["bound"]
-    if not _is_int(bound):
-        raise InputError("window 'bound' must be an integer")
-    alphabet = obj.get("alphabet")
-    if kind == FREE_WORDS and alphabet is None:
-        raise InputError("free-words window needs an 'alphabet' field")
-    return make_window(kind, bound, alphabet)
+    kind = _field(obj, "kind", str, where="window")
+    alphabet = _REQUIRED if kind == FREE_WORDS else None
+    return make_window(kind, _field(obj, "bound", int, where="window"),
+                       _field(obj, "alphabet", list, alphabet, "window", str))
 
 
 def set_body_from_json(window: Window, body: Any, label: str = "") -> GroundSet:
-    if not isinstance(body, dict):
-        raise InputError("set body must be an object")
-    if "explicit" in body:
-        values = body["explicit"]
-        if not isinstance(values, list):
-            raise InputError("'explicit' must be a list of elements")
-        # bool is an int subclass: true would otherwise read as element 1
-        if any(isinstance(v, bool) for v in values):
-            raise InputError("'explicit' elements must be numbers or words, "
-                             "not booleans")
-        parsed = [window.payload(window.parse(str(v)).encoding)
+    values = _field(body, "explicit", list, None, "set body", _ELEMENT)
+    if values is not None:
+        parsed = [window.payload(window.parse(v).encoding)
                   if isinstance(v, str) else v for v in values]
-        return GroundSet.from_values(window, parsed,
-                                     label=label or body.get("label", ""))
-    if "predicate" in body:
-        pred = parse_predicate(body["predicate"])
-        return GroundSet.from_predicate(
-            window, pred, label=label or body.get("label", body["predicate"]))
-    raise InputError("set body needs 'explicit' or 'predicate'")
+        return GroundSet.from_values(
+            window, parsed, label=label or _field(body, "label", str, "",
+                                                  "set body"))
+    spec = _field(body, "predicate", str, None, "set body")
+    if spec is None:
+        raise InputError("set body needs 'explicit' or 'predicate'")
+    return GroundSet.from_predicate(
+        window, parse_predicate(spec),
+        label=label or _field(body, "label", str, spec, "set body"))
 
 
 def ground_set_from_json(obj: Any) -> GroundSet:
-    if not isinstance(obj, dict) or "window" not in obj or "set" not in obj:
-        raise InputError("set file needs 'window' and 'set' fields")
-    window = window_from_json(obj["window"])
-    return set_body_from_json(window, obj["set"], obj.get("label", ""))
+    where = "set file"
+    window = window_from_json(_field(obj, "window", dict, where=where))
+    return set_body_from_json(window, _field(obj, "set", dict, where=where),
+                              _field(obj, "label", str, "", where))
+
+
+_PLAIN_BUILTINS = {
+    "affine": builtin_affine,
+    "geoarithmetic": builtin_geoarithmetic,
+    "translations-right": builtin_right_translations,
+    "translations-left": builtin_left_translations,
+}
 
 
 def family_from_json(obj: Any, window: Window) -> FamilySpec:
-    if not isinstance(obj, dict):
-        raise InputError("family must be an object")
-    if "builtin" in obj:
-        name = obj["builtin"]
-        args = _object(obj.get("args", {}), "family 'args'")
-        if name == "affine":
-            return builtin_affine(window)
-        if name == "geoarithmetic":
-            return builtin_geoarithmetic(window)
-        if name == "translations-right":
-            return builtin_right_translations(window)
-        if name == "translations-left":
-            return builtin_left_translations(window)
+    name = _field(obj, "builtin", str, None, "family")
+    if name is not None:
+        args = _field(obj, "args", dict, _EMPTY, "family")
+        if name in _PLAIN_BUILTINS:
+            return _PLAIN_BUILTINS[name](window)
         if name == "polynomial":
-            for key in ("degree", "D", "coeffs"):
-                if key not in args:
-                    raise InputError(f"polynomial family needs args.{key}")
-            d = args["D"]
-            if not isinstance(d, list) or not all(map(_is_int, d)):
-                raise InputError(
-                    "polynomial args.D must be a list of integers")
-            degree = _int(args["degree"], "polynomial args.degree")
-            coeffs = set_body_from_json(window, args["coeffs"], "coeffs")
+            where = "polynomial family 'args'"
+            d = _field(args, "D", list, where=where, item=int)
+            degree = _field(args, "degree", int, where=where)
+            coeffs = set_body_from_json(
+                window, _field(args, "coeffs", dict, where=where), "coeffs")
             return builtin_polynomial(coeffs, d, degree)
         if name == "word-suffix":
-            if "letter" not in args:
-                raise InputError("word-suffix family needs args.letter")
-            return builtin_word_suffix(
-                window, _str(args["letter"], "word-suffix args.letter"))
+            return builtin_word_suffix(window, _field(
+                args, "letter", str, where="word-suffix family 'args'"))
         raise InputError(f"unknown builtin family {name!r}")
-    if "pair" in obj:
-        spec = _object(obj["pair"], "family 'pair'")
-        for key in ("n", "k", "term"):
-            if key not in spec:
-                raise InputError(f"pair family needs {key!r}")
-        enum = _object(spec.get("enum", {}), "pair family 'enum'")
-        bound = enum.get("bound")
-        if bound is not None:
-            bound = _int(bound, "pair family enum.bound")
-        return make_family_from_pair(
-            window, _int(spec["n"], "pair family 'n'"),
-            _int(spec["k"], "pair family 'k'"),
-            _str(spec["term"], "pair family 'term'"),
-            r_spec=_str(spec.get("R", "N"), "pair family 'R'"),
-            mode=enum.get("mode", "bounded-scan"),
-            bound=bound)
-    raise InputError("family needs 'builtin' or 'pair'")
+    spec = _field(obj, "pair", dict, None, "family")
+    if spec is None:
+        raise InputError("family needs 'builtin' or 'pair'")
+    where = "pair family"
+    enum = _field(spec, "enum", dict, _EMPTY, where)
+    return make_family_from_pair(
+        window, _field(spec, "n", int, where=where),
+        _field(spec, "k", int, where=where),
+        _field(spec, "term", str, where=where),
+        r_spec=_field(spec, "R", str, "N", where),
+        mode=_field(enum, "mode", str, "bounded-scan", "pair family 'enum'"),
+        bound=_field(enum, "bound", int, None, "pair family 'enum'"))
 
 
-def _is_int(value: Any) -> bool:
-    # bool is an int subclass, but true is no count or index
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _int(value: Any, what: str) -> int:
-    if not _is_int(value):
-        raise InputError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _str(value: Any, what: str) -> str:
-    if not isinstance(value, str):
-        raise InputError(f"{what} must be a string, got {value!r}")
-    return value
-
-
-def _object(value: Any, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise InputError(f"{what} must be an object")
-    return value
-
-
-def net_from_spec(spec: str) -> Net:
+def net_from_spec(spec: str, window: Window) -> Net:
     head, _, arg = spec.partition(":")
-    if head == "interval":
-        return interval_net(parse_int(arg, "net interval:<maxN>"))
-    raise InputError(f"unknown net spec {spec!r}")
+    if head != "interval":
+        raise InputError(f"unknown net spec {spec!r}")
+    max_n = parse_int(arg, "net interval:<maxN>")
+    # checked before building; a numeric window holding maxN holds 1..maxN
+    if max_n >= 1 and not window.contains_value(max_n):
+        v = next(v for v in range(1, max_n + 1) if not window.contains_value(v))
+        raise InputError(f"net-exceeds-window at F_{v}: {v!r}")
+    return interval_net(max_n)
 
 
 def pairs_from_json(obj: Any) -> tuple[Window, list[tuple[GroundSet, GroundSet]], list[int]]:
-    if not isinstance(obj, dict) or "window" not in obj or "pairs" not in obj:
-        raise InputError("pairs file needs 'window' and 'pairs'")
-    window = window_from_json(obj["window"])
+    window = window_from_json(_field(obj, "window", dict, where="pairs file"))
     pairs = []
-    for i, entry in enumerate(obj["pairs"]):
-        if "a" not in entry or "b" not in entry:
-            raise InputError(f"pair {i} needs 'a' and 'b'")
-        a = set_body_from_json(window, entry["a"], entry.get("label_a", f"A{i}"))
-        b = set_body_from_json(window, entry["b"], entry.get("label_b", f"B{i}"))
+    for i, entry in enumerate(_field(obj, "pairs", list, where="pairs file",
+                                     item=dict)):
+        where = f"pair {i}"
+        a = set_body_from_json(window, _field(entry, "a", dict, where=where),
+                               _field(entry, "label_a", str, f"A{i}", where))
+        b = set_body_from_json(window, _field(entry, "b", dict, where=where),
+                               _field(entry, "label_b", str, f"B{i}", where))
         pairs.append((a, b))
-    return window, pairs, list(obj.get("probes", [2, 4]))
+    return window, pairs, list(_field(obj, "probes", list, [2, 4],
+                                      "pairs file", int))
 
 
 # -- output serialization ------------------------------------------------------

@@ -296,9 +296,11 @@ def is_thick_window(A: GroundSet, probe_intervals: Sequence[int]) -> ShiftReport
     win = A.window
     entries = []
     for L in probe_intervals:
+        if L < 0:
+            raise InputError(f"probe length {L} is negative")
         if L + 1 > win.size:
             raise InputError(f"probe length {L} exceeds the window")
-        if win.kind in (ADDITIVE, MULTIPLICATIVE) and L >= 0:
+        if win.kind in (ADDITIVE, MULTIPLICATIVE):
             shift = _first_thick_shift(A, L)
         else:
             shift = _first_shift_by_scan(A, L)

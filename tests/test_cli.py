@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -5,6 +7,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from referencing import Registry, Resource
 from referencing.jsonschema import DRAFT7
 
@@ -355,3 +359,228 @@ def test_cli_well_formed_families_still_answer(capsys, tmp_path, files):
         code, payload = run_cli(capsys, "embed", "--set-a", files["a"],
                                 "--set-b", files["b"], "--family", str(p))
         assert code == 0 and payload["outcome"] in ("yes", "unknown")
+
+
+# -- the input contract: every malformed input exits 2 --------------------
+
+WIN = {"kind": "additive-naturals", "bound": 30}
+SET_FILE = {"window": WIN, "set": {"explicit": [1, 2, 3, 5, 8]}, "label": "S"}
+PAIRS_FILE = {"window": WIN,
+              "pairs": [{"a": {"explicit": [0, 2, 4]},
+                         "b": {"explicit": [3, 5, 7]},
+                         "label_a": "A", "label_b": "B"}],
+              "probes": [2, 4]}
+PREDICATE_PAIRS = {"window": WIN,
+                   "pairs": [{"a": {"predicate": "multiples:4"},
+                              "b": {"predicate": "evens"}}],
+                   "probes": ["x"]}
+TRANSLATIONS = {"builtin": "translations-right"}
+WORDS = {"kind": "free-words", "bound": 3, "alphabet": ["a", "b"]}
+
+
+def run_files(argv: list[str], files: dict, workdir: Path) -> tuple[int, str, str]:
+    """dispatch(argv) in-process, "{NAME}" in argv standing for a file
+    holding files[NAME] (bytes as they are, anything else as JSON)."""
+    paths = {}
+    for name, content in files.items():
+        path = workdir / f"{name}.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(json.dumps(content))
+        paths[name] = str(path)
+    argv = [arg.format(**paths) if arg.startswith("{") else arg
+            for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def with_set(**body) -> dict:
+    return {**SET_FILE, "set": body}
+
+
+RICH = ["rich", "--set", "{S}", "--detect", "ap"]
+MONOTONE = ["density", "verify-monotone", "--pairs", "{P}", "--family", "{F}",
+            "--net", "interval:8"]
+EMBED = ["embed", "--set-a", "{A}", "--set-b", "{B}", "--family", "{F}"]
+
+MALFORMED = {
+    "predicate-not-a-string": (RICH, {"S": with_set(predicate=5)}),
+    "alphabet-not-a-list": (RICH, {"S": {**SET_FILE, "window": {
+        **WORDS, "alphabet": 5}}}),
+    "alphabet-of-numbers": (RICH, {"S": {**SET_FILE, "window": {
+        **WORDS, "alphabet": [1, 2]}}}),
+    "pairs-not-a-list": (MONOTONE, {"P": {**PAIRS_FILE, "pairs": 7},
+                                    "F": TRANSLATIONS}),
+    "pair-not-an-object": (MONOTONE, {"P": {**PAIRS_FILE, "pairs": [5]},
+                                      "F": TRANSLATIONS}),
+    "probes-not-a-list": (MONOTONE, {"P": {**PAIRS_FILE, "probes": 3},
+                                     "F": TRANSLATIONS}),
+    "probes-of-strings": (MONOTONE, {"P": PREDICATE_PAIRS,
+                                     "F": TRANSLATIONS}),
+    "label-not-a-string": (MONOTONE, {"P": {**PAIRS_FILE, "pairs": [
+        {**PAIRS_FILE["pairs"][0], "label_a": 5}]}, "F": TRANSLATIONS}),
+    "set-b-without-set": (EMBED, {"A": SET_FILE, "B": {"foo": 1},
+                                  "F": TRANSLATIONS}),
+    "set-b-not-an-object": (EMBED, {"A": SET_FILE, "B": [1, 2],
+                                    "F": TRANSLATIONS}),
+    "tol-not-a-number": (MONOTONE + ["--tol", "abc"],
+                         {"P": PAIRS_FILE, "F": TRANSLATIONS}),
+    "tol-divides-by-zero": (MONOTONE + ["--tol", "1/0"],
+                            {"P": PAIRS_FILE, "F": TRANSLATIONS}),
+    "set-path-is-a-directory": (["rich", "--set", ".", "--detect", "ap"], {}),
+    "set-file-not-utf8": (RICH, {"S": b'{"label": "\xff"}'}),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_input_exits_two_with_one_error_line(tmp_path, monkeypatch,
+                                                       name):
+    argv, files = MALFORMED[name]
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_files(argv, files, tmp_path)
+    lines = err.strip().splitlines()
+    assert (code, out) == (2, "")
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+@pytest.mark.parametrize("probes", ["-1", "2,-3"])
+def test_negative_thick_probe_is_rejected(capsys, files, probes):
+    from finembed.carrier import GroundSet, make_window
+    from finembed.errors import InputError
+    from finembed.rich import is_thick_window
+    for win in (make_window("additive-naturals", 20),
+                make_window("free-words", 3, ["a", "b"])):
+        with pytest.raises(InputError, match="negative"):
+            is_thick_window(GroundSet.from_predicate(win, lambda v: True),
+                            [int(p) for p in probes.split(",")])
+    assert_input_error(capsys, "rich", "--set", files["evens"], "--detect",
+                       "thick", "--probes", probes)
+
+
+def test_negative_embed_probe_is_rejected(capsys, files):
+    # a size of -1 used to probe every prefix element but the last
+    assert_input_error(capsys, "embed", "--set-a", files["evens"], "--set-b",
+                       files["evens"], "--family", files["translations"],
+                       "--probes=-1,2")
+
+
+@pytest.mark.parametrize("action", [[], ["verify-monotone"]])
+def test_long_interval_net_is_rejected_before_it_is_built(
+        capsys, monkeypatch, files, action):
+    from finembed import jsonio
+    built = []
+    real = jsonio.interval_net
+    monkeypatch.setattr(jsonio, "interval_net",
+                        lambda n: built.append(n) or real(n))
+    where = (["--pairs", files["pairs"], "--family", files["translations"]]
+             if action else ["--set", files["evens"]])
+    assert_input_error(capsys, "density", *action, *where,
+                       "--net", "interval:1000000")
+    assert built == []
+    dispatch(["density", *action, *where, "--net", "interval:61"])
+    assert capsys.readouterr().err.startswith(
+        "error: net-exceeds-window at F_61: 61")
+    dispatch(["density", *action, *where, "--net", "interval:60"])
+    assert built == [60]
+
+
+# Valid invocations whose files and self-parsed options the fuzz test
+# below corrupts, each with the schema of its answer.  Windows stay small,
+# and integers drawn below stay small, so that every run is cheap: the
+# property is about the type and shape of inputs, not their size.
+FUZZ_BASES = [
+    (RICH, {"S": SET_FILE}, "rich_certificate"),
+    (["rich", "--set", "{S}", "--detect", "thick", "--probes", "1,2"],
+     {"S": SET_FILE}, "shift_report"),
+    (["rich", "--set", "{S}", "--detect", "ps", "--g", "2", "--spans", "4,8"],
+     {"S": with_set(predicate="interval:2:20")}, "shift_report"),
+    (["rich", "--set", "{S}", "--detect", "poly", "--d", "1", "--D", "1",
+      "--s-coeffs", "evens"], {"S": SET_FILE}, "rich_certificate"),
+    (["rich", "--set", "{S}", "--detect", "thick", "--probes", "1"],
+     {"S": {"window": WORDS, "set": {"explicit": ["a", "ab", "b"]}}},
+     "shift_report"),
+    (EMBED, {"A": with_set(explicit=[0, 2]), "B": SET_FILE,
+             "F": TRANSLATIONS}, "embed_verdict"),
+    (EMBED, {"A": with_set(explicit=[1, 2]), "B": SET_FILE,
+             "F": {"builtin": "polynomial", "args": POLY}}, "embed_verdict"),
+    (EMBED, {"A": with_set(explicit=[1]), "B": SET_FILE,
+             "F": {"pair": {**PAIR, "R": "N",
+                            "enum": {"mode": "bounded-scan", "bound": 8}}}},
+     "embed_verdict"),
+    (EMBED, {"A": {"window": WORDS, "set": {"explicit": ["b"]}},
+             "B": {"window": WORDS, "set": {"explicit": ["ba", "baa"]}},
+             "F": {"builtin": "word-suffix", "args": {"letter": "a"}}},
+     "embed_verdict"),
+    (EMBED + ["--probes", "2,3"],
+     {"A": with_set(predicate="multiples:4"), "B": with_set(predicate="evens"),
+      "F": TRANSLATIONS}, "probe_report"),
+    (["density", "--set", "{S}", "--net", "interval:10", "--tail", "2"],
+     {"S": SET_FILE}, "density_report"),
+    (MONOTONE + ["--tol", "1/50"], {"P": PAIRS_FILE, "F": TRANSLATIONS},
+     "density_monotone"),
+]
+SELF_PARSED = {"--probes", "--spans", "--D", "--s-coeffs", "--net", "--tol"}
+SCALARS = (st.none() | st.booleans() | st.integers(-2, 6)
+           | st.floats(allow_nan=False, allow_infinity=False)
+           | st.text(max_size=6)
+           | st.sampled_from(["a", "b", "evens", "interval:1:5", "free-words",
+                              "additive-naturals", "affine", "polynomial",
+                              "word-suffix", "slot0*param0", "bounded-scan"]))
+JSON_VALUES = st.recursive(
+    SCALARS, lambda inner: (st.lists(inner, max_size=3)
+                            | st.dictionaries(st.text(max_size=6), inner,
+                                              max_size=3)),
+    max_leaves=6)
+OPTION_TEXT = (st.text(max_size=8)
+               | st.lists(st.integers(-3, 12), max_size=3).map(
+                   lambda ints: ",".join(map(str, ints)))
+               | st.sampled_from(["interval:5", "interval:-1", "interval:",
+                                  "1/3", "1/0", "-1", "evens", "union()"]))
+
+
+def json_paths(value, path=()):
+    """Every position in a JSON value, the root included."""
+    yield path
+    if isinstance(value, dict):
+        for key, sub in value.items():
+            yield from json_paths(sub, path + (key,))
+    elif isinstance(value, list):
+        for i, sub in enumerate(value):
+            yield from json_paths(sub, path + (i,))
+
+
+def replaced(value, path, new):
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = replaced(value[path[0]], path[1:], new)
+    return copy
+
+
+@given(data=st.data())
+def test_corrupted_inputs_exit_zero_or_two(data, tmp_path_factory):
+    argv, files, schema = data.draw(st.sampled_from(FUZZ_BASES))
+    argv, files = list(argv), dict(files)
+    options = [i for i, arg in enumerate(argv) if arg in SELF_PARSED]
+    if options and data.draw(st.booleans()):
+        # --opt=text, so that argparse takes text beginning with "-" as
+        # the value and not as an option
+        i = data.draw(st.sampled_from(options))
+        argv[i:i + 2] = [f"{argv[i]}={data.draw(OPTION_TEXT)}"]
+    else:
+        name = data.draw(st.sampled_from(sorted(files)))
+        path = data.draw(st.sampled_from(list(json_paths(files[name]))))
+        files[name] = replaced(files[name], path, data.draw(JSON_VALUES))
+    code, out, err = run_files(argv, files, tmp_path_factory.mktemp("fuzz"))
+    if code == 2:
+        lines = err.strip().splitlines()
+        assert out == "" and len(lines) == 1, err
+        assert lines[0].startswith("error:") and "Traceback" not in err
+        return
+    # exit 1 is an answer too: a density-monotonicity violation found
+    assert code == 0 or (code == 1 and schema == "density_monotone"), err
+    validate(json.loads(out), f"{schema}.schema.json")
+

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from finembed.carrier import (ADDITIVE, FREE_WORDS, MULTIPLICATIVE, OVERFLOW,
                               GroundSet, make_window)
+from finembed.embed import fe_decide
 from finembed.errors import InputError
 from finembed.families import (builtin_affine, builtin_geoarithmetic,
                                builtin_left_translations, builtin_polynomial,
@@ -40,6 +41,19 @@ def test_left_vs_right_translations_on_words():
     stream = left.enumerate_params(["a", "b"], B)
     assert stream.complete
     assert ("b",) in list(stream.params)
+
+
+def test_word_translation_witnesses_follow_the_alphabet_order():
+    # The window orders words by length, then by the alphabet as given
+    # ("b" before "a"), not by Python string order.
+    words = make_window(FREE_WORDS, 3, ["b", "a"])
+    tr = builtin_right_translations(words)
+    B = GroundSet.from_values(words, ["bb", "ba", "bab", "bbb"])
+    assert tr.param_sample(3) == [("b",), ("a",), ("bb",)]
+    assert list(tr.enumerate_params(["b"], B).params) == [
+        ("b",), ("a",), ("bb",), ("ab",)]
+    verdict = fe_decide(GroundSet.from_values(words, ["b"]), B, tr)
+    assert verdict.witness.params == ("b",)
 
 
 def test_affine_evaluation_and_identity(win):
