@@ -6,15 +6,17 @@ Times predicate fill, longest_ap, is_thick_window, the piecewise-syndetic
 probe, upper_density (an additive interval net, a multiplicative
 interval net and an additive net that is not an interval) and the affine
 and translation embedding kernels, each on fresh sets at growing W,
-in-process and single-threaded.  A case stops growing W once one run
-takes longer than MAX_SECONDS, so slow (quadratic) implementations can be
-swept with the same script.  Only the public API is
-used.
+in-process and single-threaded, plus the fixed cost of a CLI call.  A
+case stops growing W once one run takes longer than MAX_SECONDS, so slow
+(quadratic) implementations can be swept with the same script.  Only the
+public API and the CLI entry point are used.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import random
 import sys
@@ -25,6 +27,7 @@ from finembed import (ADDITIVE, MULTIPLICATIVE, GroundSet, Net,
                       fe_probe, interval_net, is_piecewise_syndetic_window,
                       is_thick_window, longest_ap, make_window,
                       parse_predicate, upper_density)
+from finembed.cli import dispatch
 
 SIZES = (10_000, 25_000, 50_000, 100_000, 200_000, 400_000)
 SMALL_SIZES = (400, 1_000, 4_000, 10_000, 25_000, 100_000)
@@ -52,6 +55,15 @@ def ap_evens(W):
 def ap_primes(W):
     A = fresh(W // 50, "primes")  # sparse: many strides before the break
     A.count()
+    return lambda: longest_ap(A).length
+
+
+def ap_runs(W):
+    # Runs of 100 members, 3 apart: each run is a chain longer than the
+    # Python walk, and a search over the rest of the window at every chain
+    # would be quadratic in W.
+    win = make_window(ADDITIVE, W)
+    A = GroundSet.from_values(win, [v for v in range(W + 1) if v % 103 < 100])
     return lambda: longest_ap(A).length
 
 
@@ -124,10 +136,26 @@ def tiny_decides(W):
                        for A, B, family in queries)
 
 
+def cli_calls(calls):
+    # The fixed cost of one CLI call: a threshold search that takes
+    # microseconds, parsed, answered and printed to a discarded stream.
+    argv = ["pr", "threshold", "--pattern", "ap:3", "--colors", "2",
+            "--nmax", "3"]
+
+    def run():
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), \
+                contextlib.redirect_stderr(sink):
+            return sum(dispatch(argv) for _ in range(calls))
+    return run
+
+
 CASES = (
     ("primes fill", "carrier.fill", fill, SIZES),
     ("longest_ap(evens)", "rich.longest_ap", ap_evens, SIZES),
     ("longest_ap(primes), W/50", "rich.longest_ap", ap_primes, SIZES),
+    ("longest_ap(runs of 100, 3 apart)", "rich.longest_ap", ap_runs,
+     PROBE_SIZES),
     ("is_thick_window probes 1,2,4,8", "rich.is_thick_window", thick, SIZES),
     ("piecewise syndetic g=2 spans 4,8,16",
      "rich.is_piecewise_syndetic_window", ps, SIZES),
@@ -140,6 +168,8 @@ CASES = (
      affine_probe, PROBE_SIZES),
     ("fe_decide translations and affine, 200 draws", "embed.fe_decide",
      tiny_decides, (40,)),
+    ("cli.dispatch pr threshold ap:3 r=2 nmax=3, size = calls",
+     "cli.dispatch", cli_calls, (200,)),
 )
 
 

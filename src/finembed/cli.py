@@ -9,6 +9,7 @@ verification run, 2 = usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
@@ -28,8 +29,20 @@ from .verify import run_suite
 DEFAULT_BUDGET_ENV = "FINEMBED_BUDGET"
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are one `error:` line on stderr
+    and exit 2, like every other bad input; subparsers inherit it."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    """The argument parser, built once per process on first use: building
+    it costs more than a small query, and parse_args keeps no state
+    between calls."""
+    top = _Parser(
         prog="finembed",
         description="finite embeddability, richness, density and "
                     "partition-regularity searches on semigroup windows")
@@ -91,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget",
-                   default=os.environ.get(DEFAULT_BUDGET_ENV, "small"))
+                   help=f"default: ${DEFAULT_BUDGET_ENV}, else small")
     return top
 
 
@@ -172,13 +185,16 @@ def _cmd_pr(args) -> tuple[dict, int]:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
-    report, ok = run_suite(args.suite, args.seed, args.budget)
+    budget = args.budget
+    if budget is None:
+        budget = os.environ.get(DEFAULT_BUDGET_ENV, "small")
+    report, ok = run_suite(args.suite, args.seed, budget)
     digest = hashlib.sha256(jsonio.dumps(
         {"suite": args.suite, "seed": args.seed,
-         "budget": args.budget}).encode()).hexdigest()
+         "budget": budget}).encode()).hexdigest()
     payload = {
         "command": ["verify", "--suite", args.suite, "--seed",
-                    str(args.seed), "--budget", args.budget],
+                    str(args.seed), "--budget", budget],
         "inputs_digest": digest,
         "seed": args.seed,
         "results": report,
@@ -196,9 +212,8 @@ _HANDLERS = {
 
 
 def dispatch(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     started = time.monotonic()

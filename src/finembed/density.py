@@ -149,8 +149,9 @@ def _per_index_best_numeric(A: GroundSet, net: Net):
     the identity, so the first argmax keeps it on ties."""
     win = A.window
     W, additive = win.bound, win.kind == ADDITIVE
-    mem = A.array()
     counts = np.zeros(win.size, np.min_scalar_type(sum(map(len, net.deltas))))
+    # Adds in one dtype: numpy would cast a uint8 slice on every add.
+    mem = A.array().astype(counts.dtype, copy=False)
     first = win.payload(0)
     best: list[tuple[int, int, Payload | None]] = []
     skipped = top = size = 0

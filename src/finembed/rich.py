@@ -66,7 +66,10 @@ def _realize(kind: str, params: tuple, k: int,
         return []
     if kind == "ap":
         a, b = params
-        return [a + i * b for i in range(k)]
+        try:
+            return list(range(a, a + k * b, b))
+        except (TypeError, ValueError):  # stride 0, or parameters not ints
+            return [a + i * b for i in range(k)]
     if kind == "gap-grid":
         if indexing == "zero-based":
             b, q, a, d = params
@@ -91,6 +94,25 @@ def _require_additive(A: GroundSet, who: str) -> Window:
 # array ops before walking; below it the per-call overhead of numpy costs
 # more than a Python loop over the starts.
 _VECTOR_STARTS = 128
+# A chain still running after this many terms is followed by numpy searches
+# of the strided view instead of one Python step per term.
+_WALK_STEPS = 64
+
+
+def _chain_end(arr: np.ndarray, x: int, stride: int) -> int:
+    """The first of x, x + stride, ... that is past arr or not a member.
+
+    Searches chunks that double in length, so the cost follows the run
+    rather than the rest of the array."""
+    chunk, n = _WALK_STEPS, len(arr)
+    while x < n:
+        view = arr[x:x + chunk * stride:stride]
+        i = int(view.argmin())
+        if not view[i]:
+            return x + i * stride
+        x += len(view) * stride
+        chunk *= 2
+    return x
 
 
 def longest_ap(A: GroundSet) -> ProgressionCertificate:
@@ -134,6 +156,9 @@ def longest_ap(A: GroundSet) -> ProgressionCertificate:
             while x <= W and mem[x]:
                 run += 1
                 x += stride
+                if run == _WALK_STEPS:
+                    run += (_chain_end(arr, x, stride) - x) // stride
+                    break
             if run > best_len:
                 best_len, best = run, (a, stride)
     return _certificate("ap", best, best_len)

@@ -446,6 +446,52 @@ def test_malformed_input_exits_two_with_one_error_line(tmp_path, monkeypatch,
     assert len(lines) == 1 and lines[0].startswith("error:"), err
 
 
+# Usage errors that argparse finds itself, before any handler runs.
+USAGE_ERRORS = {
+    "colors-not-an-int": ["pr", "search", "--pattern", "ap:3", "--colors",
+                          "x", "--n", "5"],
+    "tail-not-an-int": ["density", "--set", "{S}", "--tail", "x"],
+    "probes-that-look-like-an-option": ["rich", "--set", "{S}", "--detect",
+                                        "thick", "--probes", "-x"],
+    "required-option-missing": ["pr", "search", "--pattern", "ap:3",
+                                "--n", "5"],
+    "unknown-subcommand": ["bogus", "--set", "{S}"],
+}
+
+
+@pytest.mark.parametrize("name", USAGE_ERRORS)
+def test_usage_error_exits_two_with_one_error_line(tmp_path, name):
+    code, out, err = run_files(USAGE_ERRORS[name], {"S": SET_FILE}, tmp_path)
+    lines = err.strip().splitlines()
+    assert (code, out) == (2, "")
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+def test_help_still_prints_usage_and_exits_zero(tmp_path):
+    code, out, err = run_files(["rich", "--help"], {}, tmp_path)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: finembed rich") and "--probes" in out
+
+
+def test_one_parser_serves_every_call_without_carrying_state(tmp_path):
+    from finembed.cli import build_parser
+    build_parser.cache_clear()
+    files = {"S": {**SET_FILE, "set": {"predicate": "interval:2:20"}}}
+    code, out, err = run_files(USAGE_ERRORS["colors-not-an-int"], files,
+                               tmp_path)
+    assert (code, out) == (2, "") and err.startswith("error:")
+    code, out, _ = run_files(["pr", "search", "--pattern", "ap:3",
+                              "--colors", "2", "--n", "8"], files, tmp_path)
+    assert code == 0 and json.loads(out)["outcome"] == "avoiding"
+    thick = ["rich", "--set", "{S}", "--detect", "thick"]
+    code, out, _ = run_files(thick + ["--probes", "1,2"], files, tmp_path)
+    assert [e["length"] for e in json.loads(out)["probes"]] == [1, 2]
+    code, out, _ = run_files(thick, files, tmp_path)
+    assert [e["length"] for e in json.loads(out)["probes"]] == [1, 2, 4, 8]
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
 @pytest.mark.parametrize("probes", ["-1", "2,-3"])
 def test_negative_thick_probe_is_rejected(capsys, files, probes):
     from finembed.carrier import GroundSet, make_window
@@ -487,8 +533,8 @@ def test_long_interval_net_is_rejected_before_it_is_built(
     assert built == [60]
 
 
-# Valid invocations whose files and self-parsed options the fuzz test
-# below corrupts, each with the schema of its answer.  Windows stay small,
+# Valid invocations whose files and options the fuzz test below corrupts,
+# each with the schema of its answer.  Windows stay small,
 # and integers drawn below stay small, so that every run is cheap: the
 # property is about the type and shape of inputs, not their size.
 FUZZ_BASES = [
@@ -521,8 +567,20 @@ FUZZ_BASES = [
      {"S": SET_FILE}, "density_report"),
     (MONOTONE + ["--tol", "1/50"], {"P": PAIRS_FILE, "F": TRANSLATIONS},
      "density_monotone"),
+    (EMBED + ["--bound", "6"], {"A": with_set(explicit=[0, 2]),
+                                "B": SET_FILE, "F": TRANSLATIONS},
+     "embed_verdict"),
+    (["pr", "search", "--pattern", "ap:3", "--colors", "2", "--n", "8"], {},
+     "pr_coloring"),
+    (["pr", "threshold", "--pattern", "ap:3", "--colors", "2", "--nmax", "9"],
+     {}, "pr_threshold"),
+    (["verify", "--suite", "strong-pr", "--seed", "1", "--budget", "tiny"],
+     {}, "verify_report"),
 ]
-SELF_PARSED = {"--probes", "--spans", "--D", "--s-coeffs", "--net", "--tol"}
+# Options parsed by finembed itself, and options argparse converts to int.
+OPTIONS = {"--probes", "--spans", "--D", "--s-coeffs", "--net", "--tol",
+           "--colors", "--n", "--nmax", "--tail", "--d", "--g", "--bound",
+           "--seed"}
 SCALARS = (st.none() | st.booleans() | st.integers(-2, 6)
            | st.floats(allow_nan=False, allow_infinity=False)
            | st.text(max_size=6)
@@ -564,8 +622,8 @@ def replaced(value, path, new):
 def test_corrupted_inputs_exit_zero_or_two(data, tmp_path_factory):
     argv, files, schema = data.draw(st.sampled_from(FUZZ_BASES))
     argv, files = list(argv), dict(files)
-    options = [i for i, arg in enumerate(argv) if arg in SELF_PARSED]
-    if options and data.draw(st.booleans()):
+    options = [i for i, arg in enumerate(argv) if arg in OPTIONS]
+    if options and (not files or data.draw(st.booleans())):
         # --opt=text, so that argparse takes text beginning with "-" as
         # the value and not as an option
         i = data.draw(st.sampled_from(options))

@@ -16,8 +16,9 @@ import pytest
 from finembed.carrier import (ADDITIVE, FREE_WORDS, MULTIPLICATIVE, GroundSet,
                               elements, make_window, parse_predicate)
 from finembed.density import Net, TailWitness, interval_net, upper_density
-from finembed.rich import (is_piecewise_syndetic_window, is_thick_window,
-                           longest_ap)
+from finembed.rich import (ProgressionCertificate,
+                           is_piecewise_syndetic_window, is_thick_window,
+                           longest_ap, verify_certificate)
 
 HUGE = 10 ** 20  # beyond int64: the vector forms must clamp it
 
@@ -189,6 +190,60 @@ def test_longest_ap_vector_filter_on_wide_windows():
         assert (cert.params, cert.length) == brute_ap(members(A), win.bound)
 
 
+# Runs around the length where longest_ap stops stepping in Python (64),
+# runs over several of its doubling search chunks (64, 128, 256 terms after
+# the first 64), and runs that end exactly at W, at strides 1 to 3.
+LONG_CHAINS = [(63, 1, 0), (64, 1, 0), (65, 1, 0), (63, 2, 1), (64, 3, 5),
+               (65, 3, 2), (128, 1, 0), (129, 2, 0), (256, 1, 3),
+               (300, 2, 0), (450, 1, 0), (513, 1, 0), (200, 3, 0)]
+
+
+@pytest.mark.parametrize("length,stride,slack", LONG_CHAINS)
+def test_longest_ap_on_long_chains(length, stride, slack):
+    # One chain 4, 4 + stride, ..., the last term slack below W, and 0,
+    # which extends it at no stride <= 3.
+    a = 4
+    W = a + (length - 1) * stride + slack
+    chain = range(a, a + length * stride, stride)
+    A = GroundSet.from_values(make_window(ADDITIVE, W), [0, *chain])
+    cert = longest_ap(A)
+    assert (cert.params, cert.length) == brute_ap(members(A), W)
+    assert (cert.params, cert.length) == ((a, stride), length)
+    assert cert.realized == tuple(chain)
+
+
+def test_longest_ap_on_many_runs_past_the_python_walk():
+    # Runs of 65 to 140 consecutive members a gap of 1 to 3 apart: every
+    # run is searched with numpy, and at stride 2 and 3 the chains cross
+    # the gaps.
+    rng = random.Random(47)
+    for _ in range(3):
+        values, x = [], rng.randrange(3)
+        while x < 1100:
+            run = rng.randint(65, 140)
+            values += range(x, x + run)
+            x += run + rng.randint(1, 3)
+        W = max(values) + rng.randrange(2)
+        A = GroundSet.from_values(make_window(ADDITIVE, W), values)
+        cert = longest_ap(A)
+        assert (cert.params, cert.length) == brute_ap(members(A), W)
+
+
+def test_stride_zero_ap_certificate_verifies_as_before():
+    # Certificates that did not come from longest_ap: stride 0 realizes as
+    # its start repeated (a realization of the wrong length fails), and a
+    # negative stride counts down.
+    A = GroundSet.from_values(make_window(ADDITIVE, 20), [4, 6, 8])
+    ok = ProgressionCertificate("ap", (4, 0), (4, 4, 4), 3)
+    assert verify_certificate(ok, A)
+    assert not verify_certificate(
+        ProgressionCertificate("ap", (4, 0), (4, 4), 3), A)
+    assert not verify_certificate(
+        ProgressionCertificate("ap", (5, 0), (5, 5), 2), A)
+    assert verify_certificate(
+        ProgressionCertificate("ap", (8, -2), (8, 6, 4), 3), A)
+
+
 def brute_thick(values: set, win, L: int):
     """First shift s (canonical order) with F_L * s inside the set."""
     F = [win.payload(e) for e in range(L + 1)]
@@ -326,6 +381,35 @@ def test_upper_density_on_random_nets_matches_brute_force():
         seen["top"] += win.bound in elems
         seen["multi"] += any(len(d) > 1 for d in net.deltas)
     assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("kind", [ADDITIVE, MULTIPLICATIVE])
+@pytest.mark.parametrize("size", [255, 256, 300])
+def test_upper_density_counts_past_one_byte(kind, size):
+    # Nets of up to 255 elements count in uint8, longer ones in uint16, the
+    # membership bytes cast to match; dense sets push the counts to |F_n|.
+    rng = random.Random(size)
+    W = size + 120 if kind == ADDITIVE else 4 * size
+    win = make_window(kind, W)
+    lo = 0 if kind == ADDITIVE else 1
+    for density in (1.0, 0.97):
+        A = GroundSet.from_values(
+            win, [v for v in range(lo, W + 1) if rng.random() < density])
+        values = members(A)
+        net = interval_net(size)
+        report = upper_density(A, net)
+        for w in report.witnesses:
+            image = [v * w.shift if kind == MULTIPLICATIVE else v + w.shift
+                     for v in net.sets[w.n - 1]]
+            assert w.ratio == Fraction(sum(y in values for y in image), w.n)
+        # the last tail has n = size only: its ratio is the best shift's
+        shifts = (range(W - size + 1) if kind == ADDITIVE
+                  else range(1, W // size + 1))
+        best = max(sum(v + x in values if kind == ADDITIVE else v * x in values
+                       for v in range(1, size + 1)) for x in shifts)
+        assert report.witnesses[-1].ratio == Fraction(best, size)
+        if density == 1.0:
+            assert report.value == 1
 
 
 def test_word_window_density_matches_brute_force():
