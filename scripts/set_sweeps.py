@@ -10,6 +10,12 @@ in-process and single-threaded, plus the fixed cost of a CLI call.  A
 case stops growing W once one run takes longer than MAX_SECONDS, so slow
 (quadratic) implementations can be swept with the same script.  Only the
 public API and the CLI entry point are used.
+
+Each record holds the raw best-of-REPEATS seconds and the normalized
+seconds: the best run scaled by REF_NOMINAL_S over the median time of a
+fixed pure-Python reference loop (the one perfbench/run.py uses) measured
+just before and after every run of the case, so sweeps taken while the
+host's speed drifts can be compared.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import contextlib
 import io
 import json
 import random
+import statistics
 import sys
 import time
 
@@ -34,6 +41,16 @@ SMALL_SIZES = (400, 1_000, 4_000, 10_000, 25_000, 100_000)
 PROBE_SIZES = (2_000, 5_000, 10_000, 25_000, 50_000, 100_000)
 REPEATS = 3        # best of
 MAX_SECONDS = 2.0  # a case stops growing W after a run this slow
+REF_NOMINAL_S = 1e-3  # normalized times assume the reference loop takes this
+
+
+def reference_loop() -> float:
+    """Seconds taken by a fixed pure-Python loop: the host's current speed."""
+    t0 = time.perf_counter()
+    acc = 0
+    for i in range(20_000):
+        acc += i * i % 7
+    return time.perf_counter() - t0
 
 
 def fresh(W: int, spec: str, kind: str = ADDITIVE) -> GroundSet:
@@ -58,10 +75,29 @@ def ap_primes(W):
     return lambda: longest_ap(A).length
 
 
+def ap_squares(W):
+    # Sparse with a record of 3 (no four squares are in progression): the
+    # scan visits every stride up to W / 3.
+    A = fresh(W, "squares")
+    A.count()
+    return lambda: longest_ap(A).length
+
+
+def ap_random(W):
+    # Dense and random: a record in the twenties, reached at strides far
+    # past the first.
+    rng = random.Random(W)
+    win = make_window(ADDITIVE, W)
+    A = GroundSet.from_values(win, [v for v in range(W + 1)
+                                    if rng.random() < 0.5])
+    return lambda: longest_ap(A).length
+
+
 def ap_runs(W):
     # Runs of 100 members, 3 apart: each run is a chain longer than the
-    # Python walk, and a search over the rest of the window at every chain
-    # would be quadratic in W.
+    # first search chunk (64 terms), a search over the rest of the window
+    # at every chain would be quadratic in W, and strides 2 to 102 each
+    # test every run before stride 103 sets the record that ends the scan.
     win = make_window(ADDITIVE, W)
     A = GroundSet.from_values(win, [v for v in range(W + 1) if v % 103 < 100])
     return lambda: longest_ap(A).length
@@ -156,6 +192,8 @@ CASES = (
     ("longest_ap(primes), W/50", "rich.longest_ap", ap_primes, SIZES),
     ("longest_ap(runs of 100, 3 apart)", "rich.longest_ap", ap_runs,
      PROBE_SIZES),
+    ("longest_ap(squares)", "rich.longest_ap", ap_squares, SIZES),
+    ("longest_ap(random, p=1/2)", "rich.longest_ap", ap_random, PROBE_SIZES),
     ("is_thick_window probes 1,2,4,8", "rich.is_thick_window", thick, SIZES),
     ("piecewise syndetic g=2 spans 4,8,16",
      "rich.is_piecewise_syndetic_window", ps, SIZES),
@@ -180,21 +218,28 @@ def main() -> None:
     records = []
     for case, layer, build, sizes in CASES:
         for W in sizes:
-            best, result = float("inf"), None
+            best, refs, result = float("inf"), [], None
             for _ in range(REPEATS):
                 run = build(W)
+                refs.append(reference_loop())
                 t0 = time.perf_counter()
                 result = run()
                 best = min(best, time.perf_counter() - t0)
+                refs.append(reference_loop())
                 if best > MAX_SECONDS:
                     break
+            norm = best * REF_NOMINAL_S / statistics.median(refs)
             records.append({"case": case, "layer": layer, "size": W,
                             "side": args.side, "seconds": best,
+                            "normalized_seconds": norm,
                             "counters": {"result": result},
                             "how": "scripts/set_sweeps.py, best of "
-                                   f"{REPEATS}, set filled before timing "
-                                   "except for the fill case"})
-            print(f"{case:40s} W={W:>7d} {best:9.4f}s", file=sys.stderr)
+                                   f"{REPEATS}, raw and normalized to a "
+                                   "reference loop of "
+                                   f"{REF_NOMINAL_S * 1e3:g} ms, set filled "
+                                   "before timing except for the fill case"})
+            print(f"{case:40s} W={W:>7d} {best:9.4f}s "
+                  f"{norm:9.4f}s normalized", file=sys.stderr)
             if best > MAX_SECONDS:
                 break
     json.dump(records, sys.stdout, indent=1)

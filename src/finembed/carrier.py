@@ -363,6 +363,7 @@ class GroundSet:
                         if window.kind in (ADDITIVE, MULTIPLICATIVE) else None)
         self._known_upto = window.size if members is not None else 0
         self.explicit = members is not None
+        self._bitset: tuple[bytes, int] | None = None
 
     @classmethod
     def from_values(cls, window: Window, values: Iterable[Payload],
@@ -449,6 +450,15 @@ class GroundSet:
         view = self._arr.view()
         view.flags.writeable = False
         return view
+
+    def bitset(self) -> tuple[bytes, int]:
+        """Membership as np.packbits bytes in little bit order and as the int
+        with bit e set for each member encoding e.  Forces full evaluation,
+        after which the set never changes, so it is computed once."""
+        if self._bitset is None:
+            buf = np.packbits(self.array(), bitorder="little").tobytes()
+            self._bitset = buf, int.from_bytes(buf, "little")
+        return self._bitset
 
     def count(self) -> int:
         return int(np.count_nonzero(self.array()))

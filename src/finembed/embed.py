@@ -96,7 +96,7 @@ def embed_finite(F: Iterable[Payload], B: GroundSet, family: FamilySpec,
     # A bitset kernel, where the family has one, finds the same canonical
     # witness and count as walking the anchored list below; its witness is
     # still checked by direct evaluation.
-    found = family.anchored_search(fpay, B)
+    found = family._anchored_search(fpay, B)
     if found is not None:
         params, examined = found
         stats = SearchStats(examined, True)

@@ -65,7 +65,7 @@ class FamilySpec:
     _anchored: Callable[[Tuple_, GroundSet], list[Params]] | None = None
     _explicit_params: tuple[Params, ...] | None = None
     default_bound: int = 64
-    _kernel: (Callable[[Tuple_, np.ndarray], tuple[Params | None, int]]
+    _kernel: (Callable[[Tuple_, GroundSet], tuple[Params | None, int]]
               | None) = None
 
     # -- evaluation -------------------------------------------------------
@@ -127,9 +127,14 @@ class FamilySpec:
         B, and callers walk enumerate_params instead.  Candidates the kernel
         reports are not re-evaluated here; callers verify the witness.
         """
+        return self._anchored_search(self._normalize_f(F), B)
+
+    def _anchored_search(self, fpay: Tuple_, B: GroundSet
+                         ) -> tuple[Params | None, int] | None:
+        """anchored_search on an F that _normalize_f already returned."""
         if self._kernel is None or not self.window.compatible(B.window):
             return None
-        return self._kernel(self._normalize_f(F), B.array())
+        return self._kernel(fpay, B)
 
     def param_sample(self, count: int, bound: int | None = None) -> list[Params]:
         """First count parameter tuples of R in canonical scan order."""
@@ -199,21 +204,20 @@ def _shell_order(lists: Sequence[Sequence]) -> Iterator[Params]:
         yield from rec(0, shell, True, [])
 
 
-def _shift_search(mem: np.ndarray, bound: int, slopes: range,
-                  anchors: Sequence[int], checks: Sequence[int]
-                  ) -> tuple[tuple[int, int] | None, int]:
+def _shift_search(B: GroundSet, slopes: range, anchors: Sequence[int],
+                  checks: Sequence[int]) -> tuple[tuple[int, int] | None, int]:
     """Least (a, s) in (a, s) order with a + s*f in B for every f in
     anchors and checks, s ranging over slopes, plus the number of pairs
     (a, s) <= it with a + s*f in B for every anchor f; with no such
     witness, None and the number of all those anchor pairs.
 
-    mem is B's membership over 0..bound, one byte per element, and every
-    slope must keep s*f <= bound for every anchor f.  Row s holds the pairs
-    with slope s as an int whose bit a stands for (a, s): the AND over f of
-    bits s*f .. s*f+n-1 of B, one word-parallel op per f.  Rows are scanned
-    until the first one with a witness (a1, s1).  Later rows can only win
-    below bit a1, so what is left is the block a < a1, s > s1, finished
-    along its shorter side:
+    B lives on an additive window 0..bound (mem: its membership bytes),
+    and every slope must keep s*f <= bound for every anchor f.  Row s holds
+    the pairs with slope s as an int whose bit a stands for (a, s): the AND
+    over f of bits s*f .. s*f+n-1 of B, one word-parallel op per f.  Rows
+    are scanned until the first one with a witness (a1, s1).  Later rows
+    can only win below bit a1, so what is left is the block a < a1, s > s1,
+    finished along its shorter side:
 
       columns, when few intercepts face many slopes: for each a in turn,
           one strided numpy slice of mem per point, mem[a + f*s] over the
@@ -224,9 +228,9 @@ def _shift_search(mem: np.ndarray, bound: int, slopes: range,
     Every anchor row read is kept (_fold, _tally), so the count is read off
     the rows and the anchor columns in the end, with no second pass.
     """
-    buf = np.packbits(mem, bitorder="little").tobytes()
-    bits = int.from_bytes(buf, "little")
-    top = max(anchors)
+    mem = B.array()
+    buf, bits = B.bitset()
+    bound, top = len(mem) - 1, max(anchors)
 
     def row_of(s: int, offsets: Sequence[int], row: int) -> int:
         n = row.bit_length()
@@ -364,13 +368,12 @@ def _translations(window: Window, right: bool) -> FamilySpec:
                 cands.append((r,))
         return cands
 
-    def kernel(fpay: Tuple_, mem: np.ndarray) -> tuple[Params | None, int]:
+    def kernel(fpay: Tuple_, B: GroundSet) -> tuple[Params | None, int]:
         # Left and right translations agree on this carrier.  The
         # candidates r are the members of B >> min F; witnesses also have
         # r + f in B for the other f.
         fs = sorted(set(fpay))
-        best, count = _shift_search(mem, window.bound, range(1, 2),
-                                    fs[:1], fs[1:])
+        best, count = _shift_search(B, range(1, 2), fs[:1], fs[1:])
         return (best[:1] if best else None), count
 
     payloads: list[Payload] = []
@@ -457,14 +460,14 @@ def builtin_affine(window: Window) -> FamilySpec:
                         cands.append((beta - slope * x, slope))
         return cands
 
-    def kernel(fpay: Tuple_, mem: np.ndarray) -> tuple[Params | None, int]:
+    def kernel(fpay: Tuple_, B: GroundSet) -> tuple[Params | None, int]:
         fs = sorted(set(fpay))
         anchors, checks = fs[:2], fs[2:]
         # Slope s has candidates only while s * (largest anchor) <= W; a
         # lone anchor at 0 admits the slope-1 candidates alone.
         top = anchors[-1]
         slopes = range(1, window.bound // top + 1 if top else 2)
-        return _shift_search(mem, window.bound, slopes, anchors, checks)
+        return _shift_search(B, slopes, anchors, checks)
 
     return FamilySpec(
         name="affine", window=window, arity=1, param_arity=2,

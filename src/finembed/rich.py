@@ -10,7 +10,6 @@ property.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -90,21 +89,12 @@ def _require_additive(A: GroundSet, who: str) -> Window:
 
 # -- arithmetic progressions --------------------------------------------------
 
-# Above this many candidate starts per stride, longest_ap filters them with
-# array ops before walking; below it the per-call overhead of numpy costs
-# more than a Python loop over the starts.
-_VECTOR_STARTS = 128
-# A chain still running after this many terms is followed by numpy searches
-# of the strided view instead of one Python step per term.
-_WALK_STEPS = 64
-
-
 def _chain_end(arr: np.ndarray, x: int, stride: int) -> int:
     """The first of x, x + stride, ... that is past arr or not a member.
 
-    Searches chunks that double in length, so the cost follows the run
+    Searches chunks of 64, 128, ... terms, so the cost follows the run
     rather than the rest of the array."""
-    chunk, n = _WALK_STEPS, len(arr)
+    chunk, n = 64, len(arr)
     while x < n:
         view = arr[x:x + chunk * stride:stride]
         i = int(view.argmin())
@@ -115,52 +105,45 @@ def _chain_end(arr: np.ndarray, x: int, stride: int) -> int:
     return x
 
 
+def _runs(bits: int, stride: int, k: int) -> int:
+    """Bit a set iff a, a + stride, ..., a + (k - 1) * stride are all set
+    in bits: ANDs of shifts that double the run covered, the last one
+    overlapping, so O(log k) word-parallel ops."""
+    run, m = bits, 1
+    while m < k and run:
+        step = min(m, k - m)
+        run &= run >> step * stride
+        m += step
+    return run
+
+
 def longest_ap(A: GroundSet) -> ProgressionCertificate:
     """A maximum-length arithmetic progression inside A, stride >= 1.
 
     Ties break toward smaller stride, then smaller start, so output is
-    reproducible.  Chains are walked from their head only (start - stride
-    not in A), which keeps the scan at O(|A|) per stride.  Strides and
-    starts that leave no room for more than the current record are skipped:
-    a progression one term longer spans record * stride.
+    reproducible.  Each stride is tested on A's bitset: _runs marks the
+    starts of every progression one term longer than the record, and the
+    least of them is followed to the end of its chain, which sets a new
+    record; then the test runs again with the new record, and so on.  The
+    least start is always a chain's head (start - stride not in A), since
+    start - stride would have the longer run.  A progression one term longer
+    than the record spans record * stride, which ends the scan at the first
+    stride past W / record.
     """
     win = _require_additive(A, "longest_ap")
     W = win.bound
     arr = A.array()
-    mem = memoryview(arr)
-    member_arr = np.flatnonzero(arr)
-    members = member_arr.tolist()
-    if not members:
+    bits = A.bitset()[1]
+    if not bits:
         return _certificate("ap", (), 0)
-    best_len, best = 1, (members[0], 1)
+    best_len, best = 1, ((bits & -bits).bit_length() - 1, 1)
     for stride in range(1, W + 1):
         if best_len * stride > W:
             break
-        last = bisect_right(members, W - best_len * stride)
-        if last > _VECTOR_STARTS:
-            # Keep the heads whose chains beat the record; walked below.
-            heads = member_arr[:last]
-            heads = heads[(heads < stride) | (arr[heads - stride] == 0)]
-            for k in range(1, best_len + 1):
-                if not heads.size:
-                    break
-                heads = heads[arr[heads + k * stride] == 1]
-            starts = heads.tolist()
-        else:
-            starts = members[:last]
-        for a in starts:
-            prev = a - stride
-            if prev >= 0 and mem[prev]:
-                continue
-            x, run = a + stride, 1
-            while x <= W and mem[x]:
-                run += 1
-                x += stride
-                if run == _WALK_STEPS:
-                    run += (_chain_end(arr, x, stride) - x) // stride
-                    break
-            if run > best_len:
-                best_len, best = run, (a, stride)
+        while starts := _runs(bits, stride, best_len + 1):
+            a = (starts & -starts).bit_length() - 1
+            x = _chain_end(arr, a + (best_len + 1) * stride, stride)
+            best_len, best = (x - a) // stride, (a, stride)
     return _certificate("ap", best, best_len)
 
 

@@ -3,8 +3,8 @@
 Vector-filled predicate sets are compared with per-element evaluation of
 the same predicate, and the array-based detectors and density scan with
 brute-force loops over Python sets written from the definitions.  Windows
-are seeded, additive and multiplicative, W <= 500, plus small word windows
-for the density scan.
+are seeded, additive and multiplicative, W <= 500 (up to 3000 for sparse
+sets in longest_ap), plus small word windows for the density scan.
 """
 
 import itertools
@@ -142,6 +142,13 @@ def test_array_bits_count_and_set_algebra_agree():
         encs = [e for e in range(win.size) if A.contains_enc(e)]
         assert A.count() == len(encs)
         assert list(A.iter_enc()) == encs
+        # B is untouched so far: bitset() fills a predicate set itself, and
+        # packs it once.
+        buf, bits = B.bitset()
+        assert B.bitset()[1] is bits
+        assert buf == bits.to_bytes(len(buf), "little")
+        assert [e for e in range(win.size) if bits >> e & 1] == [
+            e for e in range(win.size) if B.contains_enc(e)]
         assert members(A.union(B)) == members(A) | members(B)
         assert members(A.intersect(B)) == members(A) & members(B)
     view = A.array()
@@ -180,7 +187,8 @@ def test_longest_ap_matches_brute_force():
 
 
 def test_longest_ap_vector_filter_on_wide_windows():
-    # Enough members per stride to take the array-filtered path.
+    # Dense wide windows: hundreds of heads per stride, and records raised
+    # at strides well past the first.
     rng = random.Random(35)
     for _ in range(6):
         win = make_window(ADDITIVE, rng.randrange(300, 501))
@@ -190,12 +198,14 @@ def test_longest_ap_vector_filter_on_wide_windows():
         assert (cert.params, cert.length) == brute_ap(members(A), win.bound)
 
 
-# Runs around the length where longest_ap stops stepping in Python (64),
-# runs over several of its doubling search chunks (64, 128, 256 terms after
-# the first 64), and runs that end exactly at W, at strides 1 to 3.
-LONG_CHAINS = [(63, 1, 0), (64, 1, 0), (65, 1, 0), (63, 2, 1), (64, 3, 5),
-               (65, 3, 2), (128, 1, 0), (129, 2, 0), (256, 1, 3),
-               (300, 2, 0), (450, 1, 0), (513, 1, 0), (200, 3, 0)]
+# Runs around the ends of _chain_end's doubling search chunks (64, 128 and
+# 256 terms, counted past the two the run test already showed, so the
+# first chunk ends at 66 terms here), and runs that end exactly at W, at
+# strides 1 to 3.
+LONG_CHAINS = [(63, 1, 0), (64, 1, 0), (65, 1, 0), (66, 1, 0), (67, 1, 0),
+               (63, 2, 1), (64, 3, 5), (65, 3, 2), (66, 2, 0), (128, 1, 0),
+               (129, 2, 0), (256, 1, 3), (300, 2, 0), (450, 1, 0), (513, 1, 0),
+               (200, 3, 0)]
 
 
 @pytest.mark.parametrize("length,stride,slack", LONG_CHAINS)
@@ -227,6 +237,57 @@ def test_longest_ap_on_many_runs_past_the_python_walk():
         A = GroundSet.from_values(make_window(ADDITIVE, W), values)
         cert = longest_ap(A)
         assert (cert.params, cert.length) == brute_ap(members(A), W)
+
+
+def test_longest_ap_on_sparse_wide_windows():
+    # At most 200 members in windows of 1000 to 3000: the scan runs through
+    # hundreds of strides with a short record.  Prime-like sets are the
+    # primes of the window, a random half of them, and the primes of a
+    # stretch near W.
+    rng = random.Random(48)
+    primes = parse_predicate("primes")
+    for kind in ["random", "primes", "half-primes", "top-primes"] * 2:
+        W = rng.randrange(1000, 3001)
+        if kind == "random":
+            values = rng.sample(range(W + 1), rng.randint(1, 200))
+        else:
+            lo = W - 1400 if kind == "top-primes" else 0
+            values = [v for v in range(max(lo, 0), W + 1) if primes(v)][:200]
+            if kind == "half-primes":
+                values = [v for v in values if rng.random() < 0.5]
+        A = GroundSet.from_values(make_window(ADDITIVE, W), values)
+        cert = longest_ap(A)
+        assert (cert.params, cert.length) == brute_ap(set(values), W), kind
+
+
+# (members, W, expected): one stride raises the record twice, so its run
+# test is repeated with the new record (in the third case the repeat drops
+# 20, whose run only ties the record that 10 set).
+RAISED_TWICE = [({3, 4, 10, 11, 12}, 20, ((10, 1), 3)),
+                ({1, 4, 20, 23, 26, 50}, 60, ((20, 3), 3)),
+                ({2, 3, 10, 11, 12, 20, 21, 22, 30, 31, 32, 33}, 40,
+                 ((30, 1), 4))]
+# Heads below the stride (a < s, so a - s is no element), 0 among them:
+# 0, s, 2s sets the record at stride s, then 1, 1 + s, ..., 1 + 3s raises it.
+RAISED_TWICE += [({0, s, 2 * s, 1, 1 + s, 1 + 2 * s, 1 + 3 * s}, 1 + 3 * s,
+                  ((1, s), 4)) for s in range(3, 10)]
+
+
+@pytest.mark.parametrize("values,W,want", RAISED_TWICE)
+def test_longest_ap_raises_the_record_twice_at_one_stride(values, W, want):
+    A = GroundSet.from_values(make_window(ADDITIVE, W), values)
+    cert = longest_ap(A)
+    assert (cert.params, cert.length) == brute_ap(values, W) == want
+
+
+@pytest.mark.parametrize("s", range(4, 12))
+def test_longest_ap_record_times_stride_equal_to_w(s):
+    # s, s + 1, s + 2 sets the record 3 at stride 1; then 0, s, 2s, 3s spans
+    # 3s == W, the last stride the scan visits.
+    values = {0, s, 2 * s, 3 * s, s + 1, s + 2}
+    A = GroundSet.from_values(make_window(ADDITIVE, 3 * s), values)
+    cert = longest_ap(A)
+    assert (cert.params, cert.length) == brute_ap(values, 3 * s) == ((0, s), 4)
 
 
 def test_stride_zero_ap_certificate_verifies_as_before():
