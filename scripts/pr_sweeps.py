@@ -9,17 +9,22 @@ size, W(3;3) = 27) and the instance enumeration of x^2 + y^2 = z^2 over
 stops growing N once one run takes longer than MAX_SECONDS, so slow
 implementations can be swept with the same script.  Only the public API is
 used.
+
+Each record holds the raw best-of-REPEATS seconds and the normalized
+seconds, scaled by the reference loop of scripts/set_sweeps.py as there.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 
 from finembed import (ap_pattern, equation_pattern, find_avoiding_coloring,
                       parse_polynomial)
+from set_sweeps import REF_NOMINAL_S, reference_loop
 
 REPEATS = 3        # best of
 MAX_SECONDS = 5.0  # a case stops growing N after a run this slow
@@ -50,21 +55,27 @@ def main() -> None:
     records = []
     for case, layer, run, sizes in CASES:
         for n in sizes:
-            best, counters = float("inf"), None
+            best, refs, counters = float("inf"), [], None
             for _ in range(REPEATS):
+                refs.append(reference_loop())
                 t0 = time.perf_counter()
                 counters = run(n)
                 best = min(best, time.perf_counter() - t0)
+                refs.append(reference_loop())
                 if best > MAX_SECONDS:
                     break
+            norm = best * REF_NOMINAL_S / statistics.median(refs)
             if "nodes" in counters:
                 counters["nodes_per_s"] = counters["nodes"] / best
             records.append({"case": case, "layer": layer, "size": n,
                             "side": args.side, "seconds": best,
+                            "normalized_seconds": norm,
                             "counters": counters,
-                            "how": f"scripts/pr_sweeps.py, best of {REPEATS}"})
-            print(f"{case:24s} N={n:>4d} {best:9.4f}s {counters}",
-                  file=sys.stderr)
+                            "how": f"scripts/pr_sweeps.py, best of {REPEATS}, "
+                                   "raw and normalized to a reference loop "
+                                   f"of {REF_NOMINAL_S * 1e3:g} ms"})
+            print(f"{case:24s} N={n:>4d} {best:9.4f}s {norm:9.4f}s "
+                  f"normalized {counters}", file=sys.stderr)
             if best > MAX_SECONDS:
                 break
     json.dump(records, sys.stdout, indent=1)

@@ -6,8 +6,9 @@ Times predicate fill, longest_ap, is_thick_window, the piecewise-syndetic
 probe, upper_density (an additive interval net, a multiplicative
 interval net and an additive net that is not an interval) and the affine
 and translation embedding kernels, each on fresh sets at growing W,
-in-process and single-threaded, plus the fixed cost of a CLI call.  A
-case stops growing W once one run takes longer than MAX_SECONDS, so slow
+in-process and single-threaded, plus two affine scans that run past the
+kernel's row budget and the fixed cost of a CLI call.  A case stops
+growing W once one run takes longer than MAX_SECONDS, so slow
 (quadratic) implementations can be swept with the same script.  Only the
 public API and the CLI entry point are used.
 
@@ -153,6 +154,18 @@ def affine_probe(W):
                     for e in fe_probe(A, B, family, [2, 3, 4]).entries]
 
 
+def affine_long(W):
+    # F = {0..k-1} into the primes, past the kernel's row budget: k = 13
+    # at W=20000 reads every row and ends in "no", k = 7 at W=100000 finds
+    # (7, 150) after 150 rows of 100,001 bits.
+    k = {20_000: 13, 100_000: 7}[W]
+    win = make_window(ADDITIVE, W)
+    B = fresh(W, "primes")
+    B.bitset()
+    family = builtin_affine(win)
+    return lambda: family.anchored_search(range(k), B)
+
+
 def tiny_decides(W):
     # 200 seeded decides on a window as small as the verify suites' W=40:
     # translations have one slope and few affine witnesses leave more
@@ -204,6 +217,10 @@ CASES = (
      density_spread, SMALL_SIZES),
     ("fe_probe affine [0..W] into primes, sizes 2,3,4", "embed.fe_probe",
      affine_probe, PROBE_SIZES),
+    ("anchored_search affine {0..12} into primes (no)",
+     "families.anchored_search", affine_long, (20_000,)),
+    ("anchored_search affine {0..6} into primes (yes)",
+     "families.anchored_search", affine_long, (100_000,)),
     ("fe_decide translations and affine, 200 draws", "embed.fe_decide",
      tiny_decides, (40,)),
     ("cli.dispatch pr threshold ap:3 r=2 nmax=3, size = calls",

@@ -104,6 +104,10 @@ class Window:
         if self._payloads is not None:
             self._enc_of = {p: i for i, p in enumerate(self._payloads)}
         self._identity_enc = self._find_identity()
+        # The key that sorts payloads in encoding order; None on the numeric
+        # kinds, where value order already is encoding order.
+        self.sort_key = (None if kind in (ADDITIVE, MULTIPLICATIVE)
+                         else self.encoding)
 
     # -- canonical order -------------------------------------------------
 

@@ -24,7 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .carrier import ADDITIVE, MULTIPLICATIVE, GroundSet, Payload, Window
+from .carrier import (ADDITIVE, FREE_WORDS, MULTIPLICATIVE, TABLE, GroundSet,
+                      Payload, Window)
 from .embed import YES, fe_decide, fe_probe
 from .errors import InputError, UnverifiedPairError
 from .families import FamilySpec
@@ -192,11 +193,12 @@ def _per_index_best_scan(A: GroundSet, net: Net):
 
 def weak_cancellativity_bound(window: Window) -> int:
     """max over in-window pairs (x, y) of |{s : s * x = y}|, a count of all
-    pairs on word and table windows."""
-    if window.kind in (ADDITIVE, MULTIPLICATIVE):
-        # cancellative: s * x = y has at most one solution s, and the first
-        # element times itself is a pair with one
-        return 1
+    pairs on table windows."""
+    if window.kind != TABLE:
+        # cancellative: s * x = y has at most one solution s (for words, y
+        # less its suffix x), and the first element times itself is a pair
+        # with one, except among words of length 1
+        return 0 if window.kind == FREE_WORDS and window.bound < 2 else 1
     n = window.size
     pairs = Counter((x, y) for s in range(n) for x in range(n)
                     if (y := window.op_enc(s, x)) is not None)
@@ -249,7 +251,8 @@ def check_density_monotonicity(pairs: Sequence[tuple[GroundSet, GroundSet]],
                 f"unverified-pair: {A.label!r} vs {B.label!r}")
         da = upper_density(A, net).value
         db = upper_density(B, net).value
-        margin = db + tolerance - Fraction(1, b) * da
+        # b = 0 (no product in the window) bounds solutions by 1 as well
+        margin = db + tolerance - Fraction(1, max(b, 1)) * da
         entries.append(MonotonicityEntry(A.label, B.label, da, db,
                                          margin, margin >= 0))
     return MonotonicityReport(b, tolerance, tuple(entries))

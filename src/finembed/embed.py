@@ -66,7 +66,7 @@ def image_of(family: FamilySpec, params: Params,
         if y is None:
             return None
         out.add(y)
-    return tuple(sorted(out, key=family.window.encoding))
+    return tuple(sorted(out, key=family.window.sort_key))
 
 
 def embed_finite(F: Iterable[Payload], B: GroundSet, family: FamilySpec,
@@ -91,7 +91,7 @@ def embed_finite(F: Iterable[Payload], B: GroundSet, family: FamilySpec,
             if y is None or not B.contains_value(y):
                 return None
             image.add(y)
-        return tuple(sorted(image, key=family.window.encoding))
+        return tuple(sorted(image, key=family.window.sort_key))
 
     # A bitset kernel, where the family has one, finds the same canonical
     # witness and count as walking the anchored list below; its witness is
@@ -209,7 +209,7 @@ def fe_probe(A: GroundSet, B: GroundSet, family: FamilySpec,
         for _ in range(random_subsets):
             if len(pool) <= p:
                 break
-            sub = tuple(sorted(rng.sample(pool, p), key=A.window.encoding))
+            sub = tuple(sorted(rng.sample(pool, p), key=A.window.sort_key))
             entries.append(ProbeEntry(
                 p, sub, embed_finite(sub, B, family, bound, tuple_cap), True))
     return ProbeReport(tuple(entries))

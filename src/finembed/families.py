@@ -158,7 +158,7 @@ class FamilySpec:
             pays.append(p)
         if not pays:
             raise InputError("F must be non-empty")
-        return tuple(sorted(pays, key=self.window.encoding))
+        return tuple(sorted(pays, key=self.window.sort_key))
 
     def __repr__(self) -> str:
         return (f"FamilySpec({self.name}, n={self.arity}, "
@@ -169,7 +169,7 @@ def _dedup_sorted(window: Window, cands: Iterable[Params]) -> list[Params]:
     """cands without repeats, ordered by their components' encodings; the
     numbers of word windows, which are no elements (word-suffix exponents),
     by value."""
-    if window.kind in (ADDITIVE, MULTIPLICATIVE):
+    if window.sort_key is None:
         return sorted(set(cands))  # value order is encoding order here
     enc, words = window.encoding, window.kind == FREE_WORDS
     return sorted(set(cands), key=lambda p: tuple(
@@ -225,8 +225,10 @@ def _shift_search(B: GroundSet, slopes: range, anchors: Sequence[int],
       rows, otherwise: each row cut to the bits below the best intercept
           so far, until nothing is left below it.
 
-    Every anchor row read is kept (_fold, _tally), so the count is read off
-    the rows and the anchor columns in the end, with no second pass.
+    The count is read off the anchor rows and the anchor columns in the
+    end.  Rows are kept while they fit in _TALLY_BITS, with no second pass;
+    past it only the total of the rows dropped is kept, which is all a "no"
+    needs, and a witness reads the dropped rows again, cut at its intercept.
     """
     mem = B.array()
     buf, bits = B.bitset()
@@ -246,11 +248,10 @@ def _shift_search(B: GroundSet, slopes: range, anchors: Sequence[int],
                 row &= bits >> k
         return row
 
-    # Anchor rows read so far, folded into counters now and then (_fold).
+    # Anchor rows read so far, while they fit; the total of those dropped.
     rows: list[int] = []
-    planes: list[int] = []
-    fold_at = _TALLY_BITS // (bound + 1)
-    best, extra = None, 0
+    keep = _TALLY_BITS // (bound + 1)
+    best, extra, dropped, scanned = None, 0, 0, 0
     for s in slopes:
         n = bound + 1 - s * top
         if best is not None:
@@ -258,9 +259,11 @@ def _shift_search(B: GroundSet, slopes: range, anchors: Sequence[int],
             if not n:
                 break
         row = row_of(s, anchors, (1 << n) - 1)
-        rows.append(row)
-        if len(rows) > fold_at:
-            _fold(rows, planes)
+        scanned += 1
+        if scanned <= keep:
+            rows.append(row)
+        else:
+            dropped += row.bit_count()
         row = row_of(s, checks, row)
         if not row:
             continue
@@ -273,8 +276,14 @@ def _shift_search(B: GroundSet, slopes: range, anchors: Sequence[int],
             break
         best = (a, s)
     if best is None:
-        return None, _tally(rows, planes, -1)
-    return best, _tally(rows, planes, (1 << best[0] + 1) - 1) + extra
+        return None, dropped + sum(row.bit_count() for row in rows)
+    # The dropped rows read again: bits <= a1 up to slope s1, < a1 after.
+    a1, s1 = best
+    rows += [row_of(s, anchors, (1 << min(bound + 1 - s * top,
+                                          a1 + (s <= s1))) - 1)
+             for s in slopes[len(rows):scanned]]
+    mask = (1 << a1 + 1) - 1
+    return best, sum((row & mask).bit_count() for row in rows) + extra
 
 
 def _column_search(mem: np.ndarray, a1: int, s1: int, anchors: Sequence[int],
@@ -314,31 +323,7 @@ def _column_search(mem: np.ndarray, a1: int, s1: int, anchors: Sequence[int],
     return None, count
 
 
-def _fold(rows: list[int], planes: list[int]) -> None:
-    """Sum rows into bit-sliced counters and empty the list: bit a of
-    planes[j] is bit j of the number of rows holding bit a, so a long scan
-    keeps O(W log S) bits instead of every row."""
-    for row in rows:
-        for j, plane in enumerate(planes):
-            if not row:
-                break
-            planes[j], row = plane ^ row, plane & row
-        if row:
-            planes.append(row)
-    rows.clear()
-
-
-def _tally(rows: list[int], planes: list[int], mask: int) -> int:
-    """Set bits of mask over every row, listed or folded."""
-    total = 0
-    for row in rows:
-        total += (row & mask).bit_count()
-    for j, plane in enumerate(planes):
-        total += (plane & mask).bit_count() << j
-    return total
-
-
-# Rows are folded once the list would hold more bits than this.
+# Rows are kept while the list holds no more bits than this.
 _TALLY_BITS = 1 << 23
 
 

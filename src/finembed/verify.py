@@ -29,14 +29,11 @@ from .rich import (is_thick_window, longest_ap, maximality_probe, set_property)
 
 BUDGETS: dict[str, dict[str, int]] = {
     "tiny": dict(window=30, mono=60, union=15, preorder=8, maxset=6,
-                 pairs=8, net=20, dwindow=100, upward=10, nmax=9,
-                 set_size=5),
+                 pairs=8, net=20, dwindow=100, upward=10, set_size=5),
     "small": dict(window=40, mono=200, union=40, preorder=20, maxset=15,
-                  pairs=25, net=40, dwindow=160, upward=25, nmax=12,
-                  set_size=6),
+                  pairs=25, net=40, dwindow=160, upward=25, set_size=6),
     "medium": dict(window=40, mono=500, union=100, preorder=50, maxset=30,
-                   pairs=60, net=60, dwindow=240, upward=50, nmax=20,
-                   set_size=7),
+                   pairs=60, net=60, dwindow=240, upward=50, set_size=7),
 }
 
 SUITES = ("listona", "preorder", "maxset", "density-mono", "strong-pr",
@@ -321,7 +318,7 @@ def _suite_strong_pr(seed: int, budget: dict) -> list[dict]:
         _fail("vdw-8-avoiding", outcome=cert.outcome)
     checks.append({"name": "vdw-8-avoiding", "instances": 1, "status": "pass"})
 
-    thr = ramsey_threshold(ap3, 2, max(budget["nmax"], 9))
+    thr = ramsey_threshold(ap3, 2, 9)
     if thr.threshold != 9:
         _fail("vdw-threshold", got=thr.threshold)
     checks.append({"name": "vdw-threshold", "instances": 1, "status": "pass"})
@@ -350,7 +347,7 @@ def _suite_strong_pr(seed: int, budget: dict) -> list[dict]:
     checks.append({"name": "order-independence", "instances": 2,
                    "status": "pass"})
 
-    thr = ramsey_threshold(schur_pattern(), 2, max(budget["nmax"], 5))
+    thr = ramsey_threshold(schur_pattern(), 2, 5)
     if thr.threshold != 5:
         _fail("schur-threshold", got=thr.threshold)
     checks.append({"name": "schur-threshold", "instances": 1, "status": "pass"})

@@ -11,7 +11,7 @@ from finembed.carrier import (ADDITIVE, FREE_WORDS, MULTIPLICATIVE, GroundSet,
 from finembed.density import (Net, check_density_monotonicity, interval_net,
                               upper_density, weak_cancellativity_bound)
 from finembed.errors import InputError, UnverifiedPairError
-from finembed.families import builtin_right_translations
+from finembed.families import builtin_right_translations, builtin_word_suffix
 
 
 def test_interval_net_shape():
@@ -171,6 +171,21 @@ def test_weak_cancellativity_bound_matches_scan():
                            lambda x, y, n=n: x + y if x + y < n else None)]
     for win in windows:
         assert weak_cancellativity_bound(win) == cancellativity_by_scan(win), win
+
+
+def test_monotonicity_on_words_without_an_in_window_product():
+    # Words of length 1: no product lies in the window, so b = 0, which
+    # bounds the solutions of s * x = y by 1 in the margin.
+    win = make_window(FREE_WORDS, 1, "ab")
+    assert weak_cancellativity_bound(win) == 0
+    A = GroundSet.from_values(win, ["a"], "A")
+    rep = check_density_monotonicity([(A, A)], builtin_word_suffix(win, "a"),
+                                      Net((("a",), ("a", "b")), label="w"))
+    assert rep.b == 0 and rep.all_ok
+    # density 1/2 on both sides, so the margin is the tolerance alone
+    assert rep.entries[0].margin == Fraction(1, 50)
+    # A word window large enough for a scan to take seconds.
+    assert weak_cancellativity_bound(make_window(FREE_WORDS, 9, "ab")) == 1
 
 
 @settings(max_examples=40)

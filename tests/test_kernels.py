@@ -269,18 +269,35 @@ def test_both_sides_agree_with_the_list_on_seeded_instances(columns):
     assert 30 < len(columns) < yes - 30
 
 
-def test_rows_folded_into_counters_count_the_same(monkeypatch):
-    # Long scans fold their rows into bit-sliced counters; a tiny limit
-    # folds after every row or few, across all the seeded shapes above.
+def test_rows_read_again_past_the_budget_count_the_same(monkeypatch, columns):
+    # A tiny budget keeps a few rows below W = 64 and none above; rows past
+    # it are dropped, so a "no" counts them as they pass and a witness reads
+    # the scanned ones again, across the seeded shapes above.
     monkeypatch.setattr(families, "_TALLY_BITS", 64)
     rng = random.Random(9)
+    seen = {(YES, True): 0, (YES, False): 0, (NO, True): 0, (NO, False): 0}
     for _ in range(300):
         W = rng.randrange(10, 300)
         win = make_window(ADDITIVE, W)
         B = random_target(rng, win)
         F = sorted(rng.sample(range(min(W, rng.choice([6, W])) + 1),
                               rng.randint(1, 4)))
-        check(F, B, rng.choice(BUILDERS)(win))
+        family = rng.choice(BUILDERS)(win)
+        before = len(columns)
+        outcome, witness, _ = check(F, B, family)
+        # Rows scanned (at least): one for translations; for affine maps
+        # every slope on "no", the first row witness's slope before a
+        # column search, else the witness slope.
+        fs = sorted(set(F))
+        top = fs[:2][-1]
+        if family.name != "affine":
+            scanned = 1
+        elif outcome == NO:
+            scanned = W // top if top else 1
+        else:
+            scanned = columns[-1][1] if len(columns) > before else witness[1]
+        seen[outcome, scanned > 64 // (W + 1)] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_affine_probe_into_primes_at_large_window():
