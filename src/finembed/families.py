@@ -226,7 +226,7 @@ def _shift_search(B: GroundSet, slopes: range, anchors: Sequence[int],
           so far, until nothing is left below it.
 
     The count is read off the anchor rows and the anchor columns in the
-    end.  Rows are kept while they fit in _TALLY_BITS, with no second pass;
+    end.  Rows are kept while they fit in _ROW_BITS, with no second pass;
     past it only the total of the rows dropped is kept, which is all a "no"
     needs, and a witness reads the dropped rows again, cut at its intercept.
     """
@@ -250,7 +250,7 @@ def _shift_search(B: GroundSet, slopes: range, anchors: Sequence[int],
 
     # Anchor rows read so far, while they fit; the total of those dropped.
     rows: list[int] = []
-    keep = _TALLY_BITS // (bound + 1)
+    keep = _ROW_BITS // (bound + 1)
     best, extra, dropped, scanned = None, 0, 0, 0
     for s in slopes:
         n = bound + 1 - s * top
@@ -324,7 +324,7 @@ def _column_search(mem: np.ndarray, a1: int, s1: int, anchors: Sequence[int],
 
 
 # Rows are kept while the list holds no more bits than this.
-_TALLY_BITS = 1 << 23
+_ROW_BITS = 1 << 23
 
 
 # -- built-in families ------------------------------------------------------

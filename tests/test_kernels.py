@@ -272,8 +272,8 @@ def test_both_sides_agree_with_the_list_on_seeded_instances(columns):
 def test_rows_read_again_past_the_budget_count_the_same(monkeypatch, columns):
     # A tiny budget keeps a few rows below W = 64 and none above; rows past
     # it are dropped, so a "no" counts them as they pass and a witness reads
-    # the scanned ones again, across the seeded shapes above.
-    monkeypatch.setattr(families, "_TALLY_BITS", 64)
+    # the dropped ones again, across the seeded shapes above.
+    monkeypatch.setattr(families, "_ROW_BITS", 64)
     rng = random.Random(9)
     seen = {(YES, True): 0, (YES, False): 0, (NO, True): 0, (NO, False): 0}
     for _ in range(300):
