@@ -322,6 +322,60 @@ def test_kernel_matches_reference_node_for_node(pattern):
     assert budget_errors  # the budget path is compared too
 
 
+# -- thresholds against one fresh search per N ---------------------------------
+
+def _reference_threshold(pattern, r, nmax, instance_budget, node_budget):
+    """The least forced N <= nmax from a fresh complete search at each N, or
+    the type and text of the first error."""
+    try:
+        for n in range(1, nmax + 1):
+            cert = find_avoiding_coloring(n, r, pattern, instance_budget,
+                                          node_budget)
+            if cert.outcome == "forced":
+                return n
+        return None
+    except (BudgetError, InputError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("pattern", KERNEL_PATTERNS, ids=lambda p: p.label)
+def test_threshold_matches_a_fresh_search_per_n(pattern):
+    seen = set()
+    for r in range(1, 5):
+        for nmax in (1, 6, 11, 23, 40):
+            for node_budget in (3, 25, 4000):
+                for instance_budget in (5, 200):
+                    want = _reference_threshold(pattern, r, nmax,
+                                                instance_budget, node_budget)
+                    try:
+                        got = ramsey_threshold(pattern, r, nmax,
+                                               instance_budget,
+                                               node_budget).threshold
+                    except (BudgetError, InputError) as exc:
+                        got = type(exc), str(exc)
+                    assert got == want, (r, nmax, node_budget,
+                                         instance_budget)
+                    seen.add(want if want is None else type(want).__name__)
+    assert {"int", "tuple"} <= seen  # thresholds and budget errors both met
+
+
+CONTRACT_PATTERNS = KERNEL_PATTERNS + (
+    gap_grid_pattern(1, strict=True), parse_pattern("poly:3:2:0,2"),
+    equation_pattern(parse_polynomial("x+2y-z"), distinct=True))
+
+
+@pytest.mark.parametrize("pattern", CONTRACT_PATTERNS, ids=lambda p: p.label)
+def test_instances_below_n_are_the_instances_of_n_minus_one(pattern):
+    """Growing N only adds instances whose largest element is N, which is
+    what lets a threshold scan extend the search of [1..N-1] (and makes a
+    forced N stay forced)."""
+    before = pattern.instances(0)
+    for n in range(1, 31):
+        now = pattern.instances(n)
+        assert [inst for inst in now if inst[-1] < n] == before, n
+        before = now
+
+
 # -- solved equation enumeration against the tuple walk -----------------------
 
 def _monomial(coeff, exps):
