@@ -4,11 +4,12 @@
 
 Times the complete 3-coloring search for 3-term APs over [1..N] for
 N = 20..27 (reporting nodes and nodes per second; N = 27 is the first forced
-size, W(3;3) = 27) and the instance enumeration of x^2 + y^2 = z^2 over
-[1..N] for N = 50, 100, 200, 400, in-process and single-threaded.  A case
-stops growing N once one run takes longer than MAX_SECONDS, so slow
-implementations can be swept with the same script.  Only the public API is
-used.
+size, W(3;3) = 27), the threshold scan for the same pattern and colors up to
+nmax = 20..28 (reporting the threshold), and the instance enumeration of
+x^2 + y^2 = z^2 over [1..N] for N = 50, 100, 200, 400, in-process and
+single-threaded.  A case stops growing N once one run takes longer than
+MAX_SECONDS, so slow implementations can be swept with the same script.
+Only the public API is used.
 
 Each record holds the raw best-of-REPEATS seconds and the normalized
 seconds, scaled by the reference loop of scripts/set_sweeps.py as there.
@@ -23,7 +24,7 @@ import sys
 import time
 
 from finembed import (ap_pattern, equation_pattern, find_avoiding_coloring,
-                      parse_polynomial)
+                      parse_polynomial, ramsey_threshold)
 from set_sweeps import REF_NOMINAL_S, reference_loop
 
 REPEATS = 3        # best of
@@ -35,6 +36,10 @@ def vdw_search(n):
     return {"outcome": cert.outcome, "nodes": cert.nodes}
 
 
+def vdw_threshold(nmax):
+    return {"threshold": ramsey_threshold(ap_pattern(3), 3, nmax).threshold}
+
+
 def pythagorean_instances(n):
     pattern = equation_pattern(parse_polynomial("x^2+y^2-z^2"))
     return {"instances": len(pattern.instances(n))}
@@ -43,6 +48,8 @@ def pythagorean_instances(n):
 CASES = (
     ("ap:3 r=3 search", "prsearch.find_avoiding_coloring", vdw_search,
      range(20, 28)),
+    ("ap:3 r=3 threshold", "prsearch.ramsey_threshold", vdw_threshold,
+     range(20, 29)),
     ("x^2+y^2-z^2 instances", "prsearch.Pattern.instances",
      pythagorean_instances, (50, 100, 200, 400)),
 )

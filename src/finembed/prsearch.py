@@ -376,66 +376,92 @@ class ColoringCertificate:
         return self.colors[self.elements.index(value)]
 
 
-def _backtrack(elements: Sequence[int], r: int,
-               instances: Sequence[tuple[int, ...]],
-               node_budget: int, reverse: bool
-               ) -> tuple[list[int] | None, int]:
-    """Complete search for a coloring with no monochromatic instance.
+class _Backtrack:
+    """Complete search for a coloring with no monochromatic instance, over a
+    list of positions that may grow between runs.
 
     Color-relabeling symmetry is broken by only allowing a new color index
-    once all smaller indices exist, which pins element one to color zero.
+    once all smaller indices exist, which pins the first position to color
+    zero and never opens more colors than there are positions.
 
     Each instance is stored at its last position as a bitmask of its other
     positions, and each color keeps the mask of the positions it holds, so
     the instance is monochromatic in c exactly when m & held[c] == m.  The
     search runs on an explicit stack (one color cursor per position), so
     its depth is not bounded by the interpreter's recursion limit.
+
+    run() stops at the first coloring of every position, the least in the
+    search order, and keeps its colors, masks, node count and cursor.  Added
+    positions come after the old ones, and added instances end at one of
+    them, so no prefix that sorts before that coloring gains an avoiding
+    extension: the next run() resumes where a fresh search of all positions
+    would stand after visiting exactly the same nodes.
     """
-    order = list(elements)
-    if reverse:
-        order.reverse()
-    bit_of = {v: 1 << i for i, v in enumerate(order)}
-    by_last: list[list[int]] = [[] for _ in order]
-    for inst in instances:
-        m = sum(map(bit_of.__getitem__, inst))  # distinct values: sum is OR
-        last = m.bit_length() - 1
-        by_last[last].append(m ^ (1 << last))
-    size = len(order)
-    colors = [0] * size
-    used = [0] * (size + 1)  # colors in use on positions before i
-    held = [0] * r
-    nodes = 0
-    i, c = 0, 0
-    while i < size:
-        u = used[i]
-        top = u if u < r else r - 1
-        ends_here = by_last[i]
-        while c <= top:
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetError(f"budget-exceeded: {nodes} search nodes")
-            mask = held[c]
-            for m in ends_here:
-                if m & mask == m:
+
+    def __init__(self, r: int, node_budget: int):
+        self.r = r
+        self.node_budget = node_budget
+        self.bit_of: dict[int, int] = {}
+        self.by_last: list[list[int]] = []
+        self.colors: list[int] = []
+        self.used = [0]  # used[i]: colors in use on positions before i
+        self.held: list[int] = []
+        self.nodes = 0
+        self.i = self.c = 0
+
+    def add(self, values: Iterable[int],
+            instances: Iterable[tuple[int, ...]]) -> None:
+        """Append positions for the values, in search order, then the
+        instances, each ending at one of the positions appended."""
+        for v in values:
+            self.bit_of[v] = 1 << len(self.by_last)
+            self.by_last.append([])
+        size = len(self.by_last)
+        self.colors += [0] * (size - len(self.colors))
+        self.used += [0] * (size + 1 - len(self.used))
+        self.held += [0] * (min(self.r, size) - len(self.held))
+        for inst in instances:
+            m = sum(map(self.bit_of.__getitem__, inst))  # distinct: sum is OR
+            last = m.bit_length() - 1
+            self.by_last[last].append(m ^ (1 << last))
+
+    def run(self) -> bool:
+        """Resume the search: True once every position is colored, False
+        when no coloring is left."""
+        by_last, colors, used, held = (self.by_last, self.colors, self.used,
+                                       self.held)
+        r, node_budget, nodes = self.r, self.node_budget, self.nodes
+        size = len(by_last)
+        i, c = self.i, self.c
+        while i < size:
+            u = used[i]
+            top = u if u < r else r - 1
+            ends_here = by_last[i]
+            while c <= top:
+                nodes += 1
+                if nodes > node_budget:
+                    raise BudgetError(f"budget-exceeded: {nodes} search nodes")
+                mask = held[c]
+                for m in ends_here:
+                    if m & mask == m:
+                        break
+                else:
                     break
-            else:
+                c += 1
+            if c <= top:  # c is free at i: assign it and go one deeper
+                held[c] |= 1 << i
+                colors[i] = c
+                used[i + 1] = u + 1 if c == u else u
+                i, c = i + 1, 0
+            elif i == 0:
                 break
-            c += 1
-        if c <= top:  # c is free at i: assign it and go one deeper
-            held[c] |= 1 << i
-            colors[i] = c
-            used[i + 1] = u + 1 if c == u else u
-            i, c = i + 1, 0
-        elif i == 0:
-            return None, nodes
-        else:  # every color failed at i: retract i - 1 and try its next one
-            i -= 1
-            c = colors[i]
-            held[c] ^= 1 << i
-            c += 1
-    if reverse:
-        colors.reverse()
-    return colors, nodes
+            else:  # every color failed at i: retract i - 1, try its next one
+                i -= 1
+                c = colors[i]
+                held[c] ^= 1 << i
+                c += 1
+        self.nodes, self.i, self.c = nodes, i, c
+        return i == size
 
 
 def _canonicalize(colors: Sequence[int]) -> tuple[int, ...]:
@@ -463,13 +489,15 @@ def _search(elements: Sequence[int], pattern: Pattern, r: int,
     if len(elements) < n:  # a set with gaps keeps the instances inside it
         inside = set(elements)
         instances = [inst for inst in instances if inside.issuperset(inst)]
-    colors, nodes = _backtrack(elements, r, instances, node_budget, reverse)
+    search = _Backtrack(r, node_budget)
+    search.add(reversed(elements) if reverse else elements, instances)
     elements = tuple(elements)
-    if colors is None:
-        return ColoringCertificate("forced", elements, None, nodes, True,
-                                   pattern.label, n, r)
+    if not search.run():
+        return ColoringCertificate("forced", elements, None, search.nodes,
+                                   True, pattern.label, n, r)
+    colors = search.colors[::-1] if reverse else search.colors
     return ColoringCertificate("avoiding", elements, _canonicalize(colors),
-                               nodes, False, pattern.label, n, r)
+                               search.nodes, False, pattern.label, n, r)
 
 
 def find_avoiding_coloring(n: int, r: int, pattern: Pattern,
@@ -517,14 +545,23 @@ def ramsey_threshold(pattern: Pattern, r: int, nmax: int,
     """Least N <= nmax at which no avoiding coloring exists.
 
     Once some N is forced every larger N is too (its colorings restrict),
-    so the scan stops at the first forced verdict.
+    so the scan stops at the first forced verdict.  One search resumes
+    across N: step N adds the position N and the instances inside [1..N]
+    whose largest element is N, and goes on from the avoiding coloring of
+    [1..N-1].  Its running node count after step N is the node count of a
+    fresh find_avoiding_coloring(N, ...), so node_budget bounds each N
+    exactly as a fresh search would, while the work is that of the last N
+    alone.  instance_budget bounds each pattern.instances(N) call.
     """
     if nmax < 1:
         raise InputError("nmax must be >= 1")
+    if r < 1:
+        raise InputError("need n >= 1 and r >= 1")
+    search = _Backtrack(r, node_budget)
     for n in range(1, nmax + 1):
-        cert = find_avoiding_coloring(n, r, pattern, instance_budget,
-                                      node_budget)
-        if cert.outcome == "forced":
+        search.add([n], [inst for inst in pattern.instances(n, instance_budget)
+                         if inst[-1] == n])
+        if not search.run():
             return ThresholdResult(n, nmax, pattern.label, r)
     return ThresholdResult(None, nmax, pattern.label, r)
 

@@ -191,6 +191,21 @@ def test_pr_cli(capsys):
     validate(payload, "pr_coloring.schema.json")
 
 
+@pytest.mark.parametrize("command", [
+    ["search", "--pattern", "ap:3", "--n", "9"],
+    ["threshold", "--pattern", "ap:3", "--nmax", "9"],
+    ["equation", "--poly", "x+y-z", "--n", "5"]], ids=lambda c: c[0])
+def test_pr_cli_more_colors_than_positions(capsys, command):
+    """Symmetry breaking never opens more colors than positions, so a huge
+    --colors answers like --colors 9 and echoes only its own value."""
+    huge = 10 ** 20
+    code, payload = run_cli(capsys, "pr", *command, "--colors", str(huge))
+    assert code == 0 and payload.pop("colors") == huge
+    code, same = run_cli(capsys, "pr", *command, "--colors", "9")
+    assert code == 0 and same.pop("colors") == 9
+    assert payload == same
+
+
 def test_pr_cli_strict_homogeneous_rejects(capsys):
     code, payload = run_cli(capsys, "pr", "equation", "--poly", "x+y-z-1",
                             "--colors", "2", "--n", "10",
