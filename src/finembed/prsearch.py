@@ -377,28 +377,27 @@ class ColoringCertificate:
 
 
 class _Backtrack:
-    """Complete search for a coloring with no monochromatic instance, over a
-    list of positions that may grow between runs.
+    """Complete search for a coloring with no monochromatic instance, over
+    positions that may be appended between runs.
 
-    Color-relabeling symmetry is broken by only allowing a new color index
-    once all smaller indices exist, which pins the first position to color
-    zero and never opens more colors than there are positions.
-
+    A new color index is allowed only once all smaller ones are in use
+    (color-relabeling symmetry), so no more colors than positions open.
     Each instance is stored at its last position as a bitmask of its other
-    positions, and each color keeps the mask of the positions it holds, so
-    the instance is monochromatic in c exactly when m & held[c] == m.  The
-    search runs on an explicit stack (one color cursor per position), so
-    its depth is not bounded by the interpreter's recursion limit.
+    positions, and each color keeps the mask of the positions it holds: the
+    instance is monochromatic in c exactly when m & held[c] == m.  The
+    search runs on an explicit stack, one color cursor per position, so its
+    depth is not bounded by the interpreter's recursion limit.
 
-    run() stops at the first coloring of every position, the least in the
-    search order, and keeps its colors, masks, node count and cursor.  Added
-    positions come after the old ones, and added instances end at one of
-    them, so no prefix that sorts before that coloring gains an avoiding
-    extension: the next run() resumes where a fresh search of all positions
-    would stand after visiting exactly the same nodes.
+    run() stops at the least coloring of every position in the search order
+    and keeps all of its state.  Appended instances end at appended
+    positions, so no prefix that sorts before that coloring gains an
+    avoiding extension: the next run() resumes exactly where a fresh search
+    of all positions would stand, with the same node count.
     """
 
     def __init__(self, r: int, node_budget: int):
+        if r < 1:
+            raise InputError("need n >= 1 and r >= 1")
         self.r = r
         self.node_budget = node_budget
         self.bit_of: dict[int, int] = {}
@@ -414,12 +413,11 @@ class _Backtrack:
         """Append positions for the values, in search order, then the
         instances, each ending at one of the positions appended."""
         for v in values:
-            self.bit_of[v] = 1 << len(self.by_last)
+            self.bit_of[v] = 1 << len(self.colors)
             self.by_last.append([])
-        size = len(self.by_last)
-        self.colors += [0] * (size - len(self.colors))
-        self.used += [0] * (size + 1 - len(self.used))
-        self.held += [0] * (min(self.r, size) - len(self.held))
+            self.colors.append(0)
+            self.used.append(0)
+        self.held += [0] * (min(self.r, len(self.colors)) - len(self.held))
         for inst in instances:
             m = sum(map(self.bit_of.__getitem__, inst))  # distinct: sum is OR
             last = m.bit_length() - 1
@@ -480,7 +478,8 @@ def _search(elements: Sequence[int], pattern: Pattern, r: int,
     """The coloring engine behind every partition-regularity search: all
     r-colorings of the ascending elements, against the pattern's instances
     that lie inside them."""
-    if r < 1 or not elements:
+    search = _Backtrack(r, node_budget)
+    if not elements:
         raise InputError("need n >= 1 and r >= 1")
     if elements[0] < 1:
         raise InputError("pattern search elements must be >= 1")
@@ -489,7 +488,6 @@ def _search(elements: Sequence[int], pattern: Pattern, r: int,
     if len(elements) < n:  # a set with gaps keeps the instances inside it
         inside = set(elements)
         instances = [inst for inst in instances if inside.issuperset(inst)]
-    search = _Backtrack(r, node_budget)
     search.add(reversed(elements) if reverse else elements, instances)
     elements = tuple(elements)
     if not search.run():
@@ -546,17 +544,14 @@ def ramsey_threshold(pattern: Pattern, r: int, nmax: int,
 
     Once some N is forced every larger N is too (its colorings restrict),
     so the scan stops at the first forced verdict.  One search resumes
-    across N: step N adds the position N and the instances inside [1..N]
-    whose largest element is N, and goes on from the avoiding coloring of
-    [1..N-1].  Its running node count after step N is the node count of a
-    fresh find_avoiding_coloring(N, ...), so node_budget bounds each N
-    exactly as a fresh search would, while the work is that of the last N
-    alone.  instance_budget bounds each pattern.instances(N) call.
+    across N: step N adds N and the instances whose largest element is N,
+    and goes on from the avoiding coloring of [1..N-1].  Its node count
+    after step N is that of find_avoiding_coloring(N, ...), so node_budget
+    bounds each N exactly as a fresh search would, at the cost of the last
+    N alone.
     """
     if nmax < 1:
         raise InputError("nmax must be >= 1")
-    if r < 1:
-        raise InputError("need n >= 1 and r >= 1")
     search = _Backtrack(r, node_budget)
     for n in range(1, nmax + 1):
         search.add([n], [inst for inst in pattern.instances(n, instance_budget)
