@@ -362,7 +362,7 @@ def test_threshold_matches_a_fresh_search_per_n(pattern):
 @pytest.mark.parametrize("pattern, r, want", [
     (ap_pattern(3), 2, 9), (ap_pattern(3), 3, 27), (schur_pattern(), 3, 14),
     (ap_pattern(4), 2, 35)], ids=lambda v: getattr(v, "label", str(v)))
-def test_threshold_node_budget_is_the_fresh_search_at_each_n(pattern, r, want):
+def test_threshold_node_budget_is_exactly_the_fresh_search_s(pattern, r, want):
     nodes = find_avoiding_coloring(want, r, pattern).nodes
     assert ramsey_threshold(pattern, r, want, node_budget=nodes).threshold == want
     with pytest.raises(BudgetError, match=f"^budget-exceeded: {nodes} "):
