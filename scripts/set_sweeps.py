@@ -1,9 +1,11 @@
 """Window-size sweeps of the set-scanning layers, as BENCH_*.json records.
 
     PYTHONPATH=src python scripts/set_sweeps.py --side change > sweeps.json
+    PYTHONPATH=src python scripts/set_sweeps.py --side change --only density
 
 Times predicate fill, longest_ap, is_thick_window, the piecewise-syndetic
-probe, upper_density (an additive interval net, a multiplicative
+probe, upper_density (additive interval nets on sparse and dense sets,
+on both sides of the rule that picks its kernel, a multiplicative
 interval net and an additive net that is not an interval) and the affine
 and translation embedding kernels, each on fresh sets at growing W,
 in-process and single-threaded, plus two affine scans that run past the
@@ -40,6 +42,7 @@ from finembed.cli import dispatch
 SIZES = (10_000, 25_000, 50_000, 100_000, 200_000, 400_000)
 SMALL_SIZES = (400, 1_000, 4_000, 10_000, 25_000, 100_000)
 PROBE_SIZES = (2_000, 5_000, 10_000, 25_000, 50_000, 100_000)
+DENSITY_SIZES = (2_000, 10_000, 25_000, 50_000, 100_000)
 REPEATS = 3        # best of
 MAX_SECONDS = 2.0  # a case stops growing W after a run this slow
 REF_NOMINAL_S = 1e-3  # normalized times assume the reference loop takes this
@@ -124,6 +127,38 @@ def density(W):
     A.count()
     net = interval_net(1000)
     return lambda: str(upper_density(A, net).value)
+
+
+def density_dense(spec):
+    # interval:1000 on a dense set: the evens, the full window or a random
+    # half, where the span kernel's work per count is |A| >= W/2
+    def build(W):
+        win = make_window(ADDITIVE, W)
+        if spec == "half":
+            rng = random.Random(W)
+            A = GroundSet.from_values(win, [v for v in range(W + 1)
+                                            if rng.random() < 0.5])
+        else:
+            A = GroundSet.full(win) if spec == "window" else fresh(W, spec)
+            A.count()
+        net = interval_net(1000)
+        return lambda: str(upper_density(A, net).value)
+    return build
+
+
+def density_small(members):
+    # 200 seeded sets at W=400 on interval:30, the shape of perfbench's
+    # many-small density queries: a random half, or `members` members
+    def build(W):
+        rng = random.Random(W + members)
+        win = make_window(ADDITIVE, W)
+        sets = [GroundSet.from_values(
+            win, rng.sample(range(W + 1), members) if members
+            else [v for v in range(W + 1) if rng.random() < 0.5])
+            for _ in range(200)]
+        return lambda: [str(upper_density(A, interval_net(30)).value)
+                        for A in sets]
+    return build
 
 
 def density_mul(W):
@@ -211,6 +246,16 @@ CASES = (
     ("piecewise syndetic g=2 spans 4,8,16",
      "rich.is_piecewise_syndetic_window", ps, SIZES),
     ("upper_density interval:1000", "density.upper_density", density, SIZES),
+    ("upper_density interval:1000 on the evens", "density.upper_density",
+     density_dense("evens"), DENSITY_SIZES),
+    ("upper_density interval:1000 on the full window",
+     "density.upper_density", density_dense("window"), DENSITY_SIZES),
+    ("upper_density interval:1000 on a random half",
+     "density.upper_density", density_dense("half"), DENSITY_SIZES),
+    ("upper_density interval:30, 200 random halves", "density.upper_density",
+     density_small(0), (400,)),
+    ("upper_density interval:30, 200 sets of 10 members",
+     "density.upper_density", density_small(10), (400,)),
     ("upper_density multiplicative interval:8", "density.upper_density",
      density_mul, SMALL_SIZES),
     ("upper_density additive spread:40", "density.upper_density",
@@ -231,9 +276,13 @@ CASES = (
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--side", required=True, help="label for the records")
+    ap.add_argument("--only", default="",
+                    help="run only the cases whose name contains this")
     args = ap.parse_args()
     records = []
     for case, layer, build, sizes in CASES:
+        if args.only not in case:
+            continue
         for W in sizes:
             best, refs, result = float("inf"), [], None
             for _ in range(REPEATS):

@@ -8,10 +8,22 @@ take the max over n >= m and all in-window shifts, then take the min over
 tails.  Values are exact rationals; out-of-window shifts are skipped and
 counted rather than silently undercounting.
 
-On numeric carriers one incremental kernel counts all shifts at once,
-counts_n[x] = counts_{n-1}[x] + sum of A[v . x] over the new v in F_n, with
-one numpy slice of the membership bytes per v: O(|F_N| W) additive,
-O(sum of W / v) multiplicative.  Word and table windows scan each shift.
+Three kernels give each net index n its best count |A n F_n . x| and the
+first shift x attaining it (the identity wins ties):
+- Spans, for the interval net F_n = {1..n} on additive windows.  With the
+  members a_0 < ... < a_{m-1} of A in [1, W], L(c) = 1 + min_j (a_{j+c-1} -
+  a_j) is the shortest interval holding c members, so index n counts
+  max{c : L(c) <= n}, and its first best shift is max(0, a_{j+c-1} - n) for
+  the first j whose span a_{j+c-1} - a_j is at most n - 1.  One subtraction
+  and one argmin over the members per count c: O(M |A|), M the best count
+  at the last index.
+- Incremental, for every other numeric net and for dense additive sets:
+  counts_n[x] = counts_{n-1}[x] + sum of A[v . x] over the new v in F_n,
+  one numpy slice of the membership bytes per v: O(|F_N| W) additive,
+  O(sum of W / v) multiplicative.
+- Word and table windows keep a count and an overflow mark per shift,
+  updated once per new net element: O(|F_N| W) products.
+_SPAN_COST and _ADD_COST pick between the first two.
 """
 
 from __future__ import annotations
@@ -19,7 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Sequence
 
 import numpy as np
@@ -39,6 +51,7 @@ class Net:
 
     deltas: tuple[tuple[Payload, ...], ...]
     label: str = ""
+    _interval = False  # F_n = {1..n}, as built by interval_net
 
     def __init__(self, sets: Sequence[Sequence[Payload]], label: str = ""):
         deltas, prev = [], frozenset()
@@ -63,11 +76,13 @@ class Net:
     def _set(self, deltas: Sequence[Sequence[Payload]], label: str) -> None:
         if not deltas or not deltas[0]:
             raise InputError("net needs a non-empty F_1")
-        seen: set = set()
-        for i, delta in enumerate(deltas, start=1):
-            if not seen.isdisjoint(delta) or len(set(delta)) != len(delta):
-                raise InputError(f"net set F_{i} repeats an element")
-            seen.update(delta)
+        flat = list(chain.from_iterable(deltas))
+        if len(set(flat)) != len(flat):  # find the first repeat
+            seen: set = set()
+            for i, delta in enumerate(deltas, start=1):
+                if not seen.isdisjoint(delta) or len(set(delta)) != len(delta):
+                    raise InputError(f"net set F_{i} repeats an element")
+                seen.update(delta)
         object.__setattr__(self, "deltas", tuple(map(tuple, deltas)))
         object.__setattr__(self, "label", label)
 
@@ -85,8 +100,10 @@ def interval_net(max_n: int) -> Net:
     upper Banach density."""
     if max_n < 1:
         raise InputError("net maxN must be >= 1")
-    return Net.from_deltas([(n,) for n in range(1, max_n + 1)],
-                           label=f"interval:{max_n}")
+    net = Net.from_deltas([(n,) for n in range(1, max_n + 1)],
+                          label=f"interval:{max_n}")
+    object.__setattr__(net, "_interval", True)
+    return net
 
 
 @dataclass(frozen=True)
@@ -117,29 +134,134 @@ def upper_density(A: GroundSet, net: Net, tail_start: int = 1) -> DensityReport:
     N = len(net)
     if not 1 <= tail_start <= N:
         raise InputError(f"tail_start must be in 1..{N}")
-    for i, delta in enumerate(net.deltas, start=1):
-        for v in delta:
-            if not win.contains_value(v):
-                raise InputError(f"net-exceeds-window at F_{i}: {v!r}")
+    numeric = win.kind in (ADDITIVE, MULTIPLICATIVE)
+    if not (numeric and _ints_in_window(win, net)):
+        for i, delta in enumerate(net.deltas, start=1):
+            for v in delta:
+                if not win.contains_value(v):
+                    raise InputError(f"net-exceeds-window at F_{i}: {v!r}")
 
-    if win.kind in (ADDITIVE, MULTIPLICATIVE):
+    if net._interval and win.kind == ADDITIVE and _spans_cheaper(A, N):
+        best, skipped = _per_index_best_spans(A, N)
+    elif numeric:
         best, skipped = _per_index_best_numeric(A, net)
     else:
         best, skipped = _per_index_best_scan(A, net)
+    return _tail_report(best, skipped, tail_start, net.label)
 
+
+def _ints_in_window(win: Window, net: Net) -> bool:
+    """Every net element is an int and the least and the largest lie in the
+    numeric window (so all do)."""
+    if net._interval:
+        lo, hi = 1, len(net)
+    else:
+        vals = list(chain.from_iterable(net.deltas))
+        if set(map(type, vals)) != {int}:
+            return False
+        lo, hi = min(vals), max(vals)
+    return win.contains_value(lo) and win.contains_value(hi)
+
+
+def _tail_report(best, skipped: int, tail_start: int,
+                 label: str) -> DensityReport:
+    """The report from the per-index best (|A n F_n . x|, |F_n|, x)."""
     # Suffix maxima realize the (forall m)(exists n >= m) alternation.  They
     # fall as the tail start m grows, so the last tail holds the value.
-    # best[n-1] is (|A n F_n . x|, |F_n|, x); ratios compare cross-multiplied.
+    # Ratios compare cross-multiplied.
     witnesses: list[TailWitness] = []
     top: tuple = ()  # count, |F_n|, n, shift, ratio
-    for m in range(N, tail_start - 1, -1):
+    for m in range(len(best), tail_start - 1, -1):
         count, size, shift = best[m - 1]
         if not top or count * top[1] > top[0] * size:
             top = (count, size, m, shift, Fraction(count, size))
         witnesses.append(TailWitness(m, *top[2:]))
     witnesses.reverse()
     return DensityReport(witnesses[-1].ratio, tuple(witnesses), tail_start,
-                         skipped, net.label)
+                         skipped, label)
+
+
+# Estimated cost of each kernel in microseconds, on a host where
+# perfbench's reference loop takes 1 ms; only the ratios matter.  The
+# incremental kernel pays (fixed, per net index, per shift counted), over
+# sum of W + 1 - n shifts.  The span kernel pays (fixed, per window
+# element, per count, per member per count) over the counts c <= M(N) + 1.
+# scripts/density_rule.py fitted (2.3, 1.5, 4e-5) and, for counts that
+# need no prefix minima, (10.8, 1.5e-3, 1.9, 1.6e-4); one that needs them
+# adds about 6.1 plus 5.2e-4 per member below its argmin (576 seeded sets,
+# 2-core x86_64, numpy 2.4).  Random sets need them on about half their
+# counts and periodic ones never; the per-count pair (6, 2e-4) lies
+# between, and sends small random sets (W <= 400, N < 30) to spans only
+# where spans are faster.
+_ADD_COST = (2.3, 1.5, 4e-5)
+_SPAN_COST = (10.8, 1.5e-3, 6, 2e-4)
+
+
+def _spans_cheaper(A: GroundSet, N: int) -> bool:
+    """Whether the span kernel is estimated cheaper than the incremental one
+    on the interval net of N indices.  It runs M(N) + 1 counts; M(N) lies
+    between |A| / ceil(W / N) and min(N, |A|), and is counted (one
+    cumulative sum) only when those bounds leave the choice open."""
+    W = A.window.bound
+    fixed, per_elem, per_count, per_member = _SPAN_COST
+    add_fixed, per_index, per_shift = _ADD_COST
+    afford = (add_fixed + N * (per_index + per_shift * (W + 1 - N / 2))
+              - fixed - per_elem * W)
+    if afford <= 2 * per_count:  # not even counts 1 and 2
+        return False
+    mem = A.array()
+    m = int(np.count_nonzero(mem[1:]))
+    counts = afford / (per_count + per_member * m)
+    if min(N, m) + 1 < counts:
+        return True
+    if -(-m // -(-W // N)) + 1 >= counts:
+        return False
+    sums = np.cumsum(mem, dtype=np.int32)
+    return int((sums[N:] - sums[:-N]).max()) + 1 < counts
+
+
+def _per_index_best_spans(A: GroundSet, N: int):
+    """Per index of the interval net F_n = {1..n} the best count, n and the
+    first best shift, from the spans of consecutive members (module
+    docstring); the same answer as _per_index_best_numeric.  Step c finds
+    L(c) and the first j of least span, which is j* for n = L(c); for
+    L(c) < n < L(c+1), j* is the first j before it whose span is at most
+    n - 1, read off the prefix minima of the spans below L(c+1) - 1."""
+    a = np.flatnonzero(A.array()[1:]).astype(np.int32) + 1
+    m = len(a)
+    n = np.arange(1, N + 1)
+    first = np.zeros(N, np.intp)  # j* per index, once settled
+    lengths: list[int] = []  # L(1), L(2), ...
+    prev = None  # (j, spans, L) of the count before
+    bufs = np.empty((2, m), np.int32)
+    for c in range(1, m + 2):
+        if c <= m:
+            spans = np.subtract(a[c - 1:], a[:m - c + 1],
+                                out=bufs[c & 1, :m - c + 1])
+            j = int(spans.argmin())
+            L = int(spans[j]) + 1
+        else:
+            L = N + 1
+        if prev is not None:  # settle n in [L(c-1), min(L(c) - 1, N)]
+            pj, pspans, pL = prev
+            hi = min(L - 1, N)
+            first[pL - 1:hi] = pj
+            if pj and hi > pL:
+                below = np.flatnonzero(pspans[:pj] < hi)
+                if len(below):
+                    lows = np.minimum.accumulate(pspans[below])[::-1]
+                    k = len(below) - np.searchsorted(lows, n[pL - 1:hi - 1],
+                                                     "right")
+                    first[pL:hi] = np.append(below, pj)[k]
+        if L > N:
+            break
+        lengths.append(L)
+        prev = j, spans, L
+    counts = np.searchsorted(lengths, n, "right")
+    shifts = a[first + counts - 1] - n if m else first
+    np.maximum(shifts, 0, out=shifts)
+    return (list(zip(counts.tolist(), range(1, N + 1), shifts.tolist())),
+            N * (N + 1) // 2)
 
 
 def _per_index_best_numeric(A: GroundSet, net: Net):
@@ -170,24 +292,32 @@ def _per_index_best_numeric(A: GroundSet, net: Net):
 
 
 def _per_index_best_scan(A: GroundSet, net: Net):
-    """The per-index best count, |F_n| and shift on word and table windows,
-    one shift at a time (None = formal identity)."""
+    """The per-index best count, |F_n| and shift on word and table windows.
+    Each shift keeps its count and whether some element of F_n . x has left
+    the window (then it is skipped from that index on), updated once per
+    new net element.  The identity shift seeds the best: the genuine
+    identity element when the carrier has one, the formal no-op shift
+    (reported as None) otherwise; a later shift must count strictly more."""
     win = A.window
-    best: list[tuple[int, int, Payload | None]] = []
-    skipped = 0
+    shifts = list(win.payloads())
+    counts = [0] * len(shifts)  # -1 once out of the window
     identity = (win.payload(win.identity_enc)
                 if win.identity_enc is not None else None)
-    for fn in net.sets:
-        # Seed with the identity shift: the genuine identity element when the
-        # carrier has one, the formal no-op shift (reported as None) otherwise.
-        top, top_shift = sum(map(A.contains_value, fn)), identity
-        for x in win.payloads():
-            image = [win.op_payload(v, x) for v in fn]
-            if None in image:
-                skipped += 1
-            elif (count := sum(map(A.contains_value, image))) > top:
-                top, top_shift = count, x
-        best.append((top, len(fn), top_shift))
+    best: list[tuple[int, int, Payload | None]] = []
+    top = size = skipped = 0
+    for delta in net.deltas:
+        for v in delta:
+            top += A.contains_value(v)
+            for e, x in enumerate(shifts):
+                if counts[e] >= 0:
+                    y = win.op_payload(v, x)
+                    counts[e] = (-1 if y is None
+                                 else counts[e] + A.contains_value(y))
+        size += len(delta)
+        most = max(counts)
+        best.append((most, size, shifts[counts.index(most)]) if most > top
+                    else (top, size, identity))
+        skipped += counts.count(-1)
     return best, skipped
 
 

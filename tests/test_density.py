@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import count_shifted_intersection
+from finembed import density
 from finembed.carrier import (ADDITIVE, FREE_WORDS, MULTIPLICATIVE, GroundSet,
                               make_table_window, make_window)
 from finembed.density import (Net, check_density_monotonicity, interval_net,
                               upper_density, weak_cancellativity_bound)
 from finembed.errors import InputError, UnverifiedPairError
 from finembed.families import builtin_right_translations, builtin_word_suffix
+from test_representation import brute_density
 
 
 def test_interval_net_shape():
@@ -138,6 +140,149 @@ def test_net_exceeding_window_rejected():
     win = make_window(ADDITIVE, 10)
     with pytest.raises(InputError):
         upper_density(GroundSet.full(win), interval_net(11))
+
+
+@pytest.mark.parametrize("kind, sets, message", [
+    (ADDITIVE, ((1,), (1, 5), (1, 5, 99), (1, 5, 99, 100)), "F_3: 99"),
+    (ADDITIVE, ((1,), (1, -1)), "F_2: -1"),
+    (ADDITIVE, ((3,), (3, 2.5), (3, 2.5, 11)), "F_2: 2.5"),
+    (ADDITIVE, ((3,), (3, "4")), "F_2: '4'"),
+    (MULTIPLICATIVE, ((2,), (2, 0)), "F_2: 0"),
+    (MULTIPLICATIVE, ((2,), (2, 3), (2, 3, 11)), "F_3: 11"),
+])
+def test_net_exceeding_window_names_the_first_offender(kind, sets, message):
+    # the least and largest element are checked first; the message still
+    # names the first offending F_i and element
+    A = GroundSet.full(make_window(kind, 10))
+    with pytest.raises(InputError, match=f"^net-exceeds-window at {message}$"):
+        upper_density(A, Net(sets))
+    assert upper_density(A, Net(sets[:1])).value == 1
+
+
+def brute_scan(A, net):
+    """Per net index the best count, |F_n| and shift, one shift and one
+    element of F_n at a time, seeded with the identity (None when the
+    carrier has none) and replaced only by a strictly larger count."""
+    win = A.window
+    best, skipped = [], 0
+    identity = (win.payload(win.identity_enc)
+                if win.identity_enc is not None else None)
+    for fn in net.sets:
+        top, top_shift = sum(map(A.contains_value, fn)), identity
+        for x in win.payloads():
+            image = [win.op_payload(v, x) for v in fn]
+            if None in image:
+                skipped += 1
+            elif (count := sum(map(A.contains_value, image))) > top:
+                top, top_shift = count, x
+        best.append((top, len(fn), top_shift))
+    return best, skipped
+
+
+def test_word_and_table_scan_matches_shift_by_shift():
+    rng = random.Random(44)
+    windows = [make_window(FREE_WORDS, L, "ab") for L in (1, 2, 3, 4)]
+    windows += [make_table_window(list(range(n)), op)
+                for n in (1, 4, 7)
+                for op in (max, min, lambda x, y, n=n: (x + y) % n,
+                           lambda x, y, n=n: x + y if x + y < n else None,
+                           lambda x, y: y)]  # y: no two-sided identity
+    assert any(win.identity_enc is None for win in windows[4:])
+    for win in windows:
+        elems = list(win.payloads())
+        for _ in range(6):
+            A = GroundSet.from_values(
+                win, rng.sample(elems, rng.randint(0, len(elems))))
+            pool = rng.sample(elems, rng.randint(1, min(6, len(elems))))
+            cuts = sorted(rng.sample(range(1, len(pool) + 1),
+                                     rng.randint(1, len(pool))))
+            net = Net([pool[:k] for k in cuts], label="pool")
+            assert density._per_index_best_scan(A, net) == brute_scan(A, net)
+
+
+def span_edge_cases():
+    """(label, W, members, net sizes): the corners of the span kernel."""
+    yield "empty", 40, [], (1, 7, 40)
+    yield "zero only", 40, [0], (1, 40)
+    yield "full", 40, range(41), (1, 13, 40)
+    yield "single member", 40, [17], (1, 16, 17, 18, 40)
+    yield "single at the top", 40, [40], (1, 39, 40)
+    yield "single at 1", 1, [1], (1,)
+    yield "W = 1, both", 1, [0, 1], (1,)
+    # ties at shift 0: {1..n} is already a best interval for many n
+    yield "multiples of 3", 60, range(0, 61, 3), (1, 2, 3, 6, 30, 60)
+    yield "v % 4 in (1, 2)", 60, [v for v in range(61) if v % 4 in (1, 2)], \
+        (1, 2, 3, 4, 5, 59, 60)
+    yield "runs of 3, 5 apart", 80, [v for v in range(81) if v % 5 < 3], \
+        (1, 3, 4, 9, 80)
+    # a later, shorter cluster beats earlier, longer ones only once n
+    # reaches its span: the first best j moves back as n grows
+    yield "clusters", 70, [1, 9, 12, 30, 33, 35, 50, 51, 52], \
+        tuple(range(1, 25))
+
+
+def kernel_results(A, N, tail):
+    net = interval_net(N)
+    spans = density._per_index_best_spans(A, N)
+    incremental = density._per_index_best_numeric(A, net)
+    report = density._tail_report(*spans, tail, net.label)
+    return spans, incremental, report
+
+
+def test_span_kernel_edge_cases():
+    for label, W, values, sizes in span_edge_cases():
+        win = make_window(ADDITIVE, W)
+        A = GroundSet.from_values(win, values)
+        for N in sizes:
+            spans, incremental, report = kernel_results(A, N, 1)
+            assert spans == incremental, (label, N)
+            assert (report.value, report.witnesses, report.skipped_shifts) \
+                == brute_density(set(values), win, interval_net(N), 1), \
+                (label, N)
+            assert report == upper_density(A, interval_net(N)), (label, N)
+
+
+def test_span_kernel_matches_incremental_and_brute_force():
+    # Seeded additive sets, sparse to full and periodic, at every N up to
+    # W: the two kernels agree on every (count, |F_n|, shift) and on the
+    # skipped shifts, and their report agrees with brute_density where it
+    # is cheap.  The rule sends some of these sets each way.
+    rng = random.Random(45)
+    sides = {True: 0, False: 0}
+    for _ in range(400):
+        W = rng.randint(1, 300)
+        if rng.random() < 0.3:
+            period = rng.randint(1, 9)
+            values = range(rng.randrange(period), W + 1, period)
+        else:
+            p = rng.choice([0.01, 0.05, 0.2, 0.5, 0.9, 1.0])
+            values = [v for v in range(W + 1) if rng.random() < p]
+        win = make_window(ADDITIVE, W)
+        A = GroundSet.from_values(win, values)
+        N = rng.choice([1, W, rng.randint(1, W), rng.randint(1, min(W, 30))])
+        tail = rng.randint(1, N)
+        spans, incremental, report = kernel_results(A, N, tail)
+        assert spans == incremental, (W, N, values)
+        if N * N * W <= 200_000:
+            assert (report.value, report.witnesses, report.skipped_shifts) \
+                == brute_density(set(values), win, interval_net(N), tail)
+        sides[density._spans_cheaper(A, N)] += 1
+    assert min(sides.values()) >= 40, sides
+
+
+def test_span_rule_sides():
+    # the rule's intended sides: sparse periodic sets on long nets go to
+    # spans, the full window and small dense sets stay incremental
+    win = make_window(ADDITIVE, 100_000)
+    sevens = GroundSet.from_values(win, range(0, 100_001, 7))
+    assert density._spans_cheaper(sevens, 1000)
+    assert not density._spans_cheaper(GroundSet.full(win), 1000)
+    rng = random.Random(46)
+    small = make_window(ADDITIVE, 400)
+    half = GroundSet.from_values(small, [v for v in range(401)
+                                         if rng.random() < 0.5])
+    assert not density._spans_cheaper(half, 30)
+    assert density._spans_cheaper(GroundSet.from_values(small, [5, 300]), 30)
 
 
 def test_weak_cancellativity_bounds():
