@@ -8,11 +8,11 @@ The first form prints one JSON line per seeded set (random or periodic,
 densities 0.005 to 1, W 60 to 1e5, N 5 to 1000): the best-of-k time of
 each kernel, normalized to a reference loop of 1 ms as in
 scripts/set_sweeps.py, and the work each does (net indices and shifts;
-counts, members per count, and the counts that resolve prefix minima with
-the members below their argmin).  The second form fits each kernel's
-costs by least squares on relative error and prints them with the fit's
-spread.  In-process and single-threaded; a full grid takes about ten
-minutes.
+counts, spans (members per count, summed), and the counts that resolve
+prefix minima with the members below their argmin).  The second form fits
+each kernel's costs by least squares on relative error and prints them
+with the fit's spread.  In-process and single-threaded; a full grid takes
+about ten minutes.
 """
 
 from __future__ import annotations
@@ -55,11 +55,12 @@ def best_of(run, k: int) -> float:
 
 
 def span_work(mem: np.ndarray, N: int) -> dict:
-    """The span kernel's counts, members per count, and the counts (and
-    members) whose prefix minima it resolves, replayed in plain numpy."""
+    """The span kernel's counts, spans (members per count, summed), and the
+    counts (and members) whose prefix minima it resolves, replayed in plain
+    numpy."""
     a = np.flatnonzero(mem[1:]) + 1
     m = len(a)
-    work = dict(counts=0, members=0, resolves=0, resolved=0)
+    work = dict(counts=0, spans=0, resolves=0, resolved=0)
     prev = None
     for c in range(1, m + 2):
         if c <= m:
@@ -67,7 +68,7 @@ def span_work(mem: np.ndarray, N: int) -> dict:
             j = int(spans.argmin())
             L = int(spans[j]) + 1
             work["counts"] += 1
-            work["members"] += m - c + 1
+            work["spans"] += m - c + 1
         else:
             L = N + 1
         if prev and prev[0] and min(L - 1, N) > prev[1]:
@@ -112,7 +113,7 @@ def fit(paths: list[str]) -> None:
             1, r["N"], r["N"] * (r["W"] + 1) - r["N"] * (r["N"] - 1) / 2]),
         "span": ("fixed, per window element, per count, per member per "
                  "count, per resolve, per member resolved", lambda r: [
-                     1, r["W"], r["counts"], r["members"], r["resolves"],
+                     1, r["W"], r["counts"], r["spans"], r["resolves"],
                      r["resolved"]]),
     }
     for name, (terms, features) in models.items():
