@@ -6,7 +6,9 @@
 Times predicate fill, longest_ap, is_thick_window, the piecewise-syndetic
 probe, upper_density (additive interval nets on sparse and dense sets,
 on both sides of the rule that picks its kernel, a multiplicative
-interval net and an additive net that is not an interval) and the affine
+interval net and an additive net that is not an interval), the density
+report end to end (upper_density, its JSON payload and the dumped
+bytes) and the affine
 and translation embedding kernels, each on fresh sets at growing W,
 in-process and single-threaded, plus two affine scans that run past the
 kernel's row budget and the fixed cost of a CLI call.  A case stops
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -38,6 +41,7 @@ from finembed import (ADDITIVE, MULTIPLICATIVE, GroundSet, Net,
                       is_thick_window, longest_ap, make_window,
                       parse_predicate, upper_density)
 from finembed.cli import dispatch
+from finembed.jsonio import density_report_to_json, dumps
 
 SIZES = (10_000, 25_000, 50_000, 100_000, 200_000, 400_000)
 SMALL_SIZES = (400, 1_000, 4_000, 10_000, 25_000, 100_000)
@@ -127,6 +131,16 @@ def density(W):
     A.count()
     net = interval_net(1000)
     return lambda: str(upper_density(A, net).value)
+
+
+def density_report(W):
+    # What `density --net interval:1000` does after parsing: the report, its
+    # per-tail payload and the stdout bytes (digested, to compare sides).
+    A = fresh(W, "multiples:7")
+    A.count()
+    net = interval_net(1000)
+    return lambda: hashlib.sha256(dumps(density_report_to_json(
+        upper_density(A, net))).encode()).hexdigest()[:16]
 
 
 def density_dense(spec):
@@ -246,6 +260,8 @@ CASES = (
     ("piecewise syndetic g=2 spans 4,8,16",
      "rich.is_piecewise_syndetic_window", ps, SIZES),
     ("upper_density interval:1000", "density.upper_density", density, SIZES),
+    ("density report interval:1000, multiples of 7", "jsonio.density_report",
+     density_report, SIZES),
     ("upper_density interval:1000 on the evens", "density.upper_density",
      density_dense("evens"), DENSITY_SIZES),
     ("upper_density interval:1000 on the full window",

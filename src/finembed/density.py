@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, chain
 from typing import Sequence
@@ -116,11 +117,21 @@ class TailWitness:
 
 @dataclass(frozen=True)
 class DensityReport:
+    """Tails that share a witness form a run, stored as (first tail, n,
+    shift, ratio); the run's last tail is n."""
+
     value: Fraction
-    witnesses: tuple[TailWitness, ...]
+    runs: tuple[tuple[int, int, Payload | None, Fraction], ...]
     tail_start: int
     skipped_shifts: int
     net_label: str
+
+    @cached_property
+    def witnesses(self) -> tuple[TailWitness, ...]:
+        """One witness per tail start m, tail_start <= m <= N."""
+        return tuple(TailWitness(m, n, shift, ratio)
+                     for first, n, shift, ratio in self.runs
+                     for m in range(first, n + 1))
 
 
 def upper_density(A: GroundSet, net: Net, tail_start: int = 1) -> DensityReport:
@@ -165,20 +176,27 @@ def _ints_in_window(win: Window, net: Net) -> bool:
 
 def _tail_report(best, skipped: int, tail_start: int,
                  label: str) -> DensityReport:
-    """The report from the per-index best (|A n F_n . x|, |F_n|, x)."""
+    """The report from the per-index best counts |A n F_n . x|, sizes |F_n|
+    and shifts x, as three lists."""
     # Suffix maxima realize the (forall m)(exists n >= m) alternation.  They
     # fall as the tail start m grows, so the last tail holds the value.
-    # Ratios compare cross-multiplied.
-    witnesses: list[TailWitness] = []
-    top: tuple = ()  # count, |F_n|, n, shift, ratio
-    for m in range(len(best), tail_start - 1, -1):
-        count, size, shift = best[m - 1]
-        if not top or count * top[1] > top[0] * size:
-            top = (count, size, m, shift, Fraction(count, size))
-        witnesses.append(TailWitness(m, *top[2:]))
-    witnesses.reverse()
-    return DensityReport(witnesses[-1].ratio, tuple(witnesses), tail_start,
-                         skipped, label)
+    # Walking down from the last index, a run of tails starts below each n
+    # whose ratio beats every later one (cross-multiplied, so ties keep the
+    # later n).
+    counts, sizes, shifts = best
+    ends = []
+    top, top_size = -1, 1
+    for n, count, size in zip(range(len(counts), tail_start - 1, -1),
+                              reversed(counts), reversed(sizes)):
+        if count * top_size > top * size:
+            top, top_size = count, size
+            ends.append(n)
+    ends.reverse()
+    runs = tuple((first, n, shifts[n - 1],
+                  Fraction(counts[n - 1], sizes[n - 1]))
+                 for first, n in zip([tail_start] + [n + 1 for n in ends],
+                                     ends))
+    return DensityReport(runs[-1][3], runs, tail_start, skipped, label)
 
 
 # Estimated cost of each kernel in microseconds, on a host where
@@ -199,9 +217,12 @@ _SPAN_COST = (10.8, 1.5e-3, 6, 2e-4)
 
 def _spans_cheaper(A: GroundSet, N: int) -> bool:
     """Whether the span kernel is estimated cheaper than the incremental one
-    on the interval net of N indices.  It runs M(N) + 1 counts; M(N) lies
-    between |A| / ceil(W / N) and min(N, |A|), and is counted (one
-    cumulative sum) only when those bounds leave the choice open."""
+    on the interval net of N indices.  It runs M(N) + 1 counts.  Every
+    window of N elements meets at most two adjacent aligned blocks of N, and
+    every block lies in such a window, so M(N) lies between the largest
+    block sum and min(N, the largest sum of two adjacent blocks); it is
+    counted (one cumulative sum) only when those bounds leave the choice
+    open."""
     W = A.window.bound
     fixed, per_elem, per_count, per_member = _SPAN_COST
     add_fixed, per_index, per_shift = _ADD_COST
@@ -210,11 +231,12 @@ def _spans_cheaper(A: GroundSet, N: int) -> bool:
     if afford <= 2 * per_count:  # not even counts 1 and 2
         return False
     mem = A.array()
-    m = int(np.count_nonzero(mem[1:]))
-    counts = afford / (per_count + per_member * m)
-    if min(N, m) + 1 < counts:
+    blocks = np.add.reduceat(mem[1:], np.arange(0, W, N), dtype=np.int32)
+    counts = afford / (per_count + per_member * int(blocks.sum()))
+    pairs = blocks[1:] + blocks[:-1] if len(blocks) > 1 else blocks
+    if min(N, int(pairs.max())) + 1 < counts:
         return True
-    if -(-m // -(-W // N)) + 1 >= counts:
+    if int(blocks.max()) + 1 >= counts:
         return False
     sums = np.cumsum(mem, dtype=np.int32)
     return int((sums[N:] - sums[:-N]).max()) + 1 < counts
@@ -260,7 +282,7 @@ def _per_index_best_spans(A: GroundSet, N: int):
     counts = np.searchsorted(lengths, n, "right")
     shifts = a[first + counts - 1] - n if m else first
     np.maximum(shifts, 0, out=shifts)
-    return (list(zip(counts.tolist(), range(1, N + 1), shifts.tolist())),
+    return ((counts.tolist(), list(range(1, N + 1)), shifts.tolist()),
             N * (N + 1) // 2)
 
 
@@ -288,7 +310,7 @@ def _per_index_best_numeric(A: GroundSet, net: Net):
         x = int(counts.argmax())
         best.append((int(counts[x]), size, first + x))
         skipped += win.size - len(counts)
-    return best, skipped
+    return tuple(map(list, zip(*best))), skipped
 
 
 def _per_index_best_scan(A: GroundSet, net: Net):
@@ -318,7 +340,7 @@ def _per_index_best_scan(A: GroundSet, net: Net):
         best.append((most, size, shifts[counts.index(most)]) if most > top
                     else (top, size, identity))
         skipped += counts.count(-1)
-    return best, skipped
+    return tuple(map(list, zip(*best))), skipped
 
 
 def weak_cancellativity_bound(window: Window) -> int:

@@ -226,20 +226,18 @@ def shift_report_to_json(report: ShiftReport) -> dict:
 
 
 def density_report_to_json(report: DensityReport) -> dict:
+    witnesses: list[dict] = []
+    for first, n, shift, ratio in report.runs:  # converted once per run
+        shift = "1" if shift is None else shift
+        ratio = rational(ratio)
+        witnesses += ({"tail": m, "n": n, "shift": shift, "ratio": ratio}
+                      for m in range(first, n + 1))
     return {
         "value": rational(report.value),
         "tail_start": report.tail_start,
         "net": report.net_label,
         "skipped_shifts": report.skipped_shifts,
-        "witnesses": [
-            {
-                "tail": w.tail,
-                "n": w.n,
-                "shift": "1" if w.shift is None else w.shift,
-                "ratio": rational(w.ratio),
-            }
-            for w in report.witnesses
-        ],
+        "witnesses": witnesses,
     }
 
 

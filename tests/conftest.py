@@ -167,3 +167,45 @@ def reference_backtrack(elements, r, instances, node_budget, reverse):
         by_element = [colors[pos_of[v]] for v in elements]
         return by_element, nodes
     return None, nodes
+
+
+def reference_tail_report(best, skipped, tail_start, label):
+    """Pre-change reference for density._tail_report: one witness per tail,
+    built tail by tail from the per-index best (count, |F_n|, shift) tuples,
+    kept verbatim but for returning its fields as a namespace."""
+    from fractions import Fraction
+    from types import SimpleNamespace
+
+    from finembed.density import TailWitness
+    witnesses = []
+    top = ()  # count, |F_n|, n, shift, ratio
+    for m in range(len(best), tail_start - 1, -1):
+        count, size, shift = best[m - 1]
+        if not top or count * top[1] > top[0] * size:
+            top = (count, size, m, shift, Fraction(count, size))
+        witnesses.append(TailWitness(m, *top[2:]))
+    witnesses.reverse()
+    return SimpleNamespace(value=witnesses[-1].ratio,
+                           witnesses=tuple(witnesses), tail_start=tail_start,
+                           skipped_shifts=skipped, net_label=label)
+
+
+def reference_density_json(report) -> dict:
+    """Pre-change reference for jsonio.density_report_to_json: one dict per
+    tail witness, each ratio converted on its own."""
+    from finembed.jsonio import rational
+    return {
+        "value": rational(report.value),
+        "tail_start": report.tail_start,
+        "net": report.net_label,
+        "skipped_shifts": report.skipped_shifts,
+        "witnesses": [
+            {
+                "tail": w.tail,
+                "n": w.n,
+                "shift": "1" if w.shift is None else w.shift,
+                "ratio": rational(w.ratio),
+            }
+            for w in report.witnesses
+        ],
+    }

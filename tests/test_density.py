@@ -5,14 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_shifted_intersection
-from finembed import density
+import numpy as np
+
+from conftest import (count_shifted_intersection, reference_density_json,
+                      reference_tail_report)
+from finembed import density, jsonio
 from finembed.carrier import (ADDITIVE, FREE_WORDS, MULTIPLICATIVE, GroundSet,
                               make_table_window, make_window)
 from finembed.density import (Net, check_density_monotonicity, interval_net,
                               upper_density, weak_cancellativity_bound)
 from finembed.errors import InputError, UnverifiedPairError
 from finembed.families import builtin_right_translations, builtin_word_suffix
+from finembed.verify import run_suite
 from test_representation import brute_density
 
 
@@ -197,7 +201,8 @@ def test_word_and_table_scan_matches_shift_by_shift():
             cuts = sorted(rng.sample(range(1, len(pool) + 1),
                                      rng.randint(1, len(pool))))
             net = Net([pool[:k] for k in cuts], label="pool")
-            assert density._per_index_best_scan(A, net) == brute_scan(A, net)
+            best, skipped = density._per_index_best_scan(A, net)
+            assert (list(zip(*best)), skipped) == brute_scan(A, net)
 
 
 def span_edge_cases():
@@ -283,6 +288,151 @@ def test_span_rule_sides():
                                          if rng.random() < 0.5])
     assert not density._spans_cheaper(half, 30)
     assert density._spans_cheaper(GroundSet.from_values(small, [5, 300]), 30)
+
+
+def affordable_counts(A, N):
+    """How many counts the span kernel may run and still be estimated
+    cheaper than the incremental kernel (the rule's cost model)."""
+    W = A.window.bound
+    fixed, per_elem, per_count, per_member = density._SPAN_COST
+    add_fixed, per_index, per_shift = density._ADD_COST
+    afford = (add_fixed + N * (per_index + per_shift * (W + 1 - N / 2))
+              - fixed - per_elem * W)
+    if afford <= 2 * per_count:
+        return 0
+    members = int(np.count_nonzero(A.array()[1:]))
+    return afford / (per_count + per_member * members)
+
+
+def exact_rule(A, N):
+    """The kernel rule with M(N) always counted: the largest count of
+    members in a window {x+1..x+N} of [1, W]."""
+    sums = np.concatenate([[0], np.cumsum(A.array()[1:], dtype=np.int64)])
+    return int((sums[N:] - sums[:-N]).max()) + 1 < affordable_counts(A, N)
+
+
+def test_block_sum_rule_matches_exact_count():
+    # Seeded sets around the crossover: random at log-spread densities,
+    # periodic, clustered, and clustered across block boundaries (there
+    # the largest block holds about half of M(N), and long windows make
+    # the span kernel affordable up to M(N)).  The block bounds decide most
+    # of them; the rest fall back to the count, and the choice is always
+    # the exact rule's.
+    rng = random.Random(47)
+    sides = {True: 0, False: 0}
+    open_bounds = 0
+    for _ in range(300):
+        W = rng.randint(500, 20_000)
+        N = rng.randint(20, min(W, 1500))
+        shape = rng.choice(["random", "periodic", "clusters", "straddling"])
+        if shape == "random":
+            p = 10 ** rng.uniform(-3, 0)
+            values = np.flatnonzero(np.random.default_rng(
+                rng.randrange(2**32)).random(W + 1) < p).tolist()
+        elif shape == "periodic":
+            values = range(rng.randrange(9), W + 1, rng.randint(1, 40))
+        elif shape == "straddling":
+            W = rng.randint(40_000, 60_000)
+            step, every = N * rng.choice([4, 8]), rng.randint(1, 2)
+            values = [v for mid in range(step, W, step)
+                      for v in range(mid - N // 2, min(mid + N // 2, W + 1),
+                                     every)]
+        else:
+            step = rng.randint(N // 2 + 1, 2 * N)
+            width = rng.randint(1, N)
+            values = [v for lo in range(rng.randrange(step), W + 1, step)
+                      for v in range(lo, min(lo + width, W + 1))]
+        A = GroundSet.from_values(make_window(ADDITIVE, W), values)
+        got = density._spans_cheaper(A, N)
+        assert got == exact_rule(A, N), (shape, W, N)
+        sides[got] += 1
+        blocks = np.add.reduceat(A.array()[1:], np.arange(0, W, N),
+                                 dtype=np.int64)
+        pairs = blocks[1:] + blocks[:-1] if len(blocks) > 1 else blocks
+        open_bounds += (int(blocks.max()) + 1 < affordable_counts(A, N)
+                        <= min(N, int(pairs.max())) + 1)
+    assert min(sides.values()) >= 60, sides
+    assert open_bounds >= 10, open_bounds
+
+
+def check_runs_against_reference(best, skipped, tail, label):
+    """The runs report and its JSON bytes against the per-tail reference;
+    returns the report and the number of tails whose best ratio is
+    attained at more than one n (a tie)."""
+    report = density._tail_report(best, skipped, tail, label)
+    ref = reference_tail_report(list(zip(*best)), skipped, tail, label)
+    assert (report.value, report.witnesses, report.skipped_shifts) == \
+        (ref.value, ref.witnesses, ref.skipped_shifts)
+    assert jsonio.dumps(jsonio.density_report_to_json(report)) == \
+        jsonio.dumps(reference_density_json(ref))
+    ratios = [Fraction(c, s) for c, s in zip(best[0], best[1])]
+    ties = sum(ratios[w.tail - 1:].count(w.ratio) > 1 for w in ref.witnesses)
+    return report, ties
+
+
+def test_report_runs_match_per_tail_reference():
+    rng = random.Random(48)
+    ties = {"spans": 0, "incremental": 0, "scan": 0}
+    for _ in range(100):  # span and incremental kernels on interval nets
+        W = rng.randint(1, 300)
+        if rng.random() < 0.4:
+            values = range(rng.randrange(5), W + 1, rng.randint(1, 7))
+        else:
+            p = rng.choice([0.02, 0.2, 0.5, 0.9, 1.0])
+            values = [v for v in range(W + 1) if rng.random() < p]
+        A = GroundSet.from_values(make_window(ADDITIVE, W), values)
+        net = interval_net(rng.choice([W, rng.randint(1, W)]))
+        tail = rng.choice([1, rng.randint(1, len(net))])
+        for kernel, best in (
+                ("spans", density._per_index_best_spans(A, len(net))),
+                ("incremental", density._per_index_best_numeric(A, net))):
+            report, n = check_runs_against_reference(*best, tail, net.label)
+            ties[kernel] += n
+        assert upper_density(A, net, tail) == report
+    for _ in range(60):  # incremental kernel on multiplicative windows
+        win = make_window(MULTIPLICATIVE, rng.randint(1, 300))
+        A = GroundSet.from_values(win, [v for v in range(1, win.bound + 1)
+                                        if rng.random() < 0.4])
+        net = interval_net(rng.randint(1, min(win.bound, 12)))
+        check_runs_against_reference(*density._per_index_best_numeric(A, net),
+                                     rng.randint(1, len(net)), net.label)
+    # word windows (the formal identity None) and table windows
+    windows = [make_window(FREE_WORDS, L, "ab") for L in (1, 2, 3)]
+    windows += [make_table_window(list(range(n)), op) for n in (3, 6)
+                for op in (max, lambda x, y: y)]
+    none_shifts = 0
+    for win in windows:
+        elems = list(win.payloads())
+        for _ in range(10):
+            A = GroundSet.from_values(
+                win, rng.sample(elems, rng.randint(0, len(elems))))
+            pool = rng.sample(elems, rng.randint(1, min(6, len(elems))))
+            net = Net([pool[:k] for k in range(1, len(pool) + 1)], "pool")
+            tail = rng.randint(1, len(net))
+            report, n = check_runs_against_reference(
+                *density._per_index_best_scan(A, net), tail, net.label)
+            ties["scan"] += n
+            assert upper_density(A, net, tail) == report
+            if any(w.shift is None for w in report.witnesses):
+                none_shifts += 1
+                assert '"shift":"1"' in jsonio.dumps(
+                    jsonio.density_report_to_json(report))
+    assert min(ties.values()) >= 20 and none_shifts >= 10, (ties, none_shifts)
+
+
+def test_monotonicity_reads_values_only(monkeypatch):
+    # check_density_monotonicity and the density-mono suite need only each
+    # report's value, so they never expand the runs into per-tail witnesses
+    def fail(self):
+        raise AssertionError("witnesses expanded")
+    monkeypatch.setattr(density.DensityReport, "witnesses", property(fail))
+    win = make_window(ADDITIVE, 100)
+    A = GroundSet.from_values(win, [0, 2, 4], "A")
+    B = GroundSet.from_values(win, [3, 5, 7, 40], "B")
+    rep = check_density_monotonicity([(A, B)], builtin_right_translations(win),
+                                      interval_net(10))
+    assert rep.all_ok
+    assert run_suite("density-mono", 0, "tiny")[1]
 
 
 def test_weak_cancellativity_bounds():
