@@ -23,15 +23,17 @@ first shift x attaining it (the identity wins ties):
   O(sum of W / v) multiplicative.
 - Word and table windows keep a count and an overflow mark per shift,
   updated once per new net element: O(|F_N| W) products.
-_SPAN_COST and _ADD_COST pick between the first two.
+_SPAN_COST and _ADD_COST pick between the first two.  A report keeps
+one entry per run of tails that share a witness, and builds the per-tail
+witnesses only when they are read.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, chain
 from typing import Sequence
 
@@ -180,9 +182,9 @@ def _tail_report(best, skipped: int, tail_start: int,
     and shifts x, as three lists."""
     # Suffix maxima realize the (forall m)(exists n >= m) alternation.  They
     # fall as the tail start m grows, so the last tail holds the value.
-    # Walking down from the last index, a run of tails starts below each n
-    # whose ratio beats every later one (cross-multiplied, so ties keep the
-    # later n).
+    # Walking down from the last index, a run of tails ends at each n whose
+    # ratio beats every later one (cross-multiplied, so ties keep the later
+    # n); the initial top -1/1 loses to any ratio.
     counts, sizes, shifts = best
     ends = []
     top, top_size = -1, 1
