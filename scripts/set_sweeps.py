@@ -8,7 +8,7 @@ probe, upper_density (additive interval nets on sparse and dense sets,
 on both sides of the rule that picks its kernel, a multiplicative
 interval net and an additive net that is not an interval), the density
 report end to end (upper_density, its JSON payload and the dumped
-bytes) and the affine
+bytes), the same for the AP certificate of the evens, and the affine
 and translation embedding kernels, each on fresh sets at growing W,
 in-process and single-threaded, plus two affine scans that run past the
 kernel's row budget and the fixed cost of a CLI call.  A case stops
@@ -41,12 +41,14 @@ from finembed import (ADDITIVE, MULTIPLICATIVE, GroundSet, Net,
                       is_thick_window, longest_ap, make_window,
                       parse_predicate, upper_density)
 from finembed.cli import dispatch
-from finembed.jsonio import density_report_to_json, dumps
+from finembed.jsonio import certificate_to_json, density_report_to_json, dumps
 
 SIZES = (10_000, 25_000, 50_000, 100_000, 200_000, 400_000)
 SMALL_SIZES = (400, 1_000, 4_000, 10_000, 25_000, 100_000)
 PROBE_SIZES = (2_000, 5_000, 10_000, 25_000, 50_000, 100_000)
 DENSITY_SIZES = (2_000, 10_000, 25_000, 50_000, 100_000)
+# 501 to 2,001 realized elements span the int-text kernel's crossover
+CERT_SIZES = (1_000, 1_500, 2_000, 3_000, 4_000) + SIZES
 REPEATS = 3        # best of
 MAX_SECONDS = 2.0  # a case stops growing W after a run this slow
 REF_NOMINAL_S = 1e-3  # normalized times assume the reference loop takes this
@@ -141,6 +143,15 @@ def density_report(W):
     net = interval_net(1000)
     return lambda: hashlib.sha256(dumps(density_report_to_json(
         upper_density(A, net))).encode()).hexdigest()[:16]
+
+
+def ap_certificate(W):
+    # What `rich --detect ap` does after parsing: the certificate, its
+    # payload and the stdout bytes (digested, to compare sides).
+    A = fresh(W, "evens")
+    A.count()
+    return lambda: hashlib.sha256(dumps(certificate_to_json(
+        longest_ap(A))).encode()).hexdigest()[:16]
 
 
 def density_dense(spec):
@@ -262,6 +273,8 @@ CASES = (
     ("upper_density interval:1000", "density.upper_density", density, SIZES),
     ("density report interval:1000, multiples of 7", "jsonio.density_report",
      density_report, SIZES),
+    ("rich ap certificate, evens", "jsonio.certificate", ap_certificate,
+     CERT_SIZES),
     ("upper_density interval:1000 on the evens", "density.upper_density",
      density_dense("evens"), DENSITY_SIZES),
     ("upper_density interval:1000 on the full window",

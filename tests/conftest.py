@@ -209,3 +209,17 @@ def reference_density_json(report) -> dict:
             for w in report.witnesses
         ],
     }
+
+
+def reference_certificate_json(cert) -> dict:
+    """Pre-change reference for jsonio.certificate_to_json: realized as a
+    plain list, for json.dumps to encode element by element."""
+    out = {
+        "kind": cert.kind,
+        "params": list(cert.params),
+        "realized": list(cert.realized),
+        "length": cert.length,
+    }
+    if cert.indexing:
+        out["indexing"] = cert.indexing
+    return out

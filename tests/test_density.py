@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -363,8 +364,8 @@ def check_runs_against_reference(best, skipped, tail, label):
     ref = reference_tail_report(list(zip(*best)), skipped, tail, label)
     assert (report.value, report.witnesses, report.skipped_shifts) == \
         (ref.value, ref.witnesses, ref.skipped_shifts)
-    assert jsonio.dumps(jsonio.density_report_to_json(report)) == \
-        jsonio.dumps(reference_density_json(ref))
+    assert jsonio.dumps(jsonio.density_report_to_json(report)) == json.dumps(
+        reference_density_json(ref), sort_keys=True, separators=(",", ":"))
     ratios = [Fraction(c, s) for c, s in zip(best[0], best[1])]
     ties = sum(ratios[w.tail - 1:].count(w.ratio) > 1 for w in ref.witnesses)
     return report, ties
@@ -396,28 +397,43 @@ def test_report_runs_match_per_tail_reference():
         net = interval_net(rng.randint(1, min(win.bound, 12)))
         check_runs_against_reference(*density._per_index_best_numeric(A, net),
                                      rng.randint(1, len(net)), net.label)
-    # word windows (the formal identity None) and table windows
+    # word windows (the formal identity None, and shifts json escapes)
+    # and table windows
     windows = [make_window(FREE_WORDS, L, "ab") for L in (1, 2, 3)]
+    windows += [make_window(FREE_WORDS, L, "aé") for L in (2, 3)]
     windows += [make_table_window(list(range(n)), op) for n in (3, 6)
                 for op in (max, lambda x, y: y)]
-    none_shifts = 0
+    none_shifts = escaped_shifts = 0
     for win in windows:
         elems = list(win.payloads())
-        for _ in range(10):
+        # on "aé" windows every other set holds words ending in é, and its
+        # net shorter words ending in a, which meet the set only by shifts
+        # that json escapes
+        ends_in_e = [e for e in elems if str(e)[-1:] == "é"]
+        short = [e for e in elems
+                 if str(e)[-1:] == "a" and len(e) < win.bound]
+        for i in range(10):
+            members, words = ((ends_in_e, short) if ends_in_e and i % 2
+                              else (elems, elems))
             A = GroundSet.from_values(
-                win, rng.sample(elems, rng.randint(0, len(elems))))
-            pool = rng.sample(elems, rng.randint(1, min(6, len(elems))))
+                win, rng.sample(members, rng.randint(0, len(members))))
+            pool = rng.sample(words, rng.randint(1, min(6, len(words))))
             net = Net([pool[:k] for k in range(1, len(pool) + 1)], "pool")
             tail = rng.randint(1, len(net))
             report, n = check_runs_against_reference(
                 *density._per_index_best_scan(A, net), tail, net.label)
             ties["scan"] += n
             assert upper_density(A, net, tail) == report
+            text = jsonio.dumps(jsonio.density_report_to_json(report))
             if any(w.shift is None for w in report.witnesses):
                 none_shifts += 1
-                assert '"shift":"1"' in jsonio.dumps(
-                    jsonio.density_report_to_json(report))
+                assert '"shift":"1"' in text
+            if any(isinstance(w.shift, str) and "é" in w.shift
+                   for w in report.witnesses):
+                escaped_shifts += 1
+                assert text.isascii() and "\\u00e9" in text
     assert min(ties.values()) >= 20 and none_shifts >= 10, (ties, none_shifts)
+    assert escaped_shifts >= 5, escaped_shifts
 
 
 def test_monotonicity_reads_values_only(monkeypatch):
