@@ -3,14 +3,9 @@
 All numeric JSON output is exact: integers stay integers and non-integral
 rationals become "p/q" strings.
 
-dumps is the one serializer: sorted keys, no spaces.  Two payloads are long
-by design, a certificate's realized elements and a density report's one
-witness per tail, so their converters hand dumps those values as fragments,
-JSON text encoded ahead.  A fragment is only ever a top-level value, and
-dumps writes it as it stands.  A long list of ascending non-negative ints
-is encoded by _int_text in numpy, one digit-width block at a time; any
-other list is left to json, and so are payloads without fragments.  The
-bytes are those json.dumps writes for the plain lists and dicts.
+dumps is the one serializer.  Realized elements and density witnesses, long
+by design, reach it as top-level _Fragments of JSON text encoded ahead: long
+ascending int lists in numpy by _int_text, witnesses a run at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +14,6 @@ import json
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -179,50 +173,36 @@ def pairs_from_json(obj: Any) -> tuple[Window, list[tuple[GroundSet, GroundSet]]
 # -- output serialization ------------------------------------------------------
 
 @dataclass(slots=True)
-class _Fragment:
-    """JSON text that dumps writes as it stands; json itself rejects it."""
+class _Fragment:  # JSON text that dumps writes as is; json rejects it
     text: str
 
 
-# json.dumps(value, sort_keys=True, separators=(",", ":")), built once
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# json is as fast up to here (measured crossover, 2-core x86_64, numpy 2.4)
+_INT_TEXT_MIN = 1000
+_POWERS = 10 ** np.arange(1, 19, dtype=np.int64)  # digit-width edges
 
 
-def _scalar(value: Any) -> str:
-    """json's text for value; an int is written by repr as json does."""
+def _scalar(value: Any) -> str:  # json's text, an int's without the encoder
     return str(value) if type(value) is int else _encode(value)
 
 
-# Lists this long or shorter are joined or left to json, which is as fast
-# there: _int_text's fixed cost is about 30 us (2-core x86_64, numpy 2.4).
-_INT_TEXT_MIN = 1000
-_POWERS = 10 ** np.arange(1, 19, dtype=np.int64)  # digit-width edges
-_INT_TYPES = frozenset({int})
-
-
 def _int_text(values: Sequence[int], sep: str = ",") -> str:
-    """json's text for list(values) without its brackets, with sep between
-    the items: sep.join(map(str, values)) when they are all ints.
-
-    Past _INT_TEXT_MIN ascending non-negative int64 values are written in
-    numpy: each digit width is one block of values, encoded as a (count,
-    width + len(sep)) array of bytes, a column per digit.  Anything else
-    (not ascending, negative, not an int, past int64) is json's text.
-    """
+    """json's text for list(values), brackets dropped, sep between items;
+    past _INT_TEXT_MIN, ascending non-negative int64s are encoded in numpy,
+    each digit width as one (count, width + len(sep)) array of bytes."""
     if len(values) > _INT_TEXT_MIN:
         try:  # array rejects floats and strings, which numpy would cast
             a = np.frombuffer(array("q", values), np.int64)
         except (TypeError, OverflowError):
-            a = None
+            a = np.array([-1])
         # ascending, so any bools (json's true and false) lead the list
-        if (a is not None and a[0] >= 0 and (a[1:] >= a[:-1]).all()
+        if (a[0] >= 0 and (a[1:] >= a[:-1]).all()
                 and bool not in map(type, values[:np.searchsorted(a, 2)])):
-            raw = sep.encode()
-            blocks, lo = [], 0
-            edges = np.searchsorted(a, _POWERS).tolist() + [len(a)]
-            for width, hi in enumerate(edges, 1):
-                if hi == lo:
-                    continue
+            raw, blocks = sep.encode(), []
+            w0, w1 = len(str(a[0])), len(str(a[-1]))  # widths present
+            edges = [0, *np.searchsorted(a, _POWERS[w0 - 1:w1 - 1]), len(a)]
+            for width, lo, hi in zip(range(w0, w1 + 1), edges, edges[1:]):
                 x = a[lo:hi].astype(np.uint32 if width < 10 else np.uint64)
                 out = np.empty((hi - lo, width + len(raw)), np.uint8)
                 out[:, width:] = np.frombuffer(raw, np.uint8)
@@ -231,9 +211,8 @@ def _int_text(values: Sequence[int], sep: str = ",") -> str:
                     out[:, col] = x - q * 10 + 48
                     x = q
                 blocks.append(out.tobytes())
-                lo = hi
             return b"".join(blocks)[:-len(raw) or None].decode()
-    elif _INT_TYPES.issuperset(map(type, values)):
+    elif {int}.issuperset(map(type, values)):
         return sep.join(map(str, values))
     return json.dumps(list(values), separators=(sep, ":"))[1:-1]
 
@@ -276,12 +255,12 @@ def probe_report_to_json(report: ProbeReport) -> dict:
 
 
 def certificate_to_json(cert: ProgressionCertificate) -> dict:
-    realized = cert.realized
     out: dict[str, Any] = {
         "kind": cert.kind,
         "params": list(cert.params),
-        "realized": (_Fragment(f"[{_int_text(realized)}]")
-                     if len(realized) > _INT_TEXT_MIN else list(realized)),
+        "realized": (_Fragment(f"[{_int_text(cert.realized)}]")
+                     if len(cert.realized) > _INT_TEXT_MIN
+                     else list(cert.realized)),
         "length": cert.length,
     }
     if cert.indexing:
@@ -302,14 +281,10 @@ def shift_report_to_json(report: ShiftReport) -> dict:
 
 
 def density_report_to_json(report: DensityReport) -> dict:
-    """The witnesses are one {"n", "ratio", "shift", "tail"} object per
-    tail, written a run at a time: the run's keys up to "tail" are encoded
-    once and repeated between its tails."""
-    runs = []
+    runs = []  # a run's tail objects differ only in "tail", their last key
     for first, n, shift, ratio in report.runs:
-        shift = "1" if shift is None else shift
-        prefix = (f'{{"n":{n},"ratio":{_scalar(rational(ratio))},'
-                  f'"shift":{_scalar(shift)},"tail":')
+        prefix = (f'{{"n":{n},"ratio":{_scalar(rational(ratio))},"shift":'
+                  f'{_scalar("1" if shift is None else shift)},"tail":')
         runs.append(prefix + _int_text(range(first, n + 1), "}," + prefix))
     return {
         "value": rational(report.value),
@@ -362,16 +337,10 @@ def threshold_to_json(res: ThresholdResult) -> dict:
 
 
 def dumps(payload: Any) -> str:
-    """Deterministic JSON: sorted keys, no float formatting surprises.
-
-    A top-level value may be a _Fragment, written as it stands; every other
-    value is encoded as json.dumps(payload, sort_keys=True,
-    separators=(",", ":")) would encode it.
-    """
+    """Deterministic JSON, keys sorted; top-level _Fragments written as is."""
     if type(payload) is not dict or _Fragment not in map(
             type, payload.values()):
         return _encode(payload)
     return "{" + ",".join(
-        f"{_encode(key)}:"
-        f"{value.text if type(value) is _Fragment else _encode(value)}"
-        for key, value in sorted(payload.items())) + "}"
+        f"{_encode(k)}:{v.text if type(v) is _Fragment else _encode(v)}"
+        for k, v in sorted(payload.items())) + "}"

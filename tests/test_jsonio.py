@@ -70,7 +70,8 @@ def test_int_text_at_the_crossover(length, sep, monkeypatch):
 def test_int_text_across_every_digit_width(sep, monkeypatch):
     filler = list(range(_INT_TEXT_MIN))
     for values in (sorted(filler + EDGES), sorted(filler + EDGES * 3),
-                   [0] * (_INT_TEXT_MIN + 1) + EDGES):
+                   [0] * (_INT_TEXT_MIN + 1) + EDGES,
+                   filler + [10 ** 12, 2 ** 63 - 1]):  # widths left empty
         text, to_json = kernel_runs(values, sep, monkeypatch)
         assert text == json_text(values, sep) and not to_json
 
