@@ -130,13 +130,13 @@ def test_grid_and_polynomial_certificate_bytes_match_plain_json():
     small = make_window(ADDITIVE, 60)
     check_certificate(longest_gap_grid(
         GroundSet.from_predicate(small, parse_predicate("evens"), "evens")))
-    # a zero-based grid b q^j (a + i d) of 33 x 33 cells, realized row by
+    # a zero-based grid b q^j (a + i d) of 35 x 35 cells, realized row by
     # row, so not ascending, below 2^63
     params = (1, 2, 1, 1)
     grid = ProgressionCertificate("gap-grid", params,
-                                  tuple(_realize("gap-grid", params, 33,
+                                  tuple(_realize("gap-grid", params, 35,
                                                  "zero-based")),
-                                  33, "zero-based")
+                                  35, "zero-based")
     assert len(grid.realized) > _INT_TEXT_MIN
     assert list(grid.realized) != sorted(grid.realized)
     check_certificate(grid)
