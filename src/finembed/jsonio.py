@@ -178,8 +178,8 @@ class _Fragment:  # JSON text that dumps writes as is; json rejects it
 
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-# json is as fast up to here: measured crossovers 1,000 (one digit width)
-# to 1,350 (the evens from 0, four widths) on 2-core x86_64, numpy 2.4
+# json is as fast up to here: measured crossovers 800-1,000 values (one
+# digit width) to 1,200-1,350 (evens from 0: four widths), 2-core x86_64
 _INT_TEXT_MIN = 1200
 _POWERS = 10 ** np.arange(1, 19, dtype=np.int64)  # digit-width edges
 
