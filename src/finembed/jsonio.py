@@ -5,7 +5,8 @@ rationals become "p/q" strings.
 
 dumps is the one serializer.  Realized elements and density witnesses, long
 by design, reach it as top-level _Fragments of JSON text encoded ahead: long
-ascending int lists in numpy by _int_text, witnesses a run at a time.
+ascending int lists in numpy by _int_text (other lists by json), witnesses
+a run at a time.  The bytes are those json.dumps writes for plain values.
 """
 
 from __future__ import annotations
@@ -178,8 +179,7 @@ class _Fragment:  # JSON text that dumps writes as is; json rejects it
 
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-# json is as fast up to here: measured crossovers 800-1,000 values (one
-# digit width) to 1,200-1,350 (evens from 0: four widths), 2-core x86_64
+# json is as fast up to here (crossovers measured at 800 to 1,350 values)
 _INT_TEXT_MIN = 1200
 _POWERS = 10 ** np.arange(1, 19, dtype=np.int64)  # digit-width edges
 
