@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import islice, product
-from math import isqrt
+from itertools import compress, groupby, islice, product, repeat
+from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetError, InputError, parse_int
@@ -126,10 +126,15 @@ def homogeneity_report(poly: Polynomial) -> HomogeneityReport:
 
 @dataclass(frozen=True)
 class Pattern:
-    """A named instance matcher over initial segments [1..N]."""
+    """A named instance matcher over initial segments [1..N].
+
+    _between(lo, hi) yields the instances inside [1..hi] whose largest
+    element is at least lo, before deduplication (the same for any larger
+    hi): by largest element for AP, Schur and grids, else by filtering.
+    """
 
     label: str
-    _enumerate: Callable[[int], Iterator[tuple[int, ...]]]
+    _between: Callable[[int, int], Iterator[tuple[int, ...]]]
 
     def instances(self, n: int,
                   budget: int = DEFAULT_INSTANCE_BUDGET) -> list[tuple[int, ...]]:
@@ -140,12 +145,20 @@ class Pattern:
         instances before deduplication, and one more than budget raises
         BudgetError, so the budget bounds the enumeration itself.
         """
-        raw = list(islice(self._enumerate(n), budget + 1))
-        if len(raw) > budget:
-            raise BudgetError(
-                f"pattern-instance-overflow: more than {budget} instances "
-                f"for {self.label} at N={n}")
-        return sorted(set(raw))
+        return self.draw(1, n, budget)[1]
+
+    def draw(self, lo: int, hi: int, budget: int = DEFAULT_INSTANCE_BUDGET,
+             drawn: int = 0) -> tuple[int, list[tuple[int, ...]]]:
+        """The raw count, drawn plus the instances whose largest element
+        lies in [lo..hi], and those instances sorted and deduplicated; over
+        budget raises at N = hi.  So [N..N] drawn for N = 1, 2, ... with the
+        count carried raises where instances(N, budget) would."""
+        raw = list(islice(self._between(lo, hi), budget - drawn + 1))
+        drawn += len(raw)
+        if drawn > budget:
+            raise BudgetError(f"pattern-instance-overflow: more than {budget} "
+                              f"instances for {self.label} at N={hi}")
+        return drawn, sorted(set(raw))
 
 
 def ap_pattern(length: int) -> Pattern:
@@ -153,62 +166,64 @@ def ap_pattern(length: int) -> Pattern:
     degenerate stride-0 progression is excluded)."""
     if length < 2:
         raise InputError("AP pattern needs length >= 2")
+    span = length - 1
 
-    def enum(n: int) -> Iterator[tuple[int, ...]]:
-        for d in range(1, n // (length - 1) + 1):
-            for a in range(1, n - (length - 1) * d + 1):
+    def between(lo: int, hi: int) -> Iterator[tuple[int, ...]]:
+        for d in range(1, (hi - 1) // span + 1):
+            a = lo - span * d  # the start whose last term is lo
+            for a in range(a if a > 1 else 1, hi - span * d + 1):
                 yield tuple(range(a, a + length * d, d))
 
-    return Pattern(f"ap:{length}", enum)
+    return Pattern(f"ap:{length}", between)
 
 
 def schur_pattern() -> Pattern:
     """Triples {x, y, x+y}; x equal to y allowed."""
 
-    def enum(n: int) -> Iterator[tuple[int, ...]]:
-        for x in range(1, n + 1):
-            for y in range(x, n - x + 1):
-                yield tuple(sorted({x, y, x + y}))
+    def between(lo: int, hi: int) -> Iterator[tuple[int, ...]]:
+        for x in range(1, hi // 2 + 1):
+            if 2 * x >= lo:
+                yield x, 2 * x
+            for y in range(max(x + 1, lo - x), hi - x + 1):
+                yield x, y, x + y
 
-    return Pattern("schur", enum)
+    return Pattern("schur", between)
 
 
 def gap_grid_pattern(n_index: int, strict: bool = False) -> Pattern:
     """Zero-based geoarithmetic grids b q^j (a + i d), 0 <= i, j <= n_index,
-    with q > 1 and d > 0 so the grid is never a single repeated point.
+    with q > 1 and d > 0 so the grid is never a single repeated point, and
+    a >= 1, found by factoring the largest cell b q^n_index (a + n_index d).
 
     strict additionally requires q and d themselves in the same cell, the
     stronger form of the grid partition statement.
     """
     if n_index < 1:
         raise InputError("grid index bound must be >= 1 (0 is a single cell)")
+    cells = range(n_index + 1)
 
-    def enum(n: int) -> Iterator[tuple[int, ...]]:
-        qtop = n_index  # exponent of the largest power-of-q cell
-        for q in range(2, n + 1):
-            if q ** qtop > n:
-                break
-            for b in range(1, n + 1):
-                if b * q ** qtop > n:  # the (0, qtop) cell needs a >= 1
+    def between(lo: int, hi: int) -> Iterator[tuple[int, ...]]:
+        for n in range(lo, hi + 1):
+            for q in range(2, n + 1):
+                rest, left = divmod(n, q ** n_index)  # b (a + n_index d)
+                if not rest:
                     break
-                for d in range(1, n + 1):
-                    if b * q ** qtop * n_index * d > n:  # (qtop, qtop) cell
-                        break
-                    for a in range(0, n + 1):
-                        cells = [b * q ** j * (a + i * d)
-                                 for i in range(n_index + 1)
-                                 for j in range(n_index + 1)]
-                        if max(cells) > n:
-                            break
-                        if min(cells) < 1:
-                            continue
-                        inst = set(cells)
+                if left:
+                    continue
+                for b in range(1, rest // (n_index + 1) + 1):
+                    top, left = divmod(rest, b)  # a + n_index d
+                    if left:
+                        continue
+                    for d in range(1, (top - 1) // n_index + 1):
+                        a = top - n_index * d
+                        inst = {b * q ** j * (a + i * d)
+                                for i in cells for j in cells}
                         if strict:
                             inst |= {q, d}
                         yield tuple(sorted(inst))
 
     label = f"gap-grid:{n_index}" + (":strict" if strict else "")
-    return Pattern(label, enum)
+    return Pattern(label, between)
 
 
 def poly_progression_pattern(length: int, degree: int,
@@ -219,7 +234,7 @@ def poly_progression_pattern(length: int, degree: int,
         raise InputError("progression length must be >= 2")
     dset = poly_indices(d_indices, degree)
 
-    def enum(n: int) -> Iterator[tuple[int, ...]]:
+    def between(lo: int, n: int) -> Iterator[tuple[int, ...]]:
         values = [v for v in range(n + 1)
                   if coeff_pred is None or coeff_pred(v)]
         # P(1) = sum of coefficients must land in [1..n]
@@ -231,9 +246,11 @@ def poly_progression_pattern(length: int, degree: int,
                     break
                 run.add(y)
             else:
-                yield tuple(sorted(run))
+                if max(run) >= lo:
+                    yield tuple(sorted(run))
 
-    return Pattern(f"poly:{length}:{degree}:{','.join(map(str, dset))}", enum)
+    return Pattern(f"poly:{length}:{degree}:{','.join(map(str, dset))}",
+                   between)
 
 
 def equation_pattern(poly: Polynomial, distinct: bool = False) -> Pattern:
@@ -241,22 +258,22 @@ def equation_pattern(poly: Polynomial, distinct: bool = False) -> Pattern:
 
     Variables may repeat values unless distinct is set; zero never occurs
     because the search range starts at 1.  The instance budget counts
-    solutions, not candidate tuples.  When a variable is isolated (alone in
-    its one monomial, like z in x^2+y^2-z^2) it is solved from the others,
-    N^(v-1) evaluations; otherwise P is evaluated on all N^v tuples, so a
-    sparse equation such as x*y-z*w costs N^v evaluations whatever the
-    budget.
+    solutions, not candidate tuples.  An isolated variable (alone in its one
+    monomial, like z in x^2+y^2-z^2) is read from a table of its values for
+    each of the N^(v-1) values of the rest, evaluated a row at a time;
+    otherwise P is evaluated on all N^v tuples, so a sparse equation such as
+    x*y-z*w costs N^v evaluations whatever the budget.
     """
     if poly.nvars < 1:
         raise InputError("zero-variables: the equation needs a variable")
 
-    def enum(n: int) -> Iterator[tuple[int, ...]]:
+    def between(lo: int, n: int) -> Iterator[tuple[int, ...]]:
         for sol in _solutions(poly, range(1, n + 1)):
-            if not distinct or len(set(sol)) == len(sol):
+            if max(sol) >= lo and (not distinct or len(set(sol)) == len(sol)):
                 yield tuple(sorted(set(sol)))
 
     label = f"equation:{poly}" + (":distinct" if distinct else "")
-    return Pattern(label, enum)
+    return Pattern(label, between)
 
 
 def _solutions(poly: Polynomial,
@@ -265,11 +282,10 @@ def _solutions(poly: Polynomial,
     domain, in lexicographic order.
 
     When some variable v is isolated, i.e. occurs only in one monomial
-    c*v^e that holds no other variable, the other variables walk the domain
-    and v is solved: v^e = -Q/c, where Q is the sum of the other monomials,
-    kept when the division and the integer e-th root are exact and the root
-    lies in the domain (N^(v-1) evaluations).  Otherwise every tuple is
-    evaluated (N^v).
+    c*v^e that holds no other variable, v is read from the table
+    {-c*z^e: [z, ...]} over the domain for each of the N^(v-1) values of Q,
+    the sum of the other monomials, evaluated a row at a time (_row).
+    Otherwise every tuple is evaluated (N^v).
     """
     vals = list(domain)
     k = _isolated_variable(poly)
@@ -279,23 +295,42 @@ def _solutions(poly: Polynomial,
                 yield tup
         return
     c, exps = next(mono for mono in poly.monomials if mono[1][k])
-    e = exps[k]
-    rest = Polynomial(tuple(mono for mono in poly.monomials if not mono[1][k]),
-                      poly.nvars)
-    members = set(vals)
-    # v's slot reads 0 in Q, which every monomial of Q raises to the power 0
-    for head in product(vals, repeat=k):
+    roots: dict[int, list[int]] = {}
+    for z in vals:  # ascending, so each list of roots is too
+        roots.setdefault(-c * z ** exps[k], []).append(z)
+    rest = [mono for mono in poly.monomials if not mono[1][k]]
+    if poly.nvars == 1:  # Q is a constant
+        yield from ((z,) for z in roots.get(sum(c for c, _ in rest), ()))
+        return
+    inner = poly.nvars - 1 if k < poly.nvars - 1 else k - 1
+    powers = {e: [v ** e for v in vals]
+              for e in {0}.union(*(es for _, es in rest))}
+    # a row holds one head when v is not last, else one head per value
+    for _, outers in groupby(product(vals, repeat=poly.nvars - 2),
+                             key=lambda outer: outer[:k]):
         block = []
-        for tail in product(vals, repeat=poly.nvars - k - 1):
-            q = rest.evaluate(head + (0,) + tail)
-            if q % c:
-                continue
-            for z in _int_roots(-q // c, e):
-                if z in members:
-                    block.append((z,) + tail)
-        block.sort()  # v before the tail variables
-        for sol in block:
-            yield head + sol
+        for outer in outers:
+            walk = outer + (1,)  # v's slot and the row's read 1, as 1 ** e
+            row = _row(rest, walk[:k] + (1,) + walk[k:], inner, powers)
+            for t in compress(range(len(row)), map(roots.__contains__, row)):
+                walk = outer + (vals[t],)
+                block += [walk[:k] + (z,) + walk[k:] for z in roots[row[t]]]
+        block.sort()
+        yield from block
+
+
+def _row(rest: Sequence[tuple[int, tuple[int, ...]]], point: tuple[int, ...],
+         inner: int, powers: dict[int, list[int]]) -> list[int]:
+    """The monomials of rest at point, slot inner running over the domain."""
+    by_exp: dict[int, int] = {}
+    for coeff, exps in rest:
+        for v, e in zip(point, exps):
+            coeff *= v ** e
+        by_exp[exps[inner]] = by_exp.get(exps[inner], 0) + coeff
+    row: Iterable[int] = repeat(0, len(powers[0]))
+    for e, coeff in by_exp.items():
+        row = map(add, row, map(coeff.__mul__, powers[e]))
+    return list(row)
 
 
 def _isolated_variable(poly: Polynomial) -> int | None:
@@ -307,29 +342,6 @@ def _isolated_variable(poly: Polynomial) -> int | None:
                 and sum(map(bool, holders[0][1])) == 1):
             return k
     return None
-
-
-def _int_roots(value: int, e: int) -> list[int]:
-    """The integers z with z**e == value, ascending."""
-    if e == 1 or value == 0:
-        return [value]
-    if e % 2 == 0 and value < 0:
-        return []
-    mag = abs(value)
-    if e == 2:
-        z = isqrt(mag)
-    else:  # integer Newton from above converges to floor(mag ** (1/e))
-        z = 1 << -(-mag.bit_length() // e)
-        while True:
-            nxt = ((e - 1) * z + mag // z ** (e - 1)) // e
-            if nxt >= z:
-                break
-            z = nxt
-    if z ** e != mag:
-        return []
-    if e % 2 == 0:
-        return [-z, z]
-    return [z if value > 0 else -z]
 
 
 def parse_pattern(spec: str) -> Pattern:
@@ -369,11 +381,6 @@ class ColoringCertificate:
     pattern: str
     n: int
     r: int
-
-    def color_of(self, value: int) -> int:
-        if self.colors is None:
-            raise InputError("forced certificate carries no coloring")
-        return self.colors[self.elements.index(value)]
 
 
 class _Backtrack:
@@ -464,12 +471,7 @@ class _Backtrack:
 
 def _canonicalize(colors: Sequence[int]) -> tuple[int, ...]:
     relabel: dict[int, int] = {}
-    out = []
-    for c in colors:
-        if c not in relabel:
-            relabel[c] = len(relabel)
-        out.append(relabel[c])
-    return tuple(out)
+    return tuple(relabel.setdefault(c, len(relabel)) for c in colors)
 
 
 def _search(elements: Sequence[int], pattern: Pattern, r: int,
@@ -522,11 +524,8 @@ def verify_coloring(cert: ColoringCertificate, pattern: Pattern) -> bool:
     if any(c >= cert.r for c in cert.colors):
         return False
     eset = set(cert.elements)
-    for inst in pattern.instances(max(cert.elements)):
-        if all(v in eset for v in inst):
-            if len({color[v] for v in inst}) == 1:
-                return False
-    return True
+    return not any(eset.issuperset(inst) and len({color[v] for v in inst}) == 1
+                   for inst in pattern.instances(max(cert.elements)))
 
 
 @dataclass(frozen=True)
@@ -548,14 +547,15 @@ def ramsey_threshold(pattern: Pattern, r: int, nmax: int,
     and goes on from the avoiding coloring of [1..N-1].  Its node count
     after step N is that of find_avoiding_coloring(N, ...), so node_budget
     bounds each N exactly as a fresh search would, at the cost of the last
-    N alone.
+    N alone.  Step N draws only the instances ending at N and counts
+    instance_budget over [1..N], so it also overflows as a fresh search.
     """
     if nmax < 1:
         raise InputError("nmax must be >= 1")
-    search = _Backtrack(r, node_budget)
+    search, drawn = _Backtrack(r, node_budget), 0
     for n in range(1, nmax + 1):
-        search.add([n], [inst for inst in pattern.instances(n, instance_budget)
-                         if inst[-1] == n])
+        drawn, new = pattern.draw(n, n, instance_budget, drawn)
+        search.add([n], new)
         if not search.run():
             return ThresholdResult(n, nmax, pattern.label, r)
     return ThresholdResult(None, nmax, pattern.label, r)

@@ -90,22 +90,56 @@ def blind_affine_scan(f_vals, b_vals: set[int], bound: int,
     return None
 
 
-def brute_instances_ap(length: int, n: int) -> set[tuple[int, ...]]:
-    out = set()
+def brute_instances_ap(length: int, n: int) -> list[tuple[int, ...]]:
+    """One instance per (start, stride >= 1), before deduplication."""
+    out = []
     for a in range(1, n + 1):
         for d in range(1, n + 1):
             vals = [a + i * d for i in range(length)]
             if vals[-1] <= n:
-                out.add(tuple(vals))
+                out.append(tuple(vals))
     return out
 
 
-def brute_instances_schur(n: int) -> set[tuple[int, ...]]:
-    out = set()
+def brute_instances_schur(n: int) -> list[tuple[int, ...]]:
+    """One instance per pair x <= y, before deduplication."""
+    out = []
     for x in range(1, n + 1):
-        for y in range(1, n + 1):
+        for y in range(x, n + 1):
             if x + y <= n:
-                out.add(tuple(sorted({x, y, x + y})))
+                out.append(tuple(sorted({x, y, x + y})))
+    return out
+
+
+def brute_instances_gap_grid(n_index: int, n: int,
+                             strict: bool = False) -> list[tuple[int, ...]]:
+    """One instance per grid b q^j (a + i d), 0 <= i, j <= n_index, inside
+    [1..n] (q >= 2, b, d >= 1, a >= 0 with every cell >= 1), before
+    deduplication: the nested-loop enumerator the grid pattern used to run,
+    walking q, b, d and a upward until the largest cell passes n."""
+    out = []
+    qtop = n_index  # exponent of the largest power-of-q cell
+    for q in range(2, n + 1):
+        if q ** qtop > n:
+            break
+        for b in range(1, n + 1):
+            if b * q ** qtop > n:  # the (0, qtop) cell needs a >= 1
+                break
+            for d in range(1, n + 1):
+                if b * q ** qtop * n_index * d > n:  # (qtop, qtop) cell
+                    break
+                for a in range(0, n + 1):
+                    cells = [b * q ** j * (a + i * d)
+                             for i in range(n_index + 1)
+                             for j in range(n_index + 1)]
+                    if max(cells) > n:
+                        break
+                    if min(cells) < 1:
+                        continue
+                    inst = set(cells)
+                    if strict:
+                        inst |= {q, d}
+                    out.append(tuple(sorted(inst)))
     return out
 
 

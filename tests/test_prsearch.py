@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (brute_instances_ap, brute_instances_equation,
-                      brute_instances_schur, reference_backtrack)
+                      brute_instances_gap_grid, brute_instances_schur,
+                      reference_backtrack)
 from finembed.carrier import ADDITIVE, GroundSet, make_window
 from finembed.errors import BudgetError, InputError
 from finembed.prsearch import (Pattern, Polynomial, _canonicalize,
@@ -62,13 +63,13 @@ def test_homogeneity_scaling():
 @settings(max_examples=20)
 @given(st.integers(2, 40))
 def test_ap_instances_match_brute_force(n):
-    assert set(ap_pattern(3).instances(n)) == brute_instances_ap(3, n)
+    assert set(ap_pattern(3).instances(n)) == set(brute_instances_ap(3, n))
 
 
 @settings(max_examples=20)
 @given(st.integers(1, 50))
 def test_schur_instances_match_brute_force(n):
-    assert set(schur_pattern().instances(n)) == brute_instances_schur(n)
+    assert set(schur_pattern().instances(n)) == set(brute_instances_schur(n))
 
 
 def test_schur_instances_at_four():
@@ -96,6 +97,62 @@ def test_gap_grid_instances_sound():
     assert (1, 2, 4) in strict  # q=2 and d=1 already sit inside the grid
     with pytest.raises(InputError):
         gap_grid_pattern(0)
+
+
+def _reference_by_largest(pattern, nmax):
+    """The reference's raw instances inside [1..nmax], split by their
+    largest element: {N: [instance, ...]}, before deduplication."""
+    label = pattern.label.split(":")
+    if label[0] == "ap":
+        raw = brute_instances_ap(int(label[1]), nmax)
+    elif label[0] == "schur":
+        raw = brute_instances_schur(nmax)
+    else:
+        raw = brute_instances_gap_grid(int(label[1]), nmax,
+                                       strict=label[-1] == "strict")
+    by_largest = {n: [] for n in range(1, nmax + 1)}
+    for inst in raw:
+        by_largest[inst[-1]].append(inst)
+    return by_largest
+
+
+@pytest.mark.parametrize("pattern, nmax", [
+    (ap_pattern(2), 60), (ap_pattern(3), 60), (ap_pattern(4), 60),
+    (ap_pattern(5), 60), (schur_pattern(), 60), (gap_grid_pattern(1), 60),
+    (gap_grid_pattern(1, strict=True), 60), (gap_grid_pattern(2), 200)],
+    ids=lambda v: getattr(v, "label", str(v)))
+def test_instances_by_largest_element_match_the_reference(pattern, nmax):
+    """Each N's instances, deduplicated and raw, against the instances of the
+    reference enumerator whose last element is N."""
+    want = _reference_by_largest(pattern, nmax)
+    for n in range(1, nmax + 1):
+        assert pattern.draw(n, n) == (len(want[n]), sorted(set(want[n]))), n
+    assert sum(map(len, want.values())) > 0
+
+
+@pytest.mark.parametrize("pattern, r", [
+    (ap_pattern(3), 3), (schur_pattern(), 4), (gap_grid_pattern(1), 3),
+    (gap_grid_pattern(2), 2)], ids=lambda v: getattr(v, "label", str(v)))
+def test_threshold_instance_overflow_comes_at_the_reference_n(pattern, r):
+    """The budget counts raw instances over [1..N]: the first N whose
+    cumulative raw count passes it raises, with the fresh search's text."""
+    want = _reference_by_largest(pattern, 120)
+    for budget in (1, 7, 30, 100):
+        total = 0
+        for n in range(1, 121):
+            total += len(want[n])
+            if total > budget:
+                break
+        assert total > budget
+        with pytest.raises(BudgetError) as exc:
+            ramsey_threshold(pattern, r, 120, instance_budget=budget)
+        assert str(exc.value) == (
+            f"pattern-instance-overflow: more than {budget} instances for "
+            f"{pattern.label} at N={n}")
+        with pytest.raises(BudgetError) as fresh:
+            pattern.instances(n, budget)
+        assert str(fresh.value) == str(exc.value)
+        pattern.instances(n - 1, budget)  # one N earlier fits
 
 
 def test_poly_progression_instances():
@@ -127,7 +184,7 @@ def test_instance_budget_bounds_the_enumeration():
             drawn.append(v)
             yield (v,)
 
-    pattern = Pattern("counting", enum)
+    pattern = Pattern("counting", lambda lo, hi: enum(hi))
     with pytest.raises(BudgetError, match="more than 10 instances"):
         pattern.instances(1000, budget=10)
     assert len(drawn) <= 11
@@ -435,6 +492,40 @@ def test_solved_enumeration_matches_tuple_walk():
             assert list(_solutions(poly, domain)) == want, (poly, domain)
             found += len(want)
     assert found  # not every random equation is empty
+    signed = range(-12, 13)
+    for text, domain in [
+            ("x^2-y*z", range(1, 21)),  # x solved, sorted over a 2-D tail
+            ("x^2-y*z", signed), ("2x^2-y*z+y", signed),
+            ("-2x-2", signed), ("x^3+8", signed),  # Q is a constant
+            ("-2x-2", range(1, 9)), ("x^3+8", range(1, 9)), ("x^2", signed),
+            ("x^2+y^2-z^2", signed),  # even exponents: both of +-z solve
+            ("y^4-x^2*z^2", signed), ("x^2-4y^2", signed)]:
+        poly = parse_polynomial(text)
+        want = _tuple_walk(poly, domain)
+        assert list(_solutions(poly, domain)) == want, text
+        found += len(want)
+    assert list(_solutions(parse_polynomial("-2x-2"), signed)) == [(-1,)]
+    assert list(_solutions(parse_polynomial("x^3+8"), signed)) == [(-2,)]
+
+
+def test_solved_enumeration_stops_within_a_few_rows(monkeypatch):
+    """A row is evaluated whole, but no further rows are once the budget
+    is spent: x^2+y^2 = z^2 over [1..2000] overflows 10 solutions within
+    the first dozen values of x, not after 2000^2 evaluations."""
+    from finembed import prsearch
+    rows = []
+    row = prsearch._row
+
+    def spy(rest, point, inner, powers):
+        rows.append(point[0])  # x
+        return row(rest, point, inner, powers)
+
+    monkeypatch.setattr(prsearch, "_row", spy)
+    pattern = equation_pattern(parse_polynomial("x^2+y^2-z^2"))
+    with pytest.raises(BudgetError, match="more than 10 instances"):
+        pattern.instances(2000, budget=10)
+    assert rows == list(range(1, len(rows) + 1))
+    assert len(rows) <= 12
 
 
 @pytest.mark.parametrize("text", [
