@@ -300,7 +300,7 @@ def _solutions(poly: Polynomial,
         roots.setdefault(-c * z ** exps[k], []).append(z)
     rest = [mono for mono in poly.monomials if not mono[1][k]]
     if poly.nvars == 1:  # Q is a constant
-        yield from ((z,) for z in roots.get(sum(c for c, _ in rest), ()))
+        yield from ((z,) for z in roots.get(sum(m[0] for m in rest), ()))
         return
     inner = poly.nvars - 1 if k < poly.nvars - 1 else k - 1
     powers = {e: [v ** e for v in vals]
@@ -310,8 +310,8 @@ def _solutions(poly: Polynomial,
                              key=lambda outer: outer[:k]):
         block = []
         for outer in outers:
-            walk = outer + (1,)  # v's slot and the row's read 1, as 1 ** e
-            row = _row(rest, walk[:k] + (1,) + walk[k:], inner, powers)
+            point = outer + (1,)  # the row's slot and v's read 1, as 1 ** e
+            row = _row(rest, point[:k] + (1,) + point[k:], inner, powers)
             for t in compress(range(len(row)), map(roots.__contains__, row)):
                 walk = outer + (vals[t],)
                 block += [walk[:k] + (z,) + walk[k:] for z in roots[row[t]]]
@@ -322,14 +322,11 @@ def _solutions(poly: Polynomial,
 def _row(rest: Sequence[tuple[int, tuple[int, ...]]], point: tuple[int, ...],
          inner: int, powers: dict[int, list[int]]) -> list[int]:
     """The monomials of rest at point, slot inner running over the domain."""
-    by_exp: dict[int, int] = {}
+    row: Iterable[int] = repeat(0, len(powers[0]))
     for coeff, exps in rest:
         for v, e in zip(point, exps):
             coeff *= v ** e
-        by_exp[exps[inner]] = by_exp.get(exps[inner], 0) + coeff
-    row: Iterable[int] = repeat(0, len(powers[0]))
-    for e, coeff in by_exp.items():
-        row = map(add, row, map(coeff.__mul__, powers[e]))
+        row = map(add, row, map(coeff.__mul__, powers[exps[inner]]))
     return list(row)
 
 
@@ -524,8 +521,11 @@ def verify_coloring(cert: ColoringCertificate, pattern: Pattern) -> bool:
     if any(c >= cert.r for c in cert.colors):
         return False
     eset = set(cert.elements)
-    return not any(eset.issuperset(inst) and len({color[v] for v in inst}) == 1
-                   for inst in pattern.instances(max(cert.elements)))
+    for inst in pattern.instances(max(cert.elements)):
+        if all(v in eset for v in inst):
+            if len({color[v] for v in inst}) == 1:
+                return False
+    return True
 
 
 @dataclass(frozen=True)
