@@ -5,9 +5,10 @@
 Times the complete 3-coloring search for 3-term APs over [1..N] for
 N = 20..27 (reporting nodes and nodes per second; N = 27 is the first forced
 size, W(3;3) = 27), the threshold scan for the same pattern and colors up to
-nmax = 20..28 (reporting the threshold), and the instance enumeration of
-x^2 + y^2 = z^2 over [1..N] for N = 50, 100, 200, 400, in-process and
-single-threaded.  A case stops growing N once one run takes longer than
+nmax = 20..28 (reporting the threshold), the 2-color threshold scan for
+gap-grid:1 up to nmax = 8..24 (24 is the first forced size), and the
+instance enumeration of x^2 + y^2 = z^2 and of x^2 = y z over [1..N] for
+N = 50, 100, 200, 400, in-process and single-threaded.  A case stops growing N once one run takes longer than
 MAX_SECONDS, so slow implementations can be swept with the same script.
 Only the public API is used.
 
@@ -24,7 +25,7 @@ import sys
 import time
 
 from finembed import (ap_pattern, equation_pattern, find_avoiding_coloring,
-                      parse_polynomial, ramsey_threshold)
+                      gap_grid_pattern, parse_polynomial, ramsey_threshold)
 from set_sweeps import REF_NOMINAL_S, reference_loop
 
 REPEATS = 3        # best of
@@ -40,9 +41,14 @@ def vdw_threshold(nmax):
     return {"threshold": ramsey_threshold(ap_pattern(3), 3, nmax).threshold}
 
 
-def pythagorean_instances(n):
-    pattern = equation_pattern(parse_polynomial("x^2+y^2-z^2"))
-    return {"instances": len(pattern.instances(n))}
+def grid_threshold(nmax):
+    return {"threshold": ramsey_threshold(gap_grid_pattern(1), 2,
+                                          nmax).threshold}
+
+
+def equation_instances(text):
+    pattern = equation_pattern(parse_polynomial(text))
+    return lambda n: {"instances": len(pattern.instances(n))}
 
 
 CASES = (
@@ -50,8 +56,12 @@ CASES = (
      range(20, 28)),
     ("ap:3 r=3 threshold", "prsearch.ramsey_threshold", vdw_threshold,
      range(20, 29)),
+    ("gap-grid:1 r=2 threshold", "prsearch.ramsey_threshold", grid_threshold,
+     range(8, 25, 4)),
     ("x^2+y^2-z^2 instances", "prsearch.Pattern.instances",
-     pythagorean_instances, (50, 100, 200, 400)),
+     equation_instances("x^2+y^2-z^2"), (50, 100, 200, 400)),
+    ("x^2-y*z instances", "prsearch.Pattern.instances",
+     equation_instances("x^2-y*z"), (50, 100, 200, 400)),
 )
 
 

@@ -149,10 +149,10 @@ class Pattern:
 
     def draw(self, lo: int, hi: int, budget: int = DEFAULT_INSTANCE_BUDGET,
              drawn: int = 0) -> tuple[int, list[tuple[int, ...]]]:
-        """The raw count, drawn plus the instances whose largest element
-        lies in [lo..hi], and those instances sorted and deduplicated; over
-        budget raises at N = hi.  So [N..N] drawn for N = 1, 2, ... with the
-        count carried raises where instances(N, budget) would."""
+        """(drawn plus the raw count of the instances whose largest element
+        lies in [lo..hi], those instances sorted and deduplicated).  A total
+        over budget raises at N = hi, so drawing [N..N] for N = 1, 2, ...
+        with the total carried raises where instances(N, budget) would."""
         raw = list(islice(self._between(lo, hi), budget - drawn + 1))
         drawn += len(raw)
         if drawn > budget:
@@ -200,7 +200,7 @@ def gap_grid_pattern(n_index: int, strict: bool = False) -> Pattern:
     """
     if n_index < 1:
         raise InputError("grid index bound must be >= 1 (0 is a single cell)")
-    cells = range(n_index + 1)
+    indices = range(n_index + 1)
 
     def between(lo: int, hi: int) -> Iterator[tuple[int, ...]]:
         for n in range(lo, hi + 1):
@@ -217,7 +217,7 @@ def gap_grid_pattern(n_index: int, strict: bool = False) -> Pattern:
                     for d in range(1, (top - 1) // n_index + 1):
                         a = top - n_index * d
                         inst = {b * q ** j * (a + i * d)
-                                for i in cells for j in cells}
+                                for i in indices for j in indices}
                         if strict:
                             inst |= {q, d}
                         yield tuple(sorted(inst))
