@@ -6,11 +6,12 @@ Times the complete 3-coloring search for 3-term APs over [1..N] for
 N = 20..27 (reporting nodes and nodes per second; N = 27 is the first forced
 size, W(3;3) = 27), the threshold scan for the same pattern and colors up to
 nmax = 20..28 (reporting the threshold), the 2-color threshold scan for
-gap-grid:1 up to nmax = 8..24 (24 is the first forced size), and the
+gap-grid:1 up to nmax = 8..24 (24 is the first forced size), the
 instance enumeration of x^2 + y^2 = z^2 and of x^2 = y z over [1..N] for
-N = 50, 100, 200, 400, in-process and single-threaded.  A case stops growing N once one run takes longer than
-MAX_SECONDS, so slow implementations can be swept with the same script.
-Only the public API is used.
+N = 50, 100, 200, 400, and of x y = z w (no variable isolated) for
+N = 10..30, in-process and single-threaded.  A case stops growing N once
+one run takes longer than MAX_SECONDS, so slow implementations can be
+swept with the same script.  Only the public API is used.
 
 Each record holds the raw best-of-REPEATS seconds and the normalized
 seconds, scaled by the reference loop of scripts/set_sweeps.py as there.
@@ -62,6 +63,8 @@ CASES = (
      equation_instances("x^2+y^2-z^2"), (50, 100, 200, 400)),
     ("x^2-y*z instances", "prsearch.Pattern.instances",
      equation_instances("x^2-y*z"), (50, 100, 200, 400)),
+    ("x*y-z*w instances", "prsearch.Pattern.instances",
+     equation_instances("x*y-z*w"), (10, 15, 20, 25, 30)),
 )
 
 

@@ -8,8 +8,9 @@ probe, upper_density (additive interval nets on sparse and dense sets,
 on both sides of the rule that picks its kernel, a multiplicative
 interval net and an additive net that is not an interval), the density
 report end to end (upper_density, its JSON payload and the dumped
-bytes), the same for the AP certificate of the evens, and the affine
-and translation embedding kernels, each on fresh sets at growing W,
+bytes), the same for the AP certificate of the evens, the affine
+and translation embedding kernels and a geoarithmetic bounded scan that
+answers unknown, each on fresh sets at growing W,
 in-process and single-threaded, plus two affine scans that run past the
 kernel's row budget and the fixed cost of a CLI call.  A case stops
 growing W once one run takes longer than MAX_SECONDS, so slow
@@ -36,7 +37,8 @@ import sys
 import time
 
 from finembed import (ADDITIVE, MULTIPLICATIVE, GroundSet, Net,
-                      builtin_affine, builtin_right_translations, fe_decide,
+                      builtin_affine, builtin_geoarithmetic,
+                      builtin_right_translations, embed_finite, fe_decide,
                       fe_probe, interval_net, is_piecewise_syndetic_window,
                       is_thick_window, longest_ap, make_window,
                       parse_predicate, upper_density)
@@ -45,6 +47,7 @@ from finembed.jsonio import certificate_to_json, density_report_to_json, dumps
 
 SIZES = (10_000, 25_000, 50_000, 100_000, 200_000, 400_000)
 SMALL_SIZES = (400, 1_000, 4_000, 10_000, 25_000, 100_000)
+SCAN_SIZES = (20, 30, 40, 50, 60)
 PROBE_SIZES = (2_000, 5_000, 10_000, 25_000, 50_000, 100_000)
 DENSITY_SIZES = (2_000, 10_000, 25_000, 50_000, 100_000)
 # 501 to 2,001 realized elements span the int-text kernel's crossover
@@ -226,6 +229,21 @@ def affine_long(W):
     return lambda: family.anchored_search(range(k), B)
 
 
+def geo_scan(W):
+    # F = [1, 2] into the primes with --bound W: r(a + b) prime forces
+    # a + b = 1, so b = 1 and 2r is not prime; the bounded scan walks every
+    # parameter up to W ((W - 1) W (W + 1) of them) and answers unknown.
+    win = make_window(ADDITIVE, W)
+    B = fresh(W, "primes")
+    B.count()
+    family = builtin_geoarithmetic(win)
+
+    def run():
+        verdict = embed_finite([1, 2], B, family, bound=W)
+        return verdict.outcome, verdict.stats.params_examined
+    return run
+
+
 def tiny_decides(W):
     # 200 seeded decides on a window as small as the verify suites' W=40:
     # translations have one slope and few affine witnesses leave more
@@ -297,6 +315,8 @@ CASES = (
      "families.anchored_search", affine_long, (100_000,)),
     ("fe_decide translations and affine, 200 draws", "embed.fe_decide",
      tiny_decides, (40,)),
+    ("geoarithmetic bounded scan (unknown)", "embed.embed_finite", geo_scan,
+     SCAN_SIZES),
     ("cli.dispatch pr threshold ap:3 r=2 nmax=3, size = calls",
      "cli.dispatch", cli_calls, (200,)),
 )

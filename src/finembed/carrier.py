@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -35,6 +36,10 @@ KINDS = (ADDITIVE, MULTIPLICATIVE, FREE_WORDS, TABLE)
 
 # Hard cap on window size so word windows cannot blow up the encoding space.
 MAX_WINDOW_SIZE = 1 << 20
+
+# Deepest nesting of predicates and family terms, so that each one parses
+# and evaluates within the interpreter's recursion limit.
+MAX_NESTING = 64
 
 # Smallest prefix a vectorized predicate fill evaluates at once.
 _FILL_CHUNK = 1024
@@ -602,10 +607,13 @@ def parse_predicate(spec: str) -> Callable[[Payload], bool]:
     """Parse the builtin predicate language of the JSON set format.
 
     Atoms: evens odds squares primes all multiples:<m> interval:<lo>:<hi>.
-    Combinators: union(p,q,...) and intersect(p,q,...), nestable.  The
-    returned test also carries, as its `vector` attribute, the same test
-    over an int64 array of numeric payloads.
+    Combinators: union(p,q,...) and intersect(p,q,...), nestable up to
+    MAX_NESTING deep.  The returned test also carries, as its `vector`
+    attribute, the same test over an int64 array of numeric payloads.
     """
+    depth = max(accumulate((ch == "(") - (ch == ")") for ch in spec), default=0)
+    if depth > MAX_NESTING:
+        raise InputError(f"predicate-too-deep: {depth} > {MAX_NESTING} levels")
     spec = spec.strip()
     for comb, fold, vfold in (("union", any, np.logical_or),
                               ("intersect", all, np.logical_and)):

@@ -70,18 +70,17 @@ def image_of(family: FamilySpec, params: Params,
 
 
 def embed_finite(F: Iterable[Payload], B: GroundSet, family: FamilySpec,
-                 bound: int | None = None,
-                 tuple_cap: int = DEFAULT_TUPLE_CAP) -> EmbedVerdict:
+                 bound: int | None = None) -> EmbedVerdict:
     """Is there a family member mapping F^n into B?
 
     The reported witness is the first one in the family's canonical
     parameter enumeration order, making results deterministic.
     """
     fpay = family._normalize_f(F)
-    if family.arity >= 2 and len(fpay) > tuple_cap:
+    if family.arity >= 2 and len(fpay) > DEFAULT_TUPLE_CAP:
         raise InputError(
-            f"|F|={len(fpay)} exceeds the tuple cap {tuple_cap} for "
-            f"arity {family.arity}; raise tuple_cap explicitly if intended")
+            f"|F|={len(fpay)} exceeds the tuple cap {DEFAULT_TUPLE_CAP} for "
+            f"arity {family.arity}: |F|^{family.arity} tuples per candidate")
     tuples = list(itertools.product(fpay, repeat=family.arity))
 
     def image_in_b(params: Params) -> tuple[Payload, ...] | None:
@@ -121,8 +120,7 @@ def embed_finite(F: Iterable[Payload], B: GroundSet, family: FamilySpec,
 
 
 def fe_decide(A: GroundSet, B: GroundSet, family: FamilySpec,
-              bound: int | None = None,
-              tuple_cap: int = DEFAULT_TUPLE_CAP) -> EmbedVerdict:
+              bound: int | None = None) -> EmbedVerdict:
     """Decide A <=_family B for an explicit finite A.
 
     F = A is the hardest finite subset: any f with f(A^n) inside B also maps
@@ -133,7 +131,7 @@ def fe_decide(A: GroundSet, B: GroundSet, family: FamilySpec,
     avals = list(A.values())
     if not avals:
         raise InputError("A must be non-empty")
-    return embed_finite(avals, B, family, bound, tuple_cap)
+    return embed_finite(avals, B, family, bound)
 
 
 def verify_witness(witness: EmbedWitness, B: GroundSet,
@@ -163,10 +161,7 @@ class ProbeReport:
 
     @property
     def refutation(self) -> ProbeEntry | None:
-        for e in self.entries:
-            if e.verdict.outcome == NO:
-                return e
-        return None
+        return next((e for e in self.entries if e.verdict.outcome == NO), None)
 
     @property
     def overall(self) -> str:
@@ -179,8 +174,7 @@ class ProbeReport:
 
 def fe_probe(A: GroundSet, B: GroundSet, family: FamilySpec,
              probe_sizes: Sequence[int], bound: int | None = None,
-             random_subsets: int = 0, seed: int = 0,
-             tuple_cap: int = DEFAULT_TUPLE_CAP) -> ProbeReport:
+             random_subsets: int = 0, seed: int = 0) -> ProbeReport:
     """Probe A <=_family B through canonical-order prefixes of A.
 
     A "no" at any probe is a witnessed counterexample to the whole relation;
@@ -205,13 +199,13 @@ def fe_probe(A: GroundSet, B: GroundSet, family: FamilySpec,
     for p in probe_sizes:
         prefix = tuple(pool[:min(p, len(pool))])
         entries.append(ProbeEntry(
-            p, prefix, embed_finite(prefix, B, family, bound, tuple_cap)))
+            p, prefix, embed_finite(prefix, B, family, bound)))
         for _ in range(random_subsets):
             if len(pool) <= p:
                 break
             sub = tuple(sorted(rng.sample(pool, p), key=A.window.sort_key))
             entries.append(ProbeEntry(
-                p, sub, embed_finite(sub, B, family, bound, tuple_cap), True))
+                p, sub, embed_finite(sub, B, family, bound), True))
     return ProbeReport(tuple(entries))
 
 
@@ -254,6 +248,10 @@ class CriterionEntry:
     h_params: Params | None
 
 
+# The criterion status of each embed outcome.
+_STATUS = {YES: "satisfied", NO: "violated", UNKNOWN: "unknown"}
+
+
 @dataclass(frozen=True)
 class CriterionReport:
     criterion: str
@@ -271,8 +269,7 @@ class CriterionReport:
 def check_transitive_criterion(family: FamilySpec,
                                sample_F: Sequence[Iterable[Payload]],
                                params_per_side: int = 4,
-                               bound: int | None = None,
-                               tuple_cap: int = DEFAULT_TUPLE_CAP) -> CriterionReport:
+                               bound: int | None = None) -> CriterionReport:
     """Transitivity test: for each sampled F and members f, g, look for an
     h with h(F^n) inside g([f(F^n)]^n).
 
@@ -285,7 +282,8 @@ def check_transitive_criterion(family: FamilySpec,
         fpay = family._normalize_f(F)
         for pf in sample_params:
             mid = image_of(family, pf, fpay)
-            if mid is None or (family.arity >= 2 and len(mid) > tuple_cap):
+            if mid is None or (family.arity >= 2
+                               and len(mid) > DEFAULT_TUPLE_CAP):
                 entries.append(CriterionEntry(fpay, pf, None,
                                               "skipped-overflow", None))
                 continue
@@ -297,27 +295,24 @@ def check_transitive_criterion(family: FamilySpec,
                     continue
                 tset = GroundSet.from_values(family.window, target,
                                              label="g(f(F)^n)")
-                v = embed_finite(fpay, tset, family, bound, tuple_cap)
-                status = {YES: "satisfied", NO: "violated",
-                          UNKNOWN: "unknown"}[v.outcome]
+                v = embed_finite(fpay, tset, family, bound)
                 h = v.witness.params if v.witness else None
-                entries.append(CriterionEntry(fpay, pf, pg, status, h))
+                entries.append(CriterionEntry(fpay, pf, pg, _STATUS[v.outcome], h))
     return CriterionReport("transitive", tuple(entries))
 
 
 def check_reflexive_criterion(family: FamilySpec,
                               sample_F: Sequence[Iterable[Payload]],
-                              bound: int | None = None,
-                              tuple_cap: int = DEFAULT_TUPLE_CAP) -> CriterionReport:
+                              bound: int | None = None) -> CriterionReport:
     """Reflexivity test: each sampled F must admit f with f(F^n) inside F."""
     entries: list[CriterionEntry] = []
     for F in sample_F:
         fpay = family._normalize_f(F)
         fset = GroundSet.from_values(family.window, fpay, label="F")
-        v = embed_finite(fpay, fset, family, bound, tuple_cap)
-        status = {YES: "satisfied", NO: "violated", UNKNOWN: "unknown"}[v.outcome]
+        v = embed_finite(fpay, fset, family, bound)
         entries.append(CriterionEntry(
-            fpay, None, None, status, v.witness.params if v.witness else None))
+            fpay, None, None, _STATUS[v.outcome],
+            v.witness.params if v.witness else None))
     return CriterionReport("reflexive", tuple(entries))
 
 
@@ -363,11 +358,6 @@ def check_upward_closed(prop: Callable[[GroundSet], bool], prop_name: str,
                 f"unverified-pair: {A.label!r} does not provably embed in "
                 f"{B.label!r} (outcome {v.outcome})")
         a_in, b_in = prop(A), prop(B)
-        if not a_in:
-            status = "vacuous"
-        elif b_in:
-            status = "transfers"
-        else:
-            status = "violated"
+        status = ("transfers" if b_in else "violated") if a_in else "vacuous"
         entries.append(ClosureEntry(A.label, B.label, a_in, b_in, status))
     return ClosureReport(prop_name, tuple(entries))

@@ -31,16 +31,20 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice, product
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .carrier import (ADDITIVE, FREE_WORDS, MULTIPLICATIVE, OVERFLOW,
-                      Element, GroundSet, Payload, Window, _is_prime)
+from .carrier import (ADDITIVE, FREE_WORDS, MAX_NESTING, MULTIPLICATIVE,
+                      OVERFLOW, Element, GroundSet, Payload, Window, _is_prime)
 from .errors import InputError
 
 Params = tuple
 Tuple_ = tuple
+
+# The largest exponent a term, a polynomial or a degree may ask for.
+MAX_EXPONENT = 64
 
 
 @dataclass(frozen=True)
@@ -113,10 +117,7 @@ class FamilySpec:
         if self._anchored is not None:
             cands = [p for p in self._anchored(fpay, B) if self._r(p)]
             return ParamStream(iter(_dedup_sorted(self.window, cands)), True)
-        b = bound if bound is not None else self.default_bound
-        lists = self._scan_lists(b)
-        it = (p for p in _shell_order(lists) if self._r(p))
-        return ParamStream(it, False)
+        return ParamStream(self._scan(bound), False)
 
     def anchored_search(self, F: Iterable[Payload],
                         B: GroundSet) -> tuple[Params | None, int] | None:
@@ -140,14 +141,13 @@ class FamilySpec:
         """First count parameter tuples of R in canonical scan order."""
         if self._explicit_params is not None:
             return list(self._explicit_params[:count])
+        return list(islice(self._scan(bound), count))
+
+    def _scan(self, bound: int | None) -> Iterator[Params]:
+        """The bounded scan: the tuples of R up to bound (default_bound when
+        None), in shell order."""
         b = bound if bound is not None else self.default_bound
-        out = []
-        for p in _shell_order(self._scan_lists(b)):
-            if self._r(p):
-                out.append(p)
-                if len(out) >= count:
-                    break
-        return out
+        return filter(self._r, _shell_order(self._scan_lists(b)))
 
     def _normalize_f(self, F: Iterable[Payload]) -> Tuple_:
         pays = []
@@ -181,27 +181,22 @@ def _shell_order(lists: Sequence[Sequence]) -> Iterator[Params]:
     ordered by maximum coordinate *rank* first, then lexicographically.
 
     Small parameters come first, and every finite prefix of the product is
-    eventually emitted, so exhaustion order is reproducible.
+    eventually emitted, so exhaustion order is reproducible.  Shell s walks
+    the heads (all but the last list) cut to rank s: a head at rank s takes
+    every last value up to rank s, any other head the one at rank s.
     """
-    k = len(lists)
-    if k == 0 or any(not lst for lst in lists):
+    if not lists or not all(lists):
         return
-    top = max(len(lst) for lst in lists)
-
-    def rec(i: int, shell: int, must_hit: bool, prefix: list) -> Iterator[Params]:
-        if i == k:
-            if not must_hit:
-                yield tuple(prefix)
-            return
-        lst = lists[i]
-        hi = min(shell, len(lst) - 1)
-        for j in range(hi + 1):
-            prefix.append(lst[j])
-            yield from rec(i + 1, shell, must_hit and j < shell, prefix)
-            prefix.pop()
-
-    for shell in range(top):
-        yield from rec(0, shell, True, [])
+    *heads, last = lists
+    tails = [(v,) for v in last]
+    for s in range(max(map(len, lists))):
+        cuts = [lst[:s + 1] for lst in heads]
+        ranks = product(*(range(len(cut)) for cut in cuts))
+        for head, rank in zip(product(*cuts), ranks):
+            if s in rank:
+                yield from map(head.__add__, tails[:s + 1])
+            elif s < len(tails):
+                yield head + tails[s]
 
 
 def _shift_search(B: GroundSet, slopes: range, anchors: Sequence[int],
@@ -519,11 +514,13 @@ def builtin_polynomial(s_coeffs: GroundSet, d_indices: Iterable[int],
 
 def poly_indices(d_indices: Iterable[int], degree: int) -> tuple[int, ...]:
     """The coefficient indices D of a restricted-coefficient polynomial of
-    degree at most `degree`, sorted and de-duplicated; the one check of D
-    for the polynomial family, its detector and its partition pattern."""
+    degree at most `degree` <= MAX_EXPONENT, sorted and de-duplicated; the
+    one check of D for the polynomial family, detector and pattern."""
     dset = tuple(sorted(set(d_indices)))
     if not dset:
         raise InputError("empty-D: need at least one coefficient index")
+    if degree > MAX_EXPONENT:
+        raise InputError(f"degree-out-of-range: {degree} > {MAX_EXPONENT}")
     if dset[0] < 0 or dset[-1] > degree:
         raise InputError(f"inconsistent-degree: D={list(dset)} vs degree {degree}")
     return dset
@@ -606,10 +603,11 @@ def _tokenize(term: str) -> list[str]:
 
 
 class _TermParser:
-    """sum := prod (+ prod)* ; prod := pow (* pow)* ; pow := atom (^ pow)?"""
+    """sum := prod (+ prod)* ; prod := pow (* pow)* ; pow := atom (^ pow)?
+    with pow calls nested at most MAX_NESTING deep."""
 
     def __init__(self, toks: list[str], n: int, k: int):
-        self.toks, self.pos, self.n, self.k = toks, 0, n, k
+        self.toks, self.pos, self.n, self.k, self.depth = toks, 0, n, k, 0
 
     def peek(self) -> str | None:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -640,11 +638,15 @@ class _TermParser:
         return ("*", parts) if len(parts) > 1 else parts[0]
 
     def pow(self):
-        base = self.atom()
+        if self.depth == MAX_NESTING:
+            raise InputError(f"malformed-term: nested above {MAX_NESTING}")
+        self.depth += 1
+        node = self.atom()
         if self.peek() == "^":
             self.eat()
-            return ("^", [base, self.pow()])
-        return base
+            node = ("^", [node, self.pow()])
+        self.depth -= 1
+        return node
 
     def atom(self):
         tok = self.peek()
@@ -690,7 +692,7 @@ def _eval_term(node, slots: Tuple_, params: Params) -> int:
             out *= v
         return out
     base, exp = vals
-    if exp < 0 or (exp > 64 and base > 1):
+    if exp < 0 or (exp > MAX_EXPONENT and base > 1):
         raise InputError("term exponent out of range")
     return base ** exp
 

@@ -16,11 +16,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import compress, groupby, islice, product, repeat
+from math import prod
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetError, InputError, parse_int
-from .families import poly_coefficients, poly_indices
+from .families import MAX_EXPONENT, poly_coefficients, poly_indices
 
 DEFAULT_INSTANCE_BUDGET = 500_000
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -40,13 +41,8 @@ class Polynomial:
     def evaluate(self, values: Sequence[int]) -> int:
         if len(values) != self.nvars:
             raise InputError(f"expected {self.nvars} values")
-        total = 0
-        for coeff, exps in self.monomials:
-            term = coeff
-            for v, e in zip(values, exps):
-                term *= v ** e
-            total += term
-        return total
+        return sum(coeff * prod(map(pow, values, exps))
+                   for coeff, exps in self.monomials)
 
     @property
     def monomial_degrees(self) -> tuple[int, ...]:
@@ -80,7 +76,8 @@ _FACTOR = re.compile(r"([xyzw])(?:\^(\d+))?")
 
 
 def parse_polynomial(text: str) -> Polynomial:
-    """Parse monomials in x, y, z, w joined by + and -, e.g. x^2+y^2-z^2."""
+    """Parse monomials in x, y, z, w joined by + and -, e.g. x^2+y^2-z^2;
+    each variable's exponent in a monomial is at most MAX_EXPONENT."""
     clean = text.replace(" ", "").replace("−", "-")
     if not clean:
         raise InputError("empty polynomial")
@@ -96,11 +93,14 @@ def parse_polynomial(text: str) -> Polynomial:
         m = _MONO.match(chunk[1:])
         if not m or not chunk[1:]:
             raise InputError(f"cannot parse monomial {chunk!r}")
-        coeff = sign * int(m.group(1) or 1)
+        coeff = sign * parse_int(m.group(1) or "1", "a coefficient")
         exps = [0, 0, 0, 0]
         for var, power in _FACTOR.findall(m.group(2) or ""):
             idx = VARS.index(var)
-            exps[idx] += int(power or 1)
+            exps[idx] += parse_int(power or "1", "an exponent")
+            if exps[idx] > MAX_EXPONENT:
+                raise InputError(f"exponent-out-of-range: {var}^{exps[idx]} "
+                                 f"> {MAX_EXPONENT} in {chunk!r}")
             used = max(used, idx + 1)
         key = tuple(exps)
         terms[key] = terms.get(key, 0) + coeff
@@ -261,8 +261,8 @@ def equation_pattern(poly: Polynomial, distinct: bool = False) -> Pattern:
     solutions, not candidate tuples.  An isolated variable (alone in its one
     monomial, like z in x^2+y^2-z^2) is read from a table of its values for
     each of the N^(v-1) values of the rest, evaluated a row at a time;
-    otherwise P is evaluated on all N^v tuples, so a sparse equation such as
-    x*y-z*w costs N^v evaluations whatever the budget.
+    otherwise P itself is evaluated in N^(v-1) rows of N values, so a sparse
+    equation such as x*y-z*w costs N^v values whatever the budget.
     """
     if poly.nvars < 1:
         raise InputError("zero-variables: the equation needs a variable")
@@ -283,30 +283,29 @@ def _solutions(poly: Polynomial,
 
     When some variable v is isolated, i.e. occurs only in one monomial
     c*v^e that holds no other variable, v is read from the table
-    {-c*z^e: [z, ...]} over the domain for each of the N^(v-1) values of Q,
-    the sum of the other monomials, evaluated a row at a time (_row).
-    Otherwise every tuple is evaluated (N^v).
+    {-c*z^e: [z, ...]} over the domain for each value of Q, the sum of the
+    other monomials; otherwise Q is P and the table {0: [()]}.  Q is
+    evaluated in rows (_row), the last variable other than v running.
     """
     vals = list(domain)
     k = _isolated_variable(poly)
+    roots: dict[int, list[tuple[int, ...]]] = {}
     if k is None:
-        for tup in product(vals, repeat=poly.nvars):
-            if poly.evaluate(tup) == 0:
-                yield tup
+        k, rest, roots[0] = poly.nvars, poly.monomials, [()]
+    else:
+        c, exps = next(mono for mono in poly.monomials if mono[1][k])
+        for z in vals:  # ascending, so each list of roots is too
+            roots.setdefault(-c * z ** exps[k], []).append((z,))
+        rest = [mono for mono in poly.monomials if not mono[1][k]]
+    walked = poly.nvars - (k < poly.nvars)  # the variables other than v
+    if not walked:  # Q is a constant
+        yield from roots.get(sum(m[0] for m in rest), ())
         return
-    c, exps = next(mono for mono in poly.monomials if mono[1][k])
-    roots: dict[int, list[int]] = {}
-    for z in vals:  # ascending, so each list of roots is too
-        roots.setdefault(-c * z ** exps[k], []).append(z)
-    rest = [mono for mono in poly.monomials if not mono[1][k]]
-    if poly.nvars == 1:  # Q is a constant
-        yield from ((z,) for z in roots.get(sum(m[0] for m in rest), ()))
-        return
-    inner = poly.nvars - 1 if k < poly.nvars - 1 else k - 1
+    inner = walked - 1 if k == walked else walked
     powers = {e: [v ** e for v in vals]
               for e in {0}.union(*(es for _, es in rest))}
     # a row holds one head when v is not last, else one head per value
-    for _, outers in groupby(product(vals, repeat=poly.nvars - 2),
+    for _, outers in groupby(product(vals, repeat=walked - 1),
                              key=lambda outer: outer[:k]):
         block = []
         for outer in outers:
@@ -314,7 +313,7 @@ def _solutions(poly: Polynomial,
             row = _row(rest, point[:k] + (1,) + point[k:], inner, powers)
             for t in compress(range(len(row)), map(roots.__contains__, row)):
                 walk = outer + (vals[t],)
-                block += [walk[:k] + (z,) + walk[k:] for z in roots[row[t]]]
+                block += [walk[:k] + z + walk[k:] for z in roots[row[t]]]
         block.sort()
         yield from block
 

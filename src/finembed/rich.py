@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .carrier import (ADDITIVE, MULTIPLICATIVE, GroundSet, Payload, Window)
-from .embed import DEFAULT_TUPLE_CAP, EmbedVerdict, embed_finite
+from .embed import EmbedVerdict, embed_finite
 from .errors import InputError, parse_int
 from .families import FamilySpec, poly_coefficients, poly_indices
 
@@ -351,8 +351,7 @@ def _first_shift_by_scan(A: GroundSet, L: int) -> Payload | None:
 
 def maximality_probe(A: GroundSet, family: FamilySpec,
                      probe_sizes: Sequence[int],
-                     bound: int | None = None,
-                     tuple_cap: int = DEFAULT_TUPLE_CAP
+                     bound: int | None = None
                      ) -> list[tuple[int, EmbedVerdict]]:
     """Probe whether A looks maximal: every window prefix F must embed in A.
 
@@ -364,7 +363,7 @@ def maximality_probe(A: GroundSet, family: FamilySpec,
         if p < 1 or p > win.size:
             raise InputError(f"probe size {p} out of range")
         F = [win.payload(e) for e in range(p)]
-        out.append((p, embed_finite(F, A, family, bound, tuple_cap)))
+        out.append((p, embed_finite(F, A, family, bound)))
     return out
 
 

@@ -1,11 +1,12 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from finembed.carrier import (ADDITIVE, FREE_WORDS, MULTIPLICATIVE, OVERFLOW,
-                              GroundSet, check_associative, elements,
-                              make_table_window, make_window, op_apply,
-                              parse_predicate)
+from finembed.carrier import (ADDITIVE, FREE_WORDS, MAX_NESTING,
+                              MULTIPLICATIVE, OVERFLOW, GroundSet,
+                              check_associative, elements, make_table_window,
+                              make_window, op_apply, parse_predicate)
 from finembed.errors import InputError
 
 
@@ -154,6 +155,31 @@ def test_builtin_predicates():
         assert got == expected, spec
     with pytest.raises(InputError):
         parse_predicate("nonsense:1")
+
+
+def _with_frames(frames, fn):
+    """fn() called under `frames` more interpreter frames."""
+    return fn() if frames == 0 else _with_frames(frames - 1, fn)
+
+
+def test_predicate_nesting_is_capped_where_both_tests_still_evaluate():
+    def nested(depth):
+        return "union(" * (depth - 1) + "intersect(evens,all)" + ")" * (depth - 1)
+    deepest = nested(MAX_NESTING)
+    # with room to spare: the scalar test takes a few frames a level
+    test = _with_frames(300, lambda: parse_predicate(deepest))
+    assert _with_frames(300, lambda: (test(4), test(5))) == (True, False)
+    values = np.arange(6, dtype=np.int64)
+    assert _with_frames(300, lambda: test.vector(values)).tolist() == [
+        True, False] * 3
+    words = make_window(FREE_WORDS, 3, ["a", "b"])
+    assert GroundSet.from_predicate(
+        words, parse_predicate(nested(MAX_NESTING).replace("evens", "all"))
+    ).count() == words.size
+    for spec in (nested(MAX_NESTING + 1), nested(2000),
+                 "union(" * 2000 + "evens" + ")" * 2000):
+        with pytest.raises(InputError, match="predicate-too-deep"):
+            parse_predicate(spec)
 
 
 def test_predicate_memoization_is_consistent():

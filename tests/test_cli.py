@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -456,6 +457,43 @@ def test_malformed_input_exits_two_with_one_error_line(tmp_path, monkeypatch,
     argv, files = MALFORMED[name]
     monkeypatch.chdir(tmp_path)
     code, out, err = run_files(argv, files, tmp_path)
+    lines = err.strip().splitlines()
+    assert (code, out) == (2, "")
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+# Inputs nested past the recursion limit, or asking for huge powers, are
+# refused when they are parsed, before any work.
+DEEP_PREDICATE = "union(" * 2000 + "evens" + ")" * 2000
+OVERSIZED = {
+    "predicate-nested-2000-deep": (
+        RICH, {"S": with_set(predicate=DEEP_PREDICATE)}),
+    "coefficient-predicate-nested-2000-deep": (
+        ["rich", "--set", "{S}", "--detect", "poly", "--s-coeffs",
+         DEEP_PREDICATE], {"S": SET_FILE}),
+    "term-nested-3000-deep": (EMBED, {
+        "A": SET_FILE, "B": SET_FILE, "F": {"pair": {
+            "n": 1, "k": 1, "term": "(" * 3000 + "slot0+param0" + ")" * 3000}}}),
+    "power-chain-3000-long": (EMBED, {
+        "A": SET_FILE, "B": SET_FILE, "F": {"pair": {
+            "n": 1, "k": 0, "term": "^".join(["slot0"] * 3000)}}}),
+    "exponent-99999999": (["pr", "equation", "--poly", "x^99999999",
+                           "--colors", "2", "--n", "3"], {}),
+    "exponent-of-5000-digits": (["pr", "equation", "--poly", "x^" + "9" * 5000,
+                                 "--colors", "2", "--n", "3"], {}),
+    "degree-100000": (["rich", "--set", "{S}", "--detect", "poly", "--d",
+                       "100000", "--D", "1"], {"S": SET_FILE}),
+    "pattern-degree-100000": (["pr", "search", "--pattern", "poly:3:100000:1",
+                               "--colors", "2", "--n", "10"], {}),
+}
+
+
+@pytest.mark.parametrize("name", OVERSIZED)
+def test_oversized_input_exits_two_before_any_work(tmp_path, name):
+    argv, files = OVERSIZED[name]
+    started = time.monotonic()
+    code, out, err = run_files(argv, files, tmp_path)
+    assert time.monotonic() - started < 5
     lines = err.strip().splitlines()
     assert (code, out) == (2, "")
     assert len(lines) == 1 and lines[0].startswith("error:"), err

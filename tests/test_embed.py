@@ -207,7 +207,7 @@ def test_upward_closed_rejects_unverified_pair(win):
 def test_tuple_cap_guards_blowup(win):
     from finembed.families import builtin_geoarithmetic
     geo = builtin_geoarithmetic(win)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="exceeds the tuple cap 12 "):
         embed_finite(list(range(13)), GroundSet.full(win), geo)
 
 

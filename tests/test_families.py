@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from finembed.carrier import (ADDITIVE, FREE_WORDS, MULTIPLICATIVE, OVERFLOW,
-                              GroundSet, make_window)
+from finembed.carrier import (ADDITIVE, FREE_WORDS, MAX_NESTING,
+                              MULTIPLICATIVE, OVERFLOW, GroundSet, make_window)
 from finembed.embed import fe_decide
 from finembed.errors import InputError
-from finembed.families import (builtin_affine, builtin_geoarithmetic,
+from finembed.families import (MAX_EXPONENT, _shell_order, builtin_affine,
+                               builtin_geoarithmetic,
                                builtin_left_translations, builtin_polynomial,
                                builtin_right_translations, builtin_word_suffix,
                                filter_params, make_family_from_pair,
-                               poly_coefficients, restrict_params)
+                               poly_coefficients, poly_indices,
+                               restrict_params)
 from finembed.prsearch import poly_progression_pattern
 from finembed.rich import longest_poly_progression
 
@@ -255,6 +257,63 @@ def test_scan_order_is_small_first(win):
     norms = [max(p) for p in cands]
     assert norms == sorted(norms)
     assert cands[0] == (2, 0, 1)
+
+
+def _shell_reference(lists):
+    """Every tuple of ranks, sorted by largest rank then lexicographically,
+    mapped back to values; an empty list of lists gives no tuple."""
+    if not lists:
+        return []
+    ranks = sorted(itertools.product(*(range(len(lst)) for lst in lists)),
+                   key=lambda t: (max(t), t))
+    return [tuple(lst[j] for lst, j in zip(lists, t)) for t in ranks]
+
+
+def test_shell_order_matches_sorted_ranks():
+    rng = random.Random(5)
+    shapes = [[], [[]], [range(0)], [range(3), []], [[], range(3)],
+              [range(1)], [range(7)], [range(2, 9)], [[4, 9, 30]],
+              [range(3), range(5)], [range(5), range(3)],
+              [range(4), [1, 5, 6], range(2)], [range(3)] * 4,
+              [[0, 7], range(6), [3], range(4)]]
+    for _ in range(300):
+        shapes.append([
+            range(rng.randint(0, 2), rng.randint(2, 8)) if rng.random() < 0.5
+            else sorted(rng.sample(range(50), rng.randint(0, 6)))
+            for _ in range(rng.randint(0, 4))])
+    for lists in shapes:
+        assert list(_shell_order(lists)) == _shell_reference(lists), lists
+
+
+def test_term_nesting_is_capped_where_evaluation_still_fits(win):
+    # Each bracket adds a sum, a product and a power: three levels to
+    # evaluate; the ^1 inside the innermost bracket is one pow deeper.
+    deepest = "slot0"
+    for _ in range(MAX_NESTING - 2):
+        deepest = f"({deepest}^1*1+param0)"
+    fam = make_family_from_pair(win, 1, 1, deepest)
+    assert fam.g((1,), (0,)) == 1
+    assert fam.g((1,), (1,)) == MAX_NESTING - 1
+    chain = "^".join(["slot0"] * MAX_NESTING)
+    assert make_family_from_pair(win, 1, 0, chain).g((1,), ()) == 1
+    for term in (f"({deepest}^1*1+param0)", chain + "^slot0",
+                 "(" * 3000 + "slot0+param0" + ")" * 3000,
+                 "^".join(["2"] * 3000)):
+        with pytest.raises(InputError, match="nested above"):
+            make_family_from_pair(win, 1, 1, term)
+
+
+def test_degree_and_term_exponents_are_capped(win):
+    assert poly_indices([1, MAX_EXPONENT], MAX_EXPONENT) == (1, MAX_EXPONENT)
+    with pytest.raises(InputError, match="degree-out-of-range"):
+        poly_indices([1], MAX_EXPONENT + 1)
+    with pytest.raises(InputError, match="degree-out-of-range"):
+        longest_poly_progression(GroundSet.full(win), 100_000,
+                                 GroundSet.full(win), [1])
+    fam = make_family_from_pair(win, 1, 1, "slot0^param0")
+    assert fam.g((1,), (MAX_EXPONENT + 1,)) == 1
+    with pytest.raises(InputError, match="exponent out of range"):
+        fam.g((2,), (MAX_EXPONENT + 1,))
 
 
 def test_scan_covers_whole_box(win):

@@ -10,6 +10,7 @@ from conftest import (brute_instances_ap, brute_instances_equation,
                       reference_backtrack)
 from finembed.carrier import ADDITIVE, GroundSet, make_window
 from finembed.errors import BudgetError, InputError
+from finembed.families import MAX_EXPONENT
 from finembed.prsearch import (Pattern, Polynomial, _canonicalize,
                                _isolated_variable, _solutions, ap_pattern,
                                equation_pattern, find_avoiding_coloring,
@@ -48,6 +49,18 @@ def test_parse_polynomial_forms():
         parse_polynomial("x+!y")
     with pytest.raises(InputError):
         parse_polynomial("")
+
+
+def test_parse_polynomial_caps_exponents():
+    top = parse_polynomial(f"x^{MAX_EXPONENT}-y^{MAX_EXPONENT}")
+    assert top.degree == MAX_EXPONENT and top.evaluate((2, 2)) == 0
+    assert parse_polynomial("x^40*y^40").degree == 80  # per variable
+    for text in (f"x^{MAX_EXPONENT + 1}", "x^40*x^40-y", "x^99999999"):
+        with pytest.raises(InputError, match="exponent-out-of-range"):
+            parse_polynomial(text)
+    for text in ("x^" + "9" * 5000, "9" * 5000 + "x-y"):  # past int()'s limit
+        with pytest.raises(InputError, match="needs an integer"):
+            parse_polynomial(text)
 
 
 def test_homogeneity_scaling():
@@ -476,6 +489,22 @@ def _domains(rng, nvars):
             list(range(-(side // 2), side - side // 2)))
 
 
+def _random_unsolved_polynomial(rng):
+    """A polynomial in 1-4 variables with no isolated variable: random
+    monomials c*x^a*y^b..., redrawn until every variable is in two of them
+    or shares one."""
+    while True:
+        nvars = rng.randint(1, 4)
+        text = ""
+        for _ in range(rng.randint(1, 4)):
+            exps = [rng.randint(0, 2) if rng.random() < 0.6 else 0
+                    for _ in range(nvars)]
+            text += _monomial(rng.randint(-4, 4) or 1, exps)
+        poly = parse_polynomial(text.lstrip("+"))
+        if poly.monomials and _isolated_variable(poly) is None:
+            return poly
+
+
 def _tuple_walk(poly, domain):
     return [t for t in itertools.product(domain, repeat=poly.nvars)
             if poly.evaluate(t) == 0]
@@ -505,6 +534,29 @@ def test_solved_enumeration_matches_tuple_walk():
         assert got == _tuple_walk(poly, domain), text
     assert list(_solutions(parse_polynomial("-2x-2"), signed)) == [(-1,)]
     assert list(_solutions(parse_polynomial("x^3+8"), signed)) == [(-2,)]
+    # No isolated variable: P itself is walked in rows and its zeros kept.
+    # (x*y*z-w^3 has one, w, and is checked on that path.)
+    for text, n in [("x*y-z*w", 10), ("x*y*z-w^3", 10), ("x*y-2", 40),
+                    ("x*y-y*z", 20), ("x*y*z-x*w^2", 8), ("x^2+x-6", 40),
+                    ("x-x", 5), ("x^2*y-3*x*y^2+x*y+y^2-6", 30)]:
+        poly = parse_polynomial(text)
+        assert (_isolated_variable(poly) is None) == (text != "x*y*z-w^3")
+        for domain in (range(1, n + 1), *_domains(rng, poly.nvars)):
+            assert list(_solutions(poly, domain)) == _tuple_walk(
+                poly, domain), (text, domain)
+    for _ in range(40):
+        poly = _random_unsolved_polynomial(rng)
+        for domain in _domains(rng, poly.nvars):
+            assert list(_solutions(poly, domain)) == _tuple_walk(
+                poly, domain), (poly, domain)
+    # the ps experiment's domains have gaps
+    A = GroundSet.from_predicate(make_window(ADDITIVE, 40),
+                                 lambda v: v % 3 != 1)
+    domain = [v for v in range(1, 21) if v % 3 != 1]
+    for text in ("x*y-z*w", "x*y-y*z", "x*y*z-x*w^2"):
+        poly = parse_polynomial(text)
+        want = _tuple_walk(poly, domain)
+        assert want and ps_solutions_experiment(poly, A, 20) == want, text
 
 
 def test_solved_enumeration_stops_within_a_few_rows(monkeypatch):
