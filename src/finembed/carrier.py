@@ -611,9 +611,10 @@ def parse_predicate(spec: str) -> Callable[[Payload], bool]:
     MAX_NESTING deep.  The returned test also carries, as its `vector`
     attribute, the same test over an int64 array of numeric payloads.
     """
-    depth = max(accumulate((ch == "(") - (ch == ")") for ch in spec), default=0)
-    if depth > MAX_NESTING:
-        raise InputError(f"predicate-too-deep: {depth} > {MAX_NESTING} levels")
+    if spec.count("(") > MAX_NESTING:  # else it cannot nest that deep
+        depth = max(accumulate((ch == "(") - (ch == ")") for ch in spec))
+        if depth > MAX_NESTING:
+            raise InputError(f"predicate-too-deep: {depth} > {MAX_NESTING} levels")
     spec = spec.strip()
     for comb, fold, vfold in (("union", any, np.logical_or),
                               ("intersect", all, np.logical_and)):

@@ -38,7 +38,7 @@ import numpy as np
 
 from .carrier import (ADDITIVE, FREE_WORDS, MAX_NESTING, MULTIPLICATIVE,
                       OVERFLOW, Element, GroundSet, Payload, Window, _is_prime)
-from .errors import InputError
+from .errors import InputError, parse_int
 
 Params = tuple
 Tuple_ = tuple
@@ -144,8 +144,7 @@ class FamilySpec:
         return list(islice(self._scan(bound), count))
 
     def _scan(self, bound: int | None) -> Iterator[Params]:
-        """The bounded scan: the tuples of R up to bound (default_bound when
-        None), in shell order."""
+        """R's tuples up to bound (default_bound if None) in shell order."""
         b = bound if bound is not None else self.default_bound
         return filter(self._r, _shell_order(self._scan_lists(b)))
 
@@ -603,8 +602,7 @@ def _tokenize(term: str) -> list[str]:
 
 
 class _TermParser:
-    """sum := prod (+ prod)* ; prod := pow (* pow)* ; pow := atom (^ pow)?
-    with pow calls nested at most MAX_NESTING deep."""
+    """sum := prod (+ prod)* ; prod := pow (* pow)* ; pow := atom (^ pow)?"""
 
     def __init__(self, toks: list[str], n: int, k: int):
         self.toks, self.pos, self.n, self.k, self.depth = toks, 0, n, k, 0
@@ -661,14 +659,14 @@ class _TermParser:
             return node
         self.eat()
         if tok.isdigit():
-            return ("const", int(tok))
+            return ("const", parse_int(tok, "a term constant"))
         if tok.startswith("slot"):
-            i = int(tok[4:])
+            i = parse_int(tok[4:], "a slot index")
             if i >= self.n:
                 raise InputError(f"arity-mismatch: {tok} with n={self.n}")
             return ("slot", i)
         if tok.startswith("param"):
-            j = int(tok[5:])
+            j = parse_int(tok[5:], "a param index")
             if j >= self.k:
                 raise InputError(f"arity-mismatch: {tok} with k={self.k}")
             return ("param", j)
@@ -756,8 +754,7 @@ def restrict_params(base: FamilySpec, params_list: Iterable[Params],
         window=base.window, arity=base.arity, param_arity=base.param_arity,
         _g=base._g, _r=lambda p: p in pset,
         _scan_lists=base._scan_lists,
-        _explicit_params=plist,
-        default_bound=base.default_bound)
+        _explicit_params=plist)
 
 
 def filter_params(base: FamilySpec, pred: Callable[[Params], bool],

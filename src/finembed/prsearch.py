@@ -16,7 +16,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import compress, groupby, islice, product, repeat
-from math import prod
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -41,8 +40,13 @@ class Polynomial:
     def evaluate(self, values: Sequence[int]) -> int:
         if len(values) != self.nvars:
             raise InputError(f"expected {self.nvars} values")
-        return sum(coeff * prod(map(pow, values, exps))
-                   for coeff, exps in self.monomials)
+        total = 0
+        for coeff, exps in self.monomials:
+            term = coeff
+            for v, e in zip(values, exps):
+                term *= v ** e
+            total += term
+        return total
 
     @property
     def monomial_degrees(self) -> tuple[int, ...]:
@@ -76,8 +80,7 @@ _FACTOR = re.compile(r"([xyzw])(?:\^(\d+))?")
 
 
 def parse_polynomial(text: str) -> Polynomial:
-    """Parse monomials in x, y, z, w joined by + and -, e.g. x^2+y^2-z^2;
-    each variable's exponent in a monomial is at most MAX_EXPONENT."""
+    """Parse monomials in x, y, z, w joined by + and -, e.g. x^2+y^2-z^2."""
     clean = text.replace(" ", "").replace("−", "-")
     if not clean:
         raise InputError("empty polynomial")
@@ -284,8 +287,8 @@ def _solutions(poly: Polynomial,
     When some variable v is isolated, i.e. occurs only in one monomial
     c*v^e that holds no other variable, v is read from the table
     {-c*z^e: [z, ...]} over the domain for each value of Q, the sum of the
-    other monomials; otherwise Q is P and the table {0: [()]}.  Q is
-    evaluated in rows (_row), the last variable other than v running.
+    other monomials, else Q is P and the table {0: [()]}; Q is evaluated
+    a row at a time (_row), over the last variable other than v.
     """
     vals = list(domain)
     k = _isolated_variable(poly)

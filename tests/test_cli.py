@@ -462,8 +462,8 @@ def test_malformed_input_exits_two_with_one_error_line(tmp_path, monkeypatch,
     assert len(lines) == 1 and lines[0].startswith("error:"), err
 
 
-# Inputs nested past the recursion limit, or asking for huge powers, are
-# refused when they are parsed, before any work.
+# Inputs nested past the recursion limit, asking for huge powers or holding
+# numerals past int()'s digit limit are refused when parsed, before any work.
 DEEP_PREDICATE = "union(" * 2000 + "evens" + ")" * 2000
 OVERSIZED = {
     "predicate-nested-2000-deep": (
@@ -474,6 +474,9 @@ OVERSIZED = {
     "term-nested-3000-deep": (EMBED, {
         "A": SET_FILE, "B": SET_FILE, "F": {"pair": {
             "n": 1, "k": 1, "term": "(" * 3000 + "slot0+param0" + ")" * 3000}}}),
+    "term-constant-of-5000-digits": (EMBED, {
+        "A": SET_FILE, "B": SET_FILE, "F": {"pair": {
+            "n": 1, "k": 1, "term": "slot0+" + "9" * 5000}}}),
     "power-chain-3000-long": (EMBED, {
         "A": SET_FILE, "B": SET_FILE, "F": {"pair": {
             "n": 1, "k": 0, "term": "^".join(["slot0"] * 3000)}}}),
