@@ -181,8 +181,8 @@ def _shell_order(lists: Sequence[Sequence]) -> Iterator[Params]:
 
     Small parameters come first, and every finite prefix of the product is
     eventually emitted, so exhaustion order is reproducible.  Shell s walks
-    the heads (all but the last list) cut to rank s: a head at rank s takes
-    every last value up to rank s, any other head the one at rank s.
+    the heads (all lists but the last) cut to rank s; a head with a value at
+    rank s takes the last list's cut, any other head its rank-s value only.
     """
     if not lists or not all(lists):
         return

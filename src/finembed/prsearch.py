@@ -294,7 +294,7 @@ def _solutions(poly: Polynomial,
     k = _isolated_variable(poly)
     roots: dict[int, list[tuple[int, ...]]] = {}
     if k is None:
-        k, rest, roots[0] = poly.nvars, poly.monomials, [()]
+        k, rest, roots[0] = poly.nvars, poly.monomials, [()]  # v past the end
     else:
         c, exps = next(mono for mono in poly.monomials if mono[1][k])
         for z in vals:  # ascending, so each list of roots is too
