@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from finembed.carrier import (ADDITIVE, FREE_WORDS, MAX_NESTING,
-                              MULTIPLICATIVE, OVERFLOW, GroundSet, make_window)
+                              MULTIPLICATIVE, OVERFLOW, GroundSet, make_window,
+                              parse_predicate)
 from finembed.embed import fe_decide
 from finembed.errors import InputError
 from finembed.families import (MAX_EXPONENT, _shell_order, builtin_affine,
@@ -283,6 +284,70 @@ def test_shell_order_matches_sorted_ranks():
             for _ in range(rng.randint(0, 4))])
     for lists in shapes:
         assert list(_shell_order(lists)) == _shell_reference(lists), lists
+
+
+def _box(k, default):
+    """Each of k parameters in 0..bound, default_bound when bound is None."""
+    return lambda b: [range((default if b is None else b) + 1)] * k
+
+
+def _scan_rule_cases():
+    """(id, family, its scan lists for a bound or None), each written from
+    the family's documented region: translations walk the window whatever
+    the bound, polynomials the coefficients in S up to it, and the rest a
+    box 0..bound with bound max(W, 64) by default (the window's bound for
+    word suffixes, enum.bound for a pair family that sets one)."""
+    add, big = make_window(ADDITIVE, 10), make_window(ADDITIVE, 100)
+    mul, words = make_window(MULTIPLICATIVE, 12), make_window(FREE_WORDS, 3,
+                                                               ["b", "a"])
+    cases = []
+    for w in (add, mul, words):
+        payloads = list(w.payloads())
+        for build in (builtin_right_translations, builtin_left_translations):
+            fam = build(w)
+            cases.append((f"{fam.name}-{w.kind}", fam,
+                          lambda b, p=payloads: [p]))
+    coeffs = GroundSet.from_predicate(big, parse_predicate("multiples:3"))
+    steps = [(0, 1), (1, 1), (0, 2), (2, 1), (3, 3)]  # in shell order
+    cases += [
+        ("affine", builtin_affine(add), _box(2, 64)),
+        ("affine-W100", builtin_affine(big), _box(2, 100)),
+        ("geoarithmetic", builtin_geoarithmetic(add), _box(3, 64)),
+        ("polynomial", builtin_polynomial(coeffs, [0, 2], 2),
+         lambda b: [[v for v in coeffs.values()
+                     if v <= (100 if b is None else b)]] * 2),
+        ("word-suffix", builtin_word_suffix(words, "a"), _box(1, 3)),
+        ("pair-k1", make_family_from_pair(add, 1, 1, "slot0+param0"),
+         _box(1, 64)),
+        ("pair-k1-multiplicative",
+         make_family_from_pair(mul, 1, 1, "slot0*param0", "positive"),
+         _box(1, 64)),
+        ("pair-k2-positive", make_family_from_pair(
+            add, 1, 2, "param0*slot0+param1", "positive"), _box(2, 64)),
+        ("pair-k3-primes", make_family_from_pair(
+            add, 2, 3, "param0*slot0+param1*slot1+param2", "primes"),
+         _box(3, 64)),
+        ("pair-k2-enum-bound-5", make_family_from_pair(
+            add, 1, 2, "param0*slot0+param1", bound=5), _box(2, 5)),
+        ("pair-k3-enum-bound-0", make_family_from_pair(
+            add, 1, 3, "param0+param1+param2*slot0", bound=0), _box(3, 0)),
+        ("affine-filtered", filter_params(builtin_affine(add),
+                                          lambda p: p[1] % 2, "odd slopes"),
+         _box(2, 64)),
+        ("affine-restricted", restrict_params(builtin_affine(add), steps),
+         lambda b: [range(4)] * 2),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("case", _scan_rule_cases(), ids=lambda c: c[0])
+@pytest.mark.parametrize("bound", [None, 3, 7])
+def test_param_sample_follows_the_scan_rule(case, bound):
+    # 1,500 tuples reach past the box at bound W as well as at 64, so a
+    # default bound other than the documented one shows too.
+    _name, fam, lists = case
+    want = [p for p in _shell_reference(lists(bound)) if fam.r_accepts(p)]
+    assert fam.param_sample(1500, bound) == want[:1500]
 
 
 def test_term_nesting_is_capped_where_evaluation_still_fits(win):
