@@ -219,8 +219,7 @@ class UnionSplitResult:
 
 
 def check_union_split(A: GroundSet, B: GroundSet,
-                      families: Sequence[FamilySpec],
-                      bound: int | None = None) -> UnionSplitResult:
+                      families: Sequence[FamilySpec]) -> UnionSplitResult:
     """Find one family of the union that already embeds A into B.
 
     For explicit finite A the union relation holds iff some single family
@@ -230,7 +229,7 @@ def check_union_split(A: GroundSet, B: GroundSet,
     """
     outcomes: list[str] = []
     for i, fam in enumerate(families):
-        v = fe_decide(A, B, fam, bound)
+        v = fe_decide(A, B, fam)
         outcomes.append(v.outcome)
         if v.outcome == YES:
             outcomes.extend("skipped" for _ in families[i + 1:])
@@ -268,15 +267,14 @@ class CriterionReport:
 
 def check_transitive_criterion(family: FamilySpec,
                                sample_F: Sequence[Iterable[Payload]],
-                               params_per_side: int = 4,
-                               bound: int | None = None) -> CriterionReport:
+                               params_per_side: int = 4) -> CriterionReport:
     """Transitivity test: for each sampled F and members f, g, look for an
     h with h(F^n) inside g([f(F^n)]^n).
 
     Triples whose intermediate images overflow the window are skipped (the
     composition is not observable at this scale), and counted.
     """
-    sample_params = family.param_sample(params_per_side, bound)
+    sample_params = family.param_sample(params_per_side)
     entries: list[CriterionEntry] = []
     for F in sample_F:
         fpay = family._normalize_f(F)
@@ -295,21 +293,21 @@ def check_transitive_criterion(family: FamilySpec,
                     continue
                 tset = GroundSet.from_values(family.window, target,
                                              label="g(f(F)^n)")
-                v = embed_finite(fpay, tset, family, bound)
+                v = embed_finite(fpay, tset, family)
                 h = v.witness.params if v.witness else None
                 entries.append(CriterionEntry(fpay, pf, pg, _STATUS[v.outcome], h))
     return CriterionReport("transitive", tuple(entries))
 
 
 def check_reflexive_criterion(family: FamilySpec,
-                              sample_F: Sequence[Iterable[Payload]],
-                              bound: int | None = None) -> CriterionReport:
+                              sample_F: Sequence[Iterable[Payload]]
+                              ) -> CriterionReport:
     """Reflexivity test: each sampled F must admit f with f(F^n) inside F."""
     entries: list[CriterionEntry] = []
     for F in sample_F:
         fpay = family._normalize_f(F)
         fset = GroundSet.from_values(family.window, fpay, label="F")
-        v = embed_finite(fpay, fset, family, bound)
+        v = embed_finite(fpay, fset, family)
         entries.append(CriterionEntry(
             fpay, None, None, _STATUS[v.outcome],
             v.witness.params if v.witness else None))
@@ -343,8 +341,7 @@ class ClosureReport:
 
 def check_upward_closed(prop: Callable[[GroundSet], bool], prop_name: str,
                         pairs: Sequence[tuple[GroundSet, GroundSet]],
-                        family: FamilySpec,
-                        bound: int | None = None) -> ClosureReport:
+                        family: FamilySpec) -> ClosureReport:
     """Does membership in the property transfer from A to B along A <= B?
 
     Every pair is re-verified to embed before being used; a pair that fails
@@ -352,7 +349,7 @@ def check_upward_closed(prop: Callable[[GroundSet], bool], prop_name: str,
     """
     entries: list[ClosureEntry] = []
     for A, B in pairs:
-        v = fe_decide(A, B, family, bound)
+        v = fe_decide(A, B, family)
         if v.outcome != YES:
             raise UnverifiedPairError(
                 f"unverified-pair: {A.label!r} does not provably embed in "

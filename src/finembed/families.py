@@ -63,20 +63,16 @@ class FamilySpec:
     window: Window
     arity: int
     param_arity: int
-    _g: Callable[[Tuple_, Params], Payload | None]
+    g: Callable[[Tuple_, Params], Payload | None]  # None encodes overflow
     _r: Callable[[Params], bool]
-    _scan_lists: Callable[[int], Sequence[Sequence]]
+    _scan_lists: Callable[[int], Sequence[Sequence]] | None = None
     _anchored: Callable[[Tuple_, GroundSet], list[Params]] | None = None
     _explicit_params: tuple[Params, ...] | None = None
-    default_bound: int = 64
+    default_bound: int | None = None
     _kernel: (Callable[[Tuple_, GroundSet], tuple[Params | None, int]]
               | None) = None
 
     # -- evaluation -------------------------------------------------------
-
-    def g(self, tup: Tuple_, params: Params) -> Payload | None:
-        """Raw generating map on payloads; None encodes overflow."""
-        return self._g(tup, params)
 
     def r_accepts(self, params: Params) -> bool:
         return len(params) == self.param_arity and self._r(params)
@@ -95,7 +91,7 @@ class FamilySpec:
         for p in payloads:
             if not self.window.contains_value(p):
                 raise InputError(f"element-out-of-window: {p!r}")
-        out = self._g(payloads, params)
+        out = self.g(payloads, params)
         if out is None:
             return OVERFLOW
         return self.window.element(self.window.encoding(out))
@@ -144,9 +140,18 @@ class FamilySpec:
         return list(islice(self._scan(bound), count))
 
     def _scan(self, bound: int | None) -> Iterator[Params]:
-        """R's tuples up to bound (default_bound if None) in shell order."""
-        b = bound if bound is not None else self.default_bound
-        return filter(self._r, _shell_order(self._scan_lists(b)))
+        """R's tuples up to bound in shell order: the one scan rule.
+
+        A bound of None reads as default_bound, or max(W, 64) when that is
+        None too; each parameter runs over 0..bound unless _scan_lists
+        gives the lists for the bound.
+        """
+        if bound is None:
+            bound = (max(self.window.bound, 64) if self.default_bound is None
+                     else self.default_bound)
+        lists = ([range(bound + 1)] * self.param_arity
+                 if self._scan_lists is None else self._scan_lists(bound))
+        return filter(self._r, _shell_order(lists))
 
     def _normalize_f(self, F: Iterable[Payload]) -> Tuple_:
         pays = []
@@ -183,8 +188,13 @@ def _shell_order(lists: Sequence[Sequence]) -> Iterator[Params]:
     eventually emitted, so exhaustion order is reproducible.  Shell s walks
     the heads (all lists but the last) cut to rank s; a head with a value at
     rank s takes the last list's cut, any other head its rank-s value only.
+    As with itertools.product, no lists give the one tuple () and an empty
+    list gives none.
     """
-    if not lists or not all(lists):
+    if not all(lists):
+        return
+    if not lists:
+        yield ()
         return
     *heads, last = lists
     tails = [(v,) for v in last]
@@ -366,10 +376,9 @@ def _translations(window: Window, right: bool) -> FamilySpec:
     return FamilySpec(
         name="translations-right" if right else "translations-left",
         window=window, arity=1, param_arity=1,
-        _g=g, _r=lambda p: window.contains_value(p[0]),
+        g=g, _r=lambda p: window.contains_value(p[0]),
         _scan_lists=scan_lists,
         _anchored=anchored,
-        default_bound=window.bound,
         _kernel=kernel if window.kind == ADDITIVE else None)
 
 
@@ -450,11 +459,8 @@ def builtin_affine(window: Window) -> FamilySpec:
 
     return FamilySpec(
         name="affine", window=window, arity=1, param_arity=2,
-        _g=g, _r=lambda p: p[0] >= 0 and p[1] >= 1,
-        _scan_lists=lambda bound: [range(bound + 1)] * 2,
-        _anchored=anchored,
-        default_bound=max(window.bound, 64),
-        _kernel=kernel)
+        g=g, _r=lambda p: p[0] >= 0 and p[1] >= 1,
+        _anchored=anchored, _kernel=kernel)
 
 
 def builtin_geoarithmetic(window: Window) -> FamilySpec:
@@ -474,9 +480,7 @@ def builtin_geoarithmetic(window: Window) -> FamilySpec:
 
     return FamilySpec(
         name="geoarithmetic", window=window, arity=2, param_arity=3,
-        _g=g, _r=lambda p: p[0] >= 2 and p[1] >= 0 and p[2] >= 1,
-        _scan_lists=lambda bound: [range(bound + 1)] * 3,
-        default_bound=max(window.bound, 64))
+        g=g, _r=lambda p: p[0] >= 2 and p[1] >= 0 and p[2] >= 1)
 
 
 def builtin_polynomial(s_coeffs: GroundSet, d_indices: Iterable[int],
@@ -507,8 +511,7 @@ def builtin_polynomial(s_coeffs: GroundSet, d_indices: Iterable[int],
     return FamilySpec(
         name=f"polynomial(D={list(dset)})", window=window,
         arity=1, param_arity=len(dset),
-        _g=g, _r=r, _scan_lists=scan_lists,
-        default_bound=max(window.bound, 64))
+        g=g, _r=r, _scan_lists=scan_lists)
 
 
 def poly_indices(d_indices: Iterable[int], degree: int) -> tuple[int, ...]:
@@ -573,9 +576,7 @@ def builtin_word_suffix(window: Window, letter: str) -> FamilySpec:
 
     return FamilySpec(
         name=f"word-suffix({letter})", window=window, arity=1, param_arity=1,
-        _g=g, _r=lambda p: p[0] >= 0,
-        _scan_lists=lambda bound: [range(bound + 1)],
-        _anchored=anchored,
+        g=g, _r=lambda p: p[0] >= 0, _anchored=anchored,
         default_bound=window.bound)
 
 
@@ -731,9 +732,7 @@ def make_family_from_pair(window: Window, n: int, k: int, term: str,
 
     return FamilySpec(
         name=f"pair[{term}]", window=window, arity=n, param_arity=k,
-        _g=g, _r=region,
-        _scan_lists=lambda b: [range(b + 1)] * k,
-        default_bound=bound if bound is not None else max(window.bound, 64))
+        g=g, _r=region, default_bound=bound)
 
 
 # -- derived families ---------------------------------------------------------
@@ -752,9 +751,7 @@ def restrict_params(base: FamilySpec, params_list: Iterable[Params],
     return FamilySpec(
         name=name or f"{base.name}|{len(plist)} params",
         window=base.window, arity=base.arity, param_arity=base.param_arity,
-        _g=base._g, _r=lambda p: p in pset,
-        _scan_lists=base._scan_lists,
-        _explicit_params=plist)
+        g=base.g, _r=lambda p: p in pset, _explicit_params=plist)
 
 
 def filter_params(base: FamilySpec, pred: Callable[[Params], bool],
@@ -771,7 +768,7 @@ def filter_params(base: FamilySpec, pred: Callable[[Params], bool],
     return FamilySpec(
         name=name, window=base.window, arity=base.arity,
         param_arity=base.param_arity,
-        _g=base._g, _r=lambda p: base._r(p) and pred(p),
+        g=base.g, _r=lambda p: base._r(p) and pred(p),
         _scan_lists=base._scan_lists,
         _anchored=anchored,
         default_bound=base.default_bound)

@@ -350,8 +350,7 @@ def _first_shift_by_scan(A: GroundSet, L: int) -> Payload | None:
 
 
 def maximality_probe(A: GroundSet, family: FamilySpec,
-                     probe_sizes: Sequence[int],
-                     bound: int | None = None
+                     probe_sizes: Sequence[int]
                      ) -> list[tuple[int, EmbedVerdict]]:
     """Probe whether A looks maximal: every window prefix F must embed in A.
 
@@ -363,7 +362,7 @@ def maximality_probe(A: GroundSet, family: FamilySpec,
         if p < 1 or p > win.size:
             raise InputError(f"probe size {p} out of range")
         F = [win.payload(e) for e in range(p)]
-        out.append((p, embed_finite(F, A, family, bound)))
+        out.append((p, embed_finite(F, A, family)))
     return out
 
 

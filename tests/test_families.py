@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from finembed.carrier import (ADDITIVE, FREE_WORDS, MAX_NESTING,
                               MULTIPLICATIVE, OVERFLOW, GroundSet, make_window,
                               parse_predicate)
-from finembed.embed import fe_decide
+from finembed.embed import embed_finite, fe_decide
 from finembed.errors import InputError
 from finembed.families import (MAX_EXPONENT, _shell_order, builtin_affine,
                                builtin_geoarithmetic,
@@ -262,11 +262,10 @@ def test_scan_order_is_small_first(win):
 
 def _shell_reference(lists):
     """Every tuple of ranks, sorted by largest rank then lexicographically,
-    mapped back to values; an empty list of lists gives no tuple."""
-    if not lists:
-        return []
+    mapped back to values; as with itertools.product, no lists give the one
+    tuple ()."""
     ranks = sorted(itertools.product(*(range(len(lst)) for lst in lists)),
-                   key=lambda t: (max(t), t))
+                   key=lambda t: (max(t, default=0), t))
     return [tuple(lst[j] for lst, j in zip(lists, t)) for t in ranks]
 
 
@@ -317,6 +316,7 @@ def _scan_rule_cases():
          lambda b: [[v for v in coeffs.values()
                      if v <= (100 if b is None else b)]] * 2),
         ("word-suffix", builtin_word_suffix(words, "a"), _box(1, 3)),
+        ("pair-k0", make_family_from_pair(add, 1, 0, "slot0+1"), _box(0, 64)),
         ("pair-k1", make_family_from_pair(add, 1, 1, "slot0+param0"),
          _box(1, 64)),
         ("pair-k1-multiplicative",
@@ -388,6 +388,16 @@ def test_scan_covers_whole_box(win):
                                          bound=4).params), 1000))
     assert sorted(seen) == sorted(itertools.product(range(5), repeat=2))
     assert len(set(seen)) == len(seen)
+
+
+def test_family_without_parameters_examines_its_one_member(win):
+    fam = make_family_from_pair(win, 1, 0, "slot0+1")
+    assert fam.param_sample(3) == [()]
+    v = embed_finite([1], GroundSet.from_values(win, [2]), fam)
+    assert (v.outcome, v.witness.params, v.stats.params_examined) == (
+        "yes", (), 1)
+    v = embed_finite([1], GroundSet.from_values(win, [3]), fam)
+    assert (v.outcome, v.stats.params_examined) == ("unknown", 1)
 
 
 def test_restrict_and_filter_params(win):
