@@ -20,8 +20,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .carrier import (FREE_WORDS, GroundSet, Window, make_window,
-                      parse_predicate)
+from .carrier import (ADDITIVE, FREE_WORDS, MULTIPLICATIVE, GroundSet, Window,
+                      make_window, parse_predicate)
 from .density import DensityReport, MonotonicityReport, Net, interval_net
 from .embed import EmbedVerdict, ProbeReport
 from .errors import InputError, parse_int
@@ -149,9 +149,12 @@ def net_from_spec(spec: str, window: Window) -> Net:
     if head != "interval":
         raise InputError(f"unknown net spec {spec!r}")
     max_n = parse_int(arg, "net interval:<maxN>")
-    # checked before building; a numeric window holding maxN holds 1..maxN
+    # checked before building; a numeric window holds 1..W and no W + 1,
+    # other windows are searched (a word window holds no number)
     if max_n >= 1 and not window.contains_value(max_n):
-        v = next(v for v in range(1, max_n + 1) if not window.contains_value(v))
+        v = (window.bound + 1 if window.kind in (ADDITIVE, MULTIPLICATIVE)
+             else next(v for v in range(1, max_n + 1)
+                       if not window.contains_value(v)))
         raise InputError(f"net-exceeds-window at F_{v}: {v!r}")
     return interval_net(max_n)
 

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from conftest import reference_certificate_json
 from finembed import jsonio
-from finembed.carrier import ADDITIVE, GroundSet, make_window, parse_predicate
+from finembed.carrier import (ADDITIVE, FREE_WORDS, MULTIPLICATIVE, GroundSet,
+                              Window, make_window, parse_predicate)
+from finembed.errors import InputError
 from finembed.jsonio import _INT_TEXT_MIN, _int_text
 from finembed.rich import (ProgressionCertificate, _realize, longest_ap,
                            longest_gap_grid, longest_poly_progression)
@@ -140,3 +142,23 @@ def test_grid_and_polynomial_certificate_bytes_match_plain_json():
     assert len(grid.realized) > _INT_TEXT_MIN
     assert list(grid.realized) != sorted(grid.realized)
     check_certificate(grid)
+
+
+@pytest.mark.parametrize("kind, bound, alphabet, first", [
+    (ADDITIVE, 10 ** 6, None, 10 ** 6 + 1),
+    (MULTIPLICATIVE, 10 ** 6, None, 10 ** 6 + 1),
+    (ADDITIVE, 1, None, 2),
+    (MULTIPLICATIVE, 1, None, 2),
+    (FREE_WORDS, 3, ["a", "b"], 1),
+])
+def test_net_check_names_the_first_number_outside_without_a_scan(
+        kind, bound, alphabet, first, monkeypatch):
+    window = make_window(kind, bound, alphabet)
+    calls = []
+    contains = Window.contains_value
+    monkeypatch.setattr(Window, "contains_value",
+                        lambda self, v: calls.append(v) or contains(self, v))
+    with pytest.raises(InputError, match=(
+            f"^net-exceeds-window at F_{first}: {first}$")):
+        jsonio.net_from_spec("interval:100000000", window)
+    assert len(calls) <= 2
