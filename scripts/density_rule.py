@@ -29,20 +29,11 @@ import numpy as np
 from finembed import ADDITIVE, GroundSet, interval_net, make_window
 from finembed.density import (_per_index_best_numeric,
                               _per_index_best_spans)
+from set_sweeps import REF_NOMINAL_S, reference_loop
 
 WINDOWS = (60, 150, 400, 1_000, 4_000, 20_000, 100_000)
 NETS = (5, 12, 30, 100, 300, 1_000)
 DENSITIES = (0.005, 0.02, 0.05, 0.15, 0.3, 0.5, 0.8, 1.0)
-REF_NOMINAL_S = 1e-3
-
-
-def reference_loop() -> float:
-    """Seconds taken by a fixed pure-Python loop: the host's current speed."""
-    t0 = time.perf_counter()
-    acc = 0
-    for i in range(20_000):
-        acc += i * i % 7
-    return time.perf_counter() - t0
 
 
 def best_of(run, k: int) -> float:

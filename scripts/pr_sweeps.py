@@ -21,15 +21,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
-import time
 
 from finembed import (ap_pattern, equation_pattern, find_avoiding_coloring,
                       gap_grid_pattern, parse_polynomial, ramsey_threshold)
-from set_sweeps import REF_NOMINAL_S, reference_loop
+from set_sweeps import REF_NOMINAL_S, REPEATS, sweep
 
-REPEATS = 3        # best of
 MAX_SECONDS = 5.0  # a case stops growing N after a run this slow
 
 
@@ -68,37 +65,22 @@ CASES = (
 )
 
 
+def with_rate(counters, best):
+    if "nodes" in counters:
+        counters["nodes_per_s"] = counters["nodes"] / best
+    return counters
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--side", required=True, help="label for the records")
     args = ap.parse_args()
-    records = []
-    for case, layer, run, sizes in CASES:
-        for n in sizes:
-            best, refs, counters = float("inf"), [], None
-            for _ in range(REPEATS):
-                refs.append(reference_loop())
-                t0 = time.perf_counter()
-                counters = run(n)
-                best = min(best, time.perf_counter() - t0)
-                refs.append(reference_loop())
-                if best > MAX_SECONDS:
-                    break
-            norm = best * REF_NOMINAL_S / statistics.median(refs)
-            if "nodes" in counters:
-                counters["nodes_per_s"] = counters["nodes"] / best
-            records.append({"case": case, "layer": layer, "size": n,
-                            "side": args.side, "seconds": best,
-                            "normalized_seconds": norm,
-                            "counters": counters,
-                            "how": f"scripts/pr_sweeps.py, best of {REPEATS}, "
-                                   "raw and normalized to a reference loop "
-                                   f"of {REF_NOMINAL_S * 1e3:g} ms"})
-            print(f"{case:24s} N={n:>4d} {best:9.4f}s {norm:9.4f}s "
-                  f"normalized {counters}", file=sys.stderr)
-            if best > MAX_SECONDS:
-                break
-    json.dump(records, sys.stdout, indent=1)
+    cases = [(case, layer, lambda n, run=run: lambda: run(n), sizes)
+             for case, layer, run, sizes in CASES]
+    how = (f"scripts/pr_sweeps.py, best of {REPEATS}, raw and normalized to "
+           f"a reference loop of {REF_NOMINAL_S * 1e3:g} ms")
+    json.dump(sweep(cases, args.side, how, MAX_SECONDS, with_rate),
+              sys.stdout, indent=1)
     print()
 
 

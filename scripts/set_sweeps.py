@@ -322,42 +322,52 @@ CASES = (
 )
 
 
+def sweep(cases, side: str, how: str, max_seconds: float = MAX_SECONDS,
+          counters=lambda result, best: {"result": result},
+          only: str = "") -> list[dict]:
+    """One record per case (name, layer, build, sizes) and size: build(size)
+    gives a fresh run(), timed best of REPEATS with the reference loop just
+    before and after each run.  A case stops growing once a run takes
+    longer than max_seconds; counters(result, best) fills the record's
+    counters from the last run's result."""
+    records = []
+    for case, layer, build, sizes in cases:
+        if only not in case:
+            continue
+        for size in sizes:
+            best, refs, result = float("inf"), [], None
+            for _ in range(REPEATS):
+                run = build(size)
+                refs.append(reference_loop())
+                t0 = time.perf_counter()
+                result = run()
+                best = min(best, time.perf_counter() - t0)
+                refs.append(reference_loop())
+                if best > max_seconds:
+                    break
+            norm = best * REF_NOMINAL_S / statistics.median(refs)
+            records.append({"case": case, "layer": layer, "size": size,
+                            "side": side, "seconds": best,
+                            "normalized_seconds": norm,
+                            "counters": counters(result, best), "how": how})
+            print(f"{case:40s} size={size:>7d} {best:9.4f}s "
+                  f"{norm:9.4f}s normalized", file=sys.stderr)
+            if best > max_seconds:
+                break
+    return records
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--side", required=True, help="label for the records")
     ap.add_argument("--only", default="",
                     help="run only the cases whose name contains this")
     args = ap.parse_args()
-    records = []
-    for case, layer, build, sizes in CASES:
-        if args.only not in case:
-            continue
-        for W in sizes:
-            best, refs, result = float("inf"), [], None
-            for _ in range(REPEATS):
-                run = build(W)
-                refs.append(reference_loop())
-                t0 = time.perf_counter()
-                result = run()
-                best = min(best, time.perf_counter() - t0)
-                refs.append(reference_loop())
-                if best > MAX_SECONDS:
-                    break
-            norm = best * REF_NOMINAL_S / statistics.median(refs)
-            records.append({"case": case, "layer": layer, "size": W,
-                            "side": args.side, "seconds": best,
-                            "normalized_seconds": norm,
-                            "counters": {"result": result},
-                            "how": "scripts/set_sweeps.py, best of "
-                                   f"{REPEATS}, raw and normalized to a "
-                                   "reference loop of "
-                                   f"{REF_NOMINAL_S * 1e3:g} ms, set filled "
-                                   "before timing except for the fill case"})
-            print(f"{case:40s} W={W:>7d} {best:9.4f}s "
-                  f"{norm:9.4f}s normalized", file=sys.stderr)
-            if best > MAX_SECONDS:
-                break
-    json.dump(records, sys.stdout, indent=1)
+    how = (f"scripts/set_sweeps.py, best of {REPEATS}, raw and normalized "
+           f"to a reference loop of {REF_NOMINAL_S * 1e3:g} ms, set filled "
+           "before timing except for the fill case")
+    json.dump(sweep(CASES, args.side, how, only=args.only), sys.stdout,
+              indent=1)
     print()
 
 
