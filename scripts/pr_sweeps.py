@@ -14,7 +14,7 @@ one run takes longer than MAX_SECONDS, so slow implementations can be
 swept with the same script.  Only the public API is used.
 
 Each record holds the raw best-of-REPEATS seconds and the normalized
-seconds, scaled by the reference loop of scripts/set_sweeps.py as there.
+seconds, timed by the sweep loop of scripts/set_sweeps.py.
 """
 
 from __future__ import annotations

@@ -286,7 +286,7 @@ def test_shell_order_matches_sorted_ranks():
 
 
 def _box(k, default):
-    """Each of k parameters in 0..bound, default_bound when bound is None."""
+    """Each of k parameters in 0..bound, and bound default when None."""
     return lambda b: [range((default if b is None else b) + 1)] * k
 
 
@@ -307,7 +307,9 @@ def _scan_rule_cases():
             cases.append((f"{fam.name}-{w.kind}", fam,
                           lambda b, p=payloads: [p]))
     coeffs = GroundSet.from_predicate(big, parse_predicate("multiples:3"))
-    steps = [(0, 1), (1, 1), (0, 2), (2, 1), (3, 3)]  # in shell order
+    # A restricted family samples its list as given, whatever the bound;
+    # this one is in shell order inside 0..3.
+    steps = [(0, 1), (1, 1), (0, 2), (2, 1), (3, 3)]
     cases += [
         ("affine", builtin_affine(add), _box(2, 64)),
         ("affine-W100", builtin_affine(big), _box(2, 100)),
