@@ -144,11 +144,13 @@ class FamilySpec:
 
         A bound of None reads as default_bound, or max(W, 64) when that is
         None too; each parameter runs over 0..bound unless _scan_lists
-        gives the lists for the bound.
+        gives the lists for the bound.  A negative bound is bad input.
         """
         if bound is None:
             bound = (max(self.window.bound, 64) if self.default_bound is None
                      else self.default_bound)
+        if bound < 0:
+            raise InputError(f"scan bound must be >= 0, got {bound}")
         lists = ([range(bound + 1)] * self.param_arity
                  if self._scan_lists is None else self._scan_lists(bound))
         return filter(self._r, _shell_order(lists))

@@ -4,15 +4,14 @@ All numeric JSON output is exact: integers stay integers and non-integral
 rationals become "p/q" strings.
 
 dumps is the one serializer.  Realized elements and density witnesses, long
-by design, reach it as top-level _Fragments of JSON text encoded ahead: long
-ascending int lists in numpy by _int_text (other lists by json), witnesses
-a run at a time.  The bytes are those json.dumps writes for plain values.
+by design, reach it as top-level _Fragments of JSON text encoded ahead by
+_int_text: long ranges (an AP, a run of tails) in numpy, other int lists
+joined, the rest by json.  The bytes are those json.dumps writes.
 """
 
 from __future__ import annotations
 
 import json
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -182,8 +181,9 @@ class _Fragment:  # JSON text that dumps writes as is; json rejects it
 
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-# json is as fast up to here (crossovers measured at 800 to 1,350 values)
-_INT_TEXT_MIN = 1200
+# json or join is as fast up to here (end to end on x86_64: crossovers at
+# 400 to 800 values for AP certificates, 200 to 300 for density runs)
+_INT_TEXT_MIN = 400
 _POWERS = 10 ** np.arange(1, 19, dtype=np.int64)  # digit-width edges
 
 
@@ -193,30 +193,27 @@ def _scalar(value: Any) -> str:  # json's text, an int's without the encoder
 
 def _int_text(values: Sequence[int], sep: str = ",") -> str:
     """json's text for list(values), brackets dropped, sep between items;
-    past _INT_TEXT_MIN, ascending non-negative int64s are encoded in numpy,
-    each digit width as one (count, width + len(sep)) array of bytes."""
-    if len(values) > _INT_TEXT_MIN:
-        try:  # array rejects floats and strings, which numpy would cast
-            a = np.frombuffer(array("q", values), np.int64)
-        except (TypeError, OverflowError):
-            a = np.array([-1])
-        # ascending, so any bools (json's true and false) lead the list
-        if (a[0] >= 0 and (a[1:] >= a[:-1]).all()
-                and bool not in map(type, values[:np.searchsorted(a, 2)])):
-            raw, blocks = sep.encode(), []
-            w0, w1 = len(str(a[0])), len(str(a[-1]))  # widths present
-            edges = [0, *np.searchsorted(a, _POWERS[w0 - 1:w1 - 1]), len(a)]
-            for width, lo, hi in zip(range(w0, w1 + 1), edges, edges[1:]):
-                x = a[lo:hi].astype(np.uint32 if width < 10 else np.uint64)
-                out = np.empty((hi - lo, width + len(raw)), np.uint8)
-                out[:, width:] = np.frombuffer(raw, np.uint8)
-                for col in range(width - 1, -1, -1):
-                    q = x // 10
-                    out[:, col] = x - q * 10 + 48
-                    x = q
-                blocks.append(out.tobytes())
-            return b"".join(blocks)[:-len(raw) or None].decode()
-    elif {int}.issuperset(map(type, values)):
+    an ascending int64 range past _INT_TEXT_MIN is encoded in numpy, each
+    digit width as one (count, width + len(sep)) array of bytes."""
+    if (type(values) is range and len(values) > _INT_TEXT_MIN
+            and values.start >= 0 and values.step >= 1
+            and values[-1] < 2 ** 63):  # numpy wraps past int64
+        # not arange(start, stop, step): its float length can miss a term
+        a = np.arange(len(values), dtype=np.int64) * values.step + values.start
+        raw, blocks = sep.encode(), []
+        w0, w1 = len(str(values.start)), len(str(values[-1]))
+        edges = [0, *np.searchsorted(a, _POWERS[w0 - 1:w1 - 1]), len(a)]
+        for width, lo, hi in zip(range(w0, w1 + 1), edges, edges[1:]):
+            x = a[lo:hi].astype(np.uint32 if width < 10 else np.uint64)
+            out = np.empty((hi - lo, width + len(raw)), np.uint8)
+            out[:, width:] = np.frombuffer(raw, np.uint8)
+            for col in range(width - 1, -1, -1):
+                q = x // 10
+                out[:, col] = x - q * 10 + 48
+                x = q
+            blocks.append(out.tobytes())
+        return b"".join(blocks)[:-len(raw) or None].decode()
+    if {int}.issuperset(map(type, values)):
         return sep.join(map(str, values))
     return json.dumps(list(values), separators=(sep, ":"))[1:-1]
 

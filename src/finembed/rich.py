@@ -26,7 +26,7 @@ class ProgressionCertificate:
     """Generator parameters plus the realized elements inside the host set.
 
     kinds and parameter layouts:
-      ap                params = (start, stride)
+      ap                params = (start, stride), realized as a range
       gap-grid          params = (r, a, b), one-based grid r^i (a + j b)
                         with 1 <= i, j <= length, realized row-major in i
       gap-grid          params = (b, q, a, d) when indexing == "zero-based":
@@ -37,7 +37,7 @@ class ProgressionCertificate:
 
     kind: str
     params: tuple
-    realized: tuple[Payload, ...]
+    realized: Sequence[Payload]
     length: int
     indexing: str = ""
 
@@ -52,33 +52,33 @@ def verify_certificate(cert: ProgressionCertificate, A: GroundSet) -> bool:
 
 def _certificate(kind: str, params: tuple, length: int,
                  indexing: str = "") -> ProgressionCertificate:
-    realized = _realize(kind, params, length, indexing)
-    return ProgressionCertificate(kind, params, tuple(realized), length,
-                                  indexing)
+    return ProgressionCertificate(
+        kind, params, _realize(kind, params, length, indexing), length,
+        indexing)
 
 
 def _realize(kind: str, params: tuple, k: int,
-             indexing: str = "") -> list[int] | None:
+             indexing: str = "") -> Sequence[int] | None:
     if kind not in ("ap", "gap-grid", "polynomial"):
         return None
     if k == 0:
-        return []
+        return ()
     if kind == "ap":
         a, b = params
         try:
-            return list(range(a, a + k * b, b))
+            return range(a, a + k * b, b)
         except (TypeError, ValueError):  # stride 0, or parameters not ints
-            return [a + i * b for i in range(k)]
+            return tuple(a + i * b for i in range(k))
     if kind == "gap-grid":
         if indexing == "zero-based":
             b, q, a, d = params
-            return [b * q ** j * (a + i * d)
-                    for i in range(k) for j in range(k)]
+            return tuple(b * q ** j * (a + i * d)
+                         for i in range(k) for j in range(k))
         r, a, b = params
-        return [r ** i * (a + j * b)
-                for i in range(1, k + 1) for j in range(1, k + 1)]
-    return [sum(c * x ** i for i, c in enumerate(params))
-            for x in range(1, k + 1)]
+        return tuple(r ** i * (a + j * b)
+                     for i in range(1, k + 1) for j in range(1, k + 1))
+    return tuple(sum(c * x ** i for i, c in enumerate(params))
+                 for x in range(1, k + 1))
 
 
 def _require_additive(A: GroundSet, who: str) -> Window:

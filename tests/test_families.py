@@ -17,6 +17,7 @@ from finembed.families import (MAX_EXPONENT, _shell_order, builtin_affine,
                                filter_params, make_family_from_pair,
                                poly_coefficients, poly_indices,
                                restrict_params)
+from finembed.jsonio import family_from_json
 from finembed.prsearch import poly_progression_pattern
 from finembed.rich import longest_poly_progression
 
@@ -400,6 +401,24 @@ def test_family_without_parameters_examines_its_one_member(win):
         "yes", (), 1)
     v = embed_finite([1], GroundSet.from_values(win, [3]), fam)
     assert (v.outcome, v.stats.params_examined) == ("unknown", 1)
+
+
+def test_negative_scan_bound_is_bad_input(win):
+    # An empty box would answer "unknown" after 0 parameters; the bound
+    # is checked once the default is resolved, whoever set it.
+    geo = builtin_geoarithmetic(win)
+    with pytest.raises(InputError, match="scan bound must be >= 0, got -1"):
+        geo.param_sample(3, bound=-1)
+    with pytest.raises(InputError, match="got -1"):
+        embed_finite([1, 2], GroundSet.full(win), geo, bound=-1)
+    pair = family_from_json(
+        {"pair": {"n": 1, "k": 1, "term": "slot0+param0",
+                  "enum": {"bound": -3}}}, win)
+    with pytest.raises(InputError, match="scan bound must be >= 0, got -3"):
+        pair.param_sample(3)
+    with pytest.raises(InputError, match="got -3"):
+        embed_finite([1], GroundSet.full(win), pair)
+    assert pair.param_sample(3, bound=0) == [(0,)]
 
 
 def test_restrict_and_filter_params(win):

@@ -1,18 +1,21 @@
 """The pre-encoded output paths of jsonio against plain json.dumps: the
-int-text kernel, and the certificate payloads whose realized elements it
-writes (density witness runs are checked in test_density.py)."""
+int-text kernel, the certificate payloads whose realized elements it
+writes, and density runs long enough for the kernel (shorter runs are
+checked in test_density.py)."""
 
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_certificate_json
+from conftest import reference_certificate_json, reference_density_json
 from finembed import jsonio
 from finembed.carrier import (ADDITIVE, FREE_WORDS, MULTIPLICATIVE, GroundSet,
                               Window, make_window, parse_predicate)
+from finembed.density import interval_net, upper_density
 from finembed.errors import InputError
 from finembed.jsonio import _INT_TEXT_MIN, _int_text
 from finembed.rich import (ProgressionCertificate, _realize, longest_ap,
@@ -32,72 +35,136 @@ def plain_dumps(payload):
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def kernel_runs(values, sep, monkeypatch):
-    """_int_text(values, sep), and whether it left the list to json."""
+def int_text_path(values, sep):
+    """_int_text(values, sep), and the path that wrote it: "kernel" (numpy),
+    "json" or "join"."""
     calls = []
-    dumps = json.dumps
-    monkeypatch.setattr(jsonio.json, "dumps",
-                        lambda *a, **k: calls.append(a) or dumps(*a, **k))
-    text = _int_text(values, sep)
-    monkeypatch.undo()
-    return text, bool(calls)
+    dumps, arange = json.dumps, np.arange
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jsonio.json, "dumps",
+                   lambda *a, **k: calls.append("json") or dumps(*a, **k))
+        mp.setattr(jsonio.np, "arange",
+                   lambda *a, **k: calls.append("kernel") or arange(*a, **k))
+        text = _int_text(values, sep)
+    return text, calls[0] if calls else "join"
+
+
+def kernel_fits(r):
+    return len(r) > _INT_TEXT_MIN and r[-1] < 2 ** 63
 
 
 @settings(derandomize=True)
 @given(st.integers(0, 3 * _INT_TEXT_MIN), st.integers(1, 19),
        st.integers(0, 2 ** 32), st.sampled_from(SEPS))
 def test_int_text_matches_json_on_ascending_lists(length, widths, seed, sep):
-    # values of up to `widths` digits, every width about equally likely
+    # values of up to `widths` digits, every width about equally likely;
+    # int lists and tuples are joined at every length
     rng = random.Random(seed)
     values = sorted(min(rng.randrange(10 ** (w - 1) - (w == 1), 10 ** w),
                         2 ** 63 - 1)
                     for w in (rng.randint(1, widths) for _ in range(length)))
     for seq in (values, tuple(values)):
-        assert _int_text(seq, sep) == json_text(seq, sep)
+        assert int_text_path(seq, sep) == (json_text(seq, sep), "join")
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.one_of(st.integers(0, 10 ** 7), st.integers(0, 2 ** 63 - 1)),
+       st.one_of(st.integers(1, 12), st.integers(1, 10 ** 15)),
+       st.one_of(st.integers(0, 3), st.integers(_INT_TEXT_MIN - 3,
+                                                 _INT_TEXT_MIN + 3),
+                 st.integers(0, 20 * _INT_TEXT_MIN)),
+       st.sampled_from([True, True, True, False]), st.sampled_from(SEPS))
+def test_int_text_matches_json_on_ranges(start, step, length, fit, sep):
+    # fit moves the start down so that the last term stays in int64
+    if fit:
+        start = max(0, min(start, 2 ** 63 - 1 - (length - 1) * step))
+    r = range(start, start + length * step, step)
+    text, path = int_text_path(r, sep)
+    assert text == json_text(r, sep)
+    assert path == ("kernel" if kernel_fits(r) else "join")
 
 
 @pytest.mark.parametrize("sep", SEPS)
 @pytest.mark.parametrize("length", [0, 1, 2, _INT_TEXT_MIN - 1, _INT_TEXT_MIN,
-                                    _INT_TEXT_MIN + 1, _INT_TEXT_MIN + 2])
-def test_int_text_at_the_crossover(length, sep, monkeypatch):
-    for values in (range(length), range(10 ** 6, 10 ** 6 + 7 * length, 7),
-                   EDGES * (length // len(EDGES)) + EDGES[:length % len(EDGES)]):
-        values = sorted(values)
-        text, to_json = kernel_runs(values, sep, monkeypatch)
-        assert text == json_text(values, sep)
-        assert not to_json  # ints: joined below the crossover, kernel above
+                                    _INT_TEXT_MIN + 1, _INT_TEXT_MIN + 2,
+                                    1199, 1200, 1201, 1202])
+def test_int_text_at_the_crossover(length, sep):
+    # a range takes the kernel past _INT_TEXT_MIN; a list or tuple of the
+    # same ints is joined at every length, 1,199 to 1,202 included (where
+    # the kernel took ascending lists before it read only ranges)
+    for r in (range(length), range(10 ** 6, 10 ** 6 + 7 * length, 7)):
+        want = json_text(r, sep)
+        assert int_text_path(r, sep) == (
+            want, "kernel" if length > _INT_TEXT_MIN else "join")
+        assert int_text_path(list(r), sep) == (want, "join")
+        assert int_text_path(tuple(r), sep) == (want, "join")
+    edges = EDGES * (length // len(EDGES)) + EDGES[:length % len(EDGES)]
+    assert int_text_path(edges, sep) == (json_text(edges, sep), "join")
 
 
 @pytest.mark.parametrize("sep", SEPS)
-def test_int_text_across_every_digit_width(sep, monkeypatch):
-    filler = list(range(_INT_TEXT_MIN))
-    for values in (sorted(filler + EDGES), sorted(filler + EDGES * 3),
-                   [0] * (_INT_TEXT_MIN + 1) + EDGES,
-                   filler + [10 ** 12, 2 ** 63 - 1]):  # widths left empty
-        text, to_json = kernel_runs(values, sep, monkeypatch)
-        assert text == json_text(values, sep) and not to_json
+def test_int_text_across_every_digit_width(sep):
+    # n terms across each edge, from it and up to it (from 0 when the edge
+    # is smaller, and up to 2^63 - 1 when it is that close)
+    n = _INT_TEXT_MIN + 1
+    ranges = [range(s, s + n) for e in EDGES for s in {
+        min(max(0, e - d), 2 ** 63 - n) for d in (n // 2, 0, n)}]
+    ranges += [range(0, 2 ** 63, 2 ** 63 // n),    # widths left empty
+               range(9, 10 ** 18, (10 ** 18 - 9) // n),
+               range(0, n * 10 ** 16, 10 ** 16)]
+    for r in ranges:
+        assert int_text_path(r, sep) == (json_text(r, sep), "kernel"), r
 
 
 @pytest.mark.parametrize("sep", SEPS)
-def test_int_text_leaves_other_lists_to_json(sep, monkeypatch):
+def test_int_text_at_the_int64_limit(sep):
+    n, top = _INT_TEXT_MIN + 5, 2 ** 63 - 1
+    for step in (1, 7, 10 ** 15):
+        # the last term is 2^63 - 1: the kernel; one more is 2^63, which
+        # int64 would wrap to -2^63: joined
+        r = range(top - (n - 1) * step, top + 1, step)
+        assert r[-1] == top
+        assert int_text_path(r, sep) == (json_text(r, sep), "kernel")
+        r = range(r.start + 1, r.stop + 1, step)
+        assert r[-1] == top + 1
+        assert int_text_path(r, sep) == (json_text(r, sep), "join")
+    # arange(start, stop, step) sizes itself in floating point, one term
+    # short here; the kernel counts from the range's length
+    r = range(5, 5 + n * 10 ** 15 - 10 ** 15 + 1, 10 ** 15)
+    assert len(np.arange(r.start, r.stop, r.step)) == len(r) - 1
+    assert int_text_path(r, sep) == (json_text(r, sep), "kernel")
+
+
+@pytest.mark.parametrize("sep", SEPS)
+def test_int_text_leaves_other_lists_to_json(sep):
+    # no list reaches the kernel: all-int lists are joined, anything else
+    # goes to json, and the bytes are json's either way
     ascending = list(range(_INT_TEXT_MIN + 5))
     unsorted = ascending[:]
     random.Random(15).shuffle(unsorted)
-    cases = [
+    joined = [
+        ascending,
+        tuple(ascending),
         unsorted,
         ascending[::-1],
         [-1] + ascending,                 # negative
         ascending + [2 ** 63],            # past int64
+        [-5, 3, 2],                       # short
+        range(-1, _INT_TEXT_MIN + 5),     # ranges the kernel refuses
+        range(_INT_TEXT_MIN + 5, -1, -1),
+        range(2 ** 63 - 5, 2 ** 63 + _INT_TEXT_MIN),
+    ]
+    to_json = [
         [False, True] + ascending[2:],    # json writes false and true
-        [float(v) for v in ascending],    # numpy would cast these
-        [-5, 3, 2],                       # short and not all kernel-fit
+        [float(v) for v in ascending],
         [True, 2],
         [0.5, 1],
+        ["é", 3],
     ]
-    for values in cases:
-        text, to_json = kernel_runs(values, sep, monkeypatch)
-        assert text == json_text(values, sep)
-        assert to_json or values == [-5, 3, 2]  # short ints are joined
+    for values in joined:
+        assert int_text_path(values, sep) == (json_text(values, sep), "join")
+    for values in to_json:
+        assert int_text_path(values, sep) == (json_text(values, sep), "json")
 
 
 def check_certificate(cert):
@@ -110,7 +177,9 @@ def check_certificate(cert):
     assert jsonio.dumps(payload) == plain_dumps(want)
 
 
-@pytest.mark.parametrize("W", [1, 999, 2 * _INT_TEXT_MIN, 20_000, 100_000])
+# the evens give W / 2 + 1 terms: at, and one past, the crossover below 999
+@pytest.mark.parametrize("W", [1, 2 * _INT_TEXT_MIN - 2, 2 * _INT_TEXT_MIN,
+                               999, 2_400, 20_000, 100_000])
 def test_ap_certificate_bytes_match_plain_json(W):
     win = make_window(ADDITIVE, W)
     rng = random.Random(W)
@@ -142,6 +211,17 @@ def test_grid_and_polynomial_certificate_bytes_match_plain_json():
     assert len(grid.realized) > _INT_TEXT_MIN
     assert list(grid.realized) != sorted(grid.realized)
     check_certificate(grid)
+
+
+@pytest.mark.parametrize("N", [_INT_TEXT_MIN, _INT_TEXT_MIN + 1, 1_000])
+def test_long_density_run_bytes_match_plain_json(N):
+    # every ratio on the full window is 1 and ties keep the larger n, so one
+    # run holds all N tails: joined at _INT_TEXT_MIN, the kernel past it
+    report = upper_density(GroundSet.full(make_window(ADDITIVE, 2 * N)),
+                           interval_net(N))
+    assert [run[:2] for run in report.runs] == [(1, N)]
+    assert jsonio.dumps(jsonio.density_report_to_json(report)) == plain_dumps(
+        reference_density_json(report))
 
 
 @pytest.mark.parametrize("kind, bound, alphabet, first", [

@@ -182,8 +182,8 @@ def test_longest_ap_matches_brute_force():
         A = random_set(rng, win)
         cert = longest_ap(A)
         assert (cert.params, cert.length) == brute_ap(members(A), win.bound)
-        assert cert.realized == tuple(cert.params[0] + i * cert.params[1]
-                                      for i in range(cert.length))
+        assert tuple(cert.realized) == tuple(
+            cert.params[0] + i * cert.params[1] for i in range(cert.length))
 
 
 def test_longest_ap_vector_filter_on_wide_windows():
@@ -219,7 +219,7 @@ def test_longest_ap_on_long_chains(length, stride, slack):
     cert = longest_ap(A)
     assert (cert.params, cert.length) == brute_ap(members(A), W)
     assert (cert.params, cert.length) == ((a, stride), length)
-    assert cert.realized == tuple(chain)
+    assert tuple(cert.realized) == tuple(chain)
 
 
 def test_longest_ap_on_many_runs_past_the_python_walk():

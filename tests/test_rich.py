@@ -23,7 +23,8 @@ def test_longest_ap_examples():
     win = make_window(ADDITIVE, 30)
     cert = longest_ap(ground(win, [1, 3, 5, 7]))
     assert (cert.length, cert.params) == (4, (1, 2))
-    assert cert.realized == (1, 3, 5, 7)
+    assert tuple(cert.realized) == (1, 3, 5, 7)
+    assert type(cert.realized) is range  # the run as generated, no copy
 
     cert = longest_ap(ground(win, [1]))
     assert cert.length == 1
