@@ -181,9 +181,9 @@ class _Fragment:  # JSON text that dumps writes as is; json rejects it
 
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-# json or join is as fast up to here (end to end on x86_64: crossovers at
-# 400 to 800 values for AP certificates, 200 to 300 for density runs)
-_INT_TEXT_MIN = 400
+# json or join is as fast up to here: crossovers on x86_64 at 400 to 1,100
+# values for AP certificates, 200 to 400 for density runs (BENCH_19.json)
+_INT_TEXT_MIN = 800
 _POWERS = 10 ** np.arange(1, 19, dtype=np.int64)  # digit-width edges
 
 

@@ -177,7 +177,8 @@ def check_certificate(cert):
     assert jsonio.dumps(payload) == plain_dumps(want)
 
 
-# the evens give W / 2 + 1 terms: at, and one past, the crossover below 999
+# the evens give W / 2 + 1 terms: 2 * _INT_TEXT_MIN - 2 puts the certificate
+# at the crossover, 2 * _INT_TEXT_MIN one term past it
 @pytest.mark.parametrize("W", [1, 2 * _INT_TEXT_MIN - 2, 2 * _INT_TEXT_MIN,
                                999, 2_400, 20_000, 100_000])
 def test_ap_certificate_bytes_match_plain_json(W):
