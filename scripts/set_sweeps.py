@@ -50,8 +50,8 @@ SMALL_SIZES = (400, 1_000, 4_000, 10_000, 25_000, 100_000)
 SCAN_SIZES = (20, 30, 40, 50, 60)
 PROBE_SIZES = (2_000, 5_000, 10_000, 25_000, 50_000, 100_000)
 DENSITY_SIZES = (2_000, 10_000, 25_000, 50_000, 100_000)
-# 501 to 200,001 realized elements, all past the int-text kernel's
-# crossover (the first five sizes bracket its old one, 1,200 values)
+# 501 to 200,001 realized elements; the first five sizes bracket the
+# int-text kernel's crossover (800 values, 1,200 when they were chosen)
 CERT_SIZES = (1_000, 1_500, 2_000, 3_000, 4_000) + SIZES
 REPEATS = 3        # best of
 MAX_SECONDS = 2.0  # a case stops growing W after a run this slow

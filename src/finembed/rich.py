@@ -52,9 +52,8 @@ def verify_certificate(cert: ProgressionCertificate, A: GroundSet) -> bool:
 
 def _certificate(kind: str, params: tuple, length: int,
                  indexing: str = "") -> ProgressionCertificate:
-    return ProgressionCertificate(
-        kind, params, _realize(kind, params, length, indexing), length,
-        indexing)
+    realized = _realize(kind, params, length, indexing)
+    return ProgressionCertificate(kind, params, realized, length, indexing)
 
 
 def _realize(kind: str, params: tuple, k: int,

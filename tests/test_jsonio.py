@@ -49,10 +49,6 @@ def int_text_path(values, sep):
     return text, calls[0] if calls else "join"
 
 
-def kernel_fits(r):
-    return len(r) > _INT_TEXT_MIN and r[-1] < 2 ** 63
-
-
 @settings(derandomize=True)
 @given(st.integers(0, 3 * _INT_TEXT_MIN), st.integers(1, 19),
        st.integers(0, 2 ** 32), st.sampled_from(SEPS))
@@ -81,7 +77,8 @@ def test_int_text_matches_json_on_ranges(start, step, length, fit, sep):
     r = range(start, start + length * step, step)
     text, path = int_text_path(r, sep)
     assert text == json_text(r, sep)
-    assert path == ("kernel" if kernel_fits(r) else "join")
+    fits = len(r) > _INT_TEXT_MIN and r[-1] < 2 ** 63
+    assert path == ("kernel" if fits else "join")
 
 
 @pytest.mark.parametrize("sep", SEPS)
