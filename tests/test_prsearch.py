@@ -12,11 +12,11 @@ from finembed.carrier import ADDITIVE, GroundSet, make_window
 from finembed.errors import BudgetError, InputError
 from finembed.families import MAX_EXPONENT
 from finembed.prsearch import (Pattern, Polynomial, _canonicalize,
-                               _isolated_variable, _solutions, ap_pattern,
-                               equation_pattern, find_avoiding_coloring,
-                               gap_grid_pattern, homogeneous_pr_check,
-                               parse_pattern, parse_polynomial,
-                               poly_progression_pattern,
+                               _ForwardCheck, _isolated_variable, _solutions,
+                               ap_pattern, equation_pattern,
+                               find_avoiding_coloring, gap_grid_pattern,
+                               homogeneous_pr_check, parse_pattern,
+                               parse_polynomial, poly_progression_pattern,
                                ps_solutions_experiment, ramsey_threshold,
                                schur_pattern, strong_pr_probe,
                                verify_coloring)
@@ -410,11 +410,18 @@ def _reference_threshold(pattern, r, nmax, instance_budget, node_budget):
 
 @pytest.mark.parametrize("pattern", KERNEL_PATTERNS, ids=lambda p: p.label)
 def test_threshold_matches_a_fresh_search_per_n(pattern):
+    """Where the fresh searches answer, the scan gives the same threshold.
+    The scan never visits more nodes than the fresh search of its last N,
+    so where they run out of nodes it may raise later or answer, but what
+    it answers is the unbudgeted threshold, and an instance overflow is the
+    fresh searches' own."""
     seen = set()
     for r in range(1, 5):
         for nmax in (1, 6, 11, 23, 40):
-            for node_budget in (3, 25, 4000):
-                for instance_budget in (5, 200):
+            for instance_budget in (5, 200):
+                truth = _reference_threshold(pattern, r, nmax,
+                                             instance_budget, 10 ** 9)
+                for node_budget in (3, 25, 4000):
                     want = _reference_threshold(pattern, r, nmax,
                                                 instance_budget, node_budget)
                     try:
@@ -423,8 +430,14 @@ def test_threshold_matches_a_fresh_search_per_n(pattern):
                                                node_budget).threshold
                     except (BudgetError, InputError) as exc:
                         got = type(exc), str(exc)
-                    assert got == want, (r, nmax, node_budget,
-                                         instance_budget)
+                    case = r, nmax, node_budget, instance_budget
+                    if not isinstance(want, tuple) or want == truth:
+                        assert got == want, case
+                    else:  # the fresh searches ran out of nodes
+                        assert want[1].startswith("budget-exceeded: "), case
+                        if got != truth:
+                            assert got[0] is BudgetError, case
+                            assert got[1].startswith("budget-exceeded: "), case
                     seen.add(want if want is None else type(want).__name__)
     assert {"int", "tuple"} <= seen  # thresholds and budget errors both met
 
@@ -433,7 +446,11 @@ def test_threshold_matches_a_fresh_search_per_n(pattern):
     (ap_pattern(3), 2, 9), (ap_pattern(3), 3, 27), (schur_pattern(), 3, 14),
     (ap_pattern(4), 2, 35)], ids=lambda v: getattr(v, "label", str(v)))
 def test_threshold_node_budget_is_exactly_the_fresh_search_s(pattern, r, want):
-    nodes = find_avoiding_coloring(want, r, pattern).nodes
+    """The node budget is an exact boundary on the scan's own count, which
+    stays below the fresh search's at the threshold."""
+    nodes = {("ap:3", 2): 45, ("ap:3", 3): 59_102, ("schur", 3): 417,
+             ("ap:4", 2): 7_113}[pattern.label, r]
+    assert nodes < find_avoiding_coloring(want, r, pattern).nodes
     assert ramsey_threshold(pattern, r, want, node_budget=nodes).threshold == want
     with pytest.raises(BudgetError, match=f"^budget-exceeded: {nodes} "):
         ramsey_threshold(pattern, r, want, node_budget=nodes - 1)
@@ -454,6 +471,62 @@ def test_instances_below_n_are_the_instances_of_n_minus_one(pattern):
         now = pattern.instances(n)
         assert [inst for inst in now if inst[-1] < n] == before, n
         before = now
+
+
+# -- the forward-checking threshold scan against the reference -----------------
+
+@pytest.mark.parametrize("pattern", CONTRACT_PATTERNS, ids=lambda p: p.label)
+def test_scan_stops_at_the_reference_coloring_after_each_step(pattern):
+    """After step N the scan holds the reference's canonical coloring of
+    [1..N] (or both find N forced), having visited no more nodes than the
+    reference's fresh search of [1..N]."""
+    for r in range(1, 5):
+        search, drawn = _ForwardCheck(r, 10 ** 9), 0
+        for n in range(1, 25):
+            drawn, new = pattern.draw(n, n, drawn=drawn)
+            search.add([n], new)
+            colors, nodes = reference_backtrack(
+                range(1, n + 1), r, pattern.instances(n), 10 ** 9, False)
+            avoiding = search.run()
+            assert search.nodes <= nodes, (r, n)
+            if colors is None:
+                assert not avoiding, (r, n)
+                break
+            assert avoiding and tuple(search.colors) == _canonicalize(colors), (
+                r, n)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("x+y-z", 5), ("x+2y-z", 11), ("x+y+w-z", 11), ("2x+2y-z", 34),
+    ("2x+3y-z", 53)])
+def test_threshold_reaches_the_guo_sun_rado_numbers(text, want):
+    """Guo & Sun (2008): the 2-color Rado number of a1 x1 + ... + am xm = x0
+    is a v^2 + v - a, with a the least ai and v their sum."""
+    pattern = equation_pattern(parse_polynomial(text))
+    assert ramsey_threshold(pattern, 2, want + 3).threshold == want
+
+
+def test_threshold_with_a_one_cell_instance():
+    """A one-cell instance leaves its position no color: the scan is forced
+    there, or earlier, as the fresh searches are."""
+    ap3 = ap_pattern(3)
+
+    def between(lo, hi):
+        yield from ap3._between(lo, hi)
+        if lo <= 7 <= hi:
+            yield (7,)
+
+    pattern = Pattern("ap:3+{7}", between)
+    for r in range(1, 4):
+        for nmax in (6, 7, 12):
+            want = _reference_threshold(pattern, r, nmax, 1000, 10 ** 6)
+            assert ramsey_threshold(pattern, r, nmax).threshold == want
+    assert ramsey_threshold(pattern, 2, 12).threshold == 7
+
+
+def test_threshold_scan_deeper_than_the_recursion_limit():
+    # 1001 positions, past the interpreter's default recursion limit of 1000
+    assert ramsey_threshold(ap_pattern(5), 5, 1001).threshold is None
 
 
 # -- solved equation enumeration against the tuple walk -----------------------
