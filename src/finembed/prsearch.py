@@ -8,7 +8,8 @@ over [1..N] or over an explicit set, runs through one engine (_search): a
 complete backtracking with color-relabeling symmetry breaking (a fresh color
 index may only be introduced after all smaller ones), so "forced" outcomes
 are exhaustion proofs and avoiding colorings come out canonical and
-lexicographically least.
+lexicographically least.  Threshold scans run the same search with forward
+checking (_ForwardCheck), which reaches the same colorings with fewer nodes.
 """
 
 from __future__ import annotations
@@ -454,16 +455,17 @@ class _ForwardCheck:
     coloring _backtrack would, after fewer nodes.
 
     run() stops at the least coloring of every position and keeps its
-    state.  Appended instances end at appended positions; one filed under a
-    colored position counts at once and joins that position's list, so its
-    retraction lowers the counter too.  No prefix that sorts before that
-    coloring gains an avoiding extension, so the next run() resumes from the
-    coloring a fresh search stops at.
+    state.  Appended instances end at appended positions.  One filed under a
+    colored position whose lower cells share its color counts at once and
+    joins the rows that position raised, so retracting it lowers the counter
+    too.  No prefix that sorts before that coloring gains an avoiding
+    extension, so the next run() resumes from the coloring a fresh search
+    stops at.
 
-    pr search, pr equation and strong_pr_probe print their node counts,
-    which the benchmark's golden digests hash, so they stay on _backtrack
-    until a benchmark change re-records those digests; then _search moves
-    to this engine and _backtrack goes.
+    find_avoiding_coloring and strong_pr_probe report their node counts,
+    which pr search and pr equation print and the benchmark's golden digests
+    hash, so they stay on _backtrack until a benchmark change re-records
+    those digests; then _search moves to this engine and _backtrack goes.
     """
 
     def __init__(self, r: int, node_budget: int):
@@ -483,18 +485,20 @@ class _ForwardCheck:
             instances: Iterable[tuple[int, ...]]) -> None:
         """Append positions for the values, in search order, then the
         instances, each ending at one of the positions appended."""
-        colors, forbid, held = self.colors, self.forbid, self.held
+        bit_of, filed, forbid, raised, colors, held = (
+            self.bit_of, self.filed, self.forbid, self.raised, self.colors,
+            self.held)
         for v in values:
             # position p holds one of at most p + 1 colors: no row wider
-            self.forbid.append([0] * min(self.r, len(colors) + 1))
-            self.bit_of[v] = 1 << len(colors)
-            self.filed.append([])
-            self.raised.append([])
+            forbid.append([0] * min(self.r, len(colors) + 1))
+            bit_of[v] = 1 << len(colors)
+            filed.append([])
+            raised.append([])
             colors.append(0)
             self.used.append(0)
         held += [0] * (min(self.r, len(colors)) - len(held))
         for inst in instances:
-            m = sum(map(self.bit_of.__getitem__, inst))  # distinct: sum is OR
+            m = sum(map(bit_of.__getitem__, inst))  # distinct: sum is OR
             last = m.bit_length() - 1
             m ^= 1 << last
             row = forbid[last]
@@ -503,10 +507,10 @@ class _ForwardCheck:
                 continue
             s = m.bit_length() - 1
             m ^= 1 << s
-            self.filed[s].append((m, row))
+            filed[s].append((m, row))
             if s < self.i and m & held[colors[s]] == m:
                 row[colors[s]] += 1
-                self.raised[s].append(row)
+                raised[s].append(row)
 
     def run(self) -> bool:
         """Resume the search: True once every position is colored, False

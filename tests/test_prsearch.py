@@ -479,7 +479,8 @@ def test_instances_below_n_are_the_instances_of_n_minus_one(pattern):
 def test_scan_stops_at_the_reference_coloring_after_each_step(pattern):
     """After step N the scan holds the reference's canonical coloring of
     [1..N] (or both find N forced), having visited no more nodes than the
-    reference's fresh search of [1..N]."""
+    reference's fresh search of [1..N]; so does one search of [1..N] with
+    every position added at once."""
     for r in range(1, 5):
         search, drawn = _ForwardCheck(r, 10 ** 9), 0
         for n in range(1, 25):
@@ -487,13 +488,16 @@ def test_scan_stops_at_the_reference_coloring_after_each_step(pattern):
             search.add([n], new)
             colors, nodes = reference_backtrack(
                 range(1, n + 1), r, pattern.instances(n), 10 ** 9, False)
-            avoiding = search.run()
-            assert search.nodes <= nodes, (r, n)
+            whole = _ForwardCheck(r, 10 ** 9)
+            whole.add(range(1, n + 1), pattern.instances(n))
+            for engine in (search, whole):
+                avoiding = engine.run()
+                assert engine.nodes <= nodes, (r, n)
+                assert avoiding == (colors is not None), (r, n)
+                if avoiding:
+                    assert tuple(engine.colors) == _canonicalize(colors), (r, n)
             if colors is None:
-                assert not avoiding, (r, n)
                 break
-            assert avoiding and tuple(search.colors) == _canonicalize(colors), (
-                r, n)
 
 
 @pytest.mark.parametrize("text, want", [
