@@ -17,7 +17,8 @@ one run takes longer than MAX_SECONDS, so slow implementations can be
 swept with the same script.  Only the public API is used.
 
 Each record holds the raw best-of-REPEATS seconds and the normalized
-seconds, timed by the sweep loop of scripts/set_sweeps.py.
+seconds, cold and warm (the same run repeated at once), timed by the sweep
+loop of scripts/set_sweeps.py.
 """
 
 from __future__ import annotations
@@ -85,7 +86,8 @@ def main() -> None:
     cases = [(case, layer, lambda n, run=run: lambda: run(n), sizes)
              for case, layer, run, sizes in CASES]
     how = (f"scripts/pr_sweeps.py, best of {REPEATS}, raw and normalized to "
-           f"a reference loop of {REF_NOMINAL_S * 1e3:g} ms")
+           f"a reference loop of {REF_NOMINAL_S * 1e3:g} ms; warm = the same "
+           "run repeated at once")
     json.dump(sweep(cases, args.side, how, MAX_SECONDS, with_rate),
               sys.stdout, indent=1)
     print()

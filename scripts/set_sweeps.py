@@ -3,7 +3,8 @@
     PYTHONPATH=src python scripts/set_sweeps.py --side change > sweeps.json
     PYTHONPATH=src python scripts/set_sweeps.py --side change --only density
 
-Times predicate fill, longest_ap, is_thick_window, the piecewise-syndetic
+Times the predicate fill of every builtin atom and of a union, on additive
+and multiplicative windows, longest_ap, is_thick_window, the piecewise-syndetic
 probe, upper_density (additive interval nets on sparse and dense sets,
 on both sides of the rule that picks its kernel, a multiplicative
 interval net and an additive net that is not an interval), the density
@@ -21,7 +22,12 @@ Each record holds the raw best-of-REPEATS seconds and the normalized
 seconds: the best run scaled by REF_NOMINAL_S over the median time of a
 fixed pure-Python reference loop (the one perfbench/run.py uses) measured
 just before and after every run of the case, so sweeps taken while the
-host's speed drifts can be compared.
+host's speed drifts can be compared.  Each timed call is the first call
+on a fresh build (cold); the same call repeated at once on that build is
+timed apart (warm, warm_seconds and warm_normalized_seconds), so that
+sub-millisecond cases, whose cold calls vary most, can be told apart.
+A fill case builds its set inside the call, so its warm repeat fills
+again.
 """
 
 from __future__ import annotations
@@ -72,9 +78,12 @@ def fresh(W: int, spec: str, kind: str = ADDITIVE) -> GroundSet:
                                     parse_predicate(spec), spec)
 
 
-def fill(W):
-    A = fresh(W, "primes")
-    return lambda: A.count()
+def fill(spec, kind=ADDITIVE):
+    # a fresh set on a window and predicate built beforehand, filled whole
+    def build(W):
+        win, pred = make_window(kind, W), parse_predicate(spec)
+        return lambda: GroundSet.from_predicate(win, pred).count()
+    return build
 
 
 def ap_evens(W):
@@ -278,8 +287,13 @@ def cli_calls(calls):
     return run
 
 
-CASES = (
-    ("primes fill", "carrier.fill", fill, SIZES),
+FILL_SPECS = ("primes", "evens", "multiples:7", "squares", "interval:1000:5000",
+              "all", "union(multiples:3,interval:1000:5000)")
+
+CASES = tuple(
+    (f"{spec} fill{suffix}", "carrier.fill", fill(spec, kind), SIZES)
+    for kind, suffix in ((ADDITIVE, ""), (MULTIPLICATIVE, ", multiplicative"))
+    for spec in FILL_SPECS) + (
     ("longest_ap(evens)", "rich.longest_ap", ap_evens, SIZES),
     ("longest_ap(primes), W/50", "rich.longest_ap", ap_primes, SIZES),
     ("longest_ap(runs of 100, 3 apart)", "rich.longest_ap", ap_runs,
@@ -328,31 +342,38 @@ def sweep(cases, side: str, how: str, max_seconds: float = MAX_SECONDS,
           only: str = "") -> list[dict]:
     """One record per case (name, layer, build, sizes) and size: build(size)
     gives a fresh run(), timed best of REPEATS with the reference loop just
-    before and after each run.  A case stops growing once a run takes
-    longer than max_seconds; counters(result, best) fills the record's
-    counters from the last run's result."""
+    before and after each run, and each run is repeated at once for the
+    warm time.  A case stops growing once a first run takes longer than
+    max_seconds; counters(result, best) fills the record's counters from
+    the last first run's result."""
     records = []
     for case, layer, build, sizes in cases:
         if only not in case:
             continue
         for size in sizes:
-            best, refs, result = float("inf"), [], None
+            best, warm, refs, result = float("inf"), float("inf"), [], None
             for _ in range(REPEATS):
                 run = build(size)
                 refs.append(reference_loop())
                 t0 = time.perf_counter()
                 result = run()
-                best = min(best, time.perf_counter() - t0)
+                t1 = time.perf_counter()
+                run()
+                best, warm = min(best, t1 - t0), min(warm,
+                                                     time.perf_counter() - t1)
                 refs.append(reference_loop())
                 if best > max_seconds:
                     break
-            norm = best * REF_NOMINAL_S / statistics.median(refs)
+            scale = REF_NOMINAL_S / statistics.median(refs)
             records.append({"case": case, "layer": layer, "size": size,
                             "side": side, "seconds": best,
-                            "normalized_seconds": norm,
+                            "normalized_seconds": best * scale,
+                            "warm_seconds": warm,
+                            "warm_normalized_seconds": warm * scale,
                             "counters": counters(result, best), "how": how})
-            print(f"{case:40s} size={size:>7d} {best:9.4f}s "
-                  f"{norm:9.4f}s normalized", file=sys.stderr)
+            print(f"{case:40s} size={size:>7d} {best * 1e3:10.4f} ms, "
+                  f"normalized {best * scale * 1e3:10.4f} ms, warm "
+                  f"{warm * scale * 1e3:10.4f} ms", file=sys.stderr)
             if best > max_seconds:
                 break
     return records
@@ -366,7 +387,8 @@ def main() -> None:
     args = ap.parse_args()
     how = (f"scripts/set_sweeps.py, best of {REPEATS}, raw and normalized "
            f"to a reference loop of {REF_NOMINAL_S * 1e3:g} ms, set filled "
-           "before timing except for the fill case")
+           "before timing except for the fill cases; warm = the same call "
+           "repeated at once on the same build")
     json.dump(sweep(CASES, args.side, how, only=args.only), sys.stdout,
               indent=1)
     print()

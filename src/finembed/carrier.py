@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -410,8 +411,7 @@ class GroundSet:
         lo = self._known_upto
         if self._vector is not None:
             first = self.window.payload(0)
-            self._arr[lo:upto + 1] = self._vector(
-                np.arange(lo + first, upto + 1 + first, dtype=np.int64))
+            self._arr[lo:upto + 1] = self._vector(lo + first, upto + 1 + first)
         else:
             mem, pred, payload = self._mem, self._pred, self.window.payload
             for enc in range(lo, upto + 1):
@@ -524,31 +524,38 @@ def _is_square(v: int) -> bool:
     return v >= 0 and math.isqrt(v) ** 2 == v
 
 
-# Vector forms of the builtin predicates: the same test over an int64 array
-# of numeric payloads, returning a boolean array.  Payloads lie in
-# 0..MAX_WINDOW_SIZE, so clamping constants into [-1, _VECTOR_INT_CAP]
-# keeps every comparison and divisibility test while fitting int64.
-_VECTOR_INT_CAP = 1 << 62
+# Vector forms of the builtin predicates: vector(lo, hi) is the same test
+# over the payloads lo..hi-1 (0 <= lo <= hi) as a boolean array, written by
+# slices whose Python-int bounds numpy clips, so huge constants just work.
 
-def _squares_vector(v: np.ndarray) -> np.ndarray:
-    # float sqrt is exact on squares and never rounds a non-square up to
-    # the next integer below 2**52, far above any window payload
-    root = np.sqrt(np.maximum(v, 0)).astype(np.int64)
-    return (v >= 0) & (root * root == v)
+def _marked(members: Callable) -> Callable[[int, int], np.ndarray]:
+    """The vector form with the members of lo..hi-1 at members(lo, hi)."""
+    def vector(lo: int, hi: int) -> np.ndarray:
+        out = np.zeros(hi - lo, dtype=bool)
+        out[members(lo, hi)] = True
+        return out
+    return vector
 
 
-def _primes_vector(v: np.ndarray) -> np.ndarray:
-    top = int(v.max(initial=0))
-    sieve = np.ones(max(top + 1, 2), dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(top) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = False
-    return (v >= 0) & sieve[np.clip(v, 0, top)]
+_odds_vector = _marked(lambda lo, hi: slice(1 - lo % 2, None, 2))
+
+
+def _primes_vector(lo: int, hi: int) -> np.ndarray:
+    """Segmented sieve of lo..hi-1: 2 and the odd payloads but 1, less the
+    odd multiples of each odd prime p <= isqrt(hi - 1) from p*p on."""
+    out = _odds_vector(lo, hi)
+    out[max(1 - lo, 0):max(3 - lo, 0)] ^= True  # 1 is not prime, 2 is
+    if hi <= 9:  # no odd prime p with p*p < hi
+        return out
+    base = _primes_vector(3, math.isqrt(hi - 1) + 1)  # odd base primes
+    for p in (np.flatnonzero(base) + 3).tolist():
+        start = max(p * p, -(-lo // p) * p)  # made odd below
+        out[start + p * (start % 2 == 0) - lo::2 * p] = False
+    return out
 
 
 def _with_vector(test: Callable[[Payload], bool],
-                 vector: Callable[[np.ndarray], np.ndarray]
+                 vector: Callable[[int, int], np.ndarray]
                  ) -> Callable[[Payload], bool]:
     test.vector = vector  # type: ignore[attr-defined]
     return test
@@ -557,13 +564,15 @@ def _with_vector(test: Callable[[Payload], bool],
 def _atomic_predicate(name: str, args: list[str]) -> Callable[[Payload], bool]:
     if name == "evens":
         return _with_vector(lambda v: isinstance(v, int) and v % 2 == 0,
-                            lambda v: v % 2 == 0)
+                            _marked(lambda lo, hi: slice(lo % 2, None, 2)))
     if name == "odds":
         return _with_vector(lambda v: isinstance(v, int) and v % 2 == 1,
-                            lambda v: v % 2 == 1)
+                            _odds_vector)
     if name == "squares":
         return _with_vector(lambda v: isinstance(v, int) and _is_square(v),
-                            _squares_vector)
+                            _marked(lambda lo, hi: np.arange(  # ceil sqrts
+                                lo and math.isqrt(lo - 1) + 1,
+                                hi and math.isqrt(hi - 1) + 1) ** 2 - lo))
     if name == "primes":
         return _with_vector(lambda v: isinstance(v, int) and _is_prime(v),
                             _primes_vector)
@@ -573,19 +582,18 @@ def _atomic_predicate(name: str, args: list[str]) -> Callable[[Payload], bool]:
         m = parse_int(args[0], "multiples:<m>")
         if m < 1:
             raise InputError("multiples modulus must be >= 1")
-        mv = min(m, _VECTOR_INT_CAP)
         return _with_vector(lambda v: isinstance(v, int) and v % m == 0,
-                            lambda v: v % mv == 0)
+                            _marked(lambda lo, hi: slice(-lo % m, None, m)))
     if name == "interval":
         if len(args) != 2:
             raise InputError("interval:<lo>:<hi> takes two arguments")
-        lo, hi = (parse_int(a, "interval:<lo>:<hi>") for a in args)
-        vlo, vhi = (max(min(x, _VECTOR_INT_CAP), -1) for x in (lo, hi))
-        return _with_vector(lambda v: isinstance(v, int) and lo <= v <= hi,
-                            lambda v: (vlo <= v) & (v <= vhi))
+        a, b = (parse_int(x, "interval:<lo>:<hi>") for x in args)
+        return _with_vector(lambda v: isinstance(v, int) and a <= v <= b,
+                            _marked(lambda lo, hi: slice(max(a - lo, 0),
+                                                         max(b + 1 - lo, 0))))
     if name == "all":
         return _with_vector(lambda v: True,
-                            lambda v: np.ones(v.shape, dtype=bool))
+                            lambda lo, hi: np.ones(hi - lo, dtype=bool))
     raise InputError(f"unknown builtin predicate {name!r}")
 
 
@@ -608,8 +616,8 @@ def parse_predicate(spec: str) -> Callable[[Payload], bool]:
 
     Atoms: evens odds squares primes all multiples:<m> interval:<lo>:<hi>.
     Combinators: union(p,q,...) and intersect(p,q,...), nestable up to
-    MAX_NESTING deep.  The returned test also carries, as its `vector`
-    attribute, the same test over an int64 array of numeric payloads.
+    MAX_NESTING deep.  The returned test also carries, as `vector`, the
+    same test over the numeric payloads lo..hi-1: vector(lo, hi), bool.
     """
     if spec.count("(") > MAX_NESTING:  # else it cannot nest that deep
         depth = max(accumulate((ch == "(") - (ch == ")") for ch in spec))
@@ -625,7 +633,7 @@ def parse_predicate(spec: str) -> Callable[[Payload], bool]:
                 raise InputError(f"{comb}() needs at least one operand")
             return _with_vector(
                 lambda v, subs=subs, fold=fold: fold(p(v) for p in subs),
-                lambda v, subs=subs, vfold=vfold: vfold.reduce(
-                    [p.vector(v) for p in subs]))
+                lambda lo, hi, subs=subs, vfold=vfold: reduce(
+                    vfold, [p.vector(lo, hi) for p in subs]))
     head, *args = spec.split(":")
     return _atomic_predicate(head.strip(), [a.strip() for a in args])

@@ -484,7 +484,7 @@ class _ForwardCheck:
     def add(self, values: Iterable[int],
             instances: Iterable[tuple[int, ...]]) -> None:
         """Append positions for the values, in search order, then the
-        instances, each ending at one of the positions appended."""
+        instances, of two cells or more, each ending at a position appended."""
         bit_of, filed, forbid, raised, colors, held = (
             self.bit_of, self.filed, self.forbid, self.raised, self.colors,
             self.held)
@@ -502,9 +502,6 @@ class _ForwardCheck:
             last = m.bit_length() - 1
             m ^= 1 << last
             row = forbid[last]
-            if not m:  # one cell: every color fails there
-                row[:] = [f + 1 for f in row]
-                continue
             s = m.bit_length() - 1
             m ^= 1 << s
             filed[s].append((m, row))
@@ -652,6 +649,8 @@ def ramsey_threshold(pattern: Pattern, r: int, nmax: int,
     search, drawn = _ForwardCheck(r, node_budget), 0
     for n in range(1, nmax + 1):
         drawn, new = pattern.draw(n, n, instance_budget, drawn)
+        if (n,) in new:  # n alone is an instance: no color is left for it
+            return ThresholdResult(n, nmax, pattern.label, r)
         search.add([n], new)
         if not search.run():
             return ThresholdResult(n, nmax, pattern.label, r)

@@ -284,13 +284,16 @@ def _member_prefix(A: GroundSet) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(A.array(), dtype=np.int64)))
 
 
-def _first_full_run(ok: np.ndarray, need: int) -> int | None:
-    """Least t with ok[t], ..., ok[t + need - 1] all true, or None."""
-    if need > len(ok):
-        return None
-    pref = np.concatenate(([0], np.cumsum(ok, dtype=np.int64)))
-    hit = np.flatnonzero(pref[need:] - pref[:len(ok) - need + 1] == need)
-    return int(hit[0]) if hit.size else None
+def _first_full_run(ok: np.ndarray) -> Callable[[int], int | None]:
+    """first(need): the least t with ok[t], ..., ok[t + need - 1] all true,
+    or None, read off the maximal runs of ok, which are found once."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], ok != 0, [False]))))
+    starts = edges[::2]
+    longest = np.maximum.accumulate(edges[1::2] - starts)
+    def first(need: int) -> int | None:
+        i = int(np.searchsorted(longest, need))  # first run need long
+        return int(starts[i]) if i < len(starts) else None
+    return first
 
 
 def is_thick_window(A: GroundSet, probe_intervals: Sequence[int]) -> ShiftReport:
@@ -302,12 +305,15 @@ def is_thick_window(A: GroundSet, probe_intervals: Sequence[int]) -> ShiftReport
     """
     win = A.window
     entries = []
+    first_run = _first_full_run(A.array()) if win.kind == ADDITIVE else None
     for L in probe_intervals:
         if L < 0:
             raise InputError(f"probe length {L} is negative")
         if L + 1 > win.size:
             raise InputError(f"probe length {L} exceeds the window")
-        if win.kind in (ADDITIVE, MULTIPLICATIVE):
+        if win.kind == ADDITIVE:  # the first full interval [s, s + L]
+            shift = first_run(L + 1)
+        elif win.kind == MULTIPLICATIVE:
             shift = _first_thick_shift(A, L)
         else:
             shift = _first_shift_by_scan(A, L)
@@ -316,17 +322,14 @@ def is_thick_window(A: GroundSet, probe_intervals: Sequence[int]) -> ShiftReport
 
 
 def _first_thick_shift(A: GroundSet, L: int) -> int | None:
-    """Least shift s with f * s in A for every f among the first L + 1
-    payloads, on a numeric window, or None.
+    """Least shift s with f * s in A for every f in 1..L + 1, on a
+    multiplicative window, or None.
 
-    Additive: the first full interval [s, s + L].  Multiplicative: shifts
-    s = 1..W // (L + 1); f * s sits at encoding f * s - 1, so the verdicts
-    are the AND over f of the stride-f slices of the array that start at
-    encoding f - 1.
+    Shifts s = 1..W // (L + 1); f * s sits at encoding f * s - 1, so the
+    verdicts are the AND over f of the stride-f slices of the array that
+    start at encoding f - 1.
     """
     mem = A.array()
-    if A.window.kind == ADDITIVE:
-        return _first_full_run(mem, L + 1)
     n = A.window.bound // (L + 1)
     ok = mem[:n].copy()
     for f in range(2, L + 2):
@@ -386,16 +389,16 @@ def is_piecewise_syndetic_window(A: GroundSet, gap_bound: int,
 def _ps_additive(A: GroundSet, g: int, spans: Sequence[int]) -> ShiftReport:
     W = A.window.bound
     pref = _member_prefix(A)
-    # covered[u]: some member of A in [u, u+g-1], for the subwindow starts
-    # u = 0..W-g+1 that keep the whole subwindow inside the window
+    # runs of covered u, with some member of A in [u, u+g-1], among the
+    # subwindow starts u = 0..W-g+1 that keep the subwindow in the window
     m = max(W - g + 2, 0)
-    covered = pref[g:g + m] > pref[:m]
+    first_run = _first_full_run(pref[g:g + m] > pref[:m])
     entries = []
     for L in spans:
         if L < 1 or L > W + 1:
             raise InputError(f"span {L} out of range")
         need = L - g + 1  # number of subwindow starts inside the interval
-        at = 0 if need <= 0 else _first_full_run(covered, need)
+        at = 0 if need <= 0 else first_run(need)
         entries.append(ShiftProbe(L, at is not None, at))
     return ShiftReport("piecewise-syndetic", tuple(entries))
 

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -169,8 +168,7 @@ def test_predicate_nesting_is_capped_where_both_tests_still_evaluate():
     # with room to spare: the scalar test takes a few frames a level
     test = _with_frames(300, lambda: parse_predicate(deepest))
     assert _with_frames(300, lambda: (test(4), test(5))) == (True, False)
-    values = np.arange(6, dtype=np.int64)
-    assert _with_frames(300, lambda: test.vector(values)).tolist() == [
+    assert _with_frames(300, lambda: test.vector(0, 6)).tolist() == [
         True, False] * 3
     words = make_window(FREE_WORDS, 3, ["a", "b"])
     assert GroundSet.from_predicate(

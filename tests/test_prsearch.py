@@ -526,6 +526,12 @@ def test_threshold_with_a_one_cell_instance():
             want = _reference_threshold(pattern, r, nmax, 1000, 10 ** 6)
             assert ramsey_threshold(pattern, r, nmax).threshold == want
     assert ramsey_threshold(pattern, 2, 12).threshold == 7
+    # (30, 30) solves x^2 = 30y and is the only solution in [1..40]: the
+    # scan answers at 30 without searching the 2^29 colorings below it
+    one_cell = equation_pattern(parse_polynomial("x^2-30y"))
+    assert one_cell.instances(40) == [(30,)]
+    for r in range(1, 4):
+        assert ramsey_threshold(one_cell, r, 40).threshold == 30
 
 
 def test_threshold_scan_deeper_than_the_recursion_limit():

@@ -20,7 +20,7 @@ from finembed.rich import (ProgressionCertificate,
                            is_piecewise_syndetic_window, is_thick_window,
                            longest_ap, verify_certificate)
 
-HUGE = 10 ** 20  # beyond int64: the vector forms must clamp it
+HUGE = 10 ** 20  # beyond int64: the vector forms must take it as it is
 
 
 def random_spec(rng: random.Random, W: int, depth: int = 3) -> str:
@@ -70,6 +70,31 @@ def test_vector_fill_matches_per_element_evaluation():
         want = [bool(pred(win.payload(e))) for e in range(win.size)]
         A = GroundSet.from_predicate(win, pred)
         assert A.array().astype(bool).tolist() == want, spec
+
+
+def test_range_vectors_match_the_scalar_test():
+    # vector(lo, hi) called directly: every atom (with HUGE moduli and
+    # interval ends) and seeded nested combinators, on ranges at the window
+    # starts (payload 0 additive, 1 multiplicative), around the fill's chunk
+    # starts 1024, 2048 and 4096 on both kinds, at the top of the largest
+    # window, and at random, each empty, one element long and longer, plus
+    # every range of small payloads.
+    rng = random.Random(34)
+    atoms = ["evens", "odds", "squares", "primes", "all", "multiples:1",
+             "multiples:7", f"multiples:{HUGE}", "interval:3:17",
+             "interval:-5:-1", f"interval:{-HUGE}:5", f"interval:40:{HUGE}",
+             f"interval:{-HUGE}:{HUGE}"]
+    starts = [0, 1, 2, 3, 4, 1023, 1024, 1025, 2048, 2049, 4096, 4097,
+              (1 << 20) - 100]
+    for spec in atoms + [random_spec(rng, 5000) for _ in range(60)]:
+        pred = parse_predicate(spec)
+        for lo in starts + [rng.randrange(5000) for _ in range(3)]:
+            for hi in {lo, lo + 1, lo + 2, lo + rng.randrange(3, 600),
+                       *range(lo, 16)}:
+                got = pred.vector(lo, hi)
+                assert got.dtype == bool, spec
+                assert got.tolist() == [bool(pred(v)) for v in range(lo, hi)], (
+                    spec, lo, hi)
 
 
 def test_chunked_fill_is_consistent_under_random_access():
