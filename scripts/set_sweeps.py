@@ -4,19 +4,19 @@
     PYTHONPATH=src python scripts/set_sweeps.py --side change --only density
 
 Times the predicate fill of every builtin atom and of a union, on additive
-and multiplicative windows, longest_ap, is_thick_window, the piecewise-syndetic
-probe, upper_density (additive interval nets on sparse and dense sets,
-on both sides of the rule that picks its kernel, a multiplicative
-interval net and an additive net that is not an interval), the density
-report end to end (upper_density, its JSON payload and the dumped
-bytes), the same for the AP certificate of the evens, the affine
+and multiplicative windows, longest_ap, is_thick_window, the
+piecewise-syndetic probe, upper_density (additive interval nets on sparse
+and dense sets, on both sides of the rule that picks its kernel, a
+multiplicative interval net and an additive net that is not an interval),
+the density report end to end (upper_density, its JSON payload and the
+dumped bytes), the same for the AP certificate of the evens, the affine
 and translation embedding kernels and a geoarithmetic bounded scan that
-answers unknown, each on fresh sets at growing W,
-in-process and single-threaded, plus two affine scans that run past the
-kernel's row budget and the fixed cost of a CLI call.  A case stops
-growing W once one run takes longer than MAX_SECONDS, so slow
-(quadratic) implementations can be swept with the same script.  Only the
-public API and the CLI entry point are used.
+answers unknown, each on fresh sets at growing W, in-process and
+single-threaded, plus two affine scans that run past the kernel's row
+budget and the fixed cost of a CLI call.  A case stops growing W once a
+first run takes longer than MAX_SECONDS, so slow (quadratic)
+implementations can be swept with the same script.  Only the public API and
+the CLI entry point are used.
 
 Each record holds the raw best-of-REPEATS seconds and the normalized
 seconds: the best run scaled by REF_NOMINAL_S over the median time of a
@@ -287,8 +287,9 @@ def cli_calls(calls):
     return run
 
 
-FILL_SPECS = ("primes", "evens", "multiples:7", "squares", "interval:1000:5000",
-              "all", "union(multiples:3,interval:1000:5000)")
+FILL_SPECS = ("primes", "evens", "multiples:7", "squares",
+              "interval:1000:5000", "all",
+              "union(multiples:3,interval:1000:5000)")
 
 CASES = tuple(
     (f"{spec} fill{suffix}", "carrier.fill", fill(spec, kind), SIZES)
@@ -359,8 +360,8 @@ def sweep(cases, side: str, how: str, max_seconds: float = MAX_SECONDS,
                 result = run()
                 t1 = time.perf_counter()
                 run()
-                best, warm = min(best, t1 - t0), min(warm,
-                                                     time.perf_counter() - t1)
+                t2 = time.perf_counter()
+                best, warm = min(best, t1 - t0), min(warm, t2 - t1)
                 refs.append(reference_loop())
                 if best > max_seconds:
                     break
