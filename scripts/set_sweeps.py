@@ -9,7 +9,9 @@ piecewise-syndetic probe, upper_density (additive interval nets on sparse
 and dense sets, on both sides of the rule that picks its kernel, a
 multiplicative interval net and an additive net that is not an interval),
 the density report end to end (upper_density, its JSON payload and the
-dumped bytes), the same for the AP certificate of the evens, the affine
+dumped bytes) at growing W and, at W = 1e5, at growing N, the density value
+of 200 sparse sets as the density-mono suite reads it, the AP certificate
+of the evens end to end, the affine
 and translation embedding kernels and a geoarithmetic bounded scan that
 answers unknown, each on fresh sets at growing W, in-process and
 single-threaded, plus two affine scans that run past the kernel's row
@@ -156,6 +158,27 @@ def density_report(W):
     net = interval_net(1000)
     return lambda: hashlib.sha256(dumps(density_report_to_json(
         upper_density(A, net))).encode()).hexdigest()[:16]
+
+
+def density_report_n(N):
+    # The density report end to end at W = 1e5 on interval:N, net included:
+    # its runs grow with N (17 at N = 60, 579 at N = 4000), not with W.
+    A = fresh(100_000, "multiples:7")
+    A.count()
+    return lambda: hashlib.sha256(dumps(density_report_to_json(
+        upper_density(A, interval_net(N)))).encode()).hexdigest()[:16]
+
+
+def density_sparse(N):
+    # 200 sets of 2 to 10 members below W/3 at W = 240 on interval:N: the
+    # shape of the density-mono suite's medium budget, which reads only
+    # each report's value
+    rng = random.Random(N)
+    win = make_window(ADDITIVE, 240)
+    sets = [GroundSet.from_values(win, rng.sample(range(81), rng.randint(2, 10)))
+            for _ in range(200)]
+    return lambda: [str(upper_density(A, interval_net(N)).value)
+                    for A in sets]
 
 
 def ap_certificate(W):
@@ -307,6 +330,10 @@ CASES = tuple(
     ("upper_density interval:1000", "density.upper_density", density, SIZES),
     ("density report interval:1000, multiples of 7", "jsonio.density_report",
      density_report, SIZES),
+    ("density report, multiples of 7 at W=1e5, size = N",
+     "jsonio.density_report", density_report_n, (60, 250, 1_000, 4_000)),
+    ("density value, 200 sparse sets at W=240, size = N",
+     "density.upper_density", density_sparse, (60,)),
     ("rich ap certificate, evens", "jsonio.certificate", ap_certificate,
      CERT_SIZES),
     ("upper_density interval:1000 on the evens", "density.upper_density",

@@ -378,9 +378,15 @@ class GroundSet:
     @classmethod
     def from_values(cls, window: Window, values: Iterable[Payload],
                     label: str = "") -> "GroundSet":
+        return cls.from_encodings(window, map(window.encoding, values), label)
+
+    @classmethod
+    def from_encodings(cls, window: Window, encs: Iterable[int],
+                       label: str = "") -> "GroundSet":
+        """The set of the elements at the encodings encs, each in range."""
         mem = bytearray(window.size)
-        for v in values:
-            mem[window.encoding(v)] = 1
+        for e in encs:
+            mem[e] = 1
         return cls(window, members=mem, label=label)
 
     @classmethod

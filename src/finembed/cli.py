@@ -75,7 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", nargs="?", default="report",
                    choices=["report", "verify-monotone"])
     p.add_argument("--set", dest="set_path")
-    p.add_argument("--net", default="interval:100")
+    p.add_argument("--net", default="interval:100",
+                   help="interval:<maxN>, the net F_n = {1..n} for n <= "
+                        "maxN; needs a numeric window")
     p.add_argument("--tail", type=int, default=1)
     p.add_argument("--pairs")
     p.add_argument("--family")

@@ -23,9 +23,12 @@ first shift x attaining it (the identity wins ties):
   O(sum of W / v) multiplicative.
 - Word and table windows keep a count and an overflow mark per shift,
   updated once per new net element: O(|F_N| W) products.
-_SPAN_COST and _ADD_COST pick between the first two.  A report keeps
-one entry per run of tails that share a witness, and builds the per-tail
-witnesses only when they are read.
+_SPAN_COST and _ADD_COST pick between the first two.  A report keeps the
+kernel's three per-index lists, the last tail of each run of tails that
+share a witness, and its value, the one Fraction it builds; the runs and the
+per-tail witnesses are built only when they are read, so callers that read
+only the value build neither.  interval_net builds its one-element deltas
+directly, since 1..N repeats nothing.
 """
 
 from __future__ import annotations
@@ -103,8 +106,9 @@ def interval_net(max_n: int) -> Net:
     upper Banach density."""
     if max_n < 1:
         raise InputError("net maxN must be >= 1")
-    net = Net.from_deltas([(n,) for n in range(1, max_n + 1)],
-                          label=f"interval:{max_n}")
+    net = Net.__new__(Net)  # 1..N repeats nothing: no check
+    object.__setattr__(net, "deltas", tuple(zip(range(1, max_n + 1))))
+    object.__setattr__(net, "label", f"interval:{max_n}")
     object.__setattr__(net, "_interval", True)
     return net
 
@@ -117,16 +121,30 @@ class TailWitness:
     ratio: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityReport:
-    """Tails that share a witness form a run, stored as (first tail, n,
-    shift, ratio); the run's last tail is n."""
+    """The kernel's per-index best counts |A n F_n . x|, sizes |F_n| and
+    first best shifts x, and the last tail of each run of tails that share
+    a witness: the run ending at n has witness index n.  Reports compare and
+    hash by value, runs, tail_start, skipped_shifts and net_label."""
 
     value: Fraction
-    runs: tuple[tuple[int, int, Payload | None, Fraction], ...]
+    counts: list[int]
+    sizes: list[int]
+    shifts: list[Payload | None]
+    ends: tuple[int, ...]
     tail_start: int
     skipped_shifts: int
     net_label: str
+
+    @cached_property
+    def runs(self) -> tuple[tuple[int, int, Payload | None, Fraction], ...]:
+        """One (first tail, n, shift, ratio) per run; the run's last tail
+        is n."""
+        firsts = (self.tail_start, *(n + 1 for n in self.ends[:-1]))
+        return tuple((first, n, self.shifts[n - 1],
+                      Fraction(self.counts[n - 1], self.sizes[n - 1]))
+                     for first, n in zip(firsts, self.ends))
 
     @cached_property
     def witnesses(self) -> tuple[TailWitness, ...]:
@@ -134,6 +152,18 @@ class DensityReport:
         return tuple(TailWitness(m, n, shift, ratio)
                      for first, n, shift, ratio in self.runs
                      for m in range(first, n + 1))
+
+    def _key(self) -> tuple:
+        return (self.value, self.runs, self.tail_start, self.skipped_shifts,
+                self.net_label)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not DensityReport:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def upper_density(A: GroundSet, net: Net, tail_start: int = 1) -> DensityReport:
@@ -194,11 +224,9 @@ def _tail_report(best, skipped: int, tail_start: int,
             top, top_size = count, size
             ends.append(n)
     ends.reverse()
-    runs = tuple((first, n, shifts[n - 1],
-                  Fraction(counts[n - 1], sizes[n - 1]))
-                 for first, n in zip([tail_start] + [n + 1 for n in ends],
-                                     ends))
-    return DensityReport(runs[-1][3], runs, tail_start, skipped, label)
+    # the last tail is the last index's alone
+    return DensityReport(Fraction(counts[-1], sizes[-1]), counts, sizes,
+                         shifts, tuple(ends), tail_start, skipped, label)
 
 
 # Estimated cost of each kernel in microseconds, on a host where

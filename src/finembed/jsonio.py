@@ -14,8 +14,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -84,11 +85,17 @@ def window_from_json(obj: Any) -> Window:
 def set_body_from_json(window: Window, body: Any, label: str = "") -> GroundSet:
     values = _field(body, "explicit", list, None, "set body", _ELEMENT)
     if values is not None:
-        parsed = [window.payload(window.parse(v).encoding)
-                  if isinstance(v, str) else v for v in values]
-        return GroundSet.from_values(
-            window, parsed, label=label or _field(body, "label", str, "",
-                                                  "set body"))
+        try:  # each element converted once, numerals and words by parse
+            encs = [window.parse(v).encoding if type(v) is str
+                    else window.encoding(v) for v in values]
+        except InputError:
+            for v in values:  # a bad string is reported before a bad number
+                if type(v) is str:
+                    window.parse(v)
+            raise
+        return GroundSet.from_encodings(
+            window, encs, label=label or _field(body, "label", str, "",
+                                                "set body"))
     spec = _field(body, "predicate", str, None, "set body")
     if spec is None:
         raise InputError("set body needs 'explicit' or 'predicate'")
@@ -180,7 +187,23 @@ class _Fragment:  # JSON text that dumps writes as is; json rejects it
     text: str
 
 
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+def _make_encode() -> Callable[[Any], str]:
+    """json.dumps(value, sort_keys=True, separators=(",", ":")) as one
+    function.  JSONEncoder.encode builds a fresh C encoder on every call;
+    this builds it once, without cycle markers (payloads are acyclic).
+    Without the C accelerator it is JSONEncoder.encode, whose pure-Python
+    _make_iterencode path writes the same text."""
+    encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return encoder.encode
+    iterencode = make(None, encoder.default,
+                      json.encoder.encode_basestring_ascii, None, ":", ",",
+                      True, False, True)
+    return lambda value: "".join(iterencode(value, 0))
+
+
+_encode = _make_encode()
 # json or join is as fast up to here: crossovers on x86_64 at 400 to 1,100
 # values for AP certificates, 200 to 400 for density runs (BENCH_19.json)
 _INT_TEXT_MIN = 800
@@ -213,7 +236,7 @@ def _int_text(values: Sequence[int], sep: str = ",") -> str:
                 x = q
             blocks.append(out.tobytes())
         return b"".join(blocks)[:-len(raw) or None].decode()
-    if {int}.issuperset(map(type, values)):
+    if type(values) is range or {int}.issuperset(map(type, values)):
         return sep.join(map(str, values))
     return json.dumps(list(values), separators=(sep, ":"))[1:-1]
 
@@ -282,11 +305,20 @@ def shift_report_to_json(report: ShiftReport) -> dict:
 
 
 def density_report_to_json(report: DensityReport) -> dict:
+    """The report with one tail object per tail, written a run at a time
+    from the kernel's integer lists; report.runs is not read."""
     runs = []  # a run's tail objects differ only in "tail", their last key
-    for first, n, shift, ratio in report.runs:
-        prefix = (f'{{"n":{n},"ratio":{_scalar(rational(ratio))},"shift":'
+    first = report.tail_start
+    for n in report.ends:
+        count, size = report.counts[n - 1], report.sizes[n - 1]
+        g = gcd(count, size)  # count // g over size // g, as rational writes
+        ratio = (str(count // g) if size == g
+                 else f'"{count // g}/{size // g}"')
+        shift = report.shifts[n - 1]
+        prefix = (f'{{"n":{n},"ratio":{ratio},"shift":'
                   f'{_scalar("1" if shift is None else shift)},"tail":')
         runs.append(prefix + _int_text(range(first, n + 1), "}," + prefix))
+        first = n + 1
     return {
         "value": rational(report.value),
         "tail_start": report.tail_start,

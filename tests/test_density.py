@@ -25,6 +25,13 @@ def test_interval_net_shape():
     net = interval_net(3)
     assert net.sets == ((1,), (1, 2), (1, 2, 3))
     assert interval_net(1).sets == ((1,),)
+    # built without Net's checks, yet the net those checks would build
+    for n in (1, 2, 37):
+        net, checked = interval_net(n), Net.from_deltas(
+            [(k,) for k in range(1, n + 1)], label=f"interval:{n}")
+        assert (net.deltas, net.sets, net.label) == \
+            (checked.deltas, checked.sets, checked.label)
+        assert net == checked and net._interval and not checked._interval
     with pytest.raises(InputError):
         interval_net(0)
 
@@ -362,10 +369,18 @@ def check_runs_against_reference(best, skipped, tail, label):
     attained at more than one n (a tie)."""
     report = density._tail_report(best, skipped, tail, label)
     ref = reference_tail_report(list(zip(*best)), skipped, tail, label)
-    assert (report.value, report.witnesses, report.skipped_shifts) == \
-        (ref.value, ref.witnesses, ref.skipped_shifts)
+    # serialized first: the bytes come from the kernel's lists, and
+    # building them reads neither runs nor witnesses
     assert jsonio.dumps(jsonio.density_report_to_json(report)) == json.dumps(
         reference_density_json(ref), sort_keys=True, separators=(",", ":"))
+    assert not {"runs", "witnesses"} & vars(report).keys()
+    ref_runs = []  # tails that share a witness n, first tail first
+    for w in ref.witnesses:
+        if not ref_runs or ref_runs[-1][1] != w.n:
+            ref_runs.append((w.tail, w.n, w.shift, w.ratio))
+    assert report.runs == tuple(ref_runs)
+    assert (report.value, report.witnesses, report.skipped_shifts) == \
+        (ref.value, ref.witnesses, ref.skipped_shifts)
     ratios = [Fraction(c, s) for c, s in zip(best[0], best[1])]
     ties = sum(ratios[w.tail - 1:].count(w.ratio) > 1 for w in ref.witnesses)
     return report, ties
@@ -436,12 +451,26 @@ def test_report_runs_match_per_tail_reference():
     assert escaped_shifts >= 5, escaped_shifts
 
 
+def test_reports_compare_and_hash_by_their_public_fields():
+    win = make_window(ADDITIVE, 60)
+    A = GroundSet.from_values(win, range(0, 61, 7))
+    report = upper_density(A, interval_net(20))
+    again = upper_density(A, interval_net(20))
+    assert report == again and hash(report) == hash(again)
+    assert len({report, again}) == 1
+    assert report != upper_density(A, interval_net(20), tail_start=2)
+    assert report != upper_density(GroundSet.from_values(
+        win, range(0, 61, 5)), interval_net(20))
+    assert report != report.runs
+
+
 def test_monotonicity_reads_values_only(monkeypatch):
     # check_density_monotonicity and the density-mono suite need only each
-    # report's value, so they never expand the runs into per-tail witnesses
+    # report's value, so they build neither its runs nor per-tail witnesses
     def fail(self):
-        raise AssertionError("witnesses expanded")
-    monkeypatch.setattr(density.DensityReport, "witnesses", property(fail))
+        raise AssertionError("runs or witnesses built")
+    for name in ("runs", "witnesses"):
+        monkeypatch.setattr(density.DensityReport, name, property(fail))
     win = make_window(ADDITIVE, 100)
     A = GroundSet.from_values(win, [0, 2, 4], "A")
     B = GroundSet.from_values(win, [3, 5, 7, 40], "B")

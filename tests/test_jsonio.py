@@ -240,3 +240,79 @@ def test_net_check_names_the_first_number_outside_without_a_scan(
             f"^net-exceeds-window at F_{first}: {first}$")):
         jsonio.net_from_spec("interval:100000000", window)
     assert len(calls) <= 2
+
+
+def encoder_payloads():
+    """(payload, the bytes json.dumps writes for it): every JSON type,
+    nested, keys to sort, escapes, a float, a coloring, and a density
+    report whose witnesses reach dumps as a fragment."""
+    report = upper_density(GroundSet.from_values(
+        make_window(ADDITIVE, 60), range(0, 61, 7)), interval_net(20))
+    plain = [0, -7, 10 ** 30, "é\n\"", None, True, 1.5, [], {},
+             {"z": [1, {"b": None, "a": "x"}], "a": (2, 3), "é": False},
+             {"outcome": "avoiding", "pattern": "ap:3", "N": 8, "colors": 2,
+              "elements": list(range(1, 9)), "coloring": [0, 1, 1, 0] * 2,
+              "nodes": 30, "exhaustive": True}]
+    return [(p, plain_dumps(p)) for p in plain] + [
+        (jsonio.density_report_to_json(report),
+         plain_dumps(reference_density_json(report)))]
+
+
+def test_encoder_is_built_once_and_writes_json_text():
+    assert jsonio._encode is not jsonio._make_encode()
+    for payload, text in encoder_payloads():
+        assert jsonio.dumps(payload) == text
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        jsonio._encode({"a": object()})
+
+
+def test_encoder_falls_back_without_the_c_accelerator(monkeypatch):
+    # Without json's C encoder, _make_encode returns JSONEncoder.encode,
+    # whose pure-Python _make_iterencode path writes the same bytes as the
+    # C encoder wrote them before
+    cases = encoder_payloads()
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    fallback = jsonio._make_encode()
+    assert fallback.__func__ is json.JSONEncoder.encode
+    monkeypatch.setattr(jsonio, "_encode", fallback)
+    for payload, text in cases:
+        assert jsonio.dumps(payload) == text
+
+
+@pytest.mark.parametrize("kind, bound, alphabet, values", [
+    (ADDITIVE, 50, None, [0, "7", 50, "12", 7]),
+    (MULTIPLICATIVE, 30, None, ["1", 30, 2]),
+    (FREE_WORDS, 3, ["a", "b"], ["a", "bab", "ab", "a"]),
+    (FREE_WORDS, 2, ["a", "é"], ["é", "aé"]),
+])
+def test_explicit_set_body_converts_each_element_once(kind, bound, alphabet,
+                                                      values, monkeypatch):
+    window = make_window(kind, bound, alphabet)
+    payloads = [int(v) if isinstance(v, str) and kind != FREE_WORDS else v
+                for v in values]
+    want = GroundSet.from_values(window, payloads)
+    calls = []
+    encoding = Window.encoding
+    monkeypatch.setattr(Window, "encoding",
+                        lambda self, v: calls.append(v) or encoding(self, v))
+    got = jsonio.set_body_from_json(window, {"explicit": values})
+    assert bytes(got.array()) == bytes(want.array())
+    assert len(calls) == len(values)
+
+
+@pytest.mark.parametrize("kind, alphabet, values, message", [
+    (ADDITIVE, None, [3, "x1"], "unparseable numeral 'x1'"),
+    (ADDITIVE, None, [3, 51], "element-out-of-window: 51"),
+    (ADDITIVE, None, ["51", 3], "element-out-of-window: 51"),
+    (MULTIPLICATIVE, None, [0], "element-out-of-window: 0"),
+    # a bad string is named before a bad number listed ahead of it
+    (ADDITIVE, None, [51, "x1"], "unparseable numeral 'x1'"),
+    (ADDITIVE, None, [-1, "60"], "element-out-of-window: 60"),
+    (FREE_WORDS, ["a", "b"], [1, "c"], "letter 'c' not in alphabet"),
+    (FREE_WORDS, ["a", "b"], ["aaaa"], "element-out-of-window: 'aaaa'"),
+    (FREE_WORDS, ["a", "b"], ["a", 1], "element-out-of-window: 1"),
+])
+def test_explicit_set_body_errors(kind, alphabet, values, message):
+    window = make_window(kind, 50 if alphabet is None else 3, alphabet)
+    with pytest.raises(InputError, match=f"^{message}$"):
+        jsonio.set_body_from_json(window, {"explicit": values})
