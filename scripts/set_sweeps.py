@@ -4,21 +4,21 @@
     PYTHONPATH=src python scripts/set_sweeps.py --side change --only density
 
 Times the predicate fill of every builtin atom and of a union, on additive
-and multiplicative windows, longest_ap, is_thick_window, the
-piecewise-syndetic probe, upper_density (additive interval nets on sparse
-and dense sets, on both sides of the rule that picks its kernel, a
-multiplicative interval net and an additive net that is not an interval),
-the density report end to end (upper_density, its JSON payload and the
-dumped bytes) at growing W and, at W = 1e5, at growing N, the density value
-of 200 sparse sets as the density-mono suite reads it, the AP certificate
-of the evens end to end, the affine
-and translation embedding kernels and a geoarithmetic bounded scan that
-answers unknown, each on fresh sets at growing W, in-process and
-single-threaded, plus two affine scans that run past the kernel's row
-budget and the fixed cost of a CLI call.  A case stops growing W once a
-first run takes longer than MAX_SECONDS, so slow (quadratic)
-implementations can be swept with the same script.  Only the public API and
-the CLI entry point are used.
+and multiplicative windows, longest_ap, is_thick_window on both numeric
+carriers, the piecewise-syndetic probe, upper_density (additive interval
+nets on sparse and dense sets, on both sides of the rule that picks its
+kernel, a multiplicative interval net and an additive net that is not an
+interval), the density report end to end (upper_density, its JSON payload
+and the dumped bytes) at growing W and, at W = 1e5, at growing N, the
+density value of 200 sparse sets as the density-mono suite reads it, the
+AP certificate of the evens end to end, the affine and translation
+embedding kernels (translations on both numeric carriers) and a
+geoarithmetic bounded scan that answers unknown, each on fresh sets at
+growing W, in-process and single-threaded, plus two affine scans that run
+past the kernel's row budget and the fixed cost of a CLI call.  A case
+stops growing W once a first run takes longer than MAX_SECONDS, so slow
+(quadratic) implementations can be swept with the same script.  Only the
+public API and the CLI entry point are used.
 
 Each record holds the raw best-of-REPEATS seconds and the normalized
 seconds: the best run scaled by REF_NOMINAL_S over the median time of a
@@ -128,11 +128,14 @@ def ap_runs(W):
     return lambda: longest_ap(A).length
 
 
-def thick(W):
-    lo = W - W // 50
-    A = fresh(W, f"union(multiples:3,interval:{lo}:{lo + 20})")
-    A.count()
-    return lambda: [e.shift for e in is_thick_window(A, [1, 2, 4, 8]).entries]
+def thick(kind):
+    def build(W):
+        lo = W - W // 50
+        A = fresh(W, f"union(multiples:3,interval:{lo}:{lo + 20})", kind)
+        A.count()
+        return lambda: [e.shift
+                        for e in is_thick_window(A, [1, 2, 4, 8]).entries]
+    return build
 
 
 def ps(W):
@@ -262,6 +265,20 @@ def affine_long(W):
     return lambda: family.anchored_search(range(k), B)
 
 
+def translations_mul(W):
+    # F = [2, 3, 5] into the multiples of 6: the candidates are r = 3k, and
+    # the first witness is r = 6 (12, 18 and 30).
+    win = make_window(MULTIPLICATIVE, W)
+    B = fresh(W, "multiples:6", MULTIPLICATIVE)
+    B.count()
+    family = builtin_right_translations(win)
+
+    def run():
+        verdict = embed_finite([2, 3, 5], B, family)
+        return verdict.witness.params, verdict.stats.params_examined
+    return run
+
+
 def geo_scan(W):
     # F = [1, 2] into the primes with --bound W: r(a + b) prime forces
     # a + b = 1, so b = 1 and 2r is not prime; the bounded scan walks every
@@ -324,7 +341,10 @@ CASES = tuple(
      PROBE_SIZES),
     ("longest_ap(squares)", "rich.longest_ap", ap_squares, SIZES),
     ("longest_ap(random, p=1/2)", "rich.longest_ap", ap_random, PROBE_SIZES),
-    ("is_thick_window probes 1,2,4,8", "rich.is_thick_window", thick, SIZES),
+    ("is_thick_window probes 1,2,4,8", "rich.is_thick_window",
+     thick(ADDITIVE), SIZES),
+    ("is_thick_window probes 1,2,4,8, multiplicative", "rich.is_thick_window",
+     thick(MULTIPLICATIVE), (400, 4_000)),
     ("piecewise syndetic g=2 spans 4,8,16",
      "rich.is_piecewise_syndetic_window", ps, SIZES),
     ("upper_density interval:1000", "density.upper_density", density, SIZES),
@@ -358,6 +378,8 @@ CASES = tuple(
      "families.anchored_search", affine_long, (100_000,)),
     ("fe_decide translations and affine, 200 draws", "embed.fe_decide",
      tiny_decides, (40,)),
+    ("translations [2,3,5] into multiples:6, multiplicative",
+     "embed.embed_finite", translations_mul, (400, 10_000, 100_000)),
     ("geoarithmetic bounded scan (unknown)", "embed.embed_finite", geo_scan,
      SCAN_SIZES),
     ("cli.dispatch pr threshold ap:3 r=2 nmax=3, size = calls",

@@ -246,7 +246,8 @@ class Window:
     def compatible(self, other: "Window") -> bool:
         return (self.kind == other.kind and self.bound == other.bound
                 and self.alphabet == other.alphabet
-                and self._table == other._table)
+                and self._table == other._table
+                and self._payloads == other._payloads)
 
     def __repr__(self) -> str:
         extra = f", alphabet={''.join(self.alphabet)}" if self.alphabet else ""

@@ -5,8 +5,8 @@ family member mapping F^n into B.  For explicit finite A the single query
 F = A settles the whole relation (images of subsets are subsets of images),
 so the decision procedure is: stream candidate parameters for (F, B), verify
 each by direct evaluation, and report the first witness in stream order.
-Families with a bitset kernel (additive translations, affine maps) jump
-straight to that witness and count the candidates before it.
+Families with a kernel (translations on the numeric carriers, affine maps)
+jump straight to that witness and count the candidates before it.
 
 Verdicts are three-valued: "no" is reserved for exhausted *complete* streams,
 bounded scans that find nothing return "unknown".
@@ -92,7 +92,7 @@ def embed_finite(F: Iterable[Payload], B: GroundSet, family: FamilySpec,
             image.add(y)
         return tuple(sorted(image, key=family.window.sort_key))
 
-    # A bitset kernel, where the family has one, finds the same canonical
+    # A kernel, where the family has one, finds the same canonical
     # witness and count as walking the anchored list below; its witness is
     # still checked by direct evaluation.
     found = family._anchored_search(fpay, B)

@@ -17,14 +17,14 @@ Parameter enumeration for a concrete query (F, B) is either
 
 Every stream is deterministic, so the first witness found is canonical.
 
-Additive translations and affine maps also carry a bitset kernel: their
-anchored candidates for F are the set bits of shifts of B's bitset, one
-shift per slope, so the canonical witness and the number of candidates up to
-it come without listing the candidates (FamilySpec.anchored_search).  The
-kernel reads slope rows with word-parallel ANDs until the first witness,
-then finishes the intercepts below it along the shorter side of the grid,
-strided numpy columns or more rows (_shift_search).  The anchored list
-stays the reference.
+Translations on the numeric carriers and affine maps also carry a kernel
+that finds the canonical witness and the number of anchored candidates up
+to it without listing them (FamilySpec.anchored_search).  Translations AND
+one strided slice of B's array per point of F (_translation_kernel).  The
+affine kernel reads slope rows of B's bitset with word-parallel ANDs until
+the first witness, then finishes the intercepts below it along the shorter
+side of the grid, strided numpy columns or more rows (_shift_search).  The
+anchored list stays the reference.
 """
 
 from __future__ import annotations
@@ -119,9 +119,9 @@ class FamilySpec:
                         B: GroundSet) -> tuple[Params | None, int] | None:
         """The first anchored candidate mapping F into B, and the number of
         anchored candidates up to and including it in canonical order (all
-        of them when there is no witness), found on B's bitset without
-        listing candidates.  None when the family has no bitset kernel for
-        B, and callers walk enumerate_params instead.  Candidates the kernel
+        of them when there is no witness), found on B's membership without
+        listing candidates.  None when the family has no kernel for B, and
+        callers walk enumerate_params instead.  Candidates the kernel
         reports are not re-evaluated here; callers verify the witness.
         """
         return self._anchored_search(self._normalize_f(F), B)
@@ -212,10 +212,11 @@ def _shell_order(lists: Sequence[Sequence]) -> Iterator[Params]:
 
 def _shift_search(B: GroundSet, slopes: range, anchors: Sequence[int],
                   checks: Sequence[int]) -> tuple[tuple[int, int] | None, int]:
-    """Least (a, s) in (a, s) order with a + s*f in B for every f in
-    anchors and checks, s ranging over slopes, plus the number of pairs
-    (a, s) <= it with a + s*f in B for every anchor f; with no such
-    witness, None and the number of all those anchor pairs.
+    """The affine maps' kernel: the least (a, s) in (a, s) order with
+    a + s*f in B for every f in anchors and checks, s ranging over slopes,
+    plus the number of pairs (a, s) <= it with a + s*f in B for every
+    anchor f; with no such witness, None and the number of all those
+    anchor pairs.
 
     B lives on an additive window 0..bound (mem: its membership bytes),
     and every slope must keep s*f <= bound for every anchor f.  Row s holds
@@ -352,20 +353,8 @@ def _translations(window: Window, right: bool) -> FamilySpec:
 
     def anchored(fpay: Tuple_, B: GroundSet) -> list[Params]:
         w0 = fpay[0]
-        cands: list[Params] = []
-        for b in B.values():
-            r = _solve_translation(window, w0, b, right)
-            if r is not None:
-                cands.append((r,))
-        return cands
-
-    def kernel(fpay: Tuple_, B: GroundSet) -> tuple[Params | None, int]:
-        # Left and right translations agree on this carrier.  The
-        # candidates r are the members of B >> min F; witnesses also have
-        # r + f in B for the other f.
-        fs = sorted(set(fpay))
-        best, count = _shift_search(B, range(1, 2), fs[:1], fs[1:])
-        return (best[:1] if best else None), count
+        return [(r,) for b in B.values()
+                for r in _solve_translation(window, w0, b, right)]
 
     payloads: list[Payload] = []
 
@@ -381,30 +370,49 @@ def _translations(window: Window, right: bool) -> FamilySpec:
         g=g, _r=lambda p: window.contains_value(p[0]),
         _scan_lists=scan_lists,
         _anchored=anchored,
-        _kernel=kernel if window.kind == ADDITIVE else None)
+        _kernel=(_translation_kernel
+                 if window.kind in (ADDITIVE, MULTIPLICATIVE) else None))
+
+
+def _translation_kernel(fpay: Tuple_, B: GroundSet
+                        ) -> tuple[Params | None, int]:
+    """The anchored list's witness and count for translations on a numeric
+    window, where left and right agree.  As r runs up from the identity,
+    f*r sits at encoding f + r, or f*r - 1 when multiplicative: one slice of
+    B's array from f's encoding, stride 1 or f, whose index j stands for the
+    r at encoding j.  The candidates are min F's slice; the witnesses are
+    the AND of every slice, cut to the last, shortest one (fpay is sorted).
+    """
+    win, mem = B.window, B.array()
+    mul = win.kind == MULTIPLICATIVE
+    slices = [mem[win.encoding(f)::f if mul else 1] for f in fpay]
+    hits = slices[-1]
+    for piece in slices[:-1]:
+        hits = hits & piece[:len(hits)]
+    j = int(hits.argmax())
+    if not hits[j]:
+        return None, int(np.count_nonzero(slices[0]))
+    return (win.payload(j),), int(np.count_nonzero(slices[0][:j + 1]))
 
 
 def _solve_translation(window: Window, w0: Payload, b: Payload,
-                       right: bool) -> Payload | None:
-    """The unique r with w0*r = b (resp. r*w0 = b), if any."""
+                       right: bool) -> list[Payload]:
+    """Every r with w0*r = b (resp. r*w0 = b), in encoding order: at most
+    one on the numeric and word carriers, which cancel, any number on a
+    table."""
     if window.kind == ADDITIVE:
-        r = b - w0
-        return r if r >= 0 else None
+        return [b - w0] if b >= w0 else []
     if window.kind == MULTIPLICATIVE:
-        return b // w0 if b % w0 == 0 else None
+        return [b // w0] if b % w0 == 0 else []
     if window.kind == FREE_WORDS:
+        if b == w0:
+            return []
         if right:
-            if b != w0 and b.startswith(w0):
-                return b[len(w0):]
-        else:
-            if b != w0 and b.endswith(w0):
-                return b[:-len(w0)]
-        return None
-    for r in window.payloads():
-        prod = window.op_payload(w0, r) if right else window.op_payload(r, w0)
-        if prod == b:
-            return r
-    return None
+            return [b[len(w0):]] if b.startswith(w0) else []
+        return [b[:-len(w0)]] if b.endswith(w0) else []
+    return [r for r in window.payloads()
+            if (window.op_payload(w0, r) if right
+                else window.op_payload(r, w0)) == b]
 
 
 def builtin_affine(window: Window) -> FamilySpec:

@@ -18,7 +18,8 @@ import numpy as np
 from .carrier import (ADDITIVE, MULTIPLICATIVE, GroundSet, Payload, Window)
 from .embed import EmbedVerdict, embed_finite
 from .errors import InputError, parse_int
-from .families import FamilySpec, poly_coefficients, poly_indices
+from .families import (FamilySpec, builtin_right_translations,
+                       poly_coefficients, poly_indices)
 
 
 @dataclass(frozen=True)
@@ -301,11 +302,15 @@ def is_thick_window(A: GroundSet, probe_intervals: Sequence[int]) -> ShiftReport
     with F_L * s inside A, where F_L is the first L+1 canonical elements.
 
     On the additive carrier this is exactly "A contains an interval of
-    length L+1"; yes verdicts carry the first shift found.
+    length L+1"; yes verdicts carry the first shift found.  On the
+    multiplicative carrier a shift is a translation of F_L into A, so the
+    translations kernel finds the least one.
     """
     win = A.window
     entries = []
     first_run = _first_full_run(A.array()) if win.kind == ADDITIVE else None
+    translations = (builtin_right_translations(win)
+                    if win.kind == MULTIPLICATIVE else None)
     for L in probe_intervals:
         if L < 0:
             raise InputError(f"probe length {L} is negative")
@@ -313,29 +318,13 @@ def is_thick_window(A: GroundSet, probe_intervals: Sequence[int]) -> ShiftReport
             raise InputError(f"probe length {L} exceeds the window")
         if win.kind == ADDITIVE:  # the first full interval [s, s + L]
             shift = first_run(L + 1)
-        elif win.kind == MULTIPLICATIVE:
-            shift = _first_thick_shift(A, L)
+        elif win.kind == MULTIPLICATIVE:  # a translation of F_L into A
+            found, _ = translations.anchored_search(range(1, L + 2), A)
+            shift = found[0] if found else None
         else:
             shift = _first_shift_by_scan(A, L)
         entries.append(ShiftProbe(L, shift is not None, shift))
     return ShiftReport("thick", tuple(entries))
-
-
-def _first_thick_shift(A: GroundSet, L: int) -> int | None:
-    """Least shift s with f * s in A for every f in 1..L + 1, on a
-    multiplicative window, or None.
-
-    Shifts s = 1..W // (L + 1); f * s sits at encoding f * s - 1, so the
-    verdicts are the AND over f of the stride-f slices of the array that
-    start at encoding f - 1.
-    """
-    mem = A.array()
-    n = A.window.bound // (L + 1)
-    ok = mem[:n].copy()
-    for f in range(2, L + 2):
-        ok &= mem[f - 1::f][:n]
-    hit = np.flatnonzero(ok)
-    return int(hit[0]) + 1 if hit.size else None
 
 
 def _first_shift_by_scan(A: GroundSet, L: int) -> Payload | None:

@@ -105,6 +105,18 @@ def test_table_window_and_identity():
                           if x else (x + y + 1) % 2)  # not associative
 
 
+def test_table_windows_with_other_elements_are_incompatible():
+    # Both tables are the left-zero band x*y = x; only the elements differ.
+    ab = make_table_window(["a", "b"], lambda x, y: x)
+    xy = make_table_window(["x", "y"], lambda x, y: x)
+    assert ab.compatible(make_table_window(["a", "b"], lambda x, y: x))
+    assert not ab.compatible(xy)
+    A, B = GroundSet.from_values(ab, ["a"]), GroundSet.from_values(xy, ["y"])
+    for combine in (A.union, A.intersect):
+        with pytest.raises(InputError, match="incompatible windows"):
+            combine(B)
+
+
 def test_ground_set_explicit_and_predicate():
     w = make_window(ADDITIVE, 30)
     ev = GroundSet.from_predicate(w, lambda v: v % 2 == 0, "evens")

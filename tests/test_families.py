@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from finembed.carrier import (ADDITIVE, FREE_WORDS, MAX_NESTING,
-                              MULTIPLICATIVE, OVERFLOW, GroundSet, make_window,
-                              parse_predicate)
-from finembed.embed import embed_finite, fe_decide
+                              MULTIPLICATIVE, OVERFLOW, GroundSet,
+                              make_table_window, make_window, parse_predicate)
+from finembed.embed import YES, embed_finite, fe_decide
 from finembed.errors import InputError
 from finembed.families import (MAX_EXPONENT, _shell_order, builtin_affine,
                                builtin_geoarithmetic,
@@ -251,6 +251,22 @@ def test_anchored_candidates_cover_every_blind_witness(seed):
         for b in range(1, 61):
             if all(a + b * f in b_vals for f in f_vals):
                 assert (a, b) in cands
+
+
+@pytest.mark.parametrize("builder", [builtin_right_translations,
+                                     builtin_left_translations])
+def test_table_translations_list_every_solution(builder):
+    # Multiplication mod 4 does not cancel: 2*1 = 2*3 = 2, so the anchor 2
+    # reaches the member 2 by two parameters, and only r = 3 also sends 3
+    # into B (3*3 = 1).  A complete "no" needs both on the list.
+    win = make_table_window([0, 1, 2, 3], lambda x, y: x * y % 4)
+    B = GroundSet.from_values(win, [1, 2])
+    family = builder(win)
+    stream = family.enumerate_params([2, 3], B)
+    assert stream.complete and list(stream.params) == [(1,), (3,)]
+    v = embed_finite([2, 3], B, family)
+    assert (v.outcome, v.witness.params, v.witness.image) == (YES, (3,), (1, 2))
+    assert v.stats.params_examined == 2
 
 
 def test_scan_order_is_small_first(win):

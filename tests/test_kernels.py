@@ -1,12 +1,12 @@
-"""The bitset kernels of translations and affine maps against the anchored
+"""The kernels of translations and affine maps against the anchored
 candidate list they replace in embed_finite."""
 
 import random
 
 import pytest
 
-from finembed.carrier import (ADDITIVE, MULTIPLICATIVE, GroundSet, make_window,
-                              parse_predicate)
+from finembed.carrier import (ADDITIVE, FREE_WORDS, MULTIPLICATIVE, GroundSet,
+                              make_window, parse_predicate)
 from finembed import families
 from finembed.embed import NO, YES, embed_finite, fe_decide, fe_probe
 from finembed.families import (builtin_affine, builtin_left_translations,
@@ -69,6 +69,47 @@ def test_kernels_match_anchored_list_on_seeded_instances():
     assert min(seen.values()) > 300, seen
 
 
+def test_multiplicative_kernel_matches_anchored_list_on_seeded_instances():
+    rng = random.Random(20140126)
+    seen = {YES: 0, NO: 0, "one": 0, "empty": 0, "full": 0, "one-point": 0}
+    for _ in range(3000):
+        win = make_window(MULTIPLICATIVE, rng.randrange(1, 301))
+        W = win.bound
+        # Small points leave many translations; wide ones only a few.
+        span = rng.choice([min(W, 6), min(W, 12), W])
+        F = rng.sample(range(1, span + 1), rng.randint(1, min(4, span)))
+        if rng.random() < 0.2:
+            F.append(1)
+        shape = rng.random()
+        if shape < 0.05:
+            B = GroundSet.empty(win)
+        elif shape < 0.1:
+            B = GroundSet.full(win)
+        elif shape < 0.55:
+            density = rng.choice([0.1, 0.3, 0.6, 0.9])
+            B = GroundSet.from_values(
+                win, [v for v in range(1, W + 1) if rng.random() < density])
+        else:
+            lo = rng.randrange(1, W + 1)
+            spec = rng.choice(PREDICATES).format(
+                m=rng.randrange(1, 12), lo=lo, hi=rng.randrange(lo, W + 1))
+            B = GroundSet.from_predicate(win, parse_predicate(spec), spec)
+        family = rng.choice(BUILDERS[:2])(win)
+        assert family.anchored_search(F, B) is not None
+        v = embed_finite(F, B, family)
+        want = reference(F, B, family)
+        got = (v.outcome, v.witness.params if v.witness else None,
+               v.stats.params_examined)
+        assert got == want, (family.name, W, F, B.label or sorted(B.values()))
+        assert v.stats.complete
+        seen[v.outcome] += 1
+        seen["one"] += 1 in F
+        seen["one-point"] += len(set(F)) == 1
+        seen["empty"] += B.count() == 0
+        seen["full"] += B.count() == W
+    assert min(seen.values()) > 100, seen
+
+
 def test_affine_kernel_at_large_window():
     win = make_window(ADDITIVE, 100_000)
     A = GroundSet.from_values(win, [0, 5, 11])
@@ -90,12 +131,21 @@ def test_families_without_kernel_walk_the_list():
     assert embed_finite([0, 1], B, even_slope).outcome == NO
     v = embed_finite([0, 1], B, listed)
     assert (v.witness.params, v.stats.params_examined) == ((10, 3), 2)
-    # Other carriers and a target from another window use the list as well.
+    # Multiplicative translations take the kernel: r = 6 maps {2, 3} onto
+    # {12, 18}, the first of the candidates 6 and 9.
     mul = make_window(MULTIPLICATIVE, 60)
     tr = builtin_right_translations(mul)
-    assert tr.anchored_search([2, 3], GroundSet.from_values(mul, [12, 18])) is None
+    assert tr.anchored_search([2, 3], GroundSet.from_values(mul, [12, 18])) \
+        == ((6,), 1)
     assert embed_finite([2, 3], GroundSet.from_values(mul, [12, 18]),
                         tr).witness.params == (6,)
+    # Words and a target from another window use the list.
+    words = make_window(FREE_WORDS, 3, "ab")
+    wt = builtin_right_translations(words)
+    B = GroundSet.from_values(words, ["ab", "aab", "abb"])
+    assert wt.anchored_search(["a"], B) is None
+    v = embed_finite(["a", "aa"], B, wt)
+    assert (v.witness.params, v.stats.params_examined) == (("b",), 1)
     other = GroundSet.from_values(make_window(ADDITIVE, 80), [10, 13])
     assert affine.anchored_search([0, 1], other) is None
 
