@@ -15,7 +15,9 @@ AP certificate of the evens end to end, the affine and translation
 embedding kernels (translations on both numeric carriers) and a
 geoarithmetic bounded scan that answers unknown, each on fresh sets at
 growing W, in-process and single-threaded, plus two affine scans that run
-past the kernel's row budget and the fixed cost of a CLI call.  A case
+past the kernel's row budget, the fixed cost of a CLI call and batches of
+small word-window decides (translations left and right and word-suffix,
+sets read from JSON bodies) at word lengths L = 4..8.  A case
 stops growing W once a first run takes longer than MAX_SECONDS, so slow
 (quadratic) implementations can be swept with the same script.  Only the
 public API and the CLI entry point are used.
@@ -44,14 +46,15 @@ import statistics
 import sys
 import time
 
-from finembed import (ADDITIVE, MULTIPLICATIVE, GroundSet, Net,
+from finembed import (ADDITIVE, FREE_WORDS, MULTIPLICATIVE, GroundSet, Net,
                       builtin_affine, builtin_geoarithmetic,
                       builtin_right_translations, embed_finite, fe_decide,
                       fe_probe, interval_net, is_piecewise_syndetic_window,
                       is_thick_window, longest_ap, make_window,
                       parse_predicate, upper_density)
 from finembed.cli import dispatch
-from finembed.jsonio import certificate_to_json, density_report_to_json, dumps
+from finembed.jsonio import (certificate_to_json, density_report_to_json,
+                             dumps, family_from_json, set_body_from_json)
 
 SIZES = (10_000, 25_000, 50_000, 100_000, 200_000, 400_000)
 SMALL_SIZES = (400, 1_000, 4_000, 10_000, 25_000, 100_000)
@@ -313,6 +316,44 @@ def tiny_decides(W):
                        for A, B, family in queries)
 
 
+def word_decides(builtin):
+    # 40 seeded decides on word windows of bound L, 20 over "ab" and 20
+    # over "abc": A holds 1-5 words of at most L - 2 letters, B 40 words,
+    # and every other B also holds A's images under one parameter.  The
+    # sets are read from their JSON bodies inside the call, as set files
+    # are, so the call times what a word query costs end to end.
+    def build(L):
+        rng = random.Random(f"{builtin}:{L}")
+        queries = []
+        for i in range(40):
+            letters = "ab" if i % 2 else "abc"
+            win = make_window(FREE_WORDS, L, letters)
+            fam = {"builtin": builtin, "args": {"letter": letters[0]}}
+            family = family_from_json(fam, win)
+
+            def words(count, top):
+                return {"".join(rng.choice(letters)
+                                for _ in range(rng.randint(1, top)))
+                        for _ in range(count)}
+            a_vals = sorted(words(rng.randint(1, 5), L - 2))
+            b_vals = words(40, L)
+            if i % 4 < 2:
+                r = (rng.randint(0, 2) if builtin == "word-suffix"
+                     else words(1, 2).pop())
+                b_vals |= {family.g((a,), (r,)) for a in a_vals} - {None}
+            queries.append((win, fam, a_vals, sorted(b_vals)))
+
+        def run():
+            verdicts = [fe_decide(set_body_from_json(win, {"explicit": a}),
+                                  set_body_from_json(win, {"explicit": b}),
+                                  family_from_json(fam, win))
+                        for win, fam, a, b in queries]
+            return (sum(v.outcome == "yes" for v in verdicts),
+                    sum(v.stats.params_examined for v in verdicts))
+        return run
+    return build
+
+
 def cli_calls(calls):
     # The fixed cost of one CLI call: a threshold search that takes
     # microseconds, parsed, answered and printed to a discarded stream.
@@ -384,7 +425,10 @@ CASES = tuple(
      SCAN_SIZES),
     ("cli.dispatch pr threshold ap:3 r=2 nmax=3, size = calls",
      "cli.dispatch", cli_calls, (200,)),
-)
+) + tuple(
+    (f"fe_decide {builtin} on words, 40 draws, size = L", "embed.fe_decide",
+     word_decides(builtin), (4, 5, 6, 7, 8))
+    for builtin in ("translations-right", "translations-left", "word-suffix"))
 
 
 def sweep(cases, side: str, how: str, max_seconds: float = MAX_SECONDS,

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -97,7 +98,11 @@ class Window:
         elif kind == FREE_WORDS:
             assert alphabet is not None
             a = len(alphabet)
-            self.size = sum(a ** i for i in range(1, bound + 1))
+            # _starts[n - 1]: the encoding of the first word of length n,
+            # the number of shorter words; _starts[bound] is the size.
+            self._starts = (range(bound + 1) if a == 1 else [
+                (a ** n - a) // (a - 1) for n in range(1, bound + 2)])
+            self.size = self._starts[bound]
         else:
             assert self._payloads is not None
             self.size = len(self._payloads)
@@ -170,37 +175,35 @@ class Window:
         return Element(self.encoding(value), text)
 
     def payloads(self) -> Iterator[Payload]:
-        for enc in range(self.size):
-            yield self.payload(enc)
+        return map(self.payload, range(self.size))
 
     # -- words -----------------------------------------------------------
 
+    def split_word(self, enc: int) -> tuple[int, int]:
+        """(n, rank): the length of the word at encoding enc and its
+        letters read as base-a digits, its rank among the words of length n."""
+        n = bisect_right(self._starts, enc)
+        return n, enc - self._starts[n - 1]
+
+    def join_word(self, n: int, rank: int) -> int:
+        """The encoding of the word of length n and rank rank."""
+        return self._starts[n - 1] + rank
+
     def _word_of_enc(self, enc: int) -> str:
-        a = len(self.alphabet)  # type: ignore[arg-type]
-        length, block = 1, a
-        rest = enc
-        while rest >= block:
-            rest -= block
-            length += 1
-            block *= a
-        letters = []
-        for _ in range(length):
-            letters.append(self.alphabet[rest % a])  # type: ignore[index]
-            rest //= a
-        return "".join(reversed(letters))
+        (n, rank), letters = self.split_word(enc), self.alphabet
+        a = len(letters)  # type: ignore[arg-type]
+        return "".join(letters[rank // a ** i % a]  # type: ignore[index]
+                       for i in range(n - 1, -1, -1))
 
     def _enc_of_word(self, word: str) -> int:
         if not word or len(word) > self.bound:
             raise InputError(f"element-out-of-window: {word!r}")
-        a, index = len(self.alphabet), self._letter_index  # type: ignore[arg-type]
-        # the words shorter than word: a + a^2 + ... + a^(len - 1)
-        offset = (a ** len(word) - a) // (a - 1) if a > 1 else len(word) - 1
-        rank = 0
+        rank, a, index = 0, len(self.alphabet), self._letter_index  # type: ignore[arg-type]
         for ch in word:
             if ch not in index:
                 raise InputError(f"letter {ch!r} not in alphabet")
             rank = rank * a + index[ch]
-        return offset + rank
+        return self.join_word(len(word), rank)
 
     # -- the operation ---------------------------------------------------
 
@@ -227,10 +230,8 @@ class Window:
         return None if z is None else self.encoding(z)
 
     def _find_identity(self) -> int | None:
-        if self.kind == ADDITIVE:
-            return 0
-        if self.kind == MULTIPLICATIVE:
-            return 0  # payload 1
+        if self.kind in (ADDITIVE, MULTIPLICATIVE):
+            return 0  # payload 0 or 1
         if self.kind == FREE_WORDS:
             return None
         for e in range(self.size):
@@ -455,8 +456,7 @@ class GroundSet:
                 enc = hit + 1
 
     def values(self) -> Iterator[Payload]:
-        for enc in self.iter_enc():
-            yield self.window.payload(enc)
+        return map(self.window.payload, self.iter_enc())
 
     def array(self) -> np.ndarray:
         """Membership over all encodings as a read-only uint8 array, 1 for a
@@ -504,12 +504,7 @@ def elements(ground: GroundSet, cap: int) -> list[Element]:
     """First cap members in canonical order (all of them if fewer exist)."""
     if cap < 0:
         raise InputError("cap must be >= 0")
-    out: list[Element] = []
-    for enc in ground.iter_enc():
-        if len(out) >= cap:
-            break
-        out.append(ground.window.element(enc))
-    return out
+    return list(map(ground.window.element, islice(ground.iter_enc(), cap)))
 
 
 # -- named builtin predicates for the JSON set format ----------------------

@@ -16,6 +16,11 @@ Parameter enumeration for a concrete query (F, B) is either
       max-norm-then-lexicographic order, with no completeness claim.
 
 Every stream is deterministic, so the first witness found is canonical.
+On word windows the anchored lists come from B's member encodings: with a
+word's letters read as base-a digits (Window.split_word), the members w0*r,
+r*w0 and w0 letter^j are blocks, strided slices and single encodings, and
+only candidates are decoded.  On a table window the translation list is
+one pass over r.
 
 Translations on the numeric carriers and affine maps also carry a kernel
 that finds the canonical witness and the number of anchored candidates up
@@ -31,13 +36,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from itertools import islice, product
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .carrier import (ADDITIVE, FREE_WORDS, MAX_NESTING, MULTIPLICATIVE,
-                      OVERFLOW, Element, GroundSet, Payload, Window, _is_prime)
+                      OVERFLOW, TABLE, Element, GroundSet, Payload, Window,
+                      _is_prime)
 from .errors import InputError, parse_int
 
 Params = tuple
@@ -353,22 +360,24 @@ def _translations(window: Window, right: bool) -> FamilySpec:
 
     def anchored(fpay: Tuple_, B: GroundSet) -> list[Params]:
         w0 = fpay[0]
-        return [(r,) for b in B.values()
-                for r in _solve_translation(window, w0, b, right)]
+        if window.kind == FREE_WORDS:
+            return _word_translations(w0, B, right)
+        if window.kind == TABLE:  # one pass over r: one row of the table
+            members = set(B.values())
+            return [(r,) for r in window.payloads()
+                    if g((w0,), (r,)) in members]
+        if window.kind == ADDITIVE:
+            return [(b - w0,) for b in B.values() if b >= w0]
+        return [(b // w0,) for b in B.values() if b % w0 == 0]
 
-    payloads: list[Payload] = []
-
-    def scan_lists(bound: int) -> Sequence[Sequence]:
-        # Listed on first use: anchored queries never scan.
-        if not payloads:
-            payloads.extend(window.payloads())
-        return [payloads]
+    # Listed on first use: anchored queries never scan.
+    payloads = cache(lambda: list(window.payloads()))
 
     return FamilySpec(
         name="translations-right" if right else "translations-left",
         window=window, arity=1, param_arity=1,
         g=g, _r=lambda p: window.contains_value(p[0]),
-        _scan_lists=scan_lists,
+        _scan_lists=lambda bound: [payloads()],
         _anchored=anchored,
         _kernel=(_translation_kernel
                  if window.kind in (ADDITIVE, MULTIPLICATIVE) else None))
@@ -395,24 +404,24 @@ def _translation_kernel(fpay: Tuple_, B: GroundSet
     return (win.payload(j),), int(np.count_nonzero(slices[0][:j + 1]))
 
 
-def _solve_translation(window: Window, w0: Payload, b: Payload,
-                       right: bool) -> list[Payload]:
-    """Every r with w0*r = b (resp. r*w0 = b), in encoding order: at most
-    one on the numeric and word carriers, which cancel, any number on a
-    table."""
-    if window.kind == ADDITIVE:
-        return [b - w0] if b >= w0 else []
-    if window.kind == MULTIPLICATIVE:
-        return [b // w0] if b % w0 == 0 else []
-    if window.kind == FREE_WORDS:
-        if b == w0:
-            return []
-        if right:
-            return [b[len(w0):]] if b.startswith(w0) else []
-        return [b[:-len(w0)]] if b.endswith(w0) else []
-    return [r for r in window.payloads()
-            if (window.op_payload(w0, r) if right
-                else window.op_payload(r, w0)) == b]
+def _word_translations(w0: str, B: GroundSet, right: bool) -> list[Params]:
+    """Every r with w0*r (resp. r*w0) in B, in encoding order, read off
+    B's membership in B's window.  With ranks read as base-a digits, the
+    words w0*r with |r| = k are the block of a^k encodings from rank
+    rank(w0) a^k, offset rank(r); the words r*w0 the slice of stride a^|w0|
+    from rank rank(w0), index rank(r).  Only candidates are decoded."""
+    win = B.window
+    if not win.contains_value(w0):  # nor is any member that holds it
+        return []
+    n0, rank0 = win.split_word(win.encoding(w0))
+    a, mem = len(win.alphabet), B.array()  # type: ignore[arg-type]
+    cands: list[Params] = []
+    for k in range(1, win.bound - n0 + 1):
+        lo, step = (rank0 * a ** k, 1) if right else (rank0, a ** n0)
+        lo += win.join_word(n0 + k, 0)
+        ranks = np.flatnonzero(mem[lo:lo + step * a ** k:step]).tolist()
+        cands += [(win.payload(win.join_word(k, r)),) for r in ranks]
+    return cands
 
 
 def builtin_affine(window: Window) -> FamilySpec:
@@ -575,14 +584,13 @@ def builtin_word_suffix(window: Window, letter: str) -> FamilySpec:
         return out if len(out) <= window.bound else None
 
     def anchored(fpay: Tuple_, B: GroundSet) -> list[Params]:
-        w0 = fpay[0]
-        cands: list[Params] = []
-        for b in B.values():
-            if b == w0:
-                cands.append((0,))
-            elif b.startswith(w0) and set(b[len(w0):]) == {letter}:
-                cands.append((len(b) - len(w0),))
-        return cands
+        # One membership test per j, for the words w0 letter^j of B's window.
+        w0, win = fpay[0], B.window
+        if not win.contains_value(w0):  # nor is any word that starts with it
+            return []
+        return [(j,) for j in range(win.bound - len(w0) + 1)
+                if win.contains_value(w := w0 + letter * j)
+                and B.contains_value(w)]
 
     return FamilySpec(
         name=f"word-suffix({letter})", window=window, arity=1, param_arity=1,

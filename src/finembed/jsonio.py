@@ -85,8 +85,9 @@ def window_from_json(obj: Any) -> Window:
 def set_body_from_json(window: Window, body: Any, label: str = "") -> GroundSet:
     values = _field(body, "explicit", list, None, "set body", _ELEMENT)
     if values is not None:
-        try:  # each element converted once, numerals and words by parse
-            encs = [window.parse(v).encoding if type(v) is str
+        numerals = window.sort_key is None  # words need no parse
+        try:  # each element converted once
+            encs = [window.parse(v).encoding if numerals and type(v) is str
                     else window.encoding(v) for v in values]
         except InputError:
             for v in values:  # a bad string is reported before a bad number

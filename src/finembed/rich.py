@@ -319,7 +319,8 @@ def is_thick_window(A: GroundSet, probe_intervals: Sequence[int]) -> ShiftReport
         if win.kind == ADDITIVE:  # the first full interval [s, s + L]
             shift = first_run(L + 1)
         elif win.kind == MULTIPLICATIVE:  # a translation of F_L into A
-            found, _ = translations.anchored_search(range(1, L + 2), A)
+            # F_L = 1..L+1 is valid and sorted: no _normalize_f
+            found, _ = translations._anchored_search(tuple(range(1, L + 2)), A)
             shift = found[0] if found else None
         else:
             shift = _first_shift_by_scan(A, L)
@@ -330,14 +331,9 @@ def is_thick_window(A: GroundSet, probe_intervals: Sequence[int]) -> ShiftReport
 def _first_shift_by_scan(A: GroundSet, L: int) -> Payload | None:
     win = A.window
     F = [win.payload(e) for e in range(L + 1)]
-    for s in win.payloads():
-        for f in F:
-            y = win.op_payload(f, s)
-            if y is None or not A.contains_value(y):
-                break
-        else:
-            return s
-    return None
+    return next((s for s in win.payloads() if all(
+        (y := win.op_payload(f, s)) is not None and A.contains_value(y)
+        for f in F)), None)
 
 
 def maximality_probe(A: GroundSet, family: FamilySpec,

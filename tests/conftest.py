@@ -257,3 +257,39 @@ def reference_certificate_json(cert) -> dict:
     if cert.indexing:
         out["indexing"] = cert.indexing
     return out
+
+
+def reference_word_translations(w0: str, B, right: bool):
+    """Pre-change reference for the anchored translation list on word
+    windows: each member b of B, decoded to its string, solved for r with
+    w0 r = b (right) or r w0 = b (left) by comparing letters."""
+    cands = []
+    for b in B.values():
+        if b == w0:
+            continue
+        if right and b.startswith(w0):
+            cands.append((b[len(w0):],))
+        elif not right and b.endswith(w0):
+            cands.append((b[:-len(w0)],))
+    return cands
+
+
+def reference_word_suffix(w0: str, letter: str, B):
+    """Pre-change reference for the anchored word-suffix list: each member
+    b of B that is w0 followed by letters `letter` only gives (j,)."""
+    cands = []
+    for b in B.values():
+        if b == w0:
+            cands.append((0,))
+        elif b.startswith(w0) and set(b[len(w0):]) == {letter}:
+            cands.append((len(b) - len(w0),))
+    return cands
+
+
+def reference_table_translations(window, w0, B, right: bool):
+    """Pre-change reference for the anchored translation list on table
+    windows: for each member b of B, every r with w0 r = b (right) or
+    r w0 = b (left), one scan of the window per member."""
+    return [(r,) for b in B.values() for r in window.payloads()
+            if (window.op_payload(w0, r) if right
+                else window.op_payload(r, w0)) == b]

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -77,6 +79,21 @@ def test_display_roundtrip_words(length, data):
 def test_associativity_exhaustive_small_windows(bound):
     for kind in (ADDITIVE, MULTIPLICATIVE):
         assert check_associative(make_window(kind, bound))
+
+
+@pytest.mark.parametrize("letters", ["a", "ab", "abc"])
+@pytest.mark.parametrize("bound", [1, 2, 5])
+def test_word_split_and_join_follow_the_canonical_order(letters, bound):
+    w = make_window(FREE_WORDS, bound, list(letters))
+    words = ["".join(t) for n in range(1, bound + 1)
+             for t in itertools.product(letters, repeat=n)]
+    assert w.size == len(words)
+    for enc, word in enumerate(words):
+        rank = sum(letters.index(c) * len(letters) ** i
+                   for i, c in enumerate(reversed(word)))
+        assert w.split_word(enc) == (len(word), rank)
+        assert w.join_word(len(word), rank) == enc
+        assert w.encoding(word) == enc and w.payload(enc) == word
 
 
 def test_associativity_words_sampled():

@@ -1,14 +1,17 @@
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import (reference_table_translations, reference_word_suffix,
+                      reference_word_translations)
 from finembed.carrier import (ADDITIVE, FREE_WORDS, MAX_NESTING,
-                              MULTIPLICATIVE, OVERFLOW, GroundSet,
+                              MULTIPLICATIVE, OVERFLOW, GroundSet, Window,
                               make_table_window, make_window, parse_predicate)
-from finembed.embed import YES, embed_finite, fe_decide
+from finembed.embed import NO, YES, embed_finite, fe_decide
 from finembed.errors import InputError
 from finembed.families import (MAX_EXPONENT, _shell_order, builtin_affine,
                                builtin_geoarithmetic,
@@ -267,6 +270,153 @@ def test_table_translations_list_every_solution(builder):
     v = embed_finite([2, 3], B, family)
     assert (v.outcome, v.witness.params, v.witness.image) == (YES, (3,), (1, 2))
     assert v.stats.params_examined == 2
+
+
+def _walk(family, fpay, B, cands):
+    """(witness, params examined) walking cands as embed_finite walks the
+    anchored list: the first candidate mapping every point of F into B."""
+    for examined, params in enumerate(cands, 1):
+        if all(y is not None and B.contains_value(y)
+               for y in (family.g((f,), params) for f in fpay)):
+            return params, examined
+    return None, len(cands)
+
+
+def _check_against_reference(family, F, B, ref, key):
+    """family's stream against the pre-change reference list ref after R
+    and ordering by key, and embed_finite against walking it."""
+    fpay = family._normalize_f(F)
+    want = sorted({p for p in ref if family.r_accepts(p)}, key=key)
+    stream = family.enumerate_params(fpay, B)
+    assert stream.complete and list(stream.params) == want
+    v = embed_finite(F, B, family)
+    witness, examined = _walk(family, fpay, B, want)
+    assert (v.witness.params if v.witness else None) == witness
+    assert (v.outcome == YES) == (witness is not None)
+    assert v.stats.params_examined == examined
+    return v
+
+
+def _word_family(rng, win):
+    """A random word family, its pre-change reference list builder, the
+    order of its parameters and its map on one word."""
+    choice = rng.randrange(3)
+    if choice < 2:
+        right = choice == 0
+        return (_translations_builder(right)(win),
+                lambda w0, B: reference_word_translations(w0, B, right),
+                lambda p: win.encoding(p[0]),
+                lambda w, r: w + r if right else r + w)
+    letter = rng.choice(win.alphabet)
+    return (builtin_word_suffix(win, letter),
+            lambda w0, B: reference_word_suffix(w0, letter, B), None,
+            lambda w, j: w + letter * len(j))
+
+
+def test_word_lists_match_the_string_solvers_on_seeded_instances():
+    rng = random.Random(20140127)
+    seen = dict.fromkeys((YES, NO, "empty B", "w0 in B", "w0 longest",
+                          "suffix j = 0 and j > 0"), 0)
+    for _ in range(2000):
+        win = make_window(FREE_WORDS, rng.randint(1, 6),
+                          "abc"[:rng.randint(1, 3)])
+        family, reference, key, apply = _word_family(rng, win)
+        words = list(win.payloads())
+        # B's words are at most `top` letters long; F sometimes longer.
+        top = rng.randint(1, win.bound)
+        short = [w for w in words if len(w) <= top]
+        long_ = [w for w in words if len(w) > top]
+        pool = long_ if long_ and rng.random() < 0.25 else words
+        F = rng.sample(pool, rng.randint(1, min(3, len(pool))))
+        density = rng.choice([0, 0.05, 0.2, 0.5, 1])
+        members = {w for w in short if rng.random() < density}
+        w0 = min(F, key=win.encoding)
+        if rng.random() < 0.3:
+            members.add(w0)
+        for _ in range(rng.choice([0, 0, 1, 2])):  # F's images, where they fit
+            r = rng.choice(words)
+            members.update(w for w in (apply(f, r) for f in F)
+                           if len(w) <= win.bound)
+        B = GroundSet.from_values(win, members)
+        ref = reference(w0, B)
+        assert family._anchored((w0,), B) == ref
+        v = _check_against_reference(family, F, B, ref, key)
+        seen[v.outcome] += 1
+        seen["empty B"] += not members
+        seen["w0 in B"] += w0 in members
+        seen["w0 longest"] += bool(members) and all(
+            len(w) < len(w0) for w in members)
+        seen["suffix j = 0 and j > 0"] += (
+            key is None and (0,) in ref and len(ref) > 1)
+    print(seen)
+    assert min(seen.values()) > 40, seen
+
+
+def test_word_lists_read_members_in_other_word_windows():
+    # B may live in another word window; the lists read its members there,
+    # as the string solvers did.
+    rng = random.Random(20140128)
+    for _ in range(300):
+        win = make_window(FREE_WORDS, rng.randint(1, 5), "abc"[:rng.randint(1, 3)])
+        other = make_window(FREE_WORDS, rng.randint(1, 5),
+                            rng.choice(["a", "ab", "ba", "abc", "cab", "bd"]))
+        B = GroundSet.from_values(other, [w for w in other.payloads()
+                                          if rng.random() < 0.3])
+        w0 = rng.choice(list(win.payloads()))
+        for right in (True, False):
+            family = _translations_builder(right)(win)
+            assert family._anchored((w0,), B) == reference_word_translations(
+                w0, B, right)
+        letter = rng.choice(win.alphabet)
+        assert builtin_word_suffix(win, letter)._anchored((w0,), B) == (
+            reference_word_suffix(w0, letter, B))
+
+
+def _translations_builder(right):
+    return builtin_right_translations if right else builtin_left_translations
+
+
+# Associative operations that do not cancel (or overflow), as payloads and
+# operation for a window of n elements.
+_TABLES = (
+    lambda n: (list(range(n)), lambda x, y: x * y % n),
+    lambda n: (list(range(n)), max),
+    lambda n: (list(range(n)), min),
+    lambda n: ([f"e{i}" for i in range(n)], lambda x, y: x),
+    lambda n: ([f"e{i}" for i in range(n)], lambda x, y: y),
+    lambda n: (list(range(1, n + 1)), lambda x, y: math.gcd(x, y)),
+    lambda n: (list(range(n)), lambda x, y: x + y if x + y < n else None),
+)
+
+
+@pytest.mark.parametrize("right", [True, False], ids=["right", "left"])
+def test_table_lists_take_one_pass_and_match_the_per_member_scan(right,
+                                                                  monkeypatch):
+    rng = random.Random(20140129 + right)
+    calls = []
+    op_payload = Window.op_payload
+    seen = {YES: 0, NO: 0}
+    for _ in range(300):
+        payloads, op = rng.choice(_TABLES)(rng.randint(1, 12))
+        win = make_table_window(payloads, op)
+        B = GroundSet.from_values(win, [p for p in payloads
+                                        if rng.random() < 0.4])
+        F = rng.sample(payloads, rng.randint(1, min(3, len(payloads))))
+        family = _translations_builder(right)(win)
+        w0 = family._normalize_f(F)[0]
+        ref = reference_table_translations(win, w0, B, right)
+        monkeypatch.setattr(Window, "op_payload",
+                            lambda *args: calls.append(1) or op_payload(*args))
+        got = family._anchored((w0,), B)
+        monkeypatch.setattr(Window, "op_payload", op_payload)
+        assert len(calls) == win.size
+        calls.clear()
+        key = lambda p: win.encoding(p[0])  # noqa: E731
+        assert sorted(got, key=key) == sorted(ref, key=key)
+        v = _check_against_reference(family, F, B, ref, key)
+        seen[v.outcome] += 1
+    print(seen)
+    assert min(seen.values()) > 30, seen
 
 
 def test_scan_order_is_small_first(win):

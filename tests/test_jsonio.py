@@ -311,6 +311,13 @@ def test_explicit_set_body_converts_each_element_once(kind, bound, alphabet,
     (FREE_WORDS, ["a", "b"], [1, "c"], "letter 'c' not in alphabet"),
     (FREE_WORDS, ["a", "b"], ["aaaa"], "element-out-of-window: 'aaaa'"),
     (FREE_WORDS, ["a", "b"], ["a", 1], "element-out-of-window: 1"),
+    (FREE_WORDS, ["a", "b"], [2, 1], "element-out-of-window: 2"),
+    (FREE_WORDS, ["a", "b"], [1, "aaaa"], "element-out-of-window: 'aaaa'"),
+    (FREE_WORDS, ["a", "b"], ["aaaa", "c"], "element-out-of-window: 'aaaa'"),
+    (FREE_WORDS, ["a", "b"], ["c", "aaaa"], "letter 'c' not in alphabet"),
+    # a word's length is checked before its letters
+    (FREE_WORDS, ["a", "b"], ["ab", "cccc"], "element-out-of-window: 'cccc'"),
+    (FREE_WORDS, ["a", "b"], ["", 1], "element-out-of-window: ''"),
 ])
 def test_explicit_set_body_errors(kind, alphabet, values, message):
     window = make_window(kind, 50 if alphabet is None else 3, alphabet)
