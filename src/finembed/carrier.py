@@ -22,7 +22,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -230,8 +230,10 @@ class Window:
         return None if z is None else self.encoding(z)
 
     def _find_identity(self) -> int | None:
-        if self.kind in (ADDITIVE, MULTIPLICATIVE):
-            return 0  # payload 0 or 1
+        if self.kind == ADDITIVE:
+            return 0
+        if self.kind == MULTIPLICATIVE:
+            return 0  # payload 1
         if self.kind == FREE_WORDS:
             return None
         for e in range(self.size):
@@ -504,7 +506,12 @@ def elements(ground: GroundSet, cap: int) -> list[Element]:
     """First cap members in canonical order (all of them if fewer exist)."""
     if cap < 0:
         raise InputError("cap must be >= 0")
-    return list(map(ground.window.element, islice(ground.iter_enc(), cap)))
+    out: list[Element] = []
+    for enc in ground.iter_enc():
+        if len(out) >= cap:
+            break
+        out.append(ground.window.element(enc))
+    return out
 
 
 # -- named builtin predicates for the JSON set format ----------------------

@@ -16,11 +16,8 @@ Parameter enumeration for a concrete query (F, B) is either
       max-norm-then-lexicographic order, with no completeness claim.
 
 Every stream is deterministic, so the first witness found is canonical.
-On word windows the anchored lists come from B's member encodings: with a
-word's letters read as base-a digits (Window.split_word), the members w0*r,
-r*w0 and w0 letter^j are blocks, strided slices and single encodings, and
-only candidates are decoded.  On a table window the translation list is
-one pass over r.
+Word-window lists read B's member encodings by rank (Window.split_word) and
+decode only candidates; table translations take one pass over r.
 
 Translations on the numeric carriers and affine maps also carry a kernel
 that finds the canonical witness and the number of anchored candidates up
@@ -73,6 +70,7 @@ class FamilySpec:
     g: Callable[[Tuple_, Params], Payload | None]  # None encodes overflow
     _r: Callable[[Params], bool]
     _scan_lists: Callable[[int], Sequence[Sequence]] | None = None
+    # Anchored candidates in canonical order, without repeats.
     _anchored: Callable[[Tuple_, GroundSet], list[Params]] | None = None
     _explicit_params: tuple[Params, ...] | None = None
     default_bound: int | None = None
@@ -118,8 +116,7 @@ class FamilySpec:
         if self._explicit_params is not None:
             return ParamStream(iter(self._explicit_params), True)
         if self._anchored is not None:
-            cands = [p for p in self._anchored(fpay, B) if self._r(p)]
-            return ParamStream(iter(_dedup_sorted(self.window, cands)), True)
+            return ParamStream(filter(self._r, self._anchored(fpay, B)), True)
         return ParamStream(self._scan(bound), False)
 
     def anchored_search(self, F: Iterable[Payload],
@@ -176,17 +173,6 @@ class FamilySpec:
     def __repr__(self) -> str:
         return (f"FamilySpec({self.name}, n={self.arity}, "
                 f"k={self.param_arity})")
-
-
-def _dedup_sorted(window: Window, cands: Iterable[Params]) -> list[Params]:
-    """cands without repeats, ordered by their components' encodings; the
-    numbers of word windows, which are no elements (word-suffix exponents),
-    by value."""
-    if window.sort_key is None:
-        return sorted(set(cands))  # value order is encoding order here
-    enc, words = window.encoding, window.kind == FREE_WORDS
-    return sorted(set(cands), key=lambda p: tuple(
-        v if words and isinstance(v, int) else enc(v) for v in p))
 
 
 def _shell_order(lists: Sequence[Sequence]) -> Iterator[Params]:
@@ -361,7 +347,7 @@ def _translations(window: Window, right: bool) -> FamilySpec:
     def anchored(fpay: Tuple_, B: GroundSet) -> list[Params]:
         w0 = fpay[0]
         if window.kind == FREE_WORDS:
-            return _word_translations(w0, B, right)
+            return _word_translations(window, w0, B, right)
         if window.kind == TABLE:  # one pass over r: one row of the table
             members = set(B.values())
             return [(r,) for r in window.payloads()
@@ -404,12 +390,12 @@ def _translation_kernel(fpay: Tuple_, B: GroundSet
     return (win.payload(j),), int(np.count_nonzero(slices[0][:j + 1]))
 
 
-def _word_translations(w0: str, B: GroundSet, right: bool) -> list[Params]:
-    """Every r with w0*r (resp. r*w0) in B, in encoding order, read off
-    B's membership in B's window.  With ranks read as base-a digits, the
-    words w0*r with |r| = k are the block of a^k encodings from rank
-    rank(w0) a^k, offset rank(r); the words r*w0 the slice of stride a^|w0|
-    from rank rank(w0), index rank(r).  Only candidates are decoded."""
+def _word_translations(window: Window, w0: str, B: GroundSet,
+                       right: bool) -> list[Params]:
+    """Every r in window with w0*r (resp. r*w0) in B, in encoding order,
+    read off B's membership by rank (letters as base-a digits): the words
+    w0*r with |r| = k are the a^k encodings from rank rank(w0) a^k, the
+    words r*w0 those of stride a^|w0| from rank(w0), each at rank(r)."""
     win = B.window
     if not win.contains_value(w0):  # nor is any member that holds it
         return []
@@ -421,6 +407,9 @@ def _word_translations(w0: str, B: GroundSet, right: bool) -> list[Params]:
         lo += win.join_word(n0 + k, 0)
         ranks = np.flatnonzero(mem[lo:lo + step * a ** k:step]).tolist()
         cands += [(win.payload(win.join_word(k, r)),) for r in ranks]
+    if win.alphabet != window.alphabet:  # B's ranks are in another order
+        cands = sorted(filter(lambda p: window.contains_value(p[0]), cands),
+                       key=lambda p: window.encoding(p[0]))
     return cands
 
 
@@ -465,7 +454,7 @@ def builtin_affine(window: Window) -> FamilySpec:
                 else:
                     for slope in range(1, beta // x + 1):
                         cands.append((beta - slope * x, slope))
-        return cands
+        return sorted(cands)
 
     def kernel(fpay: Tuple_, B: GroundSet) -> tuple[Params | None, int]:
         fs = sorted(set(fpay))

@@ -318,8 +318,7 @@ def is_thick_window(A: GroundSet, probe_intervals: Sequence[int]) -> ShiftReport
             raise InputError(f"probe length {L} exceeds the window")
         if win.kind == ADDITIVE:  # the first full interval [s, s + L]
             shift = first_run(L + 1)
-        elif win.kind == MULTIPLICATIVE:  # a translation of F_L into A
-            # F_L = 1..L+1 is valid and sorted: no _normalize_f
+        elif win.kind == MULTIPLICATIVE:  # F_L = 1..L+1 needs no normalizing
             found, _ = translations._anchored_search(tuple(range(1, L + 2)), A)
             shift = found[0] if found else None
         else:
@@ -331,9 +330,14 @@ def is_thick_window(A: GroundSet, probe_intervals: Sequence[int]) -> ShiftReport
 def _first_shift_by_scan(A: GroundSet, L: int) -> Payload | None:
     win = A.window
     F = [win.payload(e) for e in range(L + 1)]
-    return next((s for s in win.payloads() if all(
-        (y := win.op_payload(f, s)) is not None and A.contains_value(y)
-        for f in F)), None)
+    for s in win.payloads():
+        for f in F:
+            y = win.op_payload(f, s)
+            if y is None or not A.contains_value(y):
+                break
+        else:
+            return s
+    return None
 
 
 def maximality_probe(A: GroundSet, family: FamilySpec,

@@ -291,13 +291,18 @@ def test_explicit_set_body_converts_each_element_once(kind, bound, alphabet,
     payloads = [int(v) if isinstance(v, str) and kind != FREE_WORDS else v
                 for v in values]
     want = GroundSet.from_values(window, payloads)
-    calls = []
-    encoding = Window.encoding
+    calls, parsed = [], []
+    encoding, parse = Window.encoding, Window.parse
     monkeypatch.setattr(Window, "encoding",
                         lambda self, v: calls.append(v) or encoding(self, v))
+    monkeypatch.setattr(Window, "parse",
+                        lambda self, v: parsed.append(v) or parse(self, v))
     got = jsonio.set_body_from_json(window, {"explicit": values})
     assert bytes(got.array()) == bytes(want.array())
     assert len(calls) == len(values)
+    # numerals are parsed; words go straight to their encoding
+    assert parsed == ([] if kind == FREE_WORDS
+                      else [v for v in values if isinstance(v, str)])
 
 
 @pytest.mark.parametrize("kind, alphabet, values, message", [
