@@ -98,11 +98,11 @@ class Window:
         elif kind == FREE_WORDS:
             assert alphabet is not None
             a = len(alphabet)
-            # _starts[n - 1]: the encoding of the first word of length n,
-            # the number of shorter words; _starts[bound] is the size.
-            self._starts = (range(bound + 1) if a == 1 else [
-                (a ** n - a) // (a - 1) for n in range(1, bound + 2)])
-            self.size = self._starts[bound]
+            self.size = (a ** (bound + 1) - a) // (a - 1) if a > 1 else bound
+            # _starts[n - 1]: the encoding of the first word of length n, the
+            # number of shorter words (past 21 letters no window fits the cap)
+            self._starts = (range(bound) if a == 1 else [
+                (a ** n - a) // (a - 1) for n in range(1, min(bound, 21) + 1)])
         else:
             assert self._payloads is not None
             self.size = len(self._payloads)

@@ -116,7 +116,8 @@ class FamilySpec:
         if self._explicit_params is not None:
             return ParamStream(iter(self._explicit_params), True)
         if self._anchored is not None:
-            return ParamStream(filter(self._r, self._anchored(fpay, B)), True)
+            cands = [p for p in self._anchored(fpay, B) if self._r(p)]
+            return ParamStream(iter(cands), True)
         return ParamStream(self._scan(bound), False)
 
     def anchored_search(self, F: Iterable[Payload],
@@ -356,14 +357,12 @@ def _translations(window: Window, right: bool) -> FamilySpec:
             return [(b - w0,) for b in B.values() if b >= w0]
         return [(b // w0,) for b in B.values() if b % w0 == 0]
 
-    # Listed on first use: anchored queries never scan.
-    payloads = cache(lambda: list(window.payloads()))
-
     return FamilySpec(
         name="translations-right" if right else "translations-left",
         window=window, arity=1, param_arity=1,
         g=g, _r=lambda p: window.contains_value(p[0]),
-        _scan_lists=lambda bound: [payloads()],
+        # Listed on first use: anchored queries never scan.
+        _scan_lists=cache(lambda bound: [list(window.payloads())]),
         _anchored=anchored,
         _kernel=(_translation_kernel
                  if window.kind in (ADDITIVE, MULTIPLICATIVE) else None))
