@@ -396,6 +396,7 @@ def _word_translations(window: Window, w0: str, B: GroundSet,
     w0*r with |r| = k are the a^k encodings from rank rank(w0) a^k, the
     words r*w0 those of stride a^|w0| from rank(w0), each at rank(r)."""
     win = B.window
+    _require_kind(win, FREE_WORDS, "B of word translations")
     if not win.contains_value(w0):  # nor is any member that holds it
         return []
     n0, rank0 = win.split_word(win.encoding(w0))

@@ -372,6 +372,11 @@ def test_word_lists_read_members_in_other_word_windows():
         family = builtin_word_suffix(win, letter)
         assert list(family.enumerate_params([w0], B).params) == (
             reference_word_suffix(w0, letter, B))
+    # A B outside word windows has no ranks to read.
+    table = make_table_window(["a", "ab", "b"], lambda x, y: x)
+    with pytest.raises(InputError, match="wrong-carrier"):
+        embed_finite(["a"], GroundSet.from_values(table, ["ab"]),
+                     builtin_right_translations(win))
 
 
 def _translations_builder(right):
