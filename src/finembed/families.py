@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache
 from itertools import islice, product
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -361,8 +360,8 @@ def _translations(window: Window, right: bool) -> FamilySpec:
         name="translations-right" if right else "translations-left",
         window=window, arity=1, param_arity=1,
         g=g, _r=lambda p: window.contains_value(p[0]),
-        # Listed on first use: anchored queries never scan.
-        _scan_lists=cache(lambda bound: [list(window.payloads())]),
+        # Listed only when scanned: anchored queries never scan.
+        _scan_lists=lambda bound: [list(window.payloads())],
         _anchored=anchored,
         _kernel=(_translation_kernel
                  if window.kind in (ADDITIVE, MULTIPLICATIVE) else None))
