@@ -390,7 +390,7 @@ def _translation_kernel(fpay: Tuple_, B: GroundSet
 
 def _word_translations(window: Window, w0: str, B: GroundSet,
                        right: bool) -> list[Params]:
-    """Every r in window with w0*r (resp. r*w0) in B, in encoding order,
+    """Every r with w0*r (resp. r*w0) in B, in window's encoding order,
     read off B's membership by rank (letters as base-a digits): the words
     w0*r with |r| = k are the a^k encodings from rank rank(w0) a^k, the
     words r*w0 those of stride a^|w0| from rank(w0), each at rank(r)."""

@@ -297,6 +297,10 @@ def _check_against_reference(family, F, B, ref, key):
     return v
 
 
+def _translations_builder(right):
+    return builtin_right_translations if right else builtin_left_translations
+
+
 def _word_family(rng, win):
     """A random word family, its pre-change reference list builder, the
     order of its parameters and its map on one word."""
@@ -348,7 +352,6 @@ def test_word_lists_match_the_string_solvers_on_seeded_instances():
             len(w) < len(w0) for w in members)
         seen["suffix j = 0 and j > 0"] += (
             key is None and (0,) in ref and len(ref) > 1)
-    print(seen)
     assert min(seen.values()) > 40, seen
 
 
@@ -357,7 +360,8 @@ def test_word_lists_read_members_in_other_word_windows():
     # as the string solvers did.
     rng = random.Random(20140128)
     for _ in range(300):
-        win = make_window(FREE_WORDS, rng.randint(1, 5), "abc"[:rng.randint(1, 3)])
+        win = make_window(FREE_WORDS, rng.randint(1, 5),
+                          "abc"[:rng.randint(1, 3)])
         other = make_window(FREE_WORDS, rng.randint(1, 5),
                             rng.choice(["a", "ab", "ba", "abc", "cab", "bd"]))
         B = GroundSet.from_values(other, [w for w in other.payloads()
@@ -365,8 +369,9 @@ def test_word_lists_read_members_in_other_word_windows():
         w0 = rng.choice(list(win.payloads()))
         for right in (True, False):
             family = _translations_builder(right)(win)
-            want = sorted({p for p in reference_word_translations(w0, B, right)
-                           if family.r_accepts(p)}, key=lambda p: win.encoding(p[0]))
+            ref = reference_word_translations(w0, B, right)
+            want = sorted({p for p in ref if family.r_accepts(p)},
+                          key=lambda p: win.encoding(p[0]))
             assert list(family.enumerate_params([w0], B).params) == want
         letter = rng.choice(win.alphabet)
         family = builtin_word_suffix(win, letter)
@@ -377,10 +382,6 @@ def test_word_lists_read_members_in_other_word_windows():
     with pytest.raises(InputError, match="wrong-carrier"):
         embed_finite(["a"], GroundSet.from_values(table, ["ab"]),
                      builtin_right_translations(win))
-
-
-def _translations_builder(right):
-    return builtin_right_translations if right else builtin_left_translations
 
 
 # Associative operations that do not cancel (or overflow), as payloads and
@@ -422,7 +423,6 @@ def test_table_lists_take_one_pass_and_match_the_per_member_scan(right,
         assert sorted(got, key=key) == sorted(ref, key=key)
         v = _check_against_reference(family, F, B, ref, key)
         seen[v.outcome] += 1
-    print(seen)
     assert min(seen.values()) > 30, seen
 
 
