@@ -37,10 +37,14 @@ def brute_longest_ap(values: set[int], bound: int) -> int:
     return best
 
 
-def brute_longest_gap_grid(values: set[int], bound: int) -> int:
-    """Max one-based grid side k with r^i (a + j b) in values for all
-    1 <= i, j <= k, by trying every (r, a, b, k) from scratch."""
-    best = 0
+def brute_longest_gap_grid(values: set[int], bound: int) -> tuple:
+    """(k, params, realized) for the largest one-based grid r^i (a + j b),
+    1 <= i, j <= k, inside values, by trying every (r, a, b, k) from scratch.
+
+    params = (r, a, b) is the first best in the order r, then b, then a;
+    realized lists the cells row-major in i.  (0, (), ()) when no cell fits.
+    """
+    best, params = 0, ()
     for r in range(2, bound + 1):
         top = bound // r
         for b in range(1, top + 1):
@@ -53,9 +57,14 @@ def brute_longest_gap_grid(values: set[int], bound: int) -> int:
                         for i in range(1, k + 1) for j in range(1, k + 1))
                     if not ok:
                         break
-                    best = max(best, k)
+                    if k > best:
+                        best, params = k, (r, a, b)
                     k += 1
-    return best
+    if not best:
+        return 0, (), ()
+    r, a, b = params
+    return best, params, tuple(r ** i * (a + j * b) for i in range(1, best + 1)
+                               for j in range(1, best + 1))
 
 
 def blind_translation_scan(f_vals, b_vals: set[int], bound: int,

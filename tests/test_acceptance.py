@@ -295,7 +295,8 @@ def test_criterion_8_detector_cross_checks():
                     vals |= grid
             A = GroundSet.from_values(win, vals)
             cert = longest_gap_grid(A)
-            assert cert.length == brute_longest_gap_grid(vals, bound)
+            assert (cert.length, cert.params, tuple(cert.realized)) == \
+                brute_longest_gap_grid(vals, bound)
             assert verify_certificate(cert, A)
 
 

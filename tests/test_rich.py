@@ -64,14 +64,24 @@ def test_longest_gap_grid_zero_based():
     assert verify_certificate(cert, ground(win, [1, 2, 4]))
 
 
-def _brute_zero_based_side(vals, bound):
-    """Largest n+1 with a full zero-based grid in vals, no pruning at all.
-    Cells are positive (a >= 1), so zero never anchors a grid."""
-    best = 1 if any(v >= 1 for v in vals) else 0
+def _brute_zero_based_grid(vals, bound):
+    """(n + 1, params, realized) for the largest full zero-based grid
+    b q^j (a + i d), 0 <= i, j <= n, in vals, with no pruning at all.
+
+    Cells are positive (a >= 1), so zero never anchors a grid.  Any positive
+    member m is the one-cell grid (1, 2, m, 1), taken for the least m; past
+    it, params = (b, q, a, d) is the first best in the order q, then b, then
+    a + d, then d.  realized lists the cells row-major in i.
+    """
+    smallest = min((v for v in vals if v >= 1), default=None)
+    if smallest is None:
+        return 0, (), ()
+    best, params = 1, (1, 2, smallest, 1)
     for q in range(2, bound + 1):
-        for d in range(1, bound + 1):
-            for b in range(1, bound + 1):
-                for a in range(1, bound + 1):
+        for b in range(1, bound + 1):
+            for s in range(2, 2 * bound + 1):
+                for d in range(max(1, s - bound), min(s - 1, bound) + 1):
+                    a = s - d
                     side = 0
                     while True:
                         cells = [b * q ** j * (a + i * d)
@@ -81,8 +91,11 @@ def _brute_zero_based_side(vals, bound):
                             side += 1
                         else:
                             break
-                    best = max(best, side)
-    return best
+                    if side > best:
+                        best, params = side, (b, q, a, d)
+    b, q, a, d = params
+    return best, params, tuple(b * q ** j * (a + i * d)
+                               for i in range(best) for j in range(best))
 
 
 @settings(max_examples=10)
@@ -94,7 +107,8 @@ def test_zero_based_grid_matches_brute_force(seed):
     vals = set(rng.sample(range(bound + 1), rng.randint(0, bound)))
     A = GroundSet.from_values(win, vals)
     cert = longest_gap_grid(A, zero_based=True)
-    assert cert.length == _brute_zero_based_side(vals, bound)
+    assert (cert.length, cert.params, tuple(cert.realized)) == \
+        _brute_zero_based_grid(vals, bound)
     assert verify_certificate(cert, A)
 
 
@@ -177,7 +191,8 @@ def test_longest_gap_grid_matches_brute_force(seed):
         if max(planted) <= bound:
             vals |= planted
     cert = longest_gap_grid(GroundSet.from_values(win, vals))
-    assert cert.length == brute_longest_gap_grid(vals, bound)
+    assert (cert.length, cert.params, tuple(cert.realized)) == \
+        brute_longest_gap_grid(vals, bound)
 
 
 def test_thickness_probes():
