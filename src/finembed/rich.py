@@ -149,20 +149,18 @@ def longest_ap(A: GroundSet) -> ProgressionCertificate:
 
 # -- geoarithmetic grids ------------------------------------------------------
 
-def _grid_side(mem: memoryview, W: int, cell: Callable[[int, int], int],
-               lo: int) -> int:
-    """Largest m with cell(i, j) in the set for all lo <= i, j < lo + m.
+def _grid_side(mem: memoryview, W: int, c: int, q: int, u: int, d: int) -> int:
+    """Largest m with c q^x (u + y d) in the set for all 0 <= x, y < m.
 
-    Grown one ring at a time; only the new ring max(i, j) == lo + m needs
-    checking.
+    Grown one ring at a time; only the new ring max(x, y) == m needs
+    checking.  Every cell is positive, since c, q, u >= 1.
     """
     m = 0
     while True:
-        top = lo + m
-        for i in range(lo, top + 1):
-            for j in range(lo, top + 1) if i == top else (top,):
-                v = cell(i, j)
-                if v < 0 or v > W or not mem[v]:
+        for x in range(m + 1):
+            for y in range(m + 1) if x == m else (m,):
+                v = c * q ** x * (u + y * d)
+                if v > W or not mem[v]:
                     return m
         m += 1
 
@@ -174,47 +172,35 @@ def longest_gap_grid(A: GroundSet,
     Default is the one-based convention r^i (a + j b), r > 1, b > 0,
     1 <= i, j <= k.  zero_based switches to the grid b q^j (a + i d) with
     0 <= i, j <= n (q > 1, d > 0, a > 0 so no row degenerates to zero),
-    reported with length = n + 1.  Ties break along the search order (ratio
-    ascending, then stride, then start), so a fixed set always yields the
-    same certificate.
+    reported with length = n + 1.  Both are the one form c q^x (u + y d),
+    0 <= x, y < k, which _grid_side grows: the one-based grid has c = q = r,
+    u = a + b and d = b.  Ties break along the search order (r, then b, then
+    a one-based; q, then b, then a + d, then d zero-based), so a fixed set
+    always yields the same certificate.
     """
     win = _require_additive(A, "longest_gap_grid")
     mem = memoryview(A.array())
     W = win.bound
+    # Each stream yields (params, (c, q, u, d)) in search order.
     if zero_based:
-        return _longest_grid_zero_based(A, mem, W)
-    best_k, best = 0, ()
-    for r in range(2, W + 1):
-        top = W // r  # the (1,1) cell forces a + b <= W // r
-        for b in range(1, top + 1):
-            for a in range(0, top - b + 1):
-                k = _grid_side(mem, W, lambda i, j: r ** i * (a + j * b), 1)
-                if k > best_k:
-                    best_k, best = k, (r, a, b)
-    return _certificate("gap-grid", best, best_k, indexing="one-based")
-
-
-def _longest_grid_zero_based(A: GroundSet, mem: memoryview,
-                             W: int) -> ProgressionCertificate:
-    """Zero-based grids with a >= 1, so the i = 0 row is never the constant
-    zero row; cells stay positive, matching the search pattern's domain."""
-    best_n, best = -1, ()
-    # Any positive member m gives an n = 0 grid (b=1, a=m); rings beyond
-    # need the (1,1) cell b q (a + d) <= W, which bounds the whole search.
-    smallest = next((v for v in A.values() if v >= 1), None)
-    if smallest is not None:
-        best_n, best = 0, (1, 2, smallest, 1)
-    for q in range(2, W + 1):
-        for b in range(1, W // q + 1):
-            for s in range(2, W // (b * q) + 1):  # s = a + d, a >= 1
-                for d in range(1, s):
-                    a = s - d
-                    # (n + 1) x (n + 1) grid: n + 1 full rings from 0
-                    n = _grid_side(
-                        mem, W, lambda i, j: b * q ** j * (a + i * d), 0) - 1
-                    if n > best_n:
-                        best_n, best = n, (b, q, a, d)
-    return _certificate("gap-grid", best, best_n + 1, indexing="zero-based")
+        # Any positive member m is a one-cell grid (b=1, a=m); larger grids
+        # need the (1,1) cell b q (a + d) <= W.  The params are the form.
+        smallest = next((v for v in A.values() if v >= 1), None)
+        best_k, best = (0, ()) if smallest is None else (1, (1, 2, smallest, 1))
+        grids = (((b, q, s - d, d),) * 2
+                 for q in range(2, W + 1) for b in range(1, W // q + 1)
+                 for s in range(2, W // (b * q) + 1) for d in range(1, s))
+    else:
+        best_k, best = 0, ()  # any grid needs its first cell r (a + b) <= W
+        grids = (((r, a, b), (r, r, a + b, b))
+                 for r in range(2, W + 1) for b in range(1, W // r + 1)
+                 for a in range(W // r - b + 1))
+    for params, form in grids:
+        k = _grid_side(mem, W, *form)
+        if k > best_k:
+            best_k, best = k, params
+    return _certificate("gap-grid", best, best_k,
+                        indexing="zero-based" if zero_based else "one-based")
 
 
 # -- polynomial progressions --------------------------------------------------
