@@ -38,6 +38,8 @@ KINDS = (ADDITIVE, MULTIPLICATIVE, FREE_WORDS, TABLE)
 
 # Hard cap on window size so word windows cannot blow up the encoding space.
 MAX_WINDOW_SIZE = 1 << 20
+_TOO_LARGE = (f"bound-too-large: window would hold more than "
+              f"{MAX_WINDOW_SIZE} elements")
 
 # Deepest nesting of predicates and family terms, so that each one parses
 # and evaluates within the interpreter's recursion limit.
@@ -98,18 +100,18 @@ class Window:
         elif kind == FREE_WORDS:
             assert alphabet is not None
             a = len(alphabet)
+            if a > 1 and bound > 20:  # 2^(bound+1) - 2 words or more
+                raise InputError(_TOO_LARGE)
             self.size = (a ** (bound + 1) - a) // (a - 1) if a > 1 else bound
             # _starts[n - 1]: the encoding of the first word of length n, the
-            # number of shorter words (past 21 letters no window fits the cap)
+            # number of shorter words
             self._starts = (range(bound) if a == 1 else [
-                (a ** n - a) // (a - 1) for n in range(1, min(bound, 21) + 1)])
+                (a ** n - a) // (a - 1) for n in range(1, bound + 1)])
         else:
             assert self._payloads is not None
             self.size = len(self._payloads)
         if self.size > MAX_WINDOW_SIZE:
-            raise InputError(
-                f"bound-too-large: window would hold {self.size} elements "
-                f"(cap {MAX_WINDOW_SIZE})")
+            raise InputError(_TOO_LARGE)
         self._letter_index = {c: i for i, c in enumerate(alphabet or ())}
         self._enc_of: dict[Payload, int] | None = None
         if self._payloads is not None:

@@ -462,8 +462,9 @@ def test_malformed_input_exits_two_with_one_error_line(tmp_path, monkeypatch,
     assert len(lines) == 1 and lines[0].startswith("error:"), err
 
 
-# Inputs nested past the recursion limit, asking for huge powers or holding
-# numerals past int()'s digit limit are refused when parsed, before any work.
+# Inputs nested past the recursion limit, asking for huge powers or windows,
+# or holding numerals past int()'s digit limit are refused when parsed,
+# before any work.
 DEEP_PREDICATE = "union(" * 2000 + "evens" + ")" * 2000
 OVERSIZED = {
     "predicate-nested-2000-deep": (
@@ -488,6 +489,10 @@ OVERSIZED = {
                        "100000", "--D", "1"], {"S": SET_FILE}),
     "pattern-degree-100000": (["pr", "search", "--pattern", "poly:3:100000:1",
                                "--colors", "2", "--n", "10"], {}),
+    "word-window-bound-20000": (RICH, {"S": {"window": {
+        **WORDS, "bound": 20000}, "set": {"explicit": ["a"]}}}),
+    "word-window-bound-1000000": (RICH, {"S": {"window": {
+        **WORDS, "bound": 10 ** 6}, "set": {"explicit": ["a"]}}}),
 }
 
 
