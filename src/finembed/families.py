@@ -32,7 +32,7 @@ anchored list stays the reference.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice, product
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -764,17 +764,15 @@ def filter_params(base: FamilySpec, pred: Callable[[Params], bool],
                   name: str) -> FamilySpec:
     """The subfamily of base whose parameters also satisfy pred.
 
-    A complete anchored stream for base stays complete after filtering,
-    since the subfamily's witnesses are a subset of the base family's.
+    A complete anchored stream or explicit list for base stays complete
+    after filtering, since the subfamily's witnesses are a subset of the
+    base family's.  The kernel knows nothing of pred, so it is dropped.
     """
-    anchored = None
+    anchored = explicit = None
     if base._anchored is not None:
         anchored = lambda fpay, B: [p for p in base._anchored(fpay, B)
                                     if pred(p)]
-    return FamilySpec(
-        name=name, window=base.window, arity=base.arity,
-        param_arity=base.param_arity,
-        g=base.g, _r=lambda p: base._r(p) and pred(p),
-        _scan_lists=base._scan_lists,
-        _anchored=anchored,
-        default_bound=base.default_bound)
+    if base._explicit_params is not None:
+        explicit = tuple(p for p in base._explicit_params if pred(p))
+    return replace(base, name=name, _r=lambda p: base._r(p) and pred(p),
+                   _anchored=anchored, _explicit_params=explicit, _kernel=None)

@@ -606,3 +606,20 @@ def test_restrict_and_filter_params(win):
     assert steep.r_accepts((0, 2)) and not steep.r_accepts((0, 1))
     B = GroundSet.from_values(win, [0, 2, 4])
     assert all(p[1] >= 2 for p in steep.enumerate_params([0, 1], B).params)
+
+
+def test_filtered_explicit_list_stays_complete(win):
+    # Filtering a listed family keeps its list, cut by the predicate, so it
+    # refutes as soundly as the list did, whatever the scan bound.
+    listed = restrict_params(builtin_right_translations(win), [(90,), (95,)])
+    late = filter_params(listed, lambda p: p[0] >= 95, "late")
+    stream = late.enumerate_params([0], GroundSet.full(win))
+    assert stream.complete and list(stream.params) == [(95,)]
+    for bound in (None, 2):
+        v = embed_finite([0, 1], GroundSet.from_values(win, [95, 96]), late,
+                         bound=bound)
+        assert (v.outcome, v.witness.params, v.stats.complete) == (
+            YES, (95,), True)
+        v = embed_finite([0, 1], GroundSet.from_values(win, [90, 91]), late,
+                         bound=bound)
+        assert (v.outcome, v.stats.complete) == (NO, True)
