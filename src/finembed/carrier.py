@@ -283,13 +283,11 @@ def make_window(kind: str, bound: int,
 
 
 def make_table_window(payloads: Sequence[Payload],
-                      op: Callable[[Payload, Payload], Payload | None],
-                      check: bool = True, seed: int = 0) -> Window:
+                      op: Callable[[Payload, Payload], Payload | None]) -> Window:
     """Window over an explicit element list with a user-supplied operation.
 
     op returns the product payload, or None for overflow.  Associativity is
-    checked on construction: exhaustively up to 64 elements, on random
-    triples above that.
+    checked on construction (check_associative).
     """
     if not payloads:
         raise InputError("table window needs at least one element")
@@ -310,15 +308,16 @@ def make_table_window(payloads: Sequence[Payload],
                 raise InputError(f"operation escapes the table: {x!r}*{y!r}={z!r}")
         table.append(row)
     win = Window(TABLE, n, None, payloads, table)
-    if check and not check_associative(win, seed=seed):
+    if not check_associative(win):
         raise InputError("operation table is not associative on the window")
     return win
 
 
-def check_associative(window: Window, seed: int = 0, samples: int = 20000) -> bool:
+def check_associative(window: Window) -> bool:
     """(x*y)*z == x*(y*z) whenever all intermediate products stay in-window.
 
-    Exhaustive for windows of <= 64 elements, seeded random sampling above.
+    Exhaustive for windows of <= 64 elements; above that, 20000 random
+    triples from a fixed seed.
     """
     n = window.size
 
@@ -336,9 +335,9 @@ def check_associative(window: Window, seed: int = 0, samples: int = 20000) -> bo
     if n <= 64:
         return all(ok(i, j, k)
                    for i in range(n) for j in range(n) for k in range(n))
-    rng = random.Random(seed)
+    rng = random.Random(0)
     return all(ok(rng.randrange(n), rng.randrange(n), rng.randrange(n))
-               for _ in range(samples))
+               for _ in range(20000))
 
 
 def op_apply(window: Window, x: Element, y: Element) -> Element | _Overflow:
