@@ -100,7 +100,7 @@ class Window:
         elif kind == FREE_WORDS:
             assert alphabet is not None
             a = len(alphabet)
-            if a > 1 and bound > 20:  # 2^(bound+1) - 2 words or more
+            if a > 1 and bound > 20:  # 2^22 - 2 words or more, past the cap
                 raise InputError(_TOO_LARGE)
             self.size = (a ** (bound + 1) - a) // (a - 1) if a > 1 else bound
             # _starts[n - 1]: the encoding of the first word of length n, the
