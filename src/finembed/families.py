@@ -25,15 +25,19 @@ to it without listing them (FamilySpec.anchored_search).  Translations AND
 one strided slice of B's array per point of F (_translation_kernel).  The
 affine kernel reads slope rows of B's bitset with word-parallel ANDs until
 the first witness, then finishes the intercepts below it along the shorter
-side of the grid, strided numpy columns or more rows (_shift_search).  The
-anchored list stays the reference.
+side of the grid, strided numpy columns or more rows (_shift_search).  A
+sparse B has a third side: with two anchors, once the rows read cost as
+much as B's member pairs would, the kernel stops and walks the anchored
+list built from those pairs (_row_limit, _member_pairs), which gives the
+same witness and count.  The anchored list stays the reference.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from itertools import islice, product
+from itertools import combinations, islice, product
+from math import inf
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -41,7 +45,7 @@ import numpy as np
 from .carrier import (ADDITIVE, FREE_WORDS, MAX_NESTING, MULTIPLICATIVE,
                       OVERFLOW, TABLE, Element, GroundSet, Payload, Window,
                       _is_prime)
-from .errors import InputError, parse_int
+from .errors import BudgetError, InputError, parse_int
 
 Params = tuple
 Tuple_ = tuple
@@ -204,12 +208,13 @@ def _shell_order(lists: Sequence[Sequence]) -> Iterator[Params]:
 
 
 def _shift_search(B: GroundSet, slopes: range, anchors: Sequence[int],
-                  checks: Sequence[int]) -> tuple[tuple[int, int] | None, int]:
+                  checks: Sequence[int]
+                  ) -> tuple[tuple[int, int] | None, int] | None:
     """The affine maps' kernel: the least (a, s) in (a, s) order with
     a + s*f in B for every f in anchors and checks, s ranging over slopes,
     plus the number of pairs (a, s) <= it with a + s*f in B for every
     anchor f; with no such witness, None and the number of all those
-    anchor pairs.
+    anchor pairs.  None alone when the rows reach their limit first.
 
     B lives on an additive window 0..bound (mem: its membership bytes),
     and every slope must keep s*f <= bound for every anchor f.  Row s holds
@@ -229,10 +234,16 @@ def _shift_search(B: GroundSet, slopes: range, anchors: Sequence[int],
     end.  Rows are kept while they fit in _ROW_BITS, with no second pass;
     past it only the total of the rows dropped is kept, which is all a "no"
     needs, and a witness reads the dropped rows again, cut at its intercept.
+
+    With two anchors, the rows read (after a first witness too) stop at
+    _row_limit(m, bound) for B's m members: past it the caller walks the
+    anchored list of m(m-1)/2 pairs instead.  m is read only once the rows
+    reach the least limit, that of m = 0.  A lone anchor has no limit.
     """
     mem = B.array()
     buf, bits = B.bitset()
     bound, top = len(mem) - 1, max(anchors)
+    limit = _row_limit(0, bound) if len(anchors) == 2 else inf
 
     def row_of(s: int, offsets: Sequence[int], row: int) -> int:
         n = row.bit_length()
@@ -258,6 +269,10 @@ def _shift_search(B: GroundSet, slopes: range, anchors: Sequence[int],
             n = min(n, best[0])
             if not n:
                 break
+        if scanned == limit:
+            limit = _row_limit(bits.bit_count(), bound)
+            if scanned == limit:
+                return None
         row = row_of(s, anchors, (1 << n) - 1)
         scanned += 1
         if scanned <= keep:
@@ -323,8 +338,28 @@ def _column_search(mem: np.ndarray, a1: int, s1: int, anchors: Sequence[int],
     return None, count
 
 
-# Rows are kept while the list holds no more bits than this.
+# Rows are kept while the list holds no more bits than this; an affine
+# candidate list takes at most _MAX_PAIRS member pairs.
 _ROW_BITS = 1 << 23
+_MAX_PAIRS = 1 << 20
+
+
+def _row_limit(m: int, bound: int) -> float:
+    """The rows worth a walk of m members' pairs (scripts/affine_rule.py,
+    BENCH_26.json); no limit past the pair budget."""
+    pairs = m * (m - 1) // 2
+    return (inf if pairs > _MAX_PAIRS
+            else int((pairs + 89) / (6.7 + bound / 5300)))
+
+
+def _member_pairs(B: GroundSet) -> Iterator[tuple[Payload, Payload]]:
+    """B's member pairs (b1, b2), b1 < b2, in lexicographic order: the
+    anchor images of the affine candidates.  BudgetError past _MAX_PAIRS."""
+    m = B.count()
+    if m * (m - 1) // 2 > _MAX_PAIRS:
+        raise BudgetError(f"budget-exceeded: more than {_MAX_PAIRS} "
+                          "member pairs")
+    return combinations(B.values(), 2)
 
 
 # -- built-in families ------------------------------------------------------
@@ -430,29 +465,17 @@ def builtin_affine(window: Window) -> FamilySpec:
         return y if y <= window.bound else None
 
     def anchored(fpay: Tuple_, B: GroundSet) -> list[Params]:
-        bvals = list(B.values())
-        cands: list[Params] = []
         fs = sorted(set(fpay))  # a repeated point is no second anchor
         if len(fs) >= 2:
-            f1, f2 = fs[0], fs[1]
-            den = f2 - f1
-            for b1 in bvals:
-                for b2 in bvals:
-                    num = b2 - b1
-                    if num <= 0 or num % den:
-                        continue
-                    slope = num // den
-                    inter = b1 - slope * f1
-                    if inter >= 0:
-                        cands.append((inter, slope))
+            f1, den = fs[0], fs[1] - fs[0]
+            cands = []
+            for b1, b2 in _member_pairs(B):
+                if not (b2 - b1) % den and b1 >= (s := (b2 - b1) // den) * f1:
+                    cands.append((b1 - s * f1, s))
         else:
             x = fs[0]
-            for beta in bvals:
-                if x == 0:
-                    cands.append((beta, 1))
-                else:
-                    for slope in range(1, beta // x + 1):
-                        cands.append((beta - slope * x, slope))
+            cands = [(beta - s * x, s) for beta in B.values()
+                     for s in (range(1, beta // x + 1) if x else (1,))]
         return sorted(cands)
 
     def kernel(fpay: Tuple_, B: GroundSet) -> tuple[Params | None, int]:
@@ -462,7 +485,19 @@ def builtin_affine(window: Window) -> FamilySpec:
         # lone anchor at 0 admits the slope-1 candidates alone.
         top = anchors[-1]
         slopes = range(1, window.bound // top + 1 if top else 2)
-        return _shift_search(B, slopes, anchors, checks)
+        found = _shift_search(B, slopes, anchors, checks)
+        if found is not None:
+            return found
+        # The rows reached their limit: the pair list is the cheaper side.
+        members = set(B.values())
+        cands = anchored(fpay, B)
+        for rank, (a, s) in enumerate(cands, 1):
+            for f in checks:
+                if a + s * f not in members:
+                    break
+            else:
+                return (a, s), rank
+        return None, len(cands)
 
     return FamilySpec(
         name="affine", window=window, arity=1, param_arity=2,

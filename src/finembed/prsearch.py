@@ -231,7 +231,6 @@ def gap_grid_pattern(n_index: int, strict: bool = False) -> Pattern:
 
 
 def poly_progression_pattern(length: int, degree: int,
-                             coeff_pred: Callable[[int], bool] | None,
                              d_indices: Sequence[int]) -> Pattern:
     """Runs P(1), ..., P(length) of restricted-coefficient polynomials."""
     if length < 2:
@@ -239,10 +238,8 @@ def poly_progression_pattern(length: int, degree: int,
     dset = poly_indices(d_indices, degree)
 
     def between(lo: int, n: int) -> Iterator[tuple[int, ...]]:
-        values = [v for v in range(n + 1)
-                  if coeff_pred is None or coeff_pred(v)]
         # P(1) = sum of coefficients must land in [1..n]
-        for coeffs in poly_coefficients(dset, values, n):
+        for coeffs in poly_coefficients(dset, range(n + 1), n):
             run = set()
             for x in range(1, length + 1):
                 y = sum(c * x ** i for i, c in zip(dset, coeffs))
@@ -362,8 +359,7 @@ def parse_pattern(spec: str) -> Pattern:
         what = "poly:<l>:<d>:<D>"
         d_indices = [parse_int(x, what) for x in parts[3].split(",")]
         return poly_progression_pattern(parse_int(parts[1], what),
-                                        parse_int(parts[2], what),
-                                        None, d_indices)
+                                        parse_int(parts[2], what), d_indices)
     raise InputError(f"unknown pattern {spec!r}")
 
 

@@ -302,3 +302,20 @@ def reference_table_translations(window, w0, B, right: bool):
     return [(r,) for b in B.values() for r in window.payloads()
             if (window.op_payload(w0, r) if right
                 else window.op_payload(r, w0)) == b]
+
+
+def reference_affine_candidates(fpay, B):
+    """Pre-change reference for the anchored affine list with two anchors:
+    every ordered pair (b1, b2) of members solved for the map sending the
+    two least points of F to them, kept when the slope is a positive integer
+    and the intercept non-negative, then sorted."""
+    f1, f2 = sorted(set(fpay))[:2]
+    cands = []
+    for b1 in B.values():
+        for b2 in B.values():
+            num = b2 - b1
+            if num > 0 and num % (f2 - f1) == 0:
+                slope = num // (f2 - f1)
+                if b1 - slope * f1 >= 0:
+                    cands.append((b1 - slope * f1, slope))
+    return sorted(cands)

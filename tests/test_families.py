@@ -114,7 +114,7 @@ def test_polynomial_domain_errors_agree(win, d_indices, degree, text):
     entry_points = (
         lambda: builtin_polynomial(s_all, d_indices, degree),
         lambda: longest_poly_progression(s_all, degree, s_all, d_indices),
-        lambda: poly_progression_pattern(3, degree, None, d_indices))
+        lambda: poly_progression_pattern(3, degree, d_indices))
     for call in entry_points:
         with pytest.raises(InputError) as err:
             call()
@@ -128,7 +128,7 @@ def test_constant_polynomial_family_and_pattern_accept_d0(win):
     s_all = GroundSet.from_predicate(win, lambda v: True, "N")
     fam = builtin_polynomial(s_all, [0], 1)
     assert fam.apply((7,), (1,)).display == "7"  # P = 7 at x = 1
-    assert poly_progression_pattern(3, 1, None, [0]).instances(5) == [
+    assert poly_progression_pattern(3, 1, [0]).instances(5) == [
         (v,) for v in range(1, 6)]
 
 

@@ -5,10 +5,12 @@ import random
 
 import pytest
 
+from conftest import reference_affine_candidates
 from finembed.carrier import (ADDITIVE, FREE_WORDS, MULTIPLICATIVE, GroundSet,
                               make_window, parse_predicate)
 from finembed import families
 from finembed.embed import NO, YES, embed_finite, fe_decide, fe_probe
+from finembed.errors import BudgetError
 from finembed.families import (builtin_affine, builtin_left_translations,
                                builtin_right_translations, filter_params,
                                restrict_params)
@@ -359,3 +361,89 @@ def test_affine_probe_into_primes_at_large_window():
     assert [(e.verdict.witness.params, e.verdict.stats.params_examined)
             for e in report.entries] == [((2, 1), 1), ((3, 2), 9592),
                                          ((5, 6), 19183)]
+
+
+# -- sparse targets: the rows stop at a limit, then the member pairs -----------
+
+@pytest.fixture
+def sides(monkeypatch):
+    """"rows" or "pairs" for every row search: the side that answered."""
+    calls = []
+    real = families._shift_search
+
+    def spy(B, slopes, anchors, checks):
+        found = real(B, slopes, anchors, checks)
+        calls.append("rows" if found is not None else "pairs")
+        return found
+
+    monkeypatch.setattr(families, "_shift_search", spy)
+    return calls
+
+
+def test_member_pairs_give_the_pre_change_list():
+    rng = random.Random(2601)
+    for _ in range(300):
+        win = make_window(ADDITIVE, rng.randrange(1, 300))
+        B = random_target(rng, win)
+        F = rng.sample(range(min(win.bound, 12) + 1),
+                       min(win.bound + 1, rng.randint(2, 4)))
+        if len(set(F)) < 2:
+            continue
+        assert builtin_affine(win)._anchored(tuple(F), B) == \
+            reference_affine_candidates(F, B), (F, sorted(B.values()))
+
+
+def test_both_sides_of_the_row_limit_agree_with_the_list(sides):
+    # Few members against many slopes end on the pairs; many members, or
+    # a witness in the first rows, end on the rows.
+    rng = random.Random(26)
+    for _ in range(200):
+        W = rng.choice([100, 400, 2000, 10_000])
+        win = make_window(ADDITIVE, W)
+        m = rng.choice([2, 5, 12, 30, 60, min(W // 8, 400)])
+        B = GroundSet.from_values(win, rng.sample(range(W + 1), m))
+        F = sorted(rng.sample(range(rng.choice([4, 10]) + 1),
+                              rng.randint(2, 4)))
+        check(F, B, builtin_affine(win))
+    assert sides.count("rows") > 40 and sides.count("pairs") > 80, sides
+
+
+def test_two_members_far_apart_read_a_few_rows(monkeypatch, sides):
+    # Affine [0, 1] into {0, 50000} at W = 1e5: the one witness sits at
+    # slope 50,000, the rows stop at their limit of a few rows, and the
+    # pair list holds one candidate.
+    real = families._row_limit
+    reads = []
+
+    class Limit(int):
+        """The real limit, which counts the times it is compared."""
+
+        def __eq__(self, scanned):
+            reads.append(scanned)
+            return int(self) == scanned
+
+        __hash__ = int.__hash__
+
+    monkeypatch.setattr(families, "_row_limit",
+                        lambda m, bound: Limit(real(m, bound)))
+    win = make_window(ADDITIVE, 100_000)
+    B = GroundSet.from_values(win, [0, 50_000])
+    v = embed_finite([0, 1], B, builtin_affine(win))
+    assert (v.outcome, v.witness.params, v.stats.params_examined) == \
+        (YES, (0, 50_000), 1)
+    # The rows reach the least limit, that of no members, then read m and
+    # stop at its limit: here the same one.
+    limit = real(2, 100_000)
+    assert sides == ["pairs"] and 0 < limit == real(0, 100_000) < 10
+    assert reads == list(range(limit + 1)) + [limit]
+
+
+def test_filtered_affine_list_is_budgeted_on_a_dense_target():
+    win = make_window(ADDITIVE, 100_000)
+    evens = GroundSet.from_predicate(win, parse_predicate("evens"))
+    even_slope = filter_params(builtin_affine(win), lambda p: p[1] % 2 == 0,
+                               "even-slope")
+    with pytest.raises(BudgetError) as err:
+        embed_finite([0, 1], evens, even_slope)
+    assert str(err.value) == (f"budget-exceeded: more than "
+                              f"{families._MAX_PAIRS} member pairs")

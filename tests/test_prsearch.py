@@ -169,12 +169,10 @@ def test_threshold_instance_overflow_comes_at_the_reference_n(pattern, r):
 
 
 def test_poly_progression_instances():
-    pat = poly_progression_pattern(3, 2, None, [2])
+    pat = poly_progression_pattern(3, 2, [2])
     insts = pat.instances(40)
     assert (1, 4, 9) in insts  # P(x) = x^2
     assert all(len(i) <= 3 for i in insts)
-    pat = poly_progression_pattern(2, 1, lambda v: v % 2 == 0, [1])
-    assert (2, 4) in pat.instances(10)  # P(x) = 2x with even coefficients
 
 
 def test_instances_are_sorted_and_deduplicated():
