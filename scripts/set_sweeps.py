@@ -15,9 +15,11 @@ AP certificate of the evens end to end, the affine and translation
 embedding kernels (translations on both numeric carriers) and a
 geoarithmetic bounded scan that answers unknown, each on fresh sets at
 growing W, in-process and single-threaded, plus two affine scans that run
-past the kernel's row budget, the fixed cost of a CLI call and batches of
-small word-window decides (translations left and right and word-suffix,
-sets read from JSON bodies) at word lengths L = 4..8.  A case
+past the kernel's row budget, affine searches into 5 to 400 random members
+on both sides of the kernel's row limit (anchors (0, 1), (0, 2) and
+(1, 3)), the fixed cost of a CLI call and batches of small word-window
+decides (translations left and right and word-suffix, sets read from JSON
+bodies) at word lengths L = 4..8.  A case
 stops growing W once a first run takes longer than MAX_SECONDS, so slow
 (quadratic) implementations can be swept with the same script.  Only the
 public API and the CLI entry point are used.
@@ -268,6 +270,23 @@ def affine_long(W):
     return lambda: family.anchored_search(range(k), B)
 
 
+def affine_sparse(m):
+    # m seeded members against the anchors (0, 1), (0, 2) and (1, 3), each
+    # alone and with the point that continues them in progression, the
+    # shapes of affine probes: at few members the rows cost more than the
+    # m(m-1)/2 member pairs, at many the pairs cost more.
+    def build(W):
+        rng = random.Random(W + m)
+        win = make_window(ADDITIVE, W)
+        B = GroundSet.from_values(win, rng.sample(range(W + 1), m))
+        B.bitset()
+        family = builtin_affine(win)
+        queries = [F + (2 * F[1] - F[0],) * third
+                   for F in ((0, 1), (0, 2), (1, 3)) for third in (0, 1)]
+        return lambda: [family.anchored_search(F, B) for F in queries]
+    return build
+
+
 def translations_mul(W):
     # F = [2, 3, 5] into the multiples of 6: the candidates are r = 3k, and
     # the first witness is r = 6 (12, 18 and 30).
@@ -417,6 +436,11 @@ CASES = tuple(
      "families.anchored_search", affine_long, (20_000,)),
     ("anchored_search affine {0..6} into primes (yes)",
      "families.anchored_search", affine_long, (100_000,)),
+) + tuple(
+    (f"anchored_search affine sparse vs dense, |B| = {m}",
+     "families.anchored_search", affine_sparse(m),
+     tuple(W for W in SMALL_SIZES if m <= W // 4))
+    for m in (5, 20, 100, 400)) + (
     ("fe_decide translations and affine, 200 draws", "embed.fe_decide",
      tiny_decides, (40,)),
     ("translations [2,3,5] into multiples:6, multiplicative",
