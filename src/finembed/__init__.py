@@ -2,9 +2,9 @@
 progression-richness detectors, generalized upper density, and
 partition-regularity certificate searches."""
 
-from .carrier import (ADDITIVE, FREE_WORDS, MULTIPLICATIVE, OVERFLOW, TABLE,
-                      Element, GroundSet, Window, elements, make_table_window,
-                      make_window, op_apply, parse_predicate)
+from .carrier import (ADDITIVE, FREE_WORDS, MULTIPLICATIVE, TABLE, GroundSet,
+                      Window, make_table_window, make_window, op_apply,
+                      parse_predicate)
 from .density import (DensityReport, Net, check_density_monotonicity,
                       interval_net, upper_density, weak_cancellativity_bound)
 from .embed import (EmbedVerdict, EmbedWitness, check_reflexive_criterion,

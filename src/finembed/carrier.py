@@ -1,9 +1,10 @@
 """Finite windows of concrete semigroups and sets living inside them.
 
 A Window is a closed truncation of a semigroup carrier: products that land
-outside the window come back as the distinguished OVERFLOW outcome instead of
-wrapping, so every downstream search can treat "left the window" as
-"candidate rejected".  Four kinds are supported:
+outside the window come back as None instead of wrapping, so every
+downstream search can treat "left the window" as "candidate rejected".
+Elements are payloads: ints on the numeric kinds, strings on words, a
+table's own values.  Four kinds are supported:
 
   additive-naturals        values 0..W under +
   multiplicative-naturals  values 1..W under *
@@ -20,7 +21,6 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
@@ -49,34 +49,6 @@ MAX_NESTING = 64
 _FILL_CHUNK = 1024
 
 Payload = int | str
-
-
-class _Overflow:
-    """Singleton outcome for products that leave the window."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "OVERFLOW"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-OVERFLOW = _Overflow()
-
-
-@dataclass(frozen=True)
-class Element:
-    """One window element: canonical-order index plus its display form."""
-
-    encoding: int
-    display: str
 
 
 class Window:
@@ -159,22 +131,16 @@ class Window:
             return False
         return True
 
-    def element(self, enc: int) -> Element:
-        return Element(enc, self.display(self.payload(enc)))
-
-    def display(self, payload: Payload) -> str:
-        return payload if isinstance(payload, str) else str(payload)
-
-    def parse(self, text: str) -> Element:
-        """Inverse of display; Element displays round-trip through this."""
-        if self.kind in (ADDITIVE, MULTIPLICATIVE):
-            try:
-                value: Payload = int(text)
-            except ValueError as exc:
-                raise InputError(f"unparseable numeral {text!r}") from exc
-        else:
-            value = text
-        return Element(self.encoding(value), text)
+    def parse(self, text: str) -> Payload:
+        """The payload text names: a numeral's int on the numeric kinds, the
+        text itself otherwise.  Whether it lies in the window is encoding's
+        check."""
+        if self.kind not in (ADDITIVE, MULTIPLICATIVE):
+            return text
+        try:
+            return int(text)
+        except ValueError as exc:
+            raise InputError(f"unparseable numeral {text!r}") from exc
 
     def payloads(self) -> Iterator[Payload]:
         return map(self.payload, range(self.size))
@@ -340,13 +306,10 @@ def check_associative(window: Window) -> bool:
                for _ in range(20000))
 
 
-def op_apply(window: Window, x: Element, y: Element) -> Element | _Overflow:
-    """Apply the window operation to two elements; OVERFLOW if it leaves."""
-    for e in (x, y):
-        if not 0 <= e.encoding < window.size:
-            raise InputError(f"element-out-of-window: {e}")
-    z = window.op_enc(x.encoding, y.encoding)
-    return OVERFLOW if z is None else window.element(z)
+def op_apply(window: Window, x: Payload, y: Payload) -> Payload | None:
+    """x*y for two payloads of the window; None if it leaves the window."""
+    z = window.op_enc(window.encoding(x), window.encoding(y))
+    return None if z is None else window.payload(z)
 
 
 class GroundSet:
@@ -501,18 +464,6 @@ class GroundSet:
     def __repr__(self) -> str:
         tag = "explicit" if self.explicit else "predicate"
         return f"GroundSet({self.label or tag}, window={self.window!r})"
-
-
-def elements(ground: GroundSet, cap: int) -> list[Element]:
-    """First cap members in canonical order (all of them if fewer exist)."""
-    if cap < 0:
-        raise InputError("cap must be >= 0")
-    out: list[Element] = []
-    for enc in ground.iter_enc():
-        if len(out) >= cap:
-            break
-        out.append(ground.window.element(enc))
-    return out
 
 
 # -- named builtin predicates for the JSON set format ----------------------

@@ -416,8 +416,8 @@ def check_density_monotonicity(pairs: Sequence[tuple[GroundSet, GroundSet]],
     """Density grows (up to 1/b) along right-translation-style embeddings.
 
     Each pair is re-established first: explicit A through the full decision,
-    predicate A through prefix probes, and anything short of "yes" raises
-    UnverifiedPairError.
+    predicate A through prefixes of the probe sizes (2 and 4 when probes is
+    None), and anything short of "yes" raises UnverifiedPairError.
     """
     win = family.window
     b = weak_cancellativity_bound(win)
@@ -426,7 +426,8 @@ def check_density_monotonicity(pairs: Sequence[tuple[GroundSet, GroundSet]],
         if A.explicit:
             verified = fe_decide(A, B, family).outcome == YES
         else:
-            probed = fe_probe(A, B, family, list(probes or [2, 4]))
+            probed = fe_probe(A, B, family,
+                              [2, 4] if probes is None else list(probes))
             verified = probed.overall == "supported"
         if not verified:
             raise UnverifiedPairError(

@@ -15,7 +15,6 @@ bounded scans that find nothing return "unknown".
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -152,7 +151,6 @@ class ProbeEntry:
     size: int
     F: tuple[Payload, ...]
     verdict: EmbedVerdict
-    randomized: bool = False
 
 
 @dataclass(frozen=True)
@@ -173,40 +171,23 @@ class ProbeReport:
 
 
 def fe_probe(A: GroundSet, B: GroundSet, family: FamilySpec,
-             probe_sizes: Sequence[int], bound: int | None = None,
-             random_subsets: int = 0, seed: int = 0) -> ProbeReport:
+             probe_sizes: Sequence[int], bound: int | None = None
+             ) -> ProbeReport:
     """Probe A <=_family B through canonical-order prefixes of A.
 
     A "no" at any probe is a witnessed counterexample to the whole relation;
     all-yes is evidence only, since larger finite subsets remain unchecked.
-    With random_subsets > 0, seeded random size-p subsets of A supplement the
-    deterministic prefixes.
     """
     if (not probe_sizes or list(probe_sizes) != sorted(probe_sizes)
             or probe_sizes[0] < 1):
         raise InputError("probe sizes must be a non-empty ascending list "
                          "of positive integers")
-    pool: list[Payload] = []
-    need = max(probe_sizes) * (4 if random_subsets else 1)
-    for enc in A.iter_enc():
-        pool.append(A.window.payload(enc))
-        if len(pool) >= need:
-            break
+    pool = tuple(itertools.islice(A.values(), probe_sizes[-1]))
     if not pool:
         raise InputError("A-empty: nothing to probe")
-    entries: list[ProbeEntry] = []
-    rng = random.Random(seed)
-    for p in probe_sizes:
-        prefix = tuple(pool[:min(p, len(pool))])
-        entries.append(ProbeEntry(
-            p, prefix, embed_finite(prefix, B, family, bound)))
-        for _ in range(random_subsets):
-            if len(pool) <= p:
-                break
-            sub = tuple(sorted(rng.sample(pool, p), key=A.window.sort_key))
-            entries.append(ProbeEntry(
-                p, sub, embed_finite(sub, B, family, bound), True))
-    return ProbeReport(tuple(entries))
+    return ProbeReport(tuple(
+        ProbeEntry(p, pool[:p], embed_finite(pool[:p], B, family, bound))
+        for p in probe_sizes))
 
 
 # -- structural criteria ------------------------------------------------------

@@ -43,8 +43,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .carrier import (ADDITIVE, FREE_WORDS, MAX_NESTING, MULTIPLICATIVE,
-                      OVERFLOW, TABLE, Element, GroundSet, Payload, Window,
-                      _is_prime)
+                      TABLE, GroundSet, Payload, Window, _is_prime)
 from .errors import BudgetError, InputError, parse_int
 
 Params = tuple
@@ -85,24 +84,19 @@ class FamilySpec:
     def r_accepts(self, params: Params) -> bool:
         return len(params) == self.param_arity and self._r(params)
 
-    def apply(self, params: Params, tup: Tuple_) -> Element | object:
-        """Evaluate f_params on an argument tuple of payloads or Elements."""
-        params = tuple(params)
+    def apply(self, params: Params, tup: Tuple_) -> Payload | None:
+        """f_params on an argument tuple of payloads, checked against R and
+        the window (g is the same map unchecked); None on overflow."""
+        params, tup = tuple(params), tuple(tup)
         if not self.r_accepts(params):
             raise InputError(f"params-outside-R: {params!r} for {self.name}")
-        payloads = tuple(
-            self.window.payload(t.encoding) if isinstance(t, Element) else t
-            for t in tup)
-        if len(payloads) != self.arity:
+        if len(tup) != self.arity:
             raise InputError(
                 f"arity-mismatch: expected {self.arity} arguments")
-        for p in payloads:
+        for p in tup:
             if not self.window.contains_value(p):
                 raise InputError(f"element-out-of-window: {p!r}")
-        out = self.g(payloads, params)
-        if out is None:
-            return OVERFLOW
-        return self.window.element(self.window.encoding(out))
+        return self.g(tup, params)
 
     # -- parameter enumeration ---------------------------------------------
 
@@ -164,12 +158,10 @@ class FamilySpec:
         return filter(self._r, _shell_order(lists))
 
     def _normalize_f(self, F: Iterable[Payload]) -> Tuple_:
-        pays = []
-        for t in F:
-            p = self.window.payload(t.encoding) if isinstance(t, Element) else t
+        pays = tuple(F)
+        for p in pays:
             if not self.window.contains_value(p):
                 raise InputError(f"F-outside-window: {p!r}")
-            pays.append(p)
         if not pays:
             raise InputError("F must be non-empty")
         return tuple(sorted(pays, key=self.window.sort_key))
@@ -747,7 +739,6 @@ _R_CATALOG: dict[str, Callable[[Params], bool]] = {
 
 def make_family_from_pair(window: Window, n: int, k: int, term: str,
                           r_spec: str = "N",
-                          mode: str = "bounded-scan",
                           bound: int | None = None) -> FamilySpec:
     """Family from a term over slot0..slot{n-1} and param0..param{k-1}.
 
@@ -760,8 +751,6 @@ def make_family_from_pair(window: Window, n: int, k: int, term: str,
         raise InputError("pair families need a numeric carrier")
     if n < 1 or k < 0:
         raise InputError("arity-mismatch: need n >= 1, k >= 0")
-    if mode != "bounded-scan":
-        raise InputError(f"pair families support bounded-scan only, got {mode!r}")
     if r_spec not in _R_CATALOG:
         raise InputError(f"unknown parameter region {r_spec!r}")
     node = _TermParser(_tokenize(term), n, k).parse()

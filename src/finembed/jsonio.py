@@ -87,12 +87,12 @@ def set_body_from_json(window: Window, body: Any, label: str = "") -> GroundSet:
     if values is not None:
         numerals = window.sort_key is None  # words need no parse
         try:  # each element converted once
-            encs = [window.parse(v).encoding if numerals and type(v) is str
-                    else window.encoding(v) for v in values]
+            encs = [window.encoding(window.parse(v) if numerals
+                                    and type(v) is str else v) for v in values]
         except InputError:
             for v in values:  # a bad string is reported before a bad number
                 if type(v) is str:
-                    window.parse(v)
+                    window.encoding(window.parse(v))
             raise
         return GroundSet.from_encodings(
             window, encs, label=label or _field(body, "label", str, "",
@@ -142,13 +142,15 @@ def family_from_json(obj: Any, window: Window) -> FamilySpec:
         raise InputError("family needs 'builtin' or 'pair'")
     where = "pair family"
     enum = _field(spec, "enum", dict, _EMPTY, where)
-    return make_family_from_pair(
-        window, _field(spec, "n", int, where=where),
-        _field(spec, "k", int, where=where),
+    n, k, term, r_spec, mode, bound = (
+        _field(spec, "n", int, where=where), _field(spec, "k", int, where=where),
         _field(spec, "term", str, where=where),
-        r_spec=_field(spec, "R", str, "N", where),
-        mode=_field(enum, "mode", str, "bounded-scan", "pair family 'enum'"),
-        bound=_field(enum, "bound", int, None, "pair family 'enum'"))
+        _field(spec, "R", str, "N", where),
+        _field(enum, "mode", str, "bounded-scan", "pair family 'enum'"),
+        _field(enum, "bound", int, None, "pair family 'enum'"))
+    if mode != "bounded-scan":
+        raise InputError(f"pair families support bounded-scan only, got {mode!r}")
+    return make_family_from_pair(window, n, k, term, r_spec, bound)
 
 
 def net_from_spec(spec: str, window: Window) -> Net:
@@ -271,7 +273,7 @@ def probe_report_to_json(report: ProbeReport) -> dict:
             {
                 "size": e.size,
                 "F": list(e.F),
-                "randomized": e.randomized,
+                "randomized": False,
                 "verdict": verdict_to_json(e.verdict),
             }
             for e in report.entries

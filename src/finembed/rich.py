@@ -292,6 +292,8 @@ def is_thick_window(A: GroundSet, probe_intervals: Sequence[int]) -> ShiftReport
     multiplicative carrier a shift is a translation of F_L into A, so the
     translations kernel finds the least one.
     """
+    if not probe_intervals:
+        raise InputError("probe lengths must be a non-empty list")
     win = A.window
     entries = []
     first_run = _first_full_run(A.array()) if win.kind == ADDITIVE else None
@@ -333,6 +335,8 @@ def maximality_probe(A: GroundSet, family: FamilySpec,
 
     A "no" at any probe certifies A is not maximal at window scale.
     """
+    if not probe_sizes:
+        raise InputError("probe sizes must be a non-empty list")
     win = A.window
     out = []
     for p in probe_sizes:
@@ -353,6 +357,8 @@ def is_piecewise_syndetic_window(A: GroundSet, gap_bound: int,
     """
     if gap_bound < 1:
         raise InputError("gap bound must be >= 1")
+    if not span_probes:
+        raise InputError("span probes must be a non-empty list")
     win = A.window
     if win.kind == ADDITIVE:
         return _ps_additive(A, gap_bound, span_probes)

@@ -5,9 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from finembed.carrier import (ADDITIVE, FREE_WORDS, MAX_NESTING,
-                              MULTIPLICATIVE, OVERFLOW, GroundSet,
-                              check_associative, elements, make_table_window,
-                              make_window, op_apply, parse_predicate)
+                              MULTIPLICATIVE, GroundSet, check_associative,
+                              make_table_window, make_window, op_apply,
+                              parse_predicate)
 from finembed.errors import InputError
 
 
@@ -16,7 +16,9 @@ def test_additive_window_basics():
     assert w.size == 101
     assert [w.payload(i) for i in range(3)] == [0, 1, 2]
     assert w.identity_enc == 0
-    assert op_apply(w, w.element(2), w.element(3)).display == "5"
+    assert op_apply(w, 2, 3) == 5
+    assert op_apply(w, 60, 40) == 100
+    assert op_apply(w, 60, 41) is None
 
 
 def test_multiplicative_window_starts_at_one():
@@ -24,8 +26,8 @@ def test_multiplicative_window_starts_at_one():
     assert w.size == 20
     assert w.payload(0) == 1
     assert w.payload(w.identity_enc) == 1
-    assert op_apply(w, w.parse("3"), w.parse("4")).display == "12"
-    assert op_apply(w, w.parse("7"), w.parse("8")) is OVERFLOW
+    assert op_apply(w, 3, 4) == 12
+    assert op_apply(w, 7, 8) is None
     with pytest.raises(InputError):
         make_window(MULTIPLICATIVE, 0)
 
@@ -35,8 +37,8 @@ def test_word_window_count_and_order():
     assert w.size == 14  # 2 + 4 + 8 nonempty words
     assert [w.payload(i) for i in range(6)] == ["a", "b", "aa", "ab", "ba", "bb"]
     assert w.identity_enc is None
-    assert op_apply(w, w.parse("ab"), w.parse("a")).display == "aba"
-    assert op_apply(w, w.parse("ab"), w.parse("ba")) is OVERFLOW
+    assert op_apply(w, "ab", "a") == "aba"
+    assert op_apply(w, "ab", "ba") is None
 
 
 def test_window_errors():
@@ -52,27 +54,71 @@ def test_window_errors():
 
 def test_overflow_is_explicit_not_wrapped():
     w = make_window(ADDITIVE, 10)
-    assert op_apply(w, w.element(7), w.element(8)) is OVERFLOW
+    assert op_apply(w, 7, 8) is None
+    assert op_apply(w, 7, 3) == 10
+
+
+def test_op_apply_on_a_table_window():
+    # max on {0, 1, 2} with 2 * 2 undefined: None is overflow there too
+    w = make_table_window([0, 1, 2],
+                          lambda x, y: None if x == y == 2 else max(x, y))
+    assert op_apply(w, 1, 2) == 2
+    assert op_apply(w, 0, 1) == 1
+    assert op_apply(w, 2, 2) is None
+
+
+@pytest.mark.parametrize("kind, bound, alphabet, x, y, message", [
+    (ADDITIVE, 10, None, 11, 0, "element-out-of-window: 11"),
+    (ADDITIVE, 10, None, 0, -1, "element-out-of-window: -1"),
+    (MULTIPLICATIVE, 10, None, 0, 2, "element-out-of-window: 0"),
+    (ADDITIVE, 10, None, "1", 2, "element-out-of-window: '1'"),
+    (FREE_WORDS, 2, ["a", "b"], "abb", "a", "element-out-of-window: 'abb'"),
+    (FREE_WORDS, 2, ["a", "b"], "a", "c", "letter 'c' not in alphabet"),
+])
+def test_op_apply_rejects_values_outside_the_window(kind, bound, alphabet,
+                                                    x, y, message):
+    w = make_window(kind, bound, alphabet)
+    with pytest.raises(InputError, match=f"^{message}$"):
+        op_apply(w, x, y)
 
 
 @given(st.integers(1, 60), st.data())
 def test_display_roundtrip_numeric(bound, data):
     w = make_window(ADDITIVE, bound)
     enc = data.draw(st.integers(0, w.size - 1))
-    el = w.element(enc)
-    assert w.parse(el.display).encoding == enc
+    value = w.parse(str(w.payload(enc)))
+    assert value == w.payload(enc)
+    assert w.encoding(value) == enc
 
 
 @given(st.integers(1, 4), st.data())
 def test_display_roundtrip_words(length, data):
     w = make_window(FREE_WORDS, length, ["a", "b", "c"])
     enc = data.draw(st.integers(0, w.size - 1))
-    el = w.element(enc)
-    assert w.parse(el.display).encoding == enc
+    word = w.payload(enc)
+    assert w.parse(word) == word
+    assert w.encoding(word) == enc
     # canonical order is length-then-lex, strictly increasing
     if enc:
         prev = w.payload(enc - 1)
-        assert (len(prev), prev) < (len(el.display), el.display)
+        assert (len(prev), prev) < (len(word), word)
+
+
+@pytest.mark.parametrize("kind, text, want", [
+    (ADDITIVE, "12", 12), (ADDITIVE, "-3", -3),
+    (MULTIPLICATIVE, "999", 999),
+])
+def test_parse_reads_numerals_without_a_window_check(kind, text, want):
+    # the window check is encoding's: parse only names the payload
+    assert make_window(kind, 10).parse(text) == want
+
+
+@pytest.mark.parametrize("text", ["x1", "", "1.5", "0x10"])
+def test_parse_rejects_a_bad_numeral(text):
+    for kind in (ADDITIVE, MULTIPLICATIVE):
+        with pytest.raises(InputError,
+                           match=f"^unparseable numeral {text!r}$"):
+            make_window(kind, 10).parse(text)
 
 
 @given(st.integers(1, 20))
@@ -137,11 +183,11 @@ def test_table_windows_with_other_elements_are_incompatible():
 def test_ground_set_explicit_and_predicate():
     w = make_window(ADDITIVE, 30)
     ev = GroundSet.from_predicate(w, lambda v: v % 2 == 0, "evens")
-    assert [e.display for e in elements(ev, 3)] == ["0", "2", "4"]
+    assert list(itertools.islice(ev.values(), 3)) == [0, 2, 4]
     ex = GroundSet.from_values(w, [5, 7, 9])
-    assert [e.display for e in elements(ex, 10)] == ["5", "7", "9"]
+    assert list(itertools.islice(ex.values(), 10)) == [5, 7, 9]
     sq = GroundSet.from_predicate(w, lambda v: int(v ** 0.5 + 0.5) ** 2 == v)
-    assert [int(e.display) for e in elements(sq, 100)] == [0, 1, 4, 9, 16, 25]
+    assert list(sq.values()) == [0, 1, 4, 9, 16, 25]
 
 
 def test_membership_outside_window_rejected():

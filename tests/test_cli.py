@@ -377,6 +377,19 @@ def test_cli_well_formed_families_still_answer(capsys, tmp_path, files):
         assert code == 0 and payload["outcome"] in ("yes", "unknown")
 
 
+def test_cli_pair_family_enum_mode_is_bounded_scan_only(capsys, tmp_path,
+                                                        files):
+    p = tmp_path / "family.json"
+    p.write_text(json.dumps({"pair": {**PAIR, "enum": {
+        "mode": "complete-anchored"}}}))
+    code = dispatch(["embed", "--set-a", files["a"], "--set-b", files["b"],
+                     "--family", str(p)])
+    assert code == 2
+    assert capsys.readouterr().err == ("error: pair families support "
+                                       "bounded-scan only, got "
+                                       "'complete-anchored'\n")
+
+
 # -- the input contract: every malformed input exits 2 --------------------
 
 WIN = {"kind": "additive-naturals", "bound": 30}

@@ -569,6 +569,16 @@ def test_check_density_monotonicity_rejects_bad_pair():
         check_density_monotonicity([(A, evens)], tr, interval_net(10))
 
 
+def test_check_density_monotonicity_probes_default_only_when_none():
+    win = make_window(ADDITIVE, 100)
+    tr = builtin_right_translations(win)
+    pair = (GroundSet.from_predicate(win, lambda v: v % 4 == 0, "A"),
+            GroundSet.from_predicate(win, lambda v: v % 2 == 0, "B"))
+    assert check_density_monotonicity([pair], tr, interval_net(10)).all_ok
+    with pytest.raises(InputError, match="^probe sizes must be a non-empty"):
+        check_density_monotonicity([pair], tr, interval_net(10), probes=[])
+
+
 def test_density_of_superset_window_bound_cor():
     """Thick-looking sets reach density close to 1 (b = 1 carrier)."""
     win = make_window(ADDITIVE, 500)

@@ -96,16 +96,6 @@ def test_fe_probe_identity_superset(win):
     assert report.overall == "supported"
 
 
-def test_fe_probe_random_subsets_seeded(win):
-    tr = builtin_right_translations(win)
-    nat = GroundSet.from_predicate(win, lambda v: True)
-    full = GroundSet.full(win)
-    r1 = fe_probe(nat, full, tr, [3], random_subsets=2, seed=9)
-    r2 = fe_probe(nat, full, tr, [3], random_subsets=2, seed=9)
-    assert [e.F for e in r1.entries] == [e.F for e in r2.entries]
-    assert sum(e.randomized for e in r1.entries) == 2
-
-
 def test_union_split_picks_working_family(win):
     tr = builtin_right_translations(win)
     af = builtin_affine(win)

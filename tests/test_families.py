@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import (reference_table_translations, reference_word_suffix,
                       reference_word_translations)
 from finembed.carrier import (ADDITIVE, FREE_WORDS, MAX_NESTING,
-                              MULTIPLICATIVE, OVERFLOW, GroundSet, Window,
+                              MULTIPLICATIVE, GroundSet, Window,
                               make_table_window, make_window, parse_predicate)
 from finembed.embed import NO, YES, embed_finite, fe_decide
 from finembed.errors import InputError
@@ -32,18 +33,18 @@ def win():
 
 def test_right_translations(win):
     tr = builtin_right_translations(win)
-    assert tr.apply((5,), (2,)).display == "7"
+    assert tr.apply((5,), (2,)) == 7
     mul = builtin_right_translations(make_window(MULTIPLICATIVE, 50))
-    assert mul.apply((4,), (3,)).display == "12"
+    assert mul.apply((4,), (3,)) == 12
     words = make_window(FREE_WORDS, 4, ["a", "b"])
     wt = builtin_right_translations(words)
-    assert wt.apply(("a",), ("ab",)).display == "aba"
+    assert wt.apply(("a",), ("ab",)) == "aba"
 
 
 def test_left_vs_right_translations_on_words():
     words = make_window(FREE_WORDS, 4, ["a", "b"])
     left = builtin_left_translations(words)
-    assert left.apply(("b",), ("a",)).display == "ba"
+    assert left.apply(("b",), ("a",)) == "ba"
     B = GroundSet.from_values(words, ["ba", "bb"])
     stream = left.enumerate_params(["a", "b"], B)
     assert stream.complete
@@ -65,9 +66,9 @@ def test_word_translation_witnesses_follow_the_alphabet_order():
 
 def test_affine_evaluation_and_identity(win):
     af = builtin_affine(win)
-    assert af.apply((3, 2), (5,)).display == "13"
-    assert af.apply((0, 1), (7,)).display == "7"
-    image = [int(af.apply((0, 2), (x,)).display) for x in range(4)]
+    assert af.apply((3, 2), (5,)) == 13
+    assert af.apply((0, 1), (7,)) == 7
+    image = [af.apply((0, 2), (x,)) for x in range(4)]
     assert image == [0, 2, 4, 6]
     strides = {image[i + 1] - image[i] for i in range(3)}
     assert strides == {2}  # affine image of a prefix is an AP
@@ -79,9 +80,9 @@ def test_affine_evaluation_and_identity(win):
 
 def test_geoarithmetic(win):
     geo = builtin_geoarithmetic(win)
-    assert geo.apply((2, 1, 1), (2, 3)).display == "16"
-    assert geo.apply((2, 0, 1), (0, 1)).display == "1"
-    assert geo.apply((2, 1, 1), (10, 1)) is OVERFLOW  # 2^10 * 2 > 100
+    assert geo.apply((2, 1, 1), (2, 3)) == 16
+    assert geo.apply((2, 0, 1), (0, 1)) == 1
+    assert geo.apply((2, 1, 1), (10, 1)) is None  # 2^10 * 2 > 100
     with pytest.raises(InputError):
         geo.apply((1, 0, 1), (1, 1))  # ratio must exceed 1
 
@@ -89,11 +90,11 @@ def test_geoarithmetic(win):
 def test_polynomial_family(win):
     s_all = GroundSet.from_predicate(win, lambda v: True, "N")
     affine_like = builtin_polynomial(s_all, [0, 1], 1)
-    assert affine_like.apply((3, 2), (5,)).display == "13"
+    assert affine_like.apply((3, 2), (5,)) == 13
     square = builtin_polynomial(s_all, [2], 2)
-    assert square.apply((1,), (4,)).display == "16"
+    assert square.apply((1,), (4,)) == 16
     mixed = builtin_polynomial(s_all, [0, 2], 2)
-    assert mixed.apply((1, 2), (3,)).display == "19"
+    assert mixed.apply((1, 2), (3,)) == 19
     # all-constant tuples are excluded once D reaches past the constant term
     assert not mixed.r_accepts((5, 0))
     assert mixed.r_accepts((0, 1))
@@ -127,7 +128,7 @@ def test_constant_polynomial_family_and_pattern_accept_d0(win):
     # a timeout in test_cli.py)
     s_all = GroundSet.from_predicate(win, lambda v: True, "N")
     fam = builtin_polynomial(s_all, [0], 1)
-    assert fam.apply((7,), (1,)).display == "7"  # P = 7 at x = 1
+    assert fam.apply((7,), (1,)) == 7  # P = 7 at x = 1
     assert poly_progression_pattern(3, 1, [0]).instances(5) == [
         (v,) for v in range(1, 6)]
 
@@ -145,9 +146,9 @@ def test_poly_coefficients_match_filtered_product(dset):
 def test_word_suffix():
     words = make_window(FREE_WORDS, 4, ["a", "b"])
     ws = builtin_word_suffix(words, "a")
-    assert ws.apply((2,), ("b",)).display == "baa"
-    assert ws.apply((0,), ("ab",)).display == "ab"
-    assert ws.apply((1,), ("aa",)).display == "aaa"
+    assert ws.apply((2,), ("b",)) == "baa"
+    assert ws.apply((0,), ("ab",)) == "ab"
+    assert ws.apply((1,), ("aa",)) == "aaa"
     with pytest.raises(InputError):
         builtin_word_suffix(words, "z")
 
@@ -155,7 +156,7 @@ def test_word_suffix():
 def test_pair_family_prime_exponents():
     win = make_window(ADDITIVE, 600)
     fam = make_family_from_pair(win, 1, 1, "slot0 ^ param0", r_spec="primes")
-    assert fam.apply((2,), (3,)).display == "9"
+    assert fam.apply((2,), (3,)) == 9
     assert not fam.r_accepts((4,))
     with pytest.raises(InputError):
         fam.apply((4,), (2,))
@@ -166,7 +167,7 @@ def test_pair_family_translation_equivalence(win):
     tr = builtin_right_translations(win)
     for r in range(0, 20, 3):
         for x in range(0, 50, 7):
-            assert pair.apply((r,), (x,)).display == tr.apply((r,), (x,)).display
+            assert pair.apply((r,), (x,)) == tr.apply((r,), (x,)) == r + x
 
 
 def test_pair_family_errors(win):
@@ -174,11 +175,46 @@ def test_pair_family_errors(win):
         make_family_from_pair(win, 1, 2, "slot0 + param0 + param2")
     with pytest.raises(InputError):
         make_family_from_pair(win, 1, 1, "slot0 +")
-    with pytest.raises(InputError):
-        make_family_from_pair(win, 1, 1, "slot0", mode="complete-anchored")
     fam = make_family_from_pair(win, 1, 2, "slot0 * param0 + param1")
     with pytest.raises(InputError):
         fam.apply((1, 2, 3), (5,))  # three parameters against k = 2
+
+
+@pytest.mark.parametrize("params, tup, message", [
+    ((1, 0), (5,), "params-outside-R: (1, 0) for affine"),
+    ((1,), (5,), "params-outside-R: (1,) for affine"),
+    ((1, 2), (5, 6), "arity-mismatch: expected 1 arguments"),
+    ((1, 2), (), "arity-mismatch: expected 1 arguments"),
+    ((1, 2), (101,), "element-out-of-window: 101"),
+    ((1, 2), ("5",), "element-out-of-window: '5'"),
+])
+def test_apply_input_errors(win, params, tup, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        builtin_affine(win).apply(params, tup)
+
+
+def test_apply_returns_none_on_overflow(win):
+    words = make_window(FREE_WORDS, 3, ["a", "b"])
+    s_all = GroundSet.from_predicate(win, lambda v: True, "N")
+    cases = [
+        (builtin_right_translations(win), (60,), (41,)),
+        (builtin_left_translations(make_window(MULTIPLICATIVE, 50)),
+         (8,), (7,)),
+        (builtin_right_translations(words), ("ab",), ("ba",)),
+        (builtin_affine(win), (1, 3), (34,)),
+        (builtin_polynomial(s_all, [2], 2), (1,), (11,)),
+        (builtin_word_suffix(words, "a"), (2,), ("ab",)),
+        (make_family_from_pair(win, 2, 1, "slot0 * slot1 + param0"),
+         (1,), (10, 10)),
+    ]
+    for fam, params, tup in cases:
+        assert fam.apply(params, tup) is None, fam.name
+    # the largest values that stay inside
+    assert builtin_right_translations(win).apply((60,), (40,)) == 100
+    assert builtin_affine(win).apply((1, 3), (33,)) == 100
+    assert builtin_word_suffix(words, "a").apply((1,), ("ab",)) == "aba"
+    pair = make_family_from_pair(win, 2, 1, "slot0 * slot1 + param0")
+    assert pair.apply((0,), (10, 10)) == 100
 
 
 def test_enumerate_translations_anchor(win):

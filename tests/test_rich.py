@@ -235,6 +235,21 @@ def test_maximality_probe_examples():
     assert out[0][1].witness.params == (0, 2)
 
 
+def test_empty_probe_lists_are_bad_input():
+    for kind in (ADDITIVE, MULTIPLICATIVE):
+        win = make_window(kind, 50)
+        A = GroundSet.from_predicate(win, lambda v: v % 3 == 0)
+        with pytest.raises(InputError,
+                           match="^probe lengths must be a non-empty list$"):
+            is_thick_window(A, [])
+        with pytest.raises(InputError,
+                           match="^span probes must be a non-empty list$"):
+            is_piecewise_syndetic_window(A, 2, [])
+        with pytest.raises(InputError,
+                           match="^probe sizes must be a non-empty list$"):
+            maximality_probe(A, builtin_right_translations(win), [])
+
+
 def test_piecewise_syndetic_examples():
     win = make_window(ADDITIVE, 400)
     evens = GroundSet.from_predicate(win, lambda v: v % 2 == 0)
