@@ -44,7 +44,7 @@ import numpy as np
 
 from .carrier import (ADDITIVE, FREE_WORDS, MULTIPLICATIVE, TABLE, GroundSet,
                       Payload, Window)
-from .embed import YES, fe_decide, fe_probe
+from .embed import YES, check_probe_sizes, fe_decide, fe_probe
 from .errors import InputError, UnverifiedPairError
 from .families import FamilySpec
 
@@ -419,6 +419,7 @@ def check_density_monotonicity(pairs: Sequence[tuple[GroundSet, GroundSet]],
     predicate A through prefixes of the probe sizes (2 and 4 when probes is
     None), and anything short of "yes" raises UnverifiedPairError.
     """
+    sizes = [2, 4] if probes is None else check_probe_sizes(probes)
     win = family.window
     b = weak_cancellativity_bound(win)
     entries: list[MonotonicityEntry] = []
@@ -426,8 +427,7 @@ def check_density_monotonicity(pairs: Sequence[tuple[GroundSet, GroundSet]],
         if A.explicit:
             verified = fe_decide(A, B, family).outcome == YES
         else:
-            probed = fe_probe(A, B, family,
-                              [2, 4] if probes is None else list(probes))
+            probed = fe_probe(A, B, family, sizes)
             verified = probed.overall == "supported"
         if not verified:
             raise UnverifiedPairError(

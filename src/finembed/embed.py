@@ -170,6 +170,16 @@ class ProbeReport:
         return "inconclusive"
 
 
+def check_probe_sizes(probe_sizes: Sequence[int]) -> list[int]:
+    """probe_sizes as a list, which must be non-empty, ascending and
+    positive."""
+    sizes = list(probe_sizes)
+    if not sizes or sizes != sorted(sizes) or sizes[0] < 1:
+        raise InputError("probe sizes must be a non-empty ascending list "
+                         "of positive integers")
+    return sizes
+
+
 def fe_probe(A: GroundSet, B: GroundSet, family: FamilySpec,
              probe_sizes: Sequence[int], bound: int | None = None
              ) -> ProbeReport:
@@ -178,10 +188,7 @@ def fe_probe(A: GroundSet, B: GroundSet, family: FamilySpec,
     A "no" at any probe is a witnessed counterexample to the whole relation;
     all-yes is evidence only, since larger finite subsets remain unchecked.
     """
-    if (not probe_sizes or list(probe_sizes) != sorted(probe_sizes)
-            or probe_sizes[0] < 1):
-        raise InputError("probe sizes must be a non-empty ascending list "
-                         "of positive integers")
+    probe_sizes = check_probe_sizes(probe_sizes)
     pool = tuple(itertools.islice(A.values(), probe_sizes[-1]))
     if not pool:
         raise InputError("A-empty: nothing to probe")

@@ -575,8 +575,13 @@ def test_check_density_monotonicity_probes_default_only_when_none():
     pair = (GroundSet.from_predicate(win, lambda v: v % 4 == 0, "A"),
             GroundSet.from_predicate(win, lambda v: v % 2 == 0, "B"))
     assert check_density_monotonicity([pair], tr, interval_net(10)).all_ok
-    with pytest.raises(InputError, match="^probe sizes must be a non-empty"):
-        check_density_monotonicity([pair], tr, interval_net(10), probes=[])
+    explicit = (GroundSet.from_values(win, [0, 4], "A"), pair[1])
+    for pairs in ([pair], [explicit]):  # checked whether A needs probes or not
+        for probes in ([], [4, 2], [0, 2]):
+            with pytest.raises(InputError,
+                               match="^probe sizes must be a non-empty"):
+                check_density_monotonicity(pairs, tr, interval_net(10),
+                                           probes=probes)
 
 
 def test_density_of_superset_window_bound_cor():
