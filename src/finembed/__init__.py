@@ -20,11 +20,11 @@ from .prsearch import (ColoringCertificate, Pattern, Polynomial, ap_pattern,
                        equation_pattern, find_avoiding_coloring,
                        gap_grid_pattern, homogeneous_pr_check, parse_pattern,
                        parse_polynomial, poly_progression_pattern,
-                       ps_solutions_experiment, ramsey_threshold,
-                       schur_pattern, strong_pr_probe, verify_coloring)
+                       ramsey_threshold, schur_pattern, strong_pr_probe,
+                       verify_coloring)
 from .rich import (ProgressionCertificate, is_piecewise_syndetic_window,
                    is_thick_window, longest_ap, longest_gap_grid,
-                   longest_poly_progression, maximality_probe, set_property,
+                   longest_poly_progression, maximality_probe,
                    verify_certificate)
 
 __version__ = "0.1.0"

@@ -26,9 +26,6 @@ from .rich import (is_piecewise_syndetic_window, is_thick_window, longest_ap,
                    longest_gap_grid, longest_poly_progression)
 from .verify import run_suite
 
-DEFAULT_BUDGET_ENV = "FINEMBED_BUDGET"
-
-
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose usage errors are one `error:` line on stderr
     and exit 2, like every other bad input; subparsers inherit it."""
@@ -105,8 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the seeded property suites")
     p.add_argument("--suite", default="all")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget",
-                   help=f"default: ${DEFAULT_BUDGET_ENV}, else small")
+    p.add_argument("--budget", default="small", help="default: small")
     return top
 
 
@@ -177,19 +173,17 @@ def _cmd_pr(args) -> tuple[dict, int]:
                                args.nmax)
         return jsonio.threshold_to_json(res), 0
     poly = parse_polynomial(args.poly)
-    cert, report = homogeneous_pr_check(
-        poly, args.colors, args.n, distinct=args.distinct,
-        strict=args.strict_homogeneous)
+    cert = homogeneous_pr_check(poly, args.colors, args.n,
+                                distinct=args.distinct,
+                                strict=args.strict_homogeneous)
     payload = jsonio.coloring_to_json(cert)
-    payload["homogeneous"] = report.homogeneous
-    payload["monomial_degrees"] = list(report.monomial_degrees)
+    payload["homogeneous"] = poly.is_homogeneous
+    payload["monomial_degrees"] = sorted(set(poly.monomial_degrees))
     return payload, 0
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
     budget = args.budget
-    if budget is None:
-        budget = os.environ.get(DEFAULT_BUDGET_ENV, "small")
     report, ok = run_suite(args.suite, args.seed, budget)
     digest = hashlib.sha256(jsonio.dumps(
         {"suite": args.suite, "seed": args.seed,

@@ -187,11 +187,16 @@ def fe_probe(A: GroundSet, B: GroundSet, family: FamilySpec,
 
     A "no" at any probe is a witnessed counterexample to the whole relation;
     all-yes is evidence only, since larger finite subsets remain unchecked.
+    Every probe size must be at most |A|.
     """
     probe_sizes = check_probe_sizes(probe_sizes)
     pool = tuple(itertools.islice(A.values(), probe_sizes[-1]))
     if not pool:
         raise InputError("A-empty: nothing to probe")
+    if len(pool) < probe_sizes[-1]:
+        p = next(p for p in probe_sizes if p > len(pool))
+        raise InputError(f"A-too-small: probe size {p} exceeds |A| = "
+                         f"{len(pool)}")
     return ProbeReport(tuple(
         ProbeEntry(p, pool[:p], embed_finite(pool[:p], B, family, bound))
         for p in probe_sizes))

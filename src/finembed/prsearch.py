@@ -114,18 +114,6 @@ def parse_polynomial(text: str) -> Polynomial:
     return Polynomial(monos, nvars)
 
 
-@dataclass(frozen=True)
-class HomogeneityReport:
-    homogeneous: bool
-    monomial_degrees: tuple[int, ...]
-    degree: int
-
-
-def homogeneity_report(poly: Polynomial) -> HomogeneityReport:
-    degs = tuple(sorted(set(poly.monomial_degrees)))
-    return HomogeneityReport(poly.is_homogeneous, degs, poly.degree)
-
-
 # -- patterns ------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -669,35 +657,15 @@ def homogeneous_pr_check(poly: Polynomial, r: int, n: int,
                          distinct: bool = False, strict: bool = True,
                          instance_budget: int = DEFAULT_INSTANCE_BUDGET,
                          node_budget: int = DEFAULT_NODE_BUDGET
-                         ) -> tuple[ColoringCertificate, HomogeneityReport]:
+                         ) -> ColoringCertificate:
     """Homogeneity check followed by the avoiding-coloring search for the
     equation pattern of P = 0 over [1..n].
 
     strict mode rejects non-homogeneous polynomials outright; otherwise the
-    report simply records the failure and the search still runs.
+    search still runs, and the caller reads poly.is_homogeneous.
     """
     pattern = equation_pattern(poly, distinct)
-    report = homogeneity_report(poly)
-    if strict and not report.homogeneous:
+    if strict and not poly.is_homogeneous:
         raise InputError(f"non-homogeneous-rejected: degrees "
-                         f"{report.monomial_degrees}")
-    cert = find_avoiding_coloring(n, r, pattern, instance_budget, node_budget)
-    return cert, report
-
-
-def ps_solutions_experiment(poly: Polynomial, A, n: int,
-                            budget: int = DEFAULT_INSTANCE_BUDGET
-                            ) -> list[tuple[int, ...]]:
-    """All ordered solutions of P = 0 with entries in A intersected [1..n].
-
-    A is a ground set on a numeric window; homogeneity is required since the
-    experiment exercises multiplicative upward invariance.  The budget bounds
-    the tuples walked: |domain|^(v-1) with a variable solved for, else ^v.
-    """
-    if not poly.is_homogeneous:
-        raise InputError("ps experiment needs a homogeneous polynomial")
-    domain = [v for v in A.values() if isinstance(v, int) and 1 <= v <= n]
-    walked = poly.nvars - (_isolated_variable(poly) is not None)
-    if len(domain) ** walked > budget:
-        raise BudgetError(f"budget-exceeded: {len(domain)}^{walked} tuples")
-    return list(_solutions(poly, domain))
+                         f"{tuple(sorted(set(poly.monomial_degrees)))}")
+    return find_avoiding_coloring(n, r, pattern, instance_budget, node_budget)

@@ -16,8 +16,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .carrier import (ADDITIVE, MULTIPLICATIVE, GroundSet, Payload, Window)
-from .embed import EmbedVerdict, embed_finite
-from .errors import InputError, parse_int
+from .embed import ProbeReport, fe_probe
+from .errors import InputError
 from .families import (FamilySpec, builtin_right_translations,
                        poly_coefficients, poly_indices)
 
@@ -329,22 +329,13 @@ def _first_shift_by_scan(A: GroundSet, L: int) -> Payload | None:
 
 
 def maximality_probe(A: GroundSet, family: FamilySpec,
-                     probe_sizes: Sequence[int]
-                     ) -> list[tuple[int, EmbedVerdict]]:
-    """Probe whether A looks maximal: every window prefix F must embed in A.
+                     probe_sizes: Sequence[int]) -> ProbeReport:
+    """Probe whether A looks maximal: fe_probe of the window's canonical
+    prefixes into A.
 
     A "no" at any probe certifies A is not maximal at window scale.
     """
-    if not probe_sizes:
-        raise InputError("probe sizes must be a non-empty list")
-    win = A.window
-    out = []
-    for p in probe_sizes:
-        if p < 1 or p > win.size:
-            raise InputError(f"probe size {p} out of range")
-        F = [win.payload(e) for e in range(p)]
-        out.append((p, embed_finite(F, A, family)))
-    return out
+    return fe_probe(GroundSet.full(A.window), A, family, probe_sizes)
 
 
 def is_piecewise_syndetic_window(A: GroundSet, gap_bound: int,
@@ -408,32 +399,3 @@ def _ps_multiplicative(A: GroundSet, g: int, spans: Sequence[int]) -> ShiftRepor
             at = int(t[hit[0]]) if hit.size else None
         entries.append(ShiftProbe(L, at is not None, at))
     return ShiftReport("piecewise-syndetic", tuple(entries))
-
-
-# -- named set properties (for upward-closure experiments) ---------------------
-
-def set_property(name: str) -> tuple[Callable[[GroundSet], bool], str]:
-    """Resolve a named property usable in upward-closure checks.
-
-    contains-ap:<l>        an arithmetic progression of length l
-    contains-gap-grid:<k>  a full one-based k x k geoarithmetic grid
-    contains-element:<v>   the literal element v
-    """
-    head, _, arg = name.partition(":")
-    if head == "contains-ap":
-        l = parse_int(arg, "contains-ap:<l>")
-        return (lambda A: longest_ap(A).length >= l), name
-    if head == "contains-gap-grid":
-        k = parse_int(arg, "contains-gap-grid:<k>")
-        return (lambda A: longest_gap_grid(A).length >= k), name
-    if head == "contains-element":
-        return (lambda A: A.window.contains_value(_parse_arg(arg))
-                and A.contains_value(_parse_arg(arg))), name
-    raise InputError(f"unknown set property {name!r}")
-
-
-def _parse_arg(arg: str) -> Payload:
-    try:
-        return int(arg)
-    except ValueError:
-        return arg

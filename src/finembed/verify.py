@@ -25,7 +25,7 @@ from .families import (builtin_affine, builtin_right_translations,
                        filter_params, restrict_params)
 from .prsearch import (ap_pattern, find_avoiding_coloring, ramsey_threshold,
                        schur_pattern, strong_pr_probe, verify_coloring)
-from .rich import (is_thick_window, longest_ap, maximality_probe, set_property)
+from .rich import is_thick_window, longest_ap, maximality_probe
 
 BUDGETS: dict[str, dict[str, int]] = {
     "tiny": dict(window=30, mono=60, union=15, preorder=8, maxset=6,
@@ -237,10 +237,10 @@ def _suite_maxset(seed: int, budget: dict) -> list[dict]:
         A = GroundSet.from_values(win, sorted(vals), "A")
         thick = is_thick_window(A, list(range(p)))
         if thick.all_found:
-            for size, verdict in maximality_probe(A, translations,
-                                                  list(range(1, p + 1))):
-                if verdict.outcome != YES:
-                    _fail("thick-implies-maximal", A=sorted(vals), probe=size)
+            for e in maximality_probe(A, translations,
+                                      range(1, p + 1)).entries:
+                if e.verdict.outcome != YES:
+                    _fail("thick-implies-maximal", A=sorted(vals), probe=e.size)
         count += 1
     checks.append({"name": "thick-implies-maximal", "instances": count,
                    "status": "pass"})
@@ -363,7 +363,6 @@ def _suite_upward(seed: int, budget: dict) -> list[dict]:
     translations = builtin_right_translations(win)
     checks = []
 
-    prop, name = set_property("contains-ap:4")
     pairs = []
     for _ in range(budget["upward"]):
         start, stride = rng.randint(0, W // 4), rng.randint(1, 4)
@@ -375,19 +374,20 @@ def _suite_upward(seed: int, budget: dict) -> list[dict]:
         b_vals = sorted({v + r for v in a_vals})
         pairs.append((GroundSet.from_values(win, a_vals, "A"),
                       GroundSet.from_values(win, b_vals, "B")))
-    rep = check_upward_closed(prop, name, pairs, translations)
+    rep = check_upward_closed(lambda A: longest_ap(A).length >= 4,
+                              "contains-ap:4", pairs, translations)
     for e in rep.entries:
         if e.status != "transfers":
             _fail("ap4-upward-closed", a=e.a_label, status=e.status)
     checks.append({"name": "ap4-upward-closed", "instances": len(pairs),
                    "status": "pass"})
 
-    prop0, name0 = set_property("contains-element:0")
     a_vals = [0, 2, 4]
     b_vals = [v + 5 for v in a_vals]
     pair = [(GroundSet.from_values(win, a_vals, "A0"),
              GroundSet.from_values(win, b_vals, "A0+5"))]
-    rep = check_upward_closed(prop0, name0, pair, translations)
+    rep = check_upward_closed(lambda A: A.contains_value(0),
+                              "contains-element:0", pair, translations)
     if not rep.counterexamples:
         _fail("contains-0-not-closed", expected="a reported counterexample")
     checks.append({"name": "contains-0-not-closed", "instances": 1,

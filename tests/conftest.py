@@ -319,3 +319,12 @@ def reference_affine_candidates(fpay, B):
                 if b1 - slope * f1 >= 0:
                     cands.append((b1 - slope * f1, slope))
     return sorted(cands)
+
+
+def reference_maximality_probe(A, family, sizes):
+    """The window-prefix loop that maximality_probe replaced: for each size
+    p, embed the first p elements of the window, in encoding order, into A."""
+    from finembed.embed import embed_finite
+    win = A.window
+    return [(p, embed_finite([win.payload(e) for e in range(p)], A, family))
+            for p in sizes]

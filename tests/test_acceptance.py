@@ -25,13 +25,12 @@ from finembed.embed import (check_reflexive_criterion,
                             verify_witness)
 from finembed.families import (builtin_affine, builtin_right_translations,
                                filter_params)
-from finembed.prsearch import (ap_pattern, equation_pattern,
+from finembed.prsearch import (_solutions, ap_pattern, equation_pattern,
                                find_avoiding_coloring, homogeneous_pr_check,
-                               parse_polynomial, ps_solutions_experiment,
-                               ramsey_threshold, schur_pattern,
-                               strong_pr_probe, verify_coloring)
-from finembed.rich import (longest_ap, longest_gap_grid, set_property,
-                           verify_certificate)
+                               parse_polynomial, ramsey_threshold,
+                               schur_pattern, strong_pr_probe,
+                               verify_coloring)
+from finembed.rich import longest_ap, longest_gap_grid, verify_certificate
 
 
 class Timer:
@@ -246,20 +245,17 @@ def test_criterion_7_homogeneity():
         except Exception as exc:
             assert "non-homogeneous-rejected" in str(exc)
 
-        dom = GroundSet.from_predicate(make_window(ADDITIVE, 60),
-                                       lambda v: True, "N")
-        sols = ps_solutions_experiment(pyth, dom, 60)
+        sols = list(_solutions(pyth, range(1, 61)))
         assert (3, 4, 5) in sols
         for sol in sols[:25]:
             for lam in range(1, 6):
                 assert pyth.evaluate(tuple(lam * v for v in sol)) == 0
-        lsols = ps_solutions_experiment(lin, dom, 25)
+        lsols = list(_solutions(lin, range(1, 26)))
         for sol in lsols[:50]:
             for lam in range(1, 6):
                 assert lin.evaluate(tuple(lam * v for v in sol)) == 0
 
-        cert, rep = homogeneous_pr_check(pyth, 2, 60)
-        assert rep.homogeneous
+        cert = homogeneous_pr_check(pyth, 2, 60)
         assert cert.outcome == "avoiding"
         assert verify_coloring(cert, equation_pattern(pyth))
 
@@ -306,7 +302,6 @@ def test_criterion_9_upward_closure():
         rng = random.Random(99)
         win = make_window(ADDITIVE, 200)
         translations = builtin_right_translations(win)
-        prop, name = set_property("contains-ap:4")
         pairs = []
         for _ in range(50):
             start, stride = rng.randint(0, 30), rng.randint(1, 5)
@@ -317,12 +312,12 @@ def test_criterion_9_upward_closure():
                           GroundSet.from_values(win,
                                                 [v + r for v in a_vals],
                                                 "B")))
-        rep = check_upward_closed(prop, name, pairs, translations)
+        rep = check_upward_closed(lambda A: longest_ap(A).length >= 4,
+                                  "contains-ap:4", pairs, translations)
         assert all(e.status == "transfers" for e in rep.entries)
 
-        prop0, name0 = set_property("contains-element:0")
         rep = check_upward_closed(
-            prop0, name0,
+            lambda A: A.contains_value(0), "contains-element:0",
             [(GroundSet.from_values(win, [0, 2], "A"),
               GroundSet.from_values(win, [5, 7], "A+5"))],
             translations)

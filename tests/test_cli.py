@@ -228,14 +228,11 @@ def test_verify_cli_unknown_suite(capsys):
     assert code == 2
 
 
-def test_verify_budget_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("FINEMBED_BUDGET", "tiny")
+def test_verify_budget_defaults_to_small(capsys):
     code, payload = run_cli(capsys, "verify", "--suite", "strong-pr",
                             "--seed", "1")
-    assert code == 0 and payload["results"]["budget"] == "tiny"
-    monkeypatch.setenv("FINEMBED_BUDGET", "bogus")
-    code, _ = run_cli(capsys, "verify", "--suite", "strong-pr", "--seed", "1")
-    assert code == 2
+    assert code == 0 and payload["results"]["budget"] == "small"
+    assert payload["command"][-2:] == ["--budget", "small"]
 
 
 def test_malformed_json_names_the_problem(capsys, tmp_path):

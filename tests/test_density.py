@@ -584,6 +584,17 @@ def test_check_density_monotonicity_probes_default_only_when_none():
                                            probes=probes)
 
 
+def test_check_density_monotonicity_probes_must_fit_in_a():
+    win = make_window(ADDITIVE, 100)
+    tr = builtin_right_translations(win)
+    A = GroundSet.from_predicate(win, lambda v: v % 50 == 0, "A")  # 0, 50, 100
+    B = GroundSet.from_predicate(win, lambda v: v % 10 == 0, "B")
+    assert check_density_monotonicity([(A, B)], tr, interval_net(10),
+                                      probes=[2, 3]).all_ok
+    with pytest.raises(InputError, match=r"^A-too-small: probe size 4 "):
+        check_density_monotonicity([(A, B)], tr, interval_net(10))
+
+
 def test_density_of_superset_window_bound_cor():
     """Thick-looking sets reach density close to 1 (b = 1 carrier)."""
     win = make_window(ADDITIVE, 500)

@@ -16,7 +16,7 @@ from finembed.errors import (InputError, UnionEmbeddingError,
 from finembed.families import (builtin_affine, builtin_right_translations,
                                builtin_word_suffix, filter_params,
                                restrict_params)
-from finembed.rich import set_property
+from finembed.rich import longest_ap
 
 
 @pytest.fixture
@@ -96,6 +96,22 @@ def test_fe_probe_identity_superset(win):
     assert report.overall == "supported"
 
 
+def test_fe_probe_sizes_must_fit_in_a(win):
+    tr = builtin_right_translations(win)
+    nat = GroundSet.full(win)
+    three = GroundSet.from_values(win, [0, 1, 2])
+    with pytest.raises(InputError,
+                       match=r"^A-too-small: probe size 100 exceeds \|A\| = 3$"):
+        fe_probe(three, nat, tr, [2, 100])
+    few = GroundSet.from_predicate(win, lambda v: v % 40 == 0)  # 0, 40, 80
+    with pytest.raises(InputError,
+                       match=r"^A-too-small: probe size 4 exceeds \|A\| = 3$"):
+        fe_probe(few, nat, tr, [1, 3, 4, 9])
+    with pytest.raises(InputError, match="^A-empty: nothing to probe$"):
+        fe_probe(GroundSet.empty(win), nat, tr, [1, 100])
+    assert [e.F for e in fe_probe(three, nat, tr, [3]).entries] == [(0, 1, 2)]
+
+
 def test_union_split_picks_working_family(win):
     tr = builtin_right_translations(win)
     af = builtin_affine(win)
@@ -168,17 +184,20 @@ def test_reflexivity_criteria():
     assert rep.entries[0].h_params == (0,)
 
 
+def _contains_ap4(A):
+    return longest_ap(A).length >= 4
+
+
 def test_upward_closed_transfer_and_counterexample(win):
     tr = builtin_right_translations(win)
-    prop, name = set_property("contains-ap:4")
     A = GroundSet.from_values(win, [0, 2, 4, 6], "A")
     B = GroundSet.from_values(win, [5, 7, 9, 11], "A+5")
-    rep = check_upward_closed(prop, name, [(A, B)], tr)
+    rep = check_upward_closed(_contains_ap4, "contains-ap:4", [(A, B)], tr)
     assert rep.closed_on_sample
     assert rep.entries[0].status == "transfers"
 
-    prop0, name0 = set_property("contains-element:0")
-    rep = check_upward_closed(prop0, name0,
+    rep = check_upward_closed(lambda A: A.contains_value(0),
+                              "contains-element:0",
                               [(GroundSet.from_values(win, [0], "Z"),
                                 GroundSet.from_values(win, [5], "Z+5"))], tr)
     assert not rep.closed_on_sample
@@ -187,11 +206,10 @@ def test_upward_closed_transfer_and_counterexample(win):
 
 def test_upward_closed_rejects_unverified_pair(win):
     tr = builtin_right_translations(win)
-    prop, name = set_property("contains-ap:4")
     A = GroundSet.from_values(win, [0, 1], "A")
     evens = GroundSet.from_predicate(win, lambda v: v % 2 == 0, "evens")
     with pytest.raises(UnverifiedPairError):
-        check_upward_closed(prop, name, [(A, evens)], tr)
+        check_upward_closed(_contains_ap4, "contains-ap:4", [(A, evens)], tr)
 
 
 def test_tuple_cap_guards_blowup(win):

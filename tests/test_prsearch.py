@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import (brute_instances_ap, brute_instances_equation,
                       brute_instances_gap_grid, brute_instances_schur,
                       reference_backtrack)
-from finembed.carrier import ADDITIVE, GroundSet, make_window
 from finembed.errors import BudgetError, InputError
 from finembed.families import MAX_EXPONENT
 from finembed.prsearch import (Pattern, Polynomial, _canonicalize,
@@ -17,9 +16,8 @@ from finembed.prsearch import (Pattern, Polynomial, _canonicalize,
                                find_avoiding_coloring, gap_grid_pattern,
                                homogeneous_pr_check, parse_pattern,
                                parse_polynomial, poly_progression_pattern,
-                               ps_solutions_experiment, ramsey_threshold,
-                               schur_pattern, strong_pr_probe,
-                               verify_coloring)
+                               ramsey_threshold, schur_pattern,
+                               strong_pr_probe, verify_coloring)
 
 
 # -- polynomials -----------------------------------------------------------
@@ -630,14 +628,12 @@ def test_solved_enumeration_matches_tuple_walk():
         for domain in _domains(rng, poly.nvars):
             assert list(_solutions(poly, domain)) == _tuple_walk(
                 poly, domain), (poly, domain)
-    # the ps experiment's domains have gaps
-    A = GroundSet.from_predicate(make_window(ADDITIVE, 40),
-                                 lambda v: v % 3 != 1)
+    # domains with gaps
     domain = [v for v in range(1, 21) if v % 3 != 1]
     for text in ("x*y-z*w", "x*y-y*z", "x*y*z-x*w^2"):
         poly = parse_polynomial(text)
         want = _tuple_walk(poly, domain)
-        assert want and ps_solutions_experiment(poly, A, 20) == want, text
+        assert want and list(_solutions(poly, domain)) == want, text
 
 
 def test_solved_enumeration_stops_within_a_few_rows(monkeypatch):
@@ -687,25 +683,25 @@ def test_isolated_variable_choice():
 
 def test_homogeneous_pr_check_schur_equation():
     p = parse_polynomial("x+y-z")
-    cert, rep = homogeneous_pr_check(p, 2, 5)
-    assert rep.homogeneous and cert.outcome == "forced"
-    cert, rep = homogeneous_pr_check(p, 2, 4)
+    cert = homogeneous_pr_check(p, 2, 5)
+    assert cert.outcome == "forced"
+    cert = homogeneous_pr_check(p, 2, 4)
     assert cert.outcome == "avoiding"
     assert cert.colors == (0, 1, 1, 0)
 
 
 def test_homogeneous_pr_check_rejects_inhomogeneous():
     bad = parse_polynomial("x+y-z-1")
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as exc:
         homogeneous_pr_check(bad, 2, 10)
-    cert, rep = homogeneous_pr_check(bad, 2, 6, strict=False)
-    assert not rep.homogeneous  # reported, search still runs
+    assert str(exc.value) == "non-homogeneous-rejected: degrees (0, 1)"
+    cert = homogeneous_pr_check(bad, 2, 6, strict=False)
+    assert cert.outcome == "forced"  # the search still runs: 1 + 1 - 1 = 1
 
 
 def test_pythagorean_avoiding_at_desk_scale():
     p = parse_polynomial("x^2+y^2-z^2")
-    cert, rep = homogeneous_pr_check(p, 2, 60)
-    assert rep.homogeneous
+    cert = homogeneous_pr_check(p, 2, 60)
     assert cert.outcome == "avoiding"
     assert verify_coloring(cert, equation_pattern(p))
 
@@ -717,41 +713,6 @@ def test_distinct_flag():
     assert (1, 2) in with_rep  # 1 + 1 = 2 uses a repeated value
     assert (1, 2) not in without_rep
     assert set(without_rep) < set(with_rep)
-
-
-def test_ps_solutions_experiment():
-    win = make_window(ADDITIVE, 120)
-    p = parse_polynomial("x+y-z")
-    m3 = GroundSet.from_predicate(make_window(ADDITIVE, 30), lambda v: v % 3 == 0)
-    sols = ps_solutions_experiment(p, m3, 30)
-    assert (3, 3, 6) in sols
-    assert all(a + b == c for a, b, c in sols)
-
-    single = GroundSet.from_values(make_window(ADDITIVE, 10), [1])
-    assert ps_solutions_experiment(p, single, 10) == []
-
-    pyth = parse_polynomial("x^2+y^2-z^2")
-    m5 = GroundSet.from_predicate(win, lambda v: v % 5 == 0)
-    sols = ps_solutions_experiment(pyth, m5, 100)
-    assert (30, 40, 50) in sols
-
-    with pytest.raises(InputError):
-        ps_solutions_experiment(parse_polynomial("x+y-z-1"), m3, 30)
-
-
-def test_ps_solutions_experiment_budgets_the_walk_it_takes():
-    # z is solved for, so 60 values walk 60^2 (x, y) pairs, not 60^3 tuples
-    dom = GroundSet.full(make_window(ADDITIVE, 60))
-    pyth = parse_polynomial("x^2+y^2-z^2")
-    sols = ps_solutions_experiment(pyth, dom, 60, budget=3600)
-    assert sols == [t for t in itertools.product(range(1, 61), repeat=3)
-                    if pyth.evaluate(t) == 0]
-    with pytest.raises(BudgetError, match=r"60\^2 tuples"):
-        ps_solutions_experiment(pyth, dom, 60, budget=3599)
-    # no isolated variable: every tuple is walked
-    with pytest.raises(BudgetError, match=r"10\^4 tuples"):
-        ps_solutions_experiment(parse_polynomial("x*y-z*w"), dom, 10,
-                                budget=9999)
 
 
 def test_gap_grid_strict_mode_is_stronger():

@@ -4,15 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_longest_ap, brute_longest_gap_grid
-from finembed.carrier import ADDITIVE, MULTIPLICATIVE, GroundSet, make_window
+from conftest import (brute_longest_ap, brute_longest_gap_grid,
+                      reference_maximality_probe)
+from finembed.carrier import (ADDITIVE, FREE_WORDS, MULTIPLICATIVE, GroundSet,
+                              make_window)
 from finembed.embed import embed_finite
 from finembed.errors import InputError
 from finembed.families import builtin_affine, builtin_right_translations
 from finembed.rich import (is_piecewise_syndetic_window, is_thick_window,
                            longest_ap, longest_gap_grid,
                            longest_poly_progression, maximality_probe,
-                           set_property, verify_certificate)
+                           verify_certificate)
 
 
 def ground(win, values):
@@ -224,15 +226,59 @@ def test_maximality_probe_examples():
     evens = GroundSet.from_predicate(win, lambda v: v % 2 == 0)
 
     out = maximality_probe(GroundSet.full(win), tr, [1, 3, 5])
-    assert all(v.outcome == "yes" and v.witness.params == (0,)
-               for _, v in out)
+    assert out.overall == "supported"
+    assert [e.F for e in out.entries] == [(0,), (0, 1, 2), (0, 1, 2, 3, 4)]
+    assert all(e.verdict.witness.params == (0,) for e in out.entries)
 
     out = maximality_probe(evens, tr, [2])
-    assert out[0][1].outcome == "no"
+    assert out.overall == "refuted" and out.refutation.size == 2
 
     out = maximality_probe(evens, af, [5])
-    assert out[0][1].outcome == "yes"
-    assert out[0][1].witness.params == (0, 2)
+    assert out.entries[0].verdict.outcome == "yes"
+    assert out.entries[0].verdict.witness.params == (0, 2)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_maximality_probe_matches_the_prefix_loop(seed):
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(6):
+        win = make_window(ADDITIVE, rng.randint(15, 60))
+        run = rng.randint(0, 6)
+        t = rng.randint(0, win.bound - run)
+        vals = set(range(t, t + run + 1)) | set(
+            rng.sample(range(win.bound + 1), rng.randint(1, 12)))
+        A = GroundSet.from_values(win, vals)
+        cases.append((A, builtin_right_translations(win), 7))
+        cases.append((A, builtin_affine(win), 5))
+    words = make_window(FREE_WORDS, 3, ["a", "b"])
+    for _ in range(4):
+        members = rng.sample(list(words.payloads()), rng.randint(1, 14))
+        cases.append((GroundSet.from_values(words, members),
+                      builtin_right_translations(words), 4))
+    for A, family, top in cases:
+        sizes = sorted(rng.sample(range(1, top + 1), rng.randint(1, 3)))
+        got = maximality_probe(A, family, sizes)
+        want = reference_maximality_probe(A, family, sizes)
+        assert [e.size for e in got.entries] == sizes
+        for e, (p, v) in zip(got.entries, want):
+            assert (e.verdict.outcome, e.verdict.witness,
+                    e.verdict.stats.params_examined) == (
+                v.outcome, v.witness, v.stats.params_examined), (
+                family.name, list(A.values()), p)
+
+
+def test_maximality_probe_sizes_follow_fe_probe():
+    win = make_window(ADDITIVE, 10)
+    tr = builtin_right_translations(win)
+    A = GroundSet.full(win)
+    with pytest.raises(InputError, match=r"^A-too-small: probe size 12 "
+                                         r"exceeds \|A\| = 11$"):
+        maximality_probe(A, tr, [2, 12, 13])
+    with pytest.raises(InputError, match="^probe sizes must be a non-empty "
+                                         "ascending list"):
+        maximality_probe(A, tr, [3, 2])
+    assert [e.size for e in maximality_probe(A, tr, [11]).entries] == [11]
 
 
 def test_empty_probe_lists_are_bad_input():
@@ -246,7 +292,8 @@ def test_empty_probe_lists_are_bad_input():
                            match="^span probes must be a non-empty list$"):
             is_piecewise_syndetic_window(A, 2, [])
         with pytest.raises(InputError,
-                           match="^probe sizes must be a non-empty list$"):
+                           match="^probe sizes must be a non-empty ascending "
+                                 "list of positive integers$"):
             maximality_probe(A, builtin_right_translations(win), [])
 
 
@@ -318,22 +365,3 @@ def test_ap_embed_consistency():
         for k in range(1, 6):
             emb = embed_finite(list(range(k + 1)), A, af).outcome == "yes"
             assert emb == (ln >= k + 1), (sorted(vals), k, ln)
-
-
-def test_set_property_registry():
-    win = make_window(ADDITIVE, 40)
-    prop, _ = set_property("contains-ap:4")
-    assert prop(ground(win, [3, 6, 9, 12]))
-    assert not prop(ground(win, [0, 1, 2]))
-    prop, _ = set_property("contains-element:7")
-    assert prop(ground(win, [7])) and not prop(ground(win, [8]))
-    prop, _ = set_property("contains-gap-grid:2")
-    assert prop(ground(win, [4, 6, 8, 12]))
-    with pytest.raises(InputError):
-        set_property("no-such-property")
-
-
-@pytest.mark.parametrize("name", ["contains-ap:x", "contains-gap-grid:"])
-def test_set_property_malformed_number_is_input_error(name):
-    with pytest.raises(InputError):
-        set_property(name)
