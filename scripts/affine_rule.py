@@ -27,26 +27,16 @@ import json
 import random
 import statistics
 import sys
-import time
 
 import numpy as np
 
 from finembed import ADDITIVE, GroundSet, builtin_affine, make_window
 from finembed import families
-from set_sweeps import REF_NOMINAL_S, reference_loop
+from set_sweeps import REF_NOMINAL_S, best_of, reference_loop
 
 WINDOWS = (400, 1_000, 4_000, 10_000, 25_000, 100_000)
 MEMBERS = (5, 10, 20, 40, 100, 200, 400)
 ANCHORS = ((0, 1), (0, 2), (1, 3))
-
-
-def best_of(run, k: int) -> float:
-    best = float("inf")
-    for _ in range(k):
-        t0 = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 class Counter:

@@ -22,27 +22,17 @@ import json
 import random
 import statistics
 import sys
-import time
 
 import numpy as np
 
 from finembed import ADDITIVE, GroundSet, interval_net, make_window
 from finembed.density import (_per_index_best_numeric,
                               _per_index_best_spans)
-from set_sweeps import REF_NOMINAL_S, reference_loop
+from set_sweeps import REF_NOMINAL_S, best_of, reference_loop
 
 WINDOWS = (60, 150, 400, 1_000, 4_000, 20_000, 100_000)
 NETS = (5, 12, 30, 100, 300, 1_000)
 DENSITIES = (0.005, 0.02, 0.05, 0.15, 0.3, 0.5, 0.8, 1.0)
-
-
-def best_of(run, k: int) -> float:
-    best = float("inf")
-    for _ in range(k):
-        t0 = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 def span_work(mem: np.ndarray, N: int) -> dict:

@@ -80,6 +80,16 @@ def reference_loop() -> float:
     return time.perf_counter() - t0
 
 
+def best_of(run, k: int) -> float:
+    """The least of k wall-clock timings of run()."""
+    best = float("inf")
+    for _ in range(k):
+        t0 = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
 def fresh(W: int, spec: str, kind: str = ADDITIVE) -> GroundSet:
     return GroundSet.from_predicate(make_window(kind, W),
                                     parse_predicate(spec), spec)
