@@ -183,14 +183,13 @@ def _cmd_pr(args) -> tuple[dict, int]:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
-    budget = args.budget
-    report, ok = run_suite(args.suite, args.seed, budget)
+    report, ok = run_suite(args.suite, args.seed, args.budget)
     digest = hashlib.sha256(jsonio.dumps(
         {"suite": args.suite, "seed": args.seed,
-         "budget": budget}).encode()).hexdigest()
+         "budget": args.budget}).encode()).hexdigest()
     payload = {
         "command": ["verify", "--suite", args.suite, "--seed",
-                    str(args.seed), "--budget", budget],
+                    str(args.seed), "--budget", args.budget],
         "inputs_digest": digest,
         "seed": args.seed,
         "results": report,
