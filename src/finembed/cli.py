@@ -4,27 +4,23 @@ Machine-readable JSON goes to stdout (deterministic, sorted keys, exact
 numbers); human summaries and timing go to stderr.  Exit codes: 0 = query
 answered (including "no"/"avoiding"), 1 = a property violation found by a
 verification run, 2 = usage or input error.
+
+Only argparse, errors and jsonio load with this module; each handler
+imports the layers it runs, so `finembed pr`, `--help` and usage errors
+never import numpy, and `embed`, `rich`, `density` and `verify` load it
+at their handler's first import.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import os
 import sys
 import time
 
 from . import jsonio
-from .carrier import GroundSet, parse_predicate
-from .density import check_density_monotonicity, upper_density
-from .embed import fe_decide, fe_probe
 from .errors import BudgetError, InputError, parse_fraction, parse_ints
-from .prsearch import (find_avoiding_coloring, homogeneous_pr_check,
-                       parse_pattern, parse_polynomial, ramsey_threshold)
-from .rich import (is_piecewise_syndetic_window, is_thick_window, longest_ap,
-                   longest_gap_grid, longest_poly_progression)
-from .verify import run_suite
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose usage errors are one `error:` line on stderr
@@ -107,6 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_embed(args) -> tuple[dict, int]:
+    from .embed import fe_decide, fe_probe
     a = jsonio.ground_set_from_json(jsonio.load_json(args.set_a))
     b = jsonio.ground_set_from_json(jsonio.load_json(args.set_b))
     if not a.window.compatible(b.window):
@@ -121,6 +118,8 @@ def _cmd_embed(args) -> tuple[dict, int]:
 
 
 def _cmd_rich(args) -> tuple[dict, int]:
+    from .rich import (is_piecewise_syndetic_window, is_thick_window,
+                       longest_ap, longest_gap_grid, longest_poly_progression)
     ground = jsonio.ground_set_from_json(jsonio.load_json(args.set_path))
     if args.detect == "ap":
         return jsonio.certificate_to_json(longest_ap(ground)), 0
@@ -128,6 +127,7 @@ def _cmd_rich(args) -> tuple[dict, int]:
         cert = longest_gap_grid(ground, zero_based=args.zero_based)
         return jsonio.certificate_to_json(cert), 0
     if args.detect == "poly":
+        from .carrier import GroundSet, parse_predicate
         coeffs = GroundSet.from_predicate(ground.window,
                                           parse_predicate(args.s_coeffs),
                                           label=args.s_coeffs)
@@ -143,6 +143,7 @@ def _cmd_rich(args) -> tuple[dict, int]:
 
 
 def _cmd_density(args) -> tuple[dict, int]:
+    from .density import check_density_monotonicity, upper_density
     if args.action == "verify-monotone":
         if not args.pairs or not args.family:
             raise InputError("verify-monotone needs --pairs and --family")
@@ -164,6 +165,8 @@ def _cmd_density(args) -> tuple[dict, int]:
 
 
 def _cmd_pr(args) -> tuple[dict, int]:
+    from .prsearch import (find_avoiding_coloring, homogeneous_pr_check,
+                           parse_pattern, parse_polynomial, ramsey_threshold)
     if args.pr_command == "search":
         cert = find_avoiding_coloring(args.n, args.colors,
                                       parse_pattern(args.pattern))
@@ -183,6 +186,9 @@ def _cmd_pr(args) -> tuple[dict, int]:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
+    import hashlib
+
+    from .verify import run_suite
     report, ok = run_suite(args.suite, args.seed, args.budget)
     digest = hashlib.sha256(jsonio.dumps(
         {"suite": args.suite, "seed": args.seed,

@@ -45,12 +45,10 @@ import numpy as np
 from .carrier import (ADDITIVE, FREE_WORDS, MAX_NESTING, MULTIPLICATIVE,
                       TABLE, GroundSet, Payload, Window, _is_prime)
 from .errors import BudgetError, InputError, parse_int
+from .prsearch import MAX_EXPONENT, _degenerate, poly_indices
 
 Params = tuple
 Tuple_ = tuple
-
-# The largest exponent a term, a polynomial or a degree may ask for.
-MAX_EXPONENT = 64
 
 
 @dataclass(frozen=True)
@@ -344,14 +342,16 @@ def _row_limit(m: int, bound: int) -> float:
             else int((pairs + 89) / (6.7 + bound / 5300)))
 
 
-def _member_pairs(B: GroundSet) -> Iterator[tuple[Payload, Payload]]:
-    """B's member pairs (b1, b2), b1 < b2, in lexicographic order: the
-    anchor images of the affine candidates.  BudgetError past _MAX_PAIRS."""
-    m = B.count()
+def _member_pairs(values: Sequence[Payload]
+                  ) -> Iterator[tuple[Payload, Payload]]:
+    """The pairs (b1, b2), b1 < b2, of B's ascending member list values, in
+    lexicographic order: the anchor images of the affine candidates.
+    BudgetError past _MAX_PAIRS."""
+    m = len(values)
     if m * (m - 1) // 2 > _MAX_PAIRS:
         raise BudgetError(f"budget-exceeded: more than {_MAX_PAIRS} "
                           "member pairs")
-    return combinations(B.values(), 2)
+    return combinations(values, 2)
 
 
 # -- built-in families ------------------------------------------------------
@@ -456,19 +456,24 @@ def builtin_affine(window: Window) -> FamilySpec:
         y = a + b * x
         return y if y <= window.bound else None
 
-    def anchored(fpay: Tuple_, B: GroundSet) -> list[Params]:
-        fs = sorted(set(fpay))  # a repeated point is no second anchor
+    def candidates(fs: list[int], values: list[Payload]) -> list[Params]:
+        """The anchored list for the distinct points fs, ascending, and
+        B's ascending member list values."""
         if len(fs) >= 2:
             f1, den = fs[0], fs[1] - fs[0]
             cands = []
-            for b1, b2 in _member_pairs(B):
+            for b1, b2 in _member_pairs(values):
                 if not (b2 - b1) % den and b1 >= (s := (b2 - b1) // den) * f1:
                     cands.append((b1 - s * f1, s))
         else:
             x = fs[0]
-            cands = [(beta - s * x, s) for beta in B.values()
+            cands = [(beta - s * x, s) for beta in values
                      for s in (range(1, beta // x + 1) if x else (1,))]
         return sorted(cands)
+
+    def anchored(fpay: Tuple_, B: GroundSet) -> list[Params]:
+        # a repeated point is no second anchor
+        return candidates(sorted(set(fpay)), list(B.values()))
 
     def kernel(fpay: Tuple_, B: GroundSet) -> tuple[Params | None, int]:
         fs = sorted(set(fpay))
@@ -481,8 +486,9 @@ def builtin_affine(window: Window) -> FamilySpec:
         if found is not None:
             return found
         # The rows reached their limit: the pair list is the cheaper side.
-        members = set(B.values())
-        cands = anchored(fpay, B)
+        values = list(B.values())  # B listed once for pairs and membership
+        members = set(values)
+        cands = candidates(fs, values)
         for rank, (a, s) in enumerate(cands, 1):
             for f in checks:
                 if a + s * f not in members:
@@ -546,45 +552,6 @@ def builtin_polynomial(s_coeffs: GroundSet, d_indices: Iterable[int],
         name=f"polynomial(D={list(dset)})", window=window,
         arity=1, param_arity=len(dset),
         g=g, _r=r, _scan_lists=scan_lists)
-
-
-def poly_indices(d_indices: Iterable[int], degree: int) -> tuple[int, ...]:
-    """The coefficient indices D of a restricted-coefficient polynomial of
-    degree at most `degree` <= MAX_EXPONENT, sorted and de-duplicated; the
-    one check of D for the polynomial family, detector and pattern."""
-    dset = tuple(sorted(set(d_indices)))
-    if not dset:
-        raise InputError("empty-D: need at least one coefficient index")
-    if degree > MAX_EXPONENT:
-        raise InputError(f"degree-out-of-range: {degree} > {MAX_EXPONENT}")
-    if dset[0] < 0 or dset[-1] > degree:
-        raise InputError(f"inconsistent-degree: D={list(dset)} vs degree {degree}")
-    return dset
-
-
-def _degenerate(dset: Sequence[int], coeffs: Sequence[int]) -> bool:
-    """A constant member of a family whose D reaches past the constant
-    term; such families hold only genuine non-constant polynomials."""
-    return dset[-1] >= 1 and all(c == 0 for i, c in zip(dset, coeffs) if i)
-
-
-def poly_coefficients(dset: Sequence[int], values: Sequence[int],
-                      total: int) -> Iterator[tuple[int, ...]]:
-    """Coefficient vectors for the indices dset, each entry drawn from the
-    ascending list values, with entry sum <= total (P(1) <= total), in
-    ascending lexicographic order and without the degenerate constants."""
-
-    def rec(pos: int, left: int, prefix: tuple[int, ...]):
-        if pos == len(dset):
-            if not _degenerate(dset, prefix):
-                yield prefix
-            return
-        for v in values:
-            if v > left:
-                break
-            yield from rec(pos + 1, left - v, prefix + (v,))
-
-    return rec(0, total, ())
 
 
 def builtin_word_suffix(window: Window, letter: str) -> FamilySpec:

@@ -7,30 +7,32 @@ dumps is the one serializer.  Realized elements and density witnesses, long
 by design, reach it as top-level _Fragments of JSON text encoded ahead by
 _int_text: long ranges (an AP, a run of tails) in numpy, other int lists
 joined, the rest by json.  The bytes are those json.dumps writes.
+
+Importing this module loads no other layer and no numpy: a reader
+imports the layers it builds (carrier, density, families) at its first
+call, and numpy loads only in _int_text's range kernel.  So the `pr`
+writers run without numpy.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
-from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-import numpy as np
-
-from .carrier import (ADDITIVE, FREE_WORDS, MULTIPLICATIVE, GroundSet, Window,
-                      make_window, parse_predicate)
-from .density import DensityReport, MonotonicityReport, Net, interval_net
-from .embed import EmbedVerdict, ProbeReport
 from .errors import InputError, parse_int
-from .families import (FamilySpec, builtin_affine, builtin_geoarithmetic,
-                       builtin_left_translations, builtin_polynomial,
-                       builtin_right_translations, builtin_word_suffix,
-                       make_family_from_pair)
-from .prsearch import ColoringCertificate, ThresholdResult
-from .rich import ProgressionCertificate, ShiftReport
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+    from pathlib import Path
+
+    from .carrier import GroundSet, Window
+    from .density import DensityReport, MonotonicityReport, Net
+    from .embed import EmbedVerdict, ProbeReport
+    from .families import FamilySpec
+    from .prsearch import ColoringCertificate, ThresholdResult
+    from .rich import ProgressionCertificate, ShiftReport
 
 
 def load_json(path: str | Path) -> Any:
@@ -75,14 +77,27 @@ def _field(obj: Any, key: str, kind: type, default: Any = _REQUIRED,
     return value
 
 
+# The layers the readers build, each imported by the first reader that
+# needs it and kept here: an import statement run on every call would
+# cost about 1 us a call, a few percent of a small decide.
+carrier = density = families = None
+
+
 def window_from_json(obj: Any) -> Window:
+    global carrier
+    if carrier is None:
+        from . import carrier
     kind = _field(obj, "kind", str, where="window")
-    alphabet = _REQUIRED if kind == FREE_WORDS else None
-    return make_window(kind, _field(obj, "bound", int, where="window"),
-                       _field(obj, "alphabet", list, alphabet, "window", str))
+    alphabet = _REQUIRED if kind == carrier.FREE_WORDS else None
+    return carrier.make_window(
+        kind, _field(obj, "bound", int, where="window"),
+        _field(obj, "alphabet", list, alphabet, "window", str))
 
 
 def set_body_from_json(window: Window, body: Any, label: str = "") -> GroundSet:
+    global carrier
+    if carrier is None:
+        from . import carrier
     values = _field(body, "explicit", list, None, "set body", _ELEMENT)
     if values is not None:
         numerals = window.sort_key is None  # words need no parse
@@ -94,14 +109,14 @@ def set_body_from_json(window: Window, body: Any, label: str = "") -> GroundSet:
                 if type(v) is str:
                     window.encoding(window.parse(v))
             raise
-        return GroundSet.from_encodings(
+        return carrier.GroundSet.from_encodings(
             window, encs, label=label or _field(body, "label", str, "",
                                                 "set body"))
     spec = _field(body, "predicate", str, None, "set body")
     if spec is None:
         raise InputError("set body needs 'explicit' or 'predicate'")
-    return GroundSet.from_predicate(
-        window, parse_predicate(spec),
+    return carrier.GroundSet.from_predicate(
+        window, carrier.parse_predicate(spec),
         label=label or _field(body, "label", str, spec, "set body"))
 
 
@@ -112,29 +127,32 @@ def ground_set_from_json(obj: Any) -> GroundSet:
                               _field(obj, "label", str, "", where))
 
 
-_PLAIN_BUILTINS = {
-    "affine": builtin_affine,
-    "geoarithmetic": builtin_geoarithmetic,
-    "translations-right": builtin_right_translations,
-    "translations-left": builtin_left_translations,
+_PLAIN_BUILTINS = {  # builtin name -> its builder's name in families
+    "affine": "builtin_affine",
+    "geoarithmetic": "builtin_geoarithmetic",
+    "translations-right": "builtin_right_translations",
+    "translations-left": "builtin_left_translations",
 }
 
 
 def family_from_json(obj: Any, window: Window) -> FamilySpec:
+    global families
+    if families is None:
+        from . import families
     name = _field(obj, "builtin", str, None, "family")
     if name is not None:
         args = _field(obj, "args", dict, _EMPTY, "family")
         if name in _PLAIN_BUILTINS:
-            return _PLAIN_BUILTINS[name](window)
+            return getattr(families, _PLAIN_BUILTINS[name])(window)
         if name == "polynomial":
             where = "polynomial family 'args'"
             d = _field(args, "D", list, where=where, item=int)
             degree = _field(args, "degree", int, where=where)
             coeffs = set_body_from_json(
                 window, _field(args, "coeffs", dict, where=where), "coeffs")
-            return builtin_polynomial(coeffs, d, degree)
+            return families.builtin_polynomial(coeffs, d, degree)
         if name == "word-suffix":
-            return builtin_word_suffix(window, _field(
+            return families.builtin_word_suffix(window, _field(
                 args, "letter", str, where="word-suffix family 'args'"))
         raise InputError(f"unknown builtin family {name!r}")
     spec = _field(obj, "pair", dict, None, "family")
@@ -150,10 +168,13 @@ def family_from_json(obj: Any, window: Window) -> FamilySpec:
         _field(enum, "bound", int, None, "pair family 'enum'"))
     if mode != "bounded-scan":
         raise InputError(f"pair families support bounded-scan only, got {mode!r}")
-    return make_family_from_pair(window, n, k, term, r_spec, bound)
+    return families.make_family_from_pair(window, n, k, term, r_spec, bound)
 
 
 def net_from_spec(spec: str, window: Window) -> Net:
+    global carrier, density
+    if density is None:
+        from . import carrier, density
     head, _, arg = spec.partition(":")
     if head != "interval":
         raise InputError(f"unknown net spec {spec!r}")
@@ -161,11 +182,12 @@ def net_from_spec(spec: str, window: Window) -> Net:
     # checked before building; a numeric window holds 1..W and no W + 1,
     # other windows are searched (a word window holds no number)
     if max_n >= 1 and not window.contains_value(max_n):
-        v = (window.bound + 1 if window.kind in (ADDITIVE, MULTIPLICATIVE)
+        numeric = (carrier.ADDITIVE, carrier.MULTIPLICATIVE)
+        v = (window.bound + 1 if window.kind in numeric
              else next(v for v in range(1, max_n + 1)
                        if not window.contains_value(v)))
         raise InputError(f"net-exceeds-window at F_{v}: {v!r}")
-    return interval_net(max_n)
+    return density.interval_net(max_n)
 
 
 def pairs_from_json(obj: Any) -> tuple[Window, list[tuple[GroundSet, GroundSet]], list[int]]:
@@ -210,7 +232,7 @@ _encode = _make_encode()
 # json or join is as fast up to here: crossovers on x86_64 at 400 to 1,100
 # values for AP certificates, 200 to 400 for density runs (BENCH_19.json)
 _INT_TEXT_MIN = 800
-_POWERS = 10 ** np.arange(1, 19, dtype=np.int64)  # digit-width edges
+_POWERS = [10 ** k for k in range(1, 19)]  # digit-width edges
 
 
 def _scalar(value: Any) -> str:  # json's text, an int's without the encoder
@@ -224,6 +246,7 @@ def _int_text(values: Sequence[int], sep: str = ",") -> str:
     if (type(values) is range and len(values) > _INT_TEXT_MIN
             and values.start >= 0 and values.step >= 1
             and values[-1] < 2 ** 63):  # numpy wraps past int64
+        import numpy as np
         # not arange(start, stop, step): its float length can miss a term
         a = np.arange(len(values), dtype=np.int64) * values.step + values.start
         raw, blocks = sep.encode(), []

@@ -21,12 +21,14 @@ from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetError, InputError, parse_int
-from .families import MAX_EXPONENT, poly_coefficients, poly_indices
 
 DEFAULT_INSTANCE_BUDGET = 500_000
 DEFAULT_NODE_BUDGET = 2_000_000
 
 VARS = "xyzw"
+
+# The largest exponent a term, a polynomial or a degree may ask for.
+MAX_EXPONENT = 64
 
 
 # -- polynomials ---------------------------------------------------------------
@@ -112,6 +114,45 @@ def parse_polynomial(text: str) -> Polynomial:
     monos = tuple(sorted(
         (c, exps[:nvars]) for exps, c in terms.items() if c != 0))
     return Polynomial(monos, nvars)
+
+
+def poly_indices(d_indices: Iterable[int], degree: int) -> tuple[int, ...]:
+    """The coefficient indices D of a restricted-coefficient polynomial of
+    degree at most `degree` <= MAX_EXPONENT, sorted and de-duplicated; the
+    one check of D for the polynomial family, detector and pattern."""
+    dset = tuple(sorted(set(d_indices)))
+    if not dset:
+        raise InputError("empty-D: need at least one coefficient index")
+    if degree > MAX_EXPONENT:
+        raise InputError(f"degree-out-of-range: {degree} > {MAX_EXPONENT}")
+    if dset[0] < 0 or dset[-1] > degree:
+        raise InputError(f"inconsistent-degree: D={list(dset)} vs degree {degree}")
+    return dset
+
+
+def _degenerate(dset: Sequence[int], coeffs: Sequence[int]) -> bool:
+    """A constant member of a family whose D reaches past the constant
+    term; such families hold only genuine non-constant polynomials."""
+    return dset[-1] >= 1 and all(c == 0 for i, c in zip(dset, coeffs) if i)
+
+
+def poly_coefficients(dset: Sequence[int], values: Sequence[int],
+                      total: int) -> Iterator[tuple[int, ...]]:
+    """Coefficient vectors for the indices dset, each entry drawn from the
+    ascending list values, with entry sum <= total (P(1) <= total), in
+    ascending lexicographic order and without the degenerate constants."""
+
+    def rec(pos: int, left: int, prefix: tuple[int, ...]):
+        if pos == len(dset):
+            if not _degenerate(dset, prefix):
+                yield prefix
+            return
+        for v in values:
+            if v > left:
+                break
+            yield from rec(pos + 1, left - v, prefix + (v,))
+
+    return rec(0, total, ())
 
 
 # -- patterns ------------------------------------------------------------------

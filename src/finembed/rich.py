@@ -18,8 +18,8 @@ import numpy as np
 from .carrier import (ADDITIVE, MULTIPLICATIVE, GroundSet, Payload, Window)
 from .embed import ProbeReport, fe_probe
 from .errors import InputError
-from .families import (FamilySpec, builtin_right_translations,
-                       poly_coefficients, poly_indices)
+from .families import FamilySpec, builtin_right_translations
+from .prsearch import poly_coefficients, poly_indices
 
 
 @dataclass(frozen=True)

@@ -587,10 +587,10 @@ def test_negative_embed_probe_is_rejected(capsys, files):
 @pytest.mark.parametrize("action", [[], ["verify-monotone"]])
 def test_long_interval_net_is_rejected_before_it_is_built(
         capsys, monkeypatch, files, action):
-    from finembed import jsonio
+    from finembed import density
     built = []
-    real = jsonio.interval_net
-    monkeypatch.setattr(jsonio, "interval_net",
+    real = density.interval_net
+    monkeypatch.setattr(density, "interval_net",
                         lambda n: built.append(n) or real(n))
     where = (["--pairs", files["pairs"], "--family", files["translations"]]
              if action else ["--set", files["evens"]])

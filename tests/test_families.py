@@ -14,15 +14,15 @@ from finembed.carrier import (ADDITIVE, FREE_WORDS, MAX_NESTING,
                               make_table_window, make_window, parse_predicate)
 from finembed.embed import NO, YES, embed_finite, fe_decide
 from finembed.errors import InputError
-from finembed.families import (MAX_EXPONENT, _shell_order, builtin_affine,
+from finembed.families import (_shell_order, builtin_affine,
                                builtin_geoarithmetic,
                                builtin_left_translations, builtin_polynomial,
                                builtin_right_translations, builtin_word_suffix,
                                filter_params, make_family_from_pair,
-                               poly_coefficients, poly_indices,
                                restrict_params)
 from finembed.jsonio import family_from_json
-from finembed.prsearch import poly_progression_pattern
+from finembed.prsearch import (MAX_EXPONENT, poly_coefficients, poly_indices,
+                               poly_progression_pattern)
 from finembed.rich import longest_poly_progression
 
 

@@ -43,7 +43,7 @@ def int_text_path(values, sep):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(jsonio.json, "dumps",
                    lambda *a, **k: calls.append("json") or dumps(*a, **k))
-        mp.setattr(jsonio.np, "arange",
+        mp.setattr(np, "arange",
                    lambda *a, **k: calls.append("kernel") or arange(*a, **k))
         text = _int_text(values, sep)
     return text, calls[0] if calls else "join"

@@ -9,8 +9,7 @@ from conftest import (brute_instances_ap, brute_instances_equation,
                       brute_instances_gap_grid, brute_instances_schur,
                       reference_backtrack)
 from finembed.errors import BudgetError, InputError
-from finembed.families import MAX_EXPONENT
-from finembed.prsearch import (Pattern, Polynomial, _canonicalize,
+from finembed.prsearch import (MAX_EXPONENT, Pattern, Polynomial, _canonicalize,
                                _ForwardCheck, _isolated_variable, _solutions,
                                ap_pattern, equation_pattern,
                                find_avoiding_coloring, gap_grid_pattern,
