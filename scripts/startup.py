@@ -1,7 +1,6 @@
 """Fresh-process wall time of each CLI subcommand, two source trees alternated.
 
     PYTHONPATH=src python scripts/startup.py --parent ../parent > startup.json
-    PYTHONPATH=src python scripts/startup.py --parent ../parent --rounds 3
 
 Runs `python -m finembed <args>` in a new interpreter for each case below
 (the three `pr` subcommands, `embed`, `rich --detect ap`, `density`,
@@ -12,8 +11,8 @@ pays per call: interpreter start, the imports the subcommand makes
 (numpy among them when the subcommand reads a set), the query and the
 exit.
 
-Each round times every case on both sides, back to back, alternating
-which side goes first; a side's time in a round is the best of REPEATS
+Each of ROUNDS rounds times every case on both sides, back to back,
+alternating which side goes first; a side's time in a round is the best of REPEATS
 spawns (scripts/set_sweeps.py's best_of), normalized by the perfbench
 reference loop measured just before and after it, as perfbench/run.py's
 measure_setup does.  A first spawn per case and side warms the file cache
@@ -39,6 +38,7 @@ from pathlib import Path
 from set_sweeps import REF_NOMINAL_S, REPEATS, best_of, reference_loop
 
 ROOT = Path(__file__).resolve().parent.parent
+ROUNDS = 10
 SINGLE_THREAD = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
                  "MKL_NUM_THREADS": "1"}
 WINDOW = {"kind": "additive-naturals", "bound": 100}
@@ -85,7 +85,6 @@ def main() -> None:
                     help="root of the parent source tree")
     ap.add_argument("--change", default=ROOT, type=Path,
                     help="root of the changed source tree (default: this one)")
-    ap.add_argument("--rounds", type=int, default=10)
     args = ap.parse_args()
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for tree in sides.values():
@@ -106,7 +105,7 @@ def main() -> None:
                 sys.exit(f"error: {case}: the two trees print different stdout")
         norm = {key: [] for key in runs}
         raw = {key: [] for key in runs}
-        for r in range(args.rounds):
+        for r in range(ROUNDS):
             order = list(sides) if r % 2 == 0 else list(sides)[::-1]
             for case, _argv, _code in CASES:
                 for side in order:
@@ -115,7 +114,7 @@ def main() -> None:
                     ref = (ref + reference_loop()) / 2
                     raw[case, side].append(best * 1e3)
                     norm[case, side].append(best * 1e3 * REF_NOMINAL_S / ref)
-            print(f"round {r + 1}/{args.rounds} done", file=sys.stderr)
+            print(f"round {r + 1}/{ROUNDS} done", file=sys.stderr)
 
     records = []
     for case, argv, code in CASES:
@@ -133,7 +132,7 @@ def main() -> None:
                          "nproc": len(os.sched_getaffinity(0)),
                          "PYTHONDONTWRITEBYTECODE":
                              os.environ.get("PYTHONDONTWRITEBYTECODE"),
-                         "rounds": args.rounds, "best_of": REPEATS},
+                         "rounds": ROUNDS, "best_of": REPEATS},
                "records": records}, sys.stdout, indent=1)
     print()
 

@@ -7,12 +7,7 @@ searches abandoned because an explicit resource cap was hit, never a wrong
 answer.
 """
 
-from __future__ import annotations
-
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from fractions import Fraction
 
 
 class InputError(ValueError):
@@ -46,7 +41,6 @@ def parse_ints(text: str, what: str) -> list[int]:
 
 def parse_fraction(text: str, what: str) -> Fraction:
     """Fraction(text), with a malformed rational reported as bad input."""
-    from fractions import Fraction
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

@@ -45,7 +45,7 @@ import numpy as np
 from .carrier import (ADDITIVE, FREE_WORDS, MAX_NESTING, MULTIPLICATIVE,
                       TABLE, GroundSet, Payload, Window, _is_prime)
 from .errors import BudgetError, InputError, parse_int
-from .prsearch import MAX_EXPONENT, _degenerate, poly_indices
+from .prsearch import MAX_EXPONENT, degenerate, poly_indices
 
 Params = tuple
 Tuple_ = tuple
@@ -342,12 +342,13 @@ def _row_limit(m: int, bound: int) -> float:
             else int((pairs + 89) / (6.7 + bound / 5300)))
 
 
-def _member_pairs(values: Sequence[Payload]
+def _member_pairs(B: GroundSet, values: Iterable[Payload]
                   ) -> Iterator[tuple[Payload, Payload]]:
-    """The pairs (b1, b2), b1 < b2, of B's ascending member list values, in
-    lexicographic order: the anchor images of the affine candidates.
-    BudgetError past _MAX_PAIRS."""
-    m = len(values)
+    """B's member pairs (b1, b2), b1 < b2, in lexicographic order, drawn
+    from values, B's members ascending: the anchor images of the affine
+    candidates.  BudgetError past _MAX_PAIRS, from B's count before values
+    is read."""
+    m = B.count()
     if m * (m - 1) // 2 > _MAX_PAIRS:
         raise BudgetError(f"budget-exceeded: more than {_MAX_PAIRS} "
                           "member pairs")
@@ -456,13 +457,14 @@ def builtin_affine(window: Window) -> FamilySpec:
         y = a + b * x
         return y if y <= window.bound else None
 
-    def candidates(fs: list[int], values: list[Payload]) -> list[Params]:
-        """The anchored list for the distinct points fs, ascending, and
-        B's ascending member list values."""
+    def candidates(fs: list[int], B: GroundSet,
+                   values: Iterable[Payload]) -> list[Params]:
+        """The anchored list for the distinct points fs, ascending, with
+        values B's members ascending (B.values() or a list of them)."""
         if len(fs) >= 2:
             f1, den = fs[0], fs[1] - fs[0]
             cands = []
-            for b1, b2 in _member_pairs(values):
+            for b1, b2 in _member_pairs(B, values):
                 if not (b2 - b1) % den and b1 >= (s := (b2 - b1) // den) * f1:
                     cands.append((b1 - s * f1, s))
         else:
@@ -473,7 +475,7 @@ def builtin_affine(window: Window) -> FamilySpec:
 
     def anchored(fpay: Tuple_, B: GroundSet) -> list[Params]:
         # a repeated point is no second anchor
-        return candidates(sorted(set(fpay)), list(B.values()))
+        return candidates(sorted(set(fpay)), B, B.values())
 
     def kernel(fpay: Tuple_, B: GroundSet) -> tuple[Params | None, int]:
         fs = sorted(set(fpay))
@@ -488,7 +490,7 @@ def builtin_affine(window: Window) -> FamilySpec:
         # The rows reached their limit: the pair list is the cheaper side.
         values = list(B.values())  # B listed once for pairs and membership
         members = set(values)
-        cands = candidates(fs, values)
+        cands = candidates(fs, B, values)
         for rank, (a, s) in enumerate(cands, 1):
             for f in checks:
                 if a + s * f not in members:
@@ -542,7 +544,7 @@ def builtin_polynomial(s_coeffs: GroundSet, d_indices: Iterable[int],
 
     def r(params: Params) -> bool:
         return (all(a in s_coeffs for a in params)
-                and not _degenerate(dset, params))
+                and not degenerate(dset, params))
 
     def scan_lists(bound: int) -> Sequence[Sequence]:
         vals = [v for v in s_coeffs.values() if v <= bound]

@@ -18,15 +18,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
+from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from .errors import InputError, parse_int
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-    from pathlib import Path
-
     from .carrier import GroundSet, Window
     from .density import DensityReport, MonotonicityReport, Net
     from .embed import EmbedVerdict, ProbeReport

@@ -130,7 +130,7 @@ def poly_indices(d_indices: Iterable[int], degree: int) -> tuple[int, ...]:
     return dset
 
 
-def _degenerate(dset: Sequence[int], coeffs: Sequence[int]) -> bool:
+def degenerate(dset: Sequence[int], coeffs: Sequence[int]) -> bool:
     """A constant member of a family whose D reaches past the constant
     term; such families hold only genuine non-constant polynomials."""
     return dset[-1] >= 1 and all(c == 0 for i, c in zip(dset, coeffs) if i)
@@ -144,7 +144,7 @@ def poly_coefficients(dset: Sequence[int], values: Sequence[int],
 
     def rec(pos: int, left: int, prefix: tuple[int, ...]):
         if pos == len(dset):
-            if not _degenerate(dset, prefix):
+            if not degenerate(dset, prefix):
                 yield prefix
             return
         for v in values:

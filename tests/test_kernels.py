@@ -438,12 +438,24 @@ def test_two_members_far_apart_read_a_few_rows(monkeypatch, sides):
     assert reads == list(range(limit + 1)) + [limit]
 
 
-def test_filtered_affine_list_is_budgeted_on_a_dense_target():
+def test_filtered_affine_list_is_budgeted_on_a_dense_target(monkeypatch):
+    # The budget reads B's count, so a dense target raises without a walk
+    # of its members.
     win = make_window(ADDITIVE, 100_000)
     evens = GroundSet.from_predicate(win, parse_predicate("evens"))
+    read = []
+    members = evens.values
+
+    def values():
+        for v in members():
+            read.append(v)
+            yield v
+
+    monkeypatch.setattr(evens, "values", values)
     even_slope = filter_params(builtin_affine(win), lambda p: p[1] % 2 == 0,
                                "even-slope")
     with pytest.raises(BudgetError) as err:
         embed_finite([0, 1], evens, even_slope)
     assert str(err.value) == (f"budget-exceeded: more than "
                               f"{families._MAX_PAIRS} member pairs")
+    assert read == []
