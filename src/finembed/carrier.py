@@ -45,9 +45,6 @@ _TOO_LARGE = (f"bound-too-large: window would hold more than "
 # and evaluates within the interpreter's recursion limit.
 MAX_NESTING = 64
 
-# Smallest prefix a vectorized predicate fill evaluates at once.
-_FILL_CHUNK = 1024
-
 Payload = int | str
 
 
@@ -318,8 +315,8 @@ class GroundSet:
     Explicit sets are filled on construction; predicate sets fill a prefix
     of the encodings on demand and memoize it.  Builtin predicates carry a
     vector form (see parse_predicate), which numeric windows use to fill
-    the prefix in chunks that at least double; any other predicate is
-    evaluated one element at a time, and only up to the encoding asked for.
+    the whole window at the first read; any other predicate is evaluated
+    one element at a time, and only up to the encoding asked for.
 
     Membership queries outside the window raise InputError rather than
     answering False.  Instances are immutable from the caller's view; the
@@ -372,14 +369,9 @@ class GroundSet:
         return cls(window, members=bytearray(window.size), label=label)
 
     def _fill_to(self, enc: int) -> None:
-        """Make encodings 0..enc known.  A vector predicate fills past enc,
-        to at least twice the known prefix and at least _FILL_CHUNK
-        encodings, so a full scan takes O(log W) vector calls; any other
-        predicate stops at enc."""
-        if self._vector is not None:
-            enc = min(self.window.size - 1,
-                      max(enc, 2 * self._known_upto, _FILL_CHUNK - 1))
-        self._extend(enc)
+        """Make encodings 0..enc known.  A vector predicate fills the whole
+        window in one call; any other predicate stops at enc."""
+        self._extend(enc if self._vector is None else self.window.size - 1)
 
     def _extend(self, upto: int) -> None:
         lo = self._known_upto

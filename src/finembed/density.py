@@ -67,29 +67,11 @@ class Net:
                 raise InputError(f"net set F_{i} repeats an element")
             if not prev <= members:
                 raise InputError(f"net is not ascending at index {i}")
-            deltas.append([v for v in fn if v not in prev])
+            deltas.append(tuple(v for v in fn if v not in prev))
             prev = members
-        self._set(deltas, label)
-
-    @classmethod
-    def from_deltas(cls, deltas: Sequence[Sequence[Payload]],
-                    label: str = "") -> "Net":
-        """The net F_i = F_{i-1} u deltas[i-1]; deltas[0] must be non-empty."""
-        net = cls.__new__(cls)
-        net._set(deltas, label)
-        return net
-
-    def _set(self, deltas: Sequence[Sequence[Payload]], label: str) -> None:
         if not deltas or not deltas[0]:
             raise InputError("net needs a non-empty F_1")
-        flat = list(chain.from_iterable(deltas))
-        if len(set(flat)) != len(flat):  # find the first repeat
-            seen: set = set()
-            for i, delta in enumerate(deltas, start=1):
-                if not seen.isdisjoint(delta) or len(set(delta)) != len(delta):
-                    raise InputError(f"net set F_{i} repeats an element")
-                seen.update(delta)
-        object.__setattr__(self, "deltas", tuple(map(tuple, deltas)))
+        object.__setattr__(self, "deltas", tuple(deltas))
         object.__setattr__(self, "label", label)
 
     @property

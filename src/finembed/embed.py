@@ -9,7 +9,8 @@ Families with a kernel (translations on the numeric carriers, affine maps)
 jump straight to that witness and count the candidates before it.
 
 Verdicts are three-valued: "no" is reserved for exhausted *complete* streams,
-bounded scans that find nothing return "unknown".
+bounded scans that find nothing return "unknown", and a bounded scan that
+would examine more than _MAX_SCAN parameters raises BudgetError instead.
 """
 
 from __future__ import annotations
@@ -19,11 +20,16 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .carrier import GroundSet, Payload
-from .errors import InputError, UnionEmbeddingError, UnverifiedPairError
+from .errors import (BudgetError, InputError, UnionEmbeddingError,
+                     UnverifiedPairError)
 from .families import FamilySpec, Params
 
 # n >= 2 image computation enumerates |F|^n tuples; cap |F| to keep that sane.
 DEFAULT_TUPLE_CAP = 12
+
+# Parameters a bounded (incomplete) scan examines before BudgetError;
+# complete streams are bounded by their own candidate lists.
+_MAX_SCAN = 1 << 23
 
 YES = "yes"
 NO = "no"
@@ -107,8 +113,11 @@ def embed_finite(F: Iterable[Payload], B: GroundSet, family: FamilySpec,
                 f"map {fpay!r} into {B.label!r}")
         return EmbedVerdict(YES, EmbedWitness(fpay, params, image), stats)
     stream = family.enumerate_params(fpay, B, bound)
-    examined = 0
+    examined, budget = 0, None if stream.complete else _MAX_SCAN
     for params in stream.params:
+        if examined == budget:
+            raise BudgetError(f"budget-exceeded: more than {_MAX_SCAN} "
+                              "parameters scanned")
         examined += 1
         image = image_in_b(params)
         if image is not None:
@@ -322,10 +331,6 @@ class ClosureEntry:
 class ClosureReport:
     property_name: str
     entries: tuple[ClosureEntry, ...]
-
-    @property
-    def closed_on_sample(self) -> bool:
-        return all(e.status != "violated" for e in self.entries)
 
     @property
     def counterexamples(self) -> tuple[ClosureEntry, ...]:

@@ -227,13 +227,12 @@ def _shift_search(B: GroundSet, slopes: range, anchors: Sequence[int],
 
     With two anchors, the rows read (after a first witness too) stop at
     _row_limit(m, bound) for B's m members: past it the caller walks the
-    anchored list of m(m-1)/2 pairs instead.  m is read only once the rows
-    reach the least limit, that of m = 0.  A lone anchor has no limit.
+    anchored list of m(m-1)/2 pairs instead.  A lone anchor has no limit.
     """
     mem = B.array()
     buf, bits = B.bitset()
     bound, top = len(mem) - 1, max(anchors)
-    limit = _row_limit(0, bound) if len(anchors) == 2 else inf
+    limit = _row_limit(bits.bit_count(), bound) if len(anchors) == 2 else inf
 
     def row_of(s: int, offsets: Sequence[int], row: int) -> int:
         n = row.bit_length()
@@ -260,9 +259,7 @@ def _shift_search(B: GroundSet, slopes: range, anchors: Sequence[int],
             if not n:
                 break
         if scanned == limit:
-            limit = _row_limit(bits.bit_count(), bound)
-            if scanned == limit:
-                return None
+            return None
         row = row_of(s, anchors, (1 << n) - 1)
         scanned += 1
         if scanned <= keep:
@@ -329,7 +326,8 @@ def _column_search(mem: np.ndarray, a1: int, s1: int, anchors: Sequence[int],
 
 
 # Rows are kept while the list holds no more bits than this; an affine
-# candidate list takes at most _MAX_PAIRS member pairs.
+# candidate list takes at most _MAX_PAIRS member pairs, or as many
+# candidates for a lone anchor.
 _ROW_BITS = 1 << 23
 _MAX_PAIRS = 1 << 20
 
@@ -468,7 +466,11 @@ def builtin_affine(window: Window) -> FamilySpec:
                 if not (b2 - b1) % den and b1 >= (s := (b2 - b1) // den) * f1:
                     cands.append((b1 - s * f1, s))
         else:
-            x = fs[0]
+            x, values = fs[0], list(values)
+            # x = 0 gives one candidate per member, at most the window size
+            if x and sum(beta // x for beta in values) > _MAX_PAIRS:
+                raise BudgetError(f"budget-exceeded: more than {_MAX_PAIRS} "
+                                  "anchored candidates")
             cands = [(beta - s * x, s) for beta in values
                      for s in (range(1, beta // x + 1) if x else (1,))]
         return sorted(cands)

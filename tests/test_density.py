@@ -27,8 +27,8 @@ def test_interval_net_shape():
     assert interval_net(1).sets == ((1,),)
     # built without Net's checks, yet the net those checks would build
     for n in (1, 2, 37):
-        net, checked = interval_net(n), Net.from_deltas(
-            [(k,) for k in range(1, n + 1)], label=f"interval:{n}")
+        net, checked = interval_net(n), Net(
+            [range(1, k + 1) for k in range(1, n + 1)], label=f"interval:{n}")
         assert (net.deltas, net.sets, net.label) == \
             (checked.deltas, checked.sets, checked.label)
         assert net == checked and net._interval and not checked._interval
@@ -49,13 +49,10 @@ def test_net_rejects_repeated_elements():
     for sets in (((1, 1),), ((1,), (1, 2, 2)), ((3,), (3, 1), (1, 3, 1))):
         with pytest.raises(InputError, match="repeats an element"):
             Net(sets)
-    for deltas in ([(1,), (2, 1)], [(2, 2)], [(1,), (3, 3)]):
-        with pytest.raises(InputError, match="repeats an element"):
-            Net.from_deltas(deltas)
-    with pytest.raises(InputError):
-        Net.from_deltas([(), (1,)])
-    with pytest.raises(InputError):
-        Net.from_deltas([])
+    with pytest.raises(InputError, match="non-empty F_1"):
+        Net([(), (1,)])
+    with pytest.raises(InputError, match="non-empty F_1"):
+        Net([])
 
 
 def test_net_stores_increments():
@@ -63,7 +60,6 @@ def test_net_stores_increments():
     assert net.deltas == ((2,), (3, 1), (), (4,))
     assert [frozenset(f) for f in net.sets] == \
         [frozenset(f) for f in ((2,), (1, 2, 3), (1, 2, 3), (1, 2, 3, 4))]
-    assert Net.from_deltas(net.deltas, label="n") == net
     assert interval_net(4).deltas == ((1,), (2,), (3,), (4,))
 
 

@@ -5,15 +5,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import blind_affine_scan, blind_translation_scan
+from finembed import embed
 from finembed.carrier import (ADDITIVE, FREE_WORDS, MULTIPLICATIVE, GroundSet,
-                              make_window)
-from finembed.embed import (check_reflexive_criterion,
+                              make_window, parse_predicate)
+from finembed.embed import (NO, UNKNOWN, YES, SearchStats,
+                            check_reflexive_criterion,
                             check_transitive_criterion, check_union_split,
                             check_upward_closed, embed_finite, fe_decide,
                             fe_probe, image_of, verify_witness)
-from finembed.errors import (InputError, UnionEmbeddingError,
+from finembed.errors import (BudgetError, InputError, UnionEmbeddingError,
                              UnverifiedPairError)
-from finembed.families import (builtin_affine, builtin_right_translations,
+from finembed.families import (builtin_affine, builtin_geoarithmetic,
+                               builtin_right_translations,
                                builtin_word_suffix, filter_params,
                                restrict_params)
 from finembed.rich import longest_ap
@@ -193,14 +196,13 @@ def test_upward_closed_transfer_and_counterexample(win):
     A = GroundSet.from_values(win, [0, 2, 4, 6], "A")
     B = GroundSet.from_values(win, [5, 7, 9, 11], "A+5")
     rep = check_upward_closed(_contains_ap4, "contains-ap:4", [(A, B)], tr)
-    assert rep.closed_on_sample
+    assert rep.counterexamples == ()
     assert rep.entries[0].status == "transfers"
 
     rep = check_upward_closed(lambda A: A.contains_value(0),
                               "contains-element:0",
                               [(GroundSet.from_values(win, [0], "Z"),
                                 GroundSet.from_values(win, [5], "Z+5"))], tr)
-    assert not rep.closed_on_sample
     assert len(rep.counterexamples) == 1
 
 
@@ -213,10 +215,36 @@ def test_upward_closed_rejects_unverified_pair(win):
 
 
 def test_tuple_cap_guards_blowup(win):
-    from finembed.families import builtin_geoarithmetic
     geo = builtin_geoarithmetic(win)
     with pytest.raises(InputError, match="exceeds the tuple cap 12 "):
         embed_finite(list(range(13)), GroundSet.full(win), geo)
+
+
+def test_bounded_scan_is_budgeted(monkeypatch):
+    # Geoarithmetic [1, 2] into the primes at W = 200, bound 20, examines
+    # 7,980 parameters and finds nothing: "unknown" within the budget, and
+    # BudgetError one parameter short of it.
+    win = make_window(ADDITIVE, 200)
+    geo = builtin_geoarithmetic(win)
+    primes = GroundSet.from_predicate(win, parse_predicate("primes"))
+    monkeypatch.setattr(embed, "_MAX_SCAN", 7_980)
+    v = embed_finite([1, 2], primes, geo, bound=20)
+    assert (v.outcome, v.stats) == (UNKNOWN, SearchStats(7_980, False))
+    monkeypatch.setattr(embed, "_MAX_SCAN", 7_979)
+    with pytest.raises(BudgetError,
+                       match="^budget-exceeded: more than 7979 parameters "
+                             "scanned$"):
+        embed_finite([1, 2], primes, geo, bound=20)
+    # A witness inside the budget still answers, and a complete stream
+    # longer than the budget is not cut.
+    monkeypatch.setattr(embed, "_MAX_SCAN", 1)
+    evens = GroundSet.from_predicate(win, parse_predicate("evens"))
+    v = embed_finite([1, 2], evens, geo)
+    assert (v.outcome, v.witness.params) == (YES, (2, 0, 1))
+    tr = builtin_right_translations(win)
+    B = GroundSet.from_values(win, range(100, 201))
+    v = embed_finite([0, 150], B, filter_params(tr, lambda p: True, "every"))
+    assert v.outcome == NO and v.stats.params_examined > 1
 
 
 @given(st.integers(0, 10_000_000))

@@ -431,11 +431,34 @@ def test_two_members_far_apart_read_a_few_rows(monkeypatch, sides):
     v = embed_finite([0, 1], B, builtin_affine(win))
     assert (v.outcome, v.witness.params, v.stats.params_examined) == \
         (YES, (0, 50_000), 1)
-    # The rows reach the least limit, that of no members, then read m and
-    # stop at its limit: here the same one.
+    # The limit is read from m once, and the rows stop at it.
     limit = real(2, 100_000)
-    assert sides == ["pairs"] and 0 < limit == real(0, 100_000) < 10
-    assert reads == list(range(limit + 1)) + [limit]
+    assert sides == ["pairs"] and 0 < limit < 10
+    assert reads == list(range(limit + 1))
+
+
+def test_lone_anchor_affine_list_is_budgeted():
+    # F = [3] into the whole window lists sum(beta // 3) candidates: about
+    # 1.7e9 at W = 1e5, so the budget raises before building any.
+    win = make_window(ADDITIVE, 100_000)
+    every = filter_params(builtin_affine(win), lambda p: True, "every")
+    with pytest.raises(BudgetError) as err:
+        embed_finite([3], GroundSet.full(win), every)
+    assert str(err.value) == (f"budget-exceeded: more than "
+                              f"{families._MAX_PAIRS} anchored candidates")
+
+
+@pytest.mark.parametrize("x", [0, 3])
+@pytest.mark.parametrize("spec", ["all", "primes"])
+def test_lone_anchor_affine_list_below_the_budget(x, spec):
+    # Every (a, s) with a + s*x in B, slope by slope, in (a, s) order.
+    W = 1000
+    win = make_window(ADDITIVE, W)
+    B = GroundSet.from_predicate(win, parse_predicate(spec))
+    every = filter_params(builtin_affine(win), lambda p: True, "every")
+    want = sorted((a, s) for s in range(1, W // x + 1 if x else 2)
+                  for a in range(W - s * x + 1) if B.contains_value(a + s * x))
+    assert list(every.enumerate_params([x], B).params) == want
 
 
 def test_filtered_affine_list_is_budgeted_on_a_dense_target(monkeypatch):

@@ -75,10 +75,10 @@ def test_vector_fill_matches_per_element_evaluation():
 def test_range_vectors_match_the_scalar_test():
     # vector(lo, hi) called directly: every atom (with HUGE moduli and
     # interval ends) and seeded nested combinators, on ranges at the window
-    # starts (payload 0 additive, 1 multiplicative), around the fill's chunk
-    # starts 1024, 2048 and 4096 on both kinds, at the top of the largest
-    # window, and at random, each empty, one element long and longer, plus
-    # every range of small payloads.
+    # starts (payload 0 additive, 1 multiplicative), around 1024, 2048 and
+    # 4096 on both kinds, at the top of the largest window, and at random,
+    # each empty, one element long and longer, plus every range of small
+    # payloads.
     rng = random.Random(34)
     atoms = ["evens", "odds", "squares", "primes", "all", "multiples:1",
              "multiples:7", f"multiples:{HUGE}", "interval:3:17",
@@ -98,7 +98,7 @@ def test_range_vectors_match_the_scalar_test():
 
 
 def test_chunked_fill_is_consistent_under_random_access():
-    # Windows wider than the first chunk, probed out of order.
+    # Windows of a few thousand elements, probed out of order.
     rng = random.Random(32)
     for _ in range(20):
         win = make_window(rng.choice([ADDITIVE, MULTIPLICATIVE]),
@@ -128,6 +128,18 @@ def test_custom_predicate_sees_only_the_prefix_asked_for():
     assert calls == list(range(13))
     assert list(itertools.islice(A.values(), 3)) == [0, 3, 6]
     assert calls == list(range(13))
+
+
+def test_first_read_fills_a_vector_predicate_whole():
+    # A vector fill covers the window at the first read; a plain callable
+    # stops at the element asked for.
+    win = make_window(ADDITIVE, 100_000)
+    evens = GroundSet.from_predicate(win, parse_predicate("evens"))
+    plain = GroundSet.from_predicate(win, lambda v: v % 2 == 0)
+    assert evens.contains_value(3) is plain.contains_value(3) is False
+    assert evens._known_upto == win.size
+    assert plain._known_upto == win.encoding(3) + 1
+    assert evens.array().tolist() == plain.array().tolist()
 
 
 def test_word_windows_fill_one_element_at_a_time():
