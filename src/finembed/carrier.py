@@ -34,8 +34,6 @@ MULTIPLICATIVE = "multiplicative-naturals"
 FREE_WORDS = "free-words"
 TABLE = "table"
 
-KINDS = (ADDITIVE, MULTIPLICATIVE, FREE_WORDS, TABLE)
-
 # Hard cap on window size so word windows cannot blow up the encoding space.
 MAX_WINDOW_SIZE = 1 << 20
 _TOO_LARGE = (f"bound-too-large: window would hold more than "
@@ -85,7 +83,7 @@ class Window:
         self._enc_of: dict[Payload, int] | None = None
         if self._payloads is not None:
             self._enc_of = {p: i for i, p in enumerate(self._payloads)}
-        self._identity_enc = self._find_identity()
+        self.identity_enc = self._find_identity()
         # The key that sorts payloads in encoding order; None on the numeric
         # kinds, where value order already is encoding order.
         self.sort_key = (None if kind in (ADDITIVE, MULTIPLICATIVE)
@@ -207,10 +205,6 @@ class Window:
                 return e
         return None
 
-    @property
-    def identity_enc(self) -> int | None:
-        return self._identity_enc
-
     def compatible(self, other: "Window") -> bool:
         return (self.kind == other.kind and self.bound == other.bound
                 and self.alphabet == other.alphabet
@@ -314,8 +308,8 @@ class GroundSet:
 
     Explicit sets are filled on construction; predicate sets fill a prefix
     of the encodings on demand and memoize it.  Builtin predicates carry a
-    vector form (see parse_predicate), which numeric windows use to fill
-    the whole window at the first read; any other predicate is evaluated
+    vector form (see parse_predicate), which numeric windows call once, at
+    the first read, for the whole window; any other predicate is evaluated
     one element at a time, and only up to the encoding asked for.
 
     Membership queries outside the window raise InputError rather than
@@ -374,13 +368,12 @@ class GroundSet:
         self._extend(enc if self._vector is None else self.window.size - 1)
 
     def _extend(self, upto: int) -> None:
-        lo = self._known_upto
         if self._vector is not None:
-            first = self.window.payload(0)
-            self._arr[lo:upto + 1] = self._vector(lo + first, upto + 1 + first)
+            first, size = self.window.payload(0), self.window.size
+            self._arr[:] = self._vector(first + size)[first:]
         else:
             mem, pred, payload = self._mem, self._pred, self.window.payload
-            for enc in range(lo, upto + 1):
+            for enc in range(self._known_upto, upto + 1):
                 if pred(payload(enc)):  # type: ignore[misc]
                     mem[enc] = 1
         self._known_upto = upto + 1
@@ -477,38 +470,33 @@ def _is_square(v: int) -> bool:
     return v >= 0 and math.isqrt(v) ** 2 == v
 
 
-# Vector forms of the builtin predicates: vector(lo, hi) is the same test
-# over the payloads lo..hi-1 (0 <= lo <= hi) as a boolean array, written by
-# slices whose Python-int bounds numpy clips, so huge constants just work.
+# Vector forms of the builtin predicates: vector(hi) is the same test over
+# the payloads 0..hi-1 as a boolean array, written by slices whose
+# Python-int bounds numpy clips, so huge constants just work.
 
-def _marked(members: Callable) -> Callable[[int, int], np.ndarray]:
-    """The vector form with the members of lo..hi-1 at members(lo, hi)."""
-    def vector(lo: int, hi: int) -> np.ndarray:
-        out = np.zeros(hi - lo, dtype=bool)
-        out[members(lo, hi)] = True
+def _marked(members: Callable) -> Callable[[int], np.ndarray]:
+    """The vector form with the members of 0..hi-1 at members(hi)."""
+    def vector(hi: int) -> np.ndarray:
+        out = np.zeros(hi, dtype=bool)
+        out[members(hi)] = True
         return out
     return vector
 
 
-_odds_vector = _marked(lambda lo, hi: slice(1 - lo % 2, None, 2))
-
-
-def _primes_vector(lo: int, hi: int) -> np.ndarray:
-    """Segmented sieve of lo..hi-1: 2 and the odd payloads but 1, less the
-    odd multiples of each odd prime p <= isqrt(hi - 1) from p*p on."""
-    out = _odds_vector(lo, hi)
-    out[max(1 - lo, 0):max(3 - lo, 0)] ^= True  # 1 is not prime, 2 is
-    if hi <= 9:  # no odd prime p with p*p < hi
-        return out
-    base = _primes_vector(3, math.isqrt(hi - 1) + 1)  # odd base primes
-    for p in (np.flatnonzero(base) + 3).tolist():
-        start = max(p * p, -(-lo // p) * p)  # made odd below
-        out[start + p * (start % 2 == 0) - lo::2 * p] = False
+def _primes_vector(hi: int) -> np.ndarray:
+    """Sieve of 0..hi-1 on the odd payloads: 2 and the odd payloads from 3,
+    less the odd multiples of each odd prime p <= isqrt(hi - 1) from p*p."""
+    out = np.zeros(hi, dtype=bool)
+    out[3::2] = True
+    out[2:3] = True
+    for p in range(3, hi and math.isqrt(hi - 1) + 1, 2):
+        if out[p]:
+            out[p * p::2 * p] = False
     return out
 
 
 def _with_vector(test: Callable[[Payload], bool],
-                 vector: Callable[[int, int], np.ndarray]
+                 vector: Callable[[int], np.ndarray]
                  ) -> Callable[[Payload], bool]:
     test.vector = vector  # type: ignore[attr-defined]
     return test
@@ -517,15 +505,14 @@ def _with_vector(test: Callable[[Payload], bool],
 def _atomic_predicate(name: str, args: list[str]) -> Callable[[Payload], bool]:
     if name == "evens":
         return _with_vector(lambda v: isinstance(v, int) and v % 2 == 0,
-                            _marked(lambda lo, hi: slice(lo % 2, None, 2)))
+                            _marked(lambda hi: slice(0, None, 2)))
     if name == "odds":
         return _with_vector(lambda v: isinstance(v, int) and v % 2 == 1,
-                            _odds_vector)
+                            _marked(lambda hi: slice(1, None, 2)))
     if name == "squares":
         return _with_vector(lambda v: isinstance(v, int) and _is_square(v),
-                            _marked(lambda lo, hi: np.arange(  # ceil sqrts
-                                lo and math.isqrt(lo - 1) + 1,
-                                hi and math.isqrt(hi - 1) + 1) ** 2 - lo))
+                            _marked(lambda hi: np.arange(
+                                hi and math.isqrt(hi - 1) + 1) ** 2))
     if name == "primes":
         return _with_vector(lambda v: isinstance(v, int) and _is_prime(v),
                             _primes_vector)
@@ -536,17 +523,17 @@ def _atomic_predicate(name: str, args: list[str]) -> Callable[[Payload], bool]:
         if m < 1:
             raise InputError("multiples modulus must be >= 1")
         return _with_vector(lambda v: isinstance(v, int) and v % m == 0,
-                            _marked(lambda lo, hi: slice(-lo % m, None, m)))
+                            _marked(lambda hi: slice(0, None, m)))
     if name == "interval":
         if len(args) != 2:
             raise InputError("interval:<lo>:<hi> takes two arguments")
         a, b = (parse_int(x, "interval:<lo>:<hi>") for x in args)
         return _with_vector(lambda v: isinstance(v, int) and a <= v <= b,
-                            _marked(lambda lo, hi: slice(max(a - lo, 0),
-                                                         max(b + 1 - lo, 0))))
+                            _marked(lambda hi: slice(max(a, 0),
+                                                     max(b + 1, 0))))
     if name == "all":
         return _with_vector(lambda v: True,
-                            lambda lo, hi: np.ones(hi - lo, dtype=bool))
+                            lambda hi: np.ones(hi, dtype=bool))
     raise InputError(f"unknown builtin predicate {name!r}")
 
 
@@ -570,7 +557,7 @@ def parse_predicate(spec: str) -> Callable[[Payload], bool]:
     Atoms: evens odds squares primes all multiples:<m> interval:<lo>:<hi>.
     Combinators: union(p,q,...) and intersect(p,q,...), nestable up to
     MAX_NESTING deep.  The returned test also carries, as `vector`, the
-    same test over the numeric payloads lo..hi-1: vector(lo, hi), bool.
+    same test over the numeric payloads 0..hi-1: vector(hi), bool.
     """
     if spec.count("(") > MAX_NESTING:  # else it cannot nest that deep
         depth = max(accumulate((ch == "(") - (ch == ")") for ch in spec))
@@ -586,7 +573,7 @@ def parse_predicate(spec: str) -> Callable[[Payload], bool]:
                 raise InputError(f"{comb}() needs at least one operand")
             return _with_vector(
                 lambda v, subs=subs, fold=fold: fold(p(v) for p in subs),
-                lambda lo, hi, subs=subs, vfold=vfold: reduce(
-                    vfold, [p.vector(lo, hi) for p in subs]))
+                lambda hi, subs=subs, vfold=vfold: reduce(
+                    vfold, [p.vector(hi) for p in subs]))
     head, *args = spec.split(":")
     return _atomic_predicate(head.strip(), [a.strip() for a in args])

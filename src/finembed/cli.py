@@ -127,10 +127,8 @@ def _cmd_rich(args) -> tuple[dict, int]:
         cert = longest_gap_grid(ground, zero_based=args.zero_based)
         return jsonio.certificate_to_json(cert), 0
     if args.detect == "poly":
-        from .carrier import GroundSet, parse_predicate
-        coeffs = GroundSet.from_predicate(ground.window,
-                                          parse_predicate(args.s_coeffs),
-                                          label=args.s_coeffs)
+        coeffs = jsonio.set_body_from_json(ground.window,
+                                           {"predicate": args.s_coeffs})
         cert = longest_poly_progression(ground, args.d, coeffs,
                                         parse_ints(args.D, "--D"))
         return jsonio.certificate_to_json(cert), 0

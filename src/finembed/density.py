@@ -37,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -151,6 +151,8 @@ class DensityReport:
 def upper_density(A: GroundSet, net: Net, tail_start: int = 1) -> DensityReport:
     """Finite-scale generalized upper density of A along the net.
 
+    The net must lie in A's window: an interval net on a numeric window is
+    checked by its largest element, any other net by walking its deltas.
     Every reported tail witness satisfies ratio = |A n (F_n . x)| / |F_n| by
     direct counting.  The overall value is the min over the reported tails of
     the per-tail maxima.
@@ -160,7 +162,7 @@ def upper_density(A: GroundSet, net: Net, tail_start: int = 1) -> DensityReport:
     if not 1 <= tail_start <= N:
         raise InputError(f"tail_start must be in 1..{N}")
     numeric = win.kind in (ADDITIVE, MULTIPLICATIVE)
-    if not (numeric and _ints_in_window(win, net)):
+    if not (net._interval and numeric and win.contains_value(N)):
         for i, delta in enumerate(net.deltas, start=1):
             for v in delta:
                 if not win.contains_value(v):
@@ -173,19 +175,6 @@ def upper_density(A: GroundSet, net: Net, tail_start: int = 1) -> DensityReport:
     else:
         best, skipped = _per_index_best_scan(A, net)
     return _tail_report(best, skipped, tail_start, net.label)
-
-
-def _ints_in_window(win: Window, net: Net) -> bool:
-    """Every net element is an int and the least and the largest lie in the
-    numeric window (so all do)."""
-    if net._interval:
-        lo, hi = 1, len(net)
-    else:
-        vals = list(chain.from_iterable(net.deltas))
-        if set(map(type, vals)) != {int}:
-            return False
-        lo, hi = min(vals), max(vals)
-    return win.contains_value(lo) and win.contains_value(hi)
 
 
 def _tail_report(best, skipped: int, tail_start: int,

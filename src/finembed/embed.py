@@ -262,10 +262,6 @@ class CriterionReport:
     def satisfied(self) -> bool:
         return all(e.status != "violated" for e in self.entries)
 
-    @property
-    def skipped(self) -> int:
-        return sum(e.status == "skipped-overflow" for e in self.entries)
-
 
 def check_transitive_criterion(family: FamilySpec,
                                sample_F: Sequence[Iterable[Payload]],

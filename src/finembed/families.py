@@ -105,15 +105,16 @@ class FamilySpec:
         The completeness flag is True only when the stream provably contains
         a witness whenever one exists (anchored mode, or a family whose
         parameter list is explicit); bounded scans always report False.
-        An empty stream is a valid result.
+        R filters every stream here, and an empty stream is a valid result.
         """
         fpay = self._normalize_f(F)
         if self._explicit_params is not None:
-            return ParamStream(iter(self._explicit_params), True)
-        if self._anchored is not None:
-            cands = [p for p in self._anchored(fpay, B) if self._r(p)]
-            return ParamStream(iter(cands), True)
-        return ParamStream(self._scan(bound), False)
+            cands: Iterable[Params] = self._explicit_params
+        elif self._anchored is not None:
+            cands = self._anchored(fpay, B)
+        else:
+            return ParamStream(self._scan(bound), False)
+        return ParamStream(iter([p for p in cands if self._r(p)]), True)
 
     def anchored_search(self, F: Iterable[Payload],
                         B: GroundSet) -> tuple[Params | None, int] | None:
@@ -134,10 +135,10 @@ class FamilySpec:
         return self._kernel(fpay, B)
 
     def param_sample(self, count: int, bound: int | None = None) -> list[Params]:
-        """First count parameter tuples of R in canonical scan order."""
-        if self._explicit_params is not None:
-            return list(self._explicit_params[:count])
-        return list(islice(self._scan(bound), count))
+        """First count tuples of R in scan order or explicit list order."""
+        params = (self._scan(bound) if self._explicit_params is None
+                  else filter(self._r, self._explicit_params))
+        return list(islice(params, count))
 
     def _scan(self, bound: int | None) -> Iterator[Params]:
         """R's tuples up to bound in shell order: the one scan rule.
@@ -178,7 +179,8 @@ def _shell_order(lists: Sequence[Sequence]) -> Iterator[Params]:
     the heads (all lists but the last) cut to rank s; a head with a value at
     rank s takes the last list's cut, any other head its rank-s value only.
     As with itertools.product, no lists give the one tuple () and an empty
-    list gives none.
+    list gives none.  Lists are only sliced, never measured or copied
+    whole, so a huge range costs only the shells reached.
     """
     if not all(lists):
         return
@@ -186,15 +188,18 @@ def _shell_order(lists: Sequence[Sequence]) -> Iterator[Params]:
         yield ()
         return
     *heads, last = lists
-    tails = [(v,) for v in last]
-    for s in range(max(map(len, lists))):
+    tails: list[Params] = []  # the last list's cut, as 1-tuples
+    s = 0
+    while any(lst[s:s + 1] for lst in lists):
+        tails += zip(last[s:s + 1])
         cuts = [lst[:s + 1] for lst in heads]
         ranks = product(*(range(len(cut)) for cut in cuts))
         for head, rank in zip(product(*cuts), ranks):
             if s in rank:
-                yield from map(head.__add__, tails[:s + 1])
+                yield from map(head.__add__, tails)
             elif s < len(tails):
                 yield head + tails[s]
+        s += 1
 
 
 def _shift_search(B: GroundSet, slopes: range, anchors: Sequence[int],
@@ -759,15 +764,9 @@ def filter_params(base: FamilySpec, pred: Callable[[Params], bool],
                   name: str) -> FamilySpec:
     """The subfamily of base whose parameters also satisfy pred.
 
-    A complete anchored stream or explicit list for base stays complete
-    after filtering, since the subfamily's witnesses are a subset of the
+    pred joins R, which enumerate_params applies to base's complete lists;
+    they stay complete, as the subfamily's witnesses are a subset of the
     base family's.  The kernel knows nothing of pred, so it is dropped.
     """
-    anchored = explicit = None
-    if base._anchored is not None:
-        anchored = lambda fpay, B: [p for p in base._anchored(fpay, B)
-                                    if pred(p)]
-    if base._explicit_params is not None:
-        explicit = tuple(p for p in base._explicit_params if pred(p))
     return replace(base, name=name, _r=lambda p: base._r(p) and pred(p),
-                   _anchored=anchored, _explicit_params=explicit, _kernel=None)
+                   _kernel=None)

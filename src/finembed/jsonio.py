@@ -189,7 +189,9 @@ def net_from_spec(spec: str, window: Window) -> Net:
     return density.interval_net(max_n)
 
 
-def pairs_from_json(obj: Any) -> tuple[Window, list[tuple[GroundSet, GroundSet]], list[int]]:
+def pairs_from_json(obj: Any) -> tuple[
+        Window, list[tuple[GroundSet, GroundSet]], list[int] | None]:
+    """The window, the (A, B) pairs, and the probe sizes or None."""
     window = window_from_json(_field(obj, "window", dict, where="pairs file"))
     pairs = []
     for i, entry in enumerate(_field(obj, "pairs", list, where="pairs file",
@@ -200,8 +202,7 @@ def pairs_from_json(obj: Any) -> tuple[Window, list[tuple[GroundSet, GroundSet]]
         b = set_body_from_json(window, _field(entry, "b", dict, where=where),
                                _field(entry, "label_b", str, f"B{i}", where))
         pairs.append((a, b))
-    return window, pairs, list(_field(obj, "probes", list, [2, 4],
-                                      "pairs file", int))
+    return window, pairs, _field(obj, "probes", list, None, "pairs file", int)
 
 
 # -- output serialization ------------------------------------------------------

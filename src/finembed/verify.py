@@ -36,9 +36,6 @@ BUDGETS: dict[str, dict[str, int]] = {
                    pairs=60, net=60, dwindow=240, upward=50, set_size=7),
 }
 
-SUITES = ("listona", "preorder", "maxset", "density-mono", "strong-pr",
-          "upward-closed")
-
 
 class CheckFailure(Exception):
     def __init__(self, name: str, reproducer: dict):
@@ -403,6 +400,7 @@ _SUITE_FUNCS: dict[str, Callable[[int, dict], list[dict]]] = {
     "strong-pr": _suite_strong_pr,
     "upward-closed": _suite_upward,
 }
+SUITES = tuple(_SUITE_FUNCS)
 
 
 def run_suite(suite: str, seed: int, budget_name: str) -> tuple[dict, bool]:

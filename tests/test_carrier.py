@@ -241,7 +241,7 @@ def test_predicate_nesting_is_capped_where_both_tests_still_evaluate():
     # with room to spare: the scalar test takes a few frames a level
     test = _with_frames(300, lambda: parse_predicate(deepest))
     assert _with_frames(300, lambda: (test(4), test(5))) == (True, False)
-    assert _with_frames(300, lambda: test.vector(0, 6)).tolist() == [
+    assert _with_frames(300, lambda: test.vector(6)).tolist() == [
         True, False] * 3
     words = make_window(FREE_WORDS, 3, ["a", "b"])
     assert GroundSet.from_predicate(

@@ -13,6 +13,7 @@ from conftest import (count_shifted_intersection, reference_density_json,
 from finembed import density, jsonio
 from finembed.carrier import (ADDITIVE, FREE_WORDS, MULTIPLICATIVE, GroundSet,
                               make_table_window, make_window)
+from finembed.cli import dispatch
 from finembed.density import (Net, check_density_monotonicity, interval_net,
                               upper_density, weak_cancellativity_bound)
 from finembed.errors import InputError, UnverifiedPairError
@@ -578,6 +579,27 @@ def test_check_density_monotonicity_probes_default_only_when_none():
                                match="^probe sizes must be a non-empty"):
                 check_density_monotonicity(pairs, tr, interval_net(10),
                                            probes=probes)
+
+
+def test_pairs_file_without_probes_probes_predicate_a_at_2_and_4(
+        tmp_path, monkeypatch, capsys):
+    pairs, family = tmp_path / "pairs.json", tmp_path / "family.json"
+    pairs.write_text(json.dumps({
+        "window": {"kind": "additive-naturals", "bound": 60},
+        "pairs": [{"a": {"predicate": "multiples:4"},
+                   "b": {"predicate": "evens"}}]}))
+    family.write_text(json.dumps({"builtin": "translations-right"}))
+    sizes, probe = [], density.fe_probe
+
+    def spy(A, B, fam, probe_sizes, *args, **kwargs):
+        sizes.append(list(probe_sizes))
+        return probe(A, B, fam, probe_sizes, *args, **kwargs)
+
+    monkeypatch.setattr(density, "fe_probe", spy)
+    assert dispatch(["density", "verify-monotone", "--pairs", str(pairs),
+                     "--family", str(family), "--net", "interval:10"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_ok"] is True
+    assert sizes == [[2, 4]]
 
 
 def test_check_density_monotonicity_probes_must_fit_in_a():

@@ -1,9 +1,15 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import finembed
 from conftest import blind_affine_scan, blind_translation_scan
 from finembed import embed
 from finembed.carrier import (ADDITIVE, FREE_WORDS, MULTIPLICATIVE, GroundSet,
@@ -303,3 +309,45 @@ def test_singleton_family_is_direct_image_check(win):
     A = GroundSet.from_values(win, [1, 3])
     assert fe_decide(A, GroundSet.from_values(win, [8, 10]), single).outcome == "yes"
     assert fe_decide(A, GroundSet.from_values(win, [8]), single).outcome == "no"
+
+
+HUGE_BOUND_SCRIPT = """
+import resource, sys
+cap = 3 << 29  # 1.5 GiB of address space: a MemoryError, not an OOM kill
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from finembed.carrier import GroundSet, make_window
+from finembed.cli import dispatch
+from finembed.embed import YES, embed_finite
+from finembed.families import builtin_geoarithmetic
+win = make_window("additive-naturals", 100)
+geo = builtin_geoarithmetic(win)
+v = embed_finite([1], GroundSet.from_values(win, [4]), geo, bound=10**30)
+assert v.outcome == YES, v
+assert len(geo.param_sample(3, bound=10**30)) == 3
+a, b, pair, geo = sys.argv[1:]
+# the pair family's "enum" bound, then a --bound past any window
+sys.exit(dispatch(["embed", "--set-a", a, "--set-b", b, "--family", pair])
+         or dispatch(["embed", "--set-a", a, "--set-b", b, "--family", geo,
+                      "--bound", str(2**62)]))
+"""
+
+
+def test_huge_scan_bound_costs_only_the_shells_reached(tmp_path):
+    # A scan bound far past the window costs only the shells reached.
+    win = {"kind": "additive-naturals", "bound": 100}
+    files = {"a": {"window": win, "set": {"explicit": [1]}},
+             "b": {"window": win, "set": {"explicit": [4]}},
+             "f": {"pair": {"n": 1, "k": 2, "term": "param0 + param1 * slot0",
+                            "enum": {"bound": 10 ** 30}}},
+             "g": {"builtin": "geoarithmetic"}}
+    paths = []
+    for name, obj in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+        paths.append(str(tmp_path / f"{name}.json"))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(finembed.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", HUGE_BOUND_SCRIPT, *paths],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert [json.loads(line)["outcome"] for line in out.stdout.splitlines()
+            ] == [YES, YES]

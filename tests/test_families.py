@@ -659,3 +659,32 @@ def test_filtered_explicit_list_stays_complete(win):
         v = embed_finite([0, 1], GroundSet.from_values(win, [90, 91]), late,
                          bound=bound)
         assert (v.outcome, v.stats.complete) == (NO, True)
+
+
+def test_filtered_affine_runs_pred_once_per_anchored_candidate(win):
+    # pred joins R, and R filters the parent's anchored list once, in order.
+    af = builtin_affine(win)
+    B = GroundSet.from_values(win, [0, 3, 6, 9, 12, 40, 41, 70, 73])
+    parent = list(af.enumerate_params([1, 4], B).params)
+    calls = []
+
+    def odd_intercept(p):
+        calls.append(p)
+        return p[0] % 2 == 1
+
+    odd = filter_params(af, odd_intercept, "odd-intercept")
+    stream = odd.enumerate_params([1, 4], B)
+    assert stream.complete
+    assert list(stream.params) == [p for p in parent if p[0] % 2 == 1] != []
+    assert calls == parent
+
+
+def test_filtered_restricted_family_keeps_its_order(win):
+    listed = restrict_params(builtin_right_translations(win),
+                             [(40,), (7,), (90,), (3,), (12,)])
+    small = filter_params(listed, lambda p: p[0] < 50, "small")
+    stream = small.enumerate_params([0], GroundSet.full(win))
+    assert stream.complete
+    assert list(stream.params) == [(40,), (7,), (3,), (12,)]
+    assert small.param_sample(3) == [(40,), (7,), (3,)]
+    assert listed.param_sample(2) == [(40,), (7,)]

@@ -73,12 +73,12 @@ def test_vector_fill_matches_per_element_evaluation():
 
 
 def test_range_vectors_match_the_scalar_test():
-    # vector(lo, hi) called directly: every atom (with HUGE moduli and
-    # interval ends) and seeded nested combinators, on ranges at the window
-    # starts (payload 0 additive, 1 multiplicative), around 1024, 2048 and
-    # 4096 on both kinds, at the top of the largest window, and at random,
-    # each empty, one element long and longer, plus every range of small
-    # payloads.
+    # vector(hi) called directly and read from lo on: every atom (with HUGE
+    # moduli and interval ends) and seeded nested combinators, on ranges at
+    # the window starts (payload 0 additive, 1 multiplicative), around
+    # 1024, 2048 and 4096 on both kinds, at the top of the largest window,
+    # and at random, each empty, one element long and longer, plus every
+    # range of small payloads.
     rng = random.Random(34)
     atoms = ["evens", "odds", "squares", "primes", "all", "multiples:1",
              "multiples:7", f"multiples:{HUGE}", "interval:3:17",
@@ -91,8 +91,9 @@ def test_range_vectors_match_the_scalar_test():
         for lo in starts + [rng.randrange(5000) for _ in range(3)]:
             for hi in {lo, lo + 1, lo + 2, lo + rng.randrange(3, 600),
                        *range(lo, 16)}:
-                got = pred.vector(lo, hi)
-                assert got.dtype == bool, spec
+                got = pred.vector(hi)
+                assert got.dtype == bool and len(got) == hi, spec
+                got = got[lo:]
                 assert got.tolist() == [bool(pred(v)) for v in range(lo, hi)], (
                     spec, lo, hi)
 
