@@ -439,12 +439,15 @@ def test_threshold_matches_a_fresh_search_per_n(pattern):
 
 @pytest.mark.parametrize("pattern, r, want", [
     (ap_pattern(3), 2, 9), (ap_pattern(3), 3, 27), (schur_pattern(), 3, 14),
-    (ap_pattern(4), 2, 35)], ids=lambda v: getattr(v, "label", str(v)))
+    (ap_pattern(4), 2, 35), (gap_grid_pattern(1), 2, 24),
+    (equation_pattern(parse_polynomial("2x+3y-z")), 2, 53)],
+    ids=lambda v: getattr(v, "label", str(v)))
 def test_threshold_node_budget_is_exactly_the_fresh_search_s(pattern, r, want):
     """The node budget is an exact boundary on the scan's own count, which
     stays below the fresh search's at the threshold."""
     nodes = {("ap:3", 2): 45, ("ap:3", 3): 59_102, ("schur", 3): 417,
-             ("ap:4", 2): 7_113}[pattern.label, r]
+             ("ap:4", 2): 7_113, ("gap-grid:1", 2): 1_835,
+             ("equation:2*x+3*y-z", 2): 1_937}[pattern.label, r]
     assert nodes < find_avoiding_coloring(want, r, pattern).nodes
     assert ramsey_threshold(pattern, r, want, node_budget=nodes).threshold == want
     with pytest.raises(BudgetError, match=f"^budget-exceeded: {nodes} "):
