@@ -9,15 +9,16 @@ complete backtracking with color-relabeling symmetry breaking (a fresh color
 index may only be introduced after all smaller ones), so "forced" outcomes
 are exhaustion proofs and avoiding colorings come out canonical and
 lexicographically least.  Threshold scans run the same search with forward
-checking (_ForwardCheck), which reaches the same colorings with fewer nodes.
+checking on color masks (_ForwardCheck): the same colorings, fewer nodes.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 from itertools import compress, groupby, islice, product, repeat
-from operator import add
+from operator import add, and_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetError, InputError, parse_int
@@ -470,36 +471,32 @@ class _ForwardCheck:
     The variable order, ascending colors and color-relabeling symmetry
     breaking are _backtrack's, as is the explicit stack.  Each instance is
     filed under its second-largest position s, as the mask of its cells
-    below s and the counter row of its last position.  Coloring s with c
-    raises that row's counter for c when every cell below s holds c, and
-    retracting s lowers it again, so forbid[i][c] counts the instances that
-    coloring i with c would make monochromatic.  Trying c at i is one node:
-    it fails when forbid[i][c] is nonzero, or when its raises leave a later
-    position with every color forbidden, which needs all r colors in use.
-    Only prefixes with no avoiding extension are cut, so run() stops at the
-    coloring _backtrack would, after fewer nodes.
+    below s and the bit of its last position.  forb[c] masks the positions
+    that coloring c would close an instance on.  Trying c at i is one node:
+    it fails when forb[c] has i's bit, or, once all r colors are in use,
+    when it adds to forb[c] a position that every other mask holds.  A
+    success ORs those positions into forb[c] and saves the mask it replaced,
+    which a retraction restores.  Cutting only prefixes with no avoiding
+    extension, run() stops where _backtrack would, after fewer nodes.
 
     run() stops at the least coloring of every position and keeps its
     state.  Appended instances end at appended positions.  One filed under a
-    colored position whose lower cells share its color counts at once and
-    joins the rows that position raised, so retracting it lowers the counter
-    too.  No prefix that sorts before that coloring gains an avoiding
-    extension, so the next run() resumes from the coloring a fresh search
-    stops at.
+    colored position whose lower cells share its color joins that color's
+    mask, and the saved mask of every later position of that color.  No
+    prefix that sorts before that coloring gains an avoiding extension, so
+    the next run() resumes from the coloring a fresh search stops at.
 
-    find_avoiding_coloring and strong_pr_probe report their node counts,
-    which pr search and pr equation print and the benchmark's golden digests
-    hash, so they stay on _backtrack until a benchmark change re-records
-    those digests; then _search moves to this engine and _backtrack goes.
+    _search stays on _backtrack (ROADMAP item 11): this engine with its
+    wipeout test off matches it node for node but is slower at r = 2.
     """
 
     def __init__(self, r: int, node_budget: int):
         self.r = r
         self.node_budget = node_budget
         self.bit_of: dict[int, int] = {}
-        self.filed: list[list[tuple[int, list[int]]]] = []
-        self.forbid: list[list[int]] = []
-        self.raised: list[list[list[int]]] = []  # the rows i's color raised
+        self.filed: list[list[tuple[int, int]]] = []
+        self.forb: list[int] = []
+        self.saved: list[int] = []  # forb[colors[i]] before i took it
         self.colors: list[int] = []
         self.used = [0]  # used[i]: colors in use on positions before i
         self.held: list[int] = []
@@ -510,35 +507,37 @@ class _ForwardCheck:
             instances: Iterable[tuple[int, ...]]) -> None:
         """Append positions for the values, in search order, then the
         instances, of two cells or more, each ending at a position appended."""
-        bit_of, filed, forbid, raised, colors, held = (
-            self.bit_of, self.filed, self.forbid, self.raised, self.colors,
-            self.held)
+        bit_of, filed, forb, saved, colors, held, i = (
+            self.bit_of, self.filed, self.forb, self.saved, self.colors,
+            self.held, self.i)
         for v in values:
-            # position p holds one of at most p + 1 colors: no row wider
-            forbid.append([0] * min(self.r, len(colors) + 1))
             bit_of[v] = 1 << len(colors)
             filed.append([])
-            raised.append([])
+            saved.append(0)
             colors.append(0)
             self.used.append(0)
+        # no more colors open than positions: a huge r allocates no more
         held += [0] * (min(self.r, len(colors)) - len(held))
+        forb += [0] * (len(held) - len(forb))
         for inst in instances:
             m = sum(map(bit_of.__getitem__, inst))  # distinct: sum is OR
-            last = m.bit_length() - 1
-            m ^= 1 << last
-            row = forbid[last]
+            last = 1 << m.bit_length() - 1
+            m ^= last
             s = m.bit_length() - 1
             m ^= 1 << s
-            filed[s].append((m, row))
-            if s < self.i and m & held[colors[s]] == m:
-                row[colors[s]] += 1
-                raised[s].append(row)
+            filed[s].append((m, last))
+            c = colors[s]
+            if s < i and m & held[c] == m:
+                forb[c] |= last
+                for t in range(s + 1, i):
+                    if colors[t] == c:
+                        saved[t] |= last
 
     def run(self) -> bool:
         """Resume the search: True once every position is colored, False
         when no coloring is left."""
-        filed, forbid, raised, colors, used, held = (
-            self.filed, self.forbid, self.raised, self.colors, self.used,
+        filed, forb, saved, colors, used, held = (
+            self.filed, self.forb, self.saved, self.colors, self.used,
             self.held)
         r, node_budget, nodes = self.r, self.node_budget, self.nodes
         size = len(colors)
@@ -546,22 +545,24 @@ class _ForwardCheck:
         while i < size:
             u = used[i]
             top = u if u < r else r - 1
-            row, below = forbid[i], filed[i]
+            below = filed[i]
             while c <= top:
                 nodes += 1
                 if nodes > node_budget:
                     raise BudgetError(f"budget-exceeded: {nodes} search nodes")
-                if not row[c]:
-                    out = ~held[c]  # the positions not colored c
-                    hit = [f for m, f in below if not m & out]
-                    for f in hit:
-                        f[c] += 1
-                    # with a color still unopened no later row can fill up
-                    if u < r and c < r - 1 or not any(map(all, hit)):
-                        raised[i] = hit
+                f = forb[c]
+                if not f >> i & 1:
+                    h, hit = held[c], 0
+                    for m, last in below:
+                        if m & h == m:
+                            hit |= last
+                    forb[c] = f | hit
+                    # with a color still unopened no later position fills up
+                    if (not hit or u < r and c < r - 1
+                            or not reduce(and_, forb, hit)):
+                        saved[i] = f
                         break
-                    for f in hit:
-                        f[c] -= 1
+                    forb[c] = f
                 c += 1
             if c <= top:  # c holds at i: assign it and go one deeper
                 held[c] |= 1 << i
@@ -574,8 +575,7 @@ class _ForwardCheck:
                 i -= 1
                 c = colors[i]
                 held[c] ^= 1 << i
-                for f in raised[i]:
-                    f[c] -= 1
+                forb[c] = saved[i]
                 c += 1
         self.nodes, self.i, self.c = nodes, i, c
         return i == size

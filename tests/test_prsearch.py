@@ -498,6 +498,43 @@ def test_scan_stops_at_the_reference_coloring_after_each_step(pattern):
                 break
 
 
+def _random_hypergraph(rng, nmax):
+    """A pattern whose instances are a fixed seeded list of 2-4 distinct
+    cells in [1..nmax], drawn by largest element like the named ones."""
+    fixed = [tuple(sorted(rng.sample(range(1, nmax + 1), rng.randint(2, 4))))
+             for _ in range(rng.randint(5, 80))]
+
+    def between(lo, hi):
+        return (inst for inst in fixed if lo <= inst[-1] <= hi)
+
+    return Pattern("random", between)
+
+
+def test_scan_resumes_to_the_reference_coloring_on_random_hypergraphs():
+    """On shapes no named pattern makes, after each step N the scan holds the
+    reference's canonical coloring of [1..N] (or both find N forced),
+    having visited no more nodes than the reference's fresh search.  An
+    instance appended under a colored position whose lower cells share its
+    color must survive the retraction of later positions of that color."""
+    rng = random.Random(33)
+    for case in range(60):
+        pattern = _random_hypergraph(rng, 20)
+        for r in range(1, 5):
+            search, drawn = _ForwardCheck(r, 10 ** 9), 0
+            for n in range(1, 21):
+                drawn, new = pattern.draw(n, n, drawn=drawn)
+                search.add([n], new)
+                colors, nodes = reference_backtrack(
+                    range(1, n + 1), r, pattern.instances(n), 10 ** 9, False)
+                avoiding = search.run()
+                assert search.nodes <= nodes, (case, r, n)
+                assert avoiding == (colors is not None), (case, r, n)
+                if not avoiding:
+                    break
+                assert tuple(search.colors) == _canonicalize(colors), (
+                    case, r, n)
+
+
 @pytest.mark.parametrize("text, want", [
     ("x+y-z", 5), ("x+2y-z", 11), ("x+y+w-z", 11), ("2x+2y-z", 34),
     ("2x+3y-z", 53)])
