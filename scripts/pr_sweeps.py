@@ -6,6 +6,7 @@ Times the complete 3-coloring search for 3-term APs over [1..N] for
 N = 20..27 (reporting nodes and nodes per second; N = 27 is the first forced
 size, W(3;3) = 27), the threshold scan for the same pattern and colors up to
 nmax = 20..28 (reporting the threshold), the 2-color threshold scan for
+ap:4 up to nmax = 30..37 (35 is the first forced size, W(4;2) = 35), for
 gap-grid:1 up to nmax = 8..24 (24 is the first forced size), for
 2x + 3y = z up to nmax = 20..53 (53 is its 2-color Rado number), the
 4-color Schur scan up to nmax = 30..40 (all avoiding), the 5-color ap:5 scan
@@ -55,6 +56,8 @@ CASES = (
      range(20, 28)),
     ("ap:3 r=3 threshold", "prsearch.ramsey_threshold",
      threshold(ap_pattern(3), 3), range(20, 29)),
+    ("ap:4 r=2 threshold", "prsearch.ramsey_threshold",
+     threshold(ap_pattern(4), 2), range(30, 38)),
     ("gap-grid:1 r=2 threshold", "prsearch.ramsey_threshold",
      threshold(gap_grid_pattern(1), 2), range(8, 25, 4)),
     ("2x+3y-z r=2 threshold", "prsearch.ramsey_threshold",

@@ -516,7 +516,7 @@ def test_scan_resumes_to_the_reference_coloring_on_random_hypergraphs():
     having visited no more nodes than the reference's fresh search.  An
     instance appended under a colored position whose lower cells share its
     color must survive the retraction of later positions of that color."""
-    rng = random.Random(33)
+    rng = random.Random(7)
     for case in range(60):
         pattern = _random_hypergraph(rng, 20)
         for r in range(1, 5):
