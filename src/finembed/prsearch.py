@@ -170,23 +170,23 @@ class Pattern:
     label: str
     _between: Callable[[int, int], Iterator[tuple[int, ...]]]
 
-    def instances(self, n: int,
-                  budget: int = DEFAULT_INSTANCE_BUDGET) -> list[tuple[int, ...]]:
+    def instances(self, n: int) -> list[tuple[int, ...]]:
         """All instances inside [1..n], as sorted tuples of distinct values,
         deduplicated and in lexicographic order.
 
-        The enumerator is drawn from at most budget + 1 times, counting
-        instances before deduplication, and one more than budget raises
-        BudgetError, so the budget bounds the enumeration itself.
+        The enumerator is drawn from at most DEFAULT_INSTANCE_BUDGET + 1
+        times, counting instances before deduplication, and one more than
+        the budget raises BudgetError, so it bounds the enumeration itself.
         """
-        return self.draw(1, n, budget)[1]
+        return self.draw(1, n)[1]
 
-    def draw(self, lo: int, hi: int, budget: int = DEFAULT_INSTANCE_BUDGET,
+    def draw(self, lo: int, hi: int, *,
              drawn: int = 0) -> tuple[int, list[tuple[int, ...]]]:
         """(drawn plus the raw count of the instances whose largest element
         lies in [lo..hi], those instances sorted and deduplicated).  A total
-        over budget raises at N = hi, so drawing [N..N] for N = 1, 2, ...
-        with the total carried raises where instances(N, budget) would."""
+        over DEFAULT_INSTANCE_BUDGET raises at N = hi, so drawing [N..N] for
+        N = 1, 2, ... with the total carried raises where instances(N) would."""
+        budget = DEFAULT_INSTANCE_BUDGET
         raw = list(islice(self._between(lo, hi), budget - drawn + 1))
         drawn += len(raw)
         if drawn > budget:
@@ -410,10 +410,11 @@ class ColoringCertificate:
 
 
 def _backtrack(order: Sequence[int], instances: Iterable[tuple[int, ...]],
-               r: int, node_budget: int) -> tuple[list[int] | None, int]:
+               r: int) -> tuple[list[int] | None, int]:
     """Complete search for a coloring of the positions of order with no
     monochromatic instance: (the least one in the search order, or None when
-    every coloring fails; the node count).
+    every coloring fails; the node count).  Past DEFAULT_NODE_BUDGET nodes
+    it raises BudgetError.
 
     A new color index is allowed only once all smaller ones are in use
     (color-relabeling symmetry), so no more colors than positions open.
@@ -433,14 +434,14 @@ def _backtrack(order: Sequence[int], instances: Iterable[tuple[int, ...]],
     colors = [0] * size
     used = [0] * (size + 1)  # used[i]: colors in use on positions before i
     held = [0] * min(r, size)
-    nodes = i = c = 0
+    budget, nodes, i, c = DEFAULT_NODE_BUDGET, 0, 0, 0
     while i < size:
         u = used[i]
         top = u if u < r else r - 1
         ends_here = by_last[i]
         while c <= top:
             nodes += 1
-            if nodes > node_budget:
+            if nodes > budget:
                 raise BudgetError(f"budget-exceeded: {nodes} search nodes")
             mask = held[c]
             for m in ends_here:
@@ -490,9 +491,9 @@ class _ForwardCheck:
     wipeout test off matches it node for node but is slower at r = 2.
     """
 
-    def __init__(self, r: int, node_budget: int):
+    def __init__(self, r: int):
         self.r = r
-        self.node_budget = node_budget
+        self.node_budget = DEFAULT_NODE_BUDGET  # one value for the whole scan
         self.bit_of: dict[int, int] = {}
         self.filed: list[list[tuple[int, int]]] = []
         self.forb: list[int] = []
@@ -587,7 +588,6 @@ def _canonicalize(colors: Sequence[int]) -> tuple[int, ...]:
 
 
 def _search(elements: Sequence[int], pattern: Pattern, r: int,
-            instance_budget: int, node_budget: int,
             reverse: bool) -> ColoringCertificate:
     """The coloring engine behind every partition-regularity search but the
     threshold scan: all r-colorings of the ascending elements, against the
@@ -597,12 +597,12 @@ def _search(elements: Sequence[int], pattern: Pattern, r: int,
     if elements[0] < 1:
         raise InputError("pattern search elements must be >= 1")
     n = elements[-1]
-    instances = pattern.instances(n, instance_budget)
+    instances = pattern.instances(n)
     if len(elements) < n:  # a set with gaps keeps the instances inside it
         inside = set(elements)
         instances = [inst for inst in instances if inside.issuperset(inst)]
     colors, nodes = _backtrack(elements[::-1] if reverse else elements,
-                               instances, r, node_budget)
+                               instances, r)
     elements = tuple(elements)
     if colors is None:
         return ColoringCertificate("forced", elements, None, nodes, True,
@@ -612,9 +612,7 @@ def _search(elements: Sequence[int], pattern: Pattern, r: int,
                                nodes, False, pattern.label, n, r)
 
 
-def find_avoiding_coloring(n: int, r: int, pattern: Pattern,
-                           instance_budget: int = DEFAULT_INSTANCE_BUDGET,
-                           node_budget: int = DEFAULT_NODE_BUDGET,
+def find_avoiding_coloring(n: int, r: int, pattern: Pattern, *,
                            reverse: bool = False) -> ColoringCertificate:
     """Search all r-colorings of [1..n] for one avoiding the pattern.
 
@@ -623,8 +621,7 @@ def find_avoiding_coloring(n: int, r: int, pattern: Pattern,
     exhaustive search.  reverse flips the assignment order, which must not
     change the verdict.
     """
-    return _search(range(1, n + 1), pattern, r, instance_budget, node_budget,
-                   reverse)
+    return _search(range(1, n + 1), pattern, r, reverse)
 
 
 def verify_coloring(cert: ColoringCertificate, pattern: Pattern) -> bool:
@@ -651,9 +648,7 @@ class ThresholdResult:
     r: int
 
 
-def ramsey_threshold(pattern: Pattern, r: int, nmax: int,
-                     instance_budget: int = DEFAULT_INSTANCE_BUDGET,
-                     node_budget: int = DEFAULT_NODE_BUDGET) -> ThresholdResult:
+def ramsey_threshold(pattern: Pattern, r: int, nmax: int) -> ThresholdResult:
     """Least N <= nmax at which no avoiding coloring exists.
 
     Once some N is forced every larger N is too (its colorings restrict),
@@ -661,19 +656,19 @@ def ramsey_threshold(pattern: Pattern, r: int, nmax: int,
     search (_ForwardCheck) resumes across N: step N adds N and the
     instances whose largest element is N, and goes on from the lex-least
     avoiding coloring of [1..N-1], which step N-1 stopped at as a fresh
-    search of [1..N-1] would.  node_budget bounds the nodes of the whole
+    search of [1..N-1] would.  The node budget bounds the nodes of the whole
     scan, which never outnumber those of find_avoiding_coloring(N), so the
     scan raises no earlier than a fresh search per N would.  Step N draws only
-    the instances ending at N and counts instance_budget over [1..N], so it
-    overflows at the N a fresh search would.
+    the instances ending at N and counts the instance budget over [1..N], so
+    it overflows at the N a fresh search would.
     """
     if nmax < 1:
         raise InputError("nmax must be >= 1")
     if r < 1:
         raise InputError("need n >= 1 and r >= 1")
-    search, drawn = _ForwardCheck(r, node_budget), 0
+    search, drawn = _ForwardCheck(r), 0
     for n in range(1, nmax + 1):
-        drawn, new = pattern.draw(n, n, instance_budget, drawn)
+        drawn, new = pattern.draw(n, n, drawn=drawn)
         if (n,) in new:  # n alone is an instance: no color is left for it
             return ThresholdResult(n, nmax, pattern.label, r)
         search.add([n], new)
@@ -682,23 +677,18 @@ def ramsey_threshold(pattern: Pattern, r: int, nmax: int,
     return ThresholdResult(None, nmax, pattern.label, r)
 
 
-def strong_pr_probe(a_values: Iterable[int], pattern: Pattern, r: int,
-                    instance_budget: int = DEFAULT_INSTANCE_BUDGET,
-                    node_budget: int = DEFAULT_NODE_BUDGET,
+def strong_pr_probe(a_values: Iterable[int], pattern: Pattern, r: int, *,
                     reverse: bool = False) -> ColoringCertificate:
     """Partition the explicit set A itself: forced when every r-partition of
     A leaves a monochromatic instance inside A, else an avoiding partition."""
-    return _search(tuple(sorted(set(a_values))), pattern, r, instance_budget,
-                   node_budget, reverse)
+    return _search(tuple(sorted(set(a_values))), pattern, r, reverse)
 
 
 # -- homogeneous equations -----------------------------------------------------
 
 def homogeneous_pr_check(poly: Polynomial, r: int, n: int,
-                         distinct: bool = False, strict: bool = True,
-                         instance_budget: int = DEFAULT_INSTANCE_BUDGET,
-                         node_budget: int = DEFAULT_NODE_BUDGET
-                         ) -> ColoringCertificate:
+                         distinct: bool = False,
+                         strict: bool = True) -> ColoringCertificate:
     """Homogeneity check followed by the avoiding-coloring search for the
     equation pattern of P = 0 over [1..n].
 
@@ -709,4 +699,4 @@ def homogeneous_pr_check(poly: Polynomial, r: int, n: int,
     if strict and not poly.is_homogeneous:
         raise InputError(f"non-homogeneous-rejected: degrees "
                          f"{tuple(sorted(set(poly.monomial_degrees)))}")
-    return find_avoiding_coloring(n, r, pattern, instance_budget, node_budget)
+    return find_avoiding_coloring(n, r, pattern)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import (brute_instances_ap, brute_instances_equation,
                       brute_instances_gap_grid, brute_instances_schur,
                       reference_backtrack)
+from finembed import prsearch
 from finembed.errors import BudgetError, InputError
 from finembed.prsearch import (MAX_EXPONENT, Pattern, Polynomial, _canonicalize,
                                _ForwardCheck, _isolated_variable, _solutions,
@@ -143,11 +144,13 @@ def test_instances_by_largest_element_match_the_reference(pattern, nmax):
 @pytest.mark.parametrize("pattern, r", [
     (ap_pattern(3), 3), (schur_pattern(), 4), (gap_grid_pattern(1), 3),
     (gap_grid_pattern(2), 2)], ids=lambda v: getattr(v, "label", str(v)))
-def test_threshold_instance_overflow_comes_at_the_reference_n(pattern, r):
+def test_threshold_instance_overflow_comes_at_the_reference_n(pattern, r,
+                                                              monkeypatch):
     """The budget counts raw instances over [1..N]: the first N whose
     cumulative raw count passes it raises, with the fresh search's text."""
     want = _reference_by_largest(pattern, 120)
     for budget in (1, 7, 30, 100):
+        monkeypatch.setattr(prsearch, "DEFAULT_INSTANCE_BUDGET", budget)
         total = 0
         for n in range(1, 121):
             total += len(want[n])
@@ -155,14 +158,14 @@ def test_threshold_instance_overflow_comes_at_the_reference_n(pattern, r):
                 break
         assert total > budget
         with pytest.raises(BudgetError) as exc:
-            ramsey_threshold(pattern, r, 120, instance_budget=budget)
+            ramsey_threshold(pattern, r, 120)
         assert str(exc.value) == (
             f"pattern-instance-overflow: more than {budget} instances for "
             f"{pattern.label} at N={n}")
         with pytest.raises(BudgetError) as fresh:
-            pattern.instances(n, budget)
+            pattern.instances(n)
         assert str(fresh.value) == str(exc.value)
-        pattern.instances(n - 1, budget)  # one N earlier fits
+        pattern.instances(n - 1)  # one N earlier fits
 
 
 def test_poly_progression_instances():
@@ -179,12 +182,13 @@ def test_instances_are_sorted_and_deduplicated():
         assert insts == sorted(set(insts))
 
 
-def test_instance_budget_overflow():
+def test_instance_budget_overflow(monkeypatch):
+    monkeypatch.setattr(prsearch, "DEFAULT_INSTANCE_BUDGET", 100)
     with pytest.raises(BudgetError):
-        ap_pattern(2).instances(300, budget=100)
+        ap_pattern(2).instances(300)
 
 
-def test_instance_budget_bounds_the_enumeration():
+def test_instance_budget_bounds_the_enumeration(monkeypatch):
     drawn = []
 
     def enum(n):
@@ -193,10 +197,11 @@ def test_instance_budget_bounds_the_enumeration():
             yield (v,)
 
     pattern = Pattern("counting", lambda lo, hi: enum(hi))
+    monkeypatch.setattr(prsearch, "DEFAULT_INSTANCE_BUDGET", 10)
     with pytest.raises(BudgetError, match="more than 10 instances"):
-        pattern.instances(1000, budget=10)
+        pattern.instances(1000)
     assert len(drawn) <= 11
-    assert pattern.instances(10, budget=10) == [(v,) for v in range(1, 11)]
+    assert pattern.instances(10) == [(v,) for v in range(1, 11)]
 
 
 def test_parse_pattern_specs():
@@ -296,9 +301,10 @@ def test_avoiding_colorings_always_reverify(n, r):
         assert max(cert.colors) < r
 
 
-def test_node_budget():
+def test_node_budget(monkeypatch):
+    monkeypatch.setattr(prsearch, "DEFAULT_NODE_BUDGET", 5)
     with pytest.raises(BudgetError):
-        find_avoiding_coloring(9, 2, ap_pattern(3), node_budget=5)
+        find_avoiding_coloring(9, 2, ap_pattern(3))
 
 
 @settings(max_examples=30)
@@ -358,7 +364,7 @@ def _engine_search(search):
 
 
 @pytest.mark.parametrize("pattern", KERNEL_PATTERNS, ids=lambda p: p.label)
-def test_kernel_matches_reference_node_for_node(pattern):
+def test_kernel_matches_reference_node_for_node(pattern, monkeypatch):
     rng = random.Random(pattern.label)
     budgets = (3, 25, 4000)
     budget_errors = 0
@@ -366,22 +372,21 @@ def test_kernel_matches_reference_node_for_node(pattern):
         for reverse in (False, True):
             for n in (1, 4, 8, 13, 21):
                 budget = rng.choice(budgets)
+                monkeypatch.setattr(prsearch, "DEFAULT_NODE_BUDGET", budget)
                 want = _reference_search(range(1, n + 1), pattern, r,
                                          budget, reverse)
                 got = _engine_search(
                     lambda: find_avoiding_coloring(n, r, pattern,
-                                                   node_budget=budget,
                                                    reverse=reverse))
                 assert got == want, (n, r, reverse, budget)
                 budget_errors += isinstance(want, str)
             for _ in range(3):
                 a = sorted(rng.sample(range(1, 41), rng.randint(1, 22)))
                 budget = rng.choice(budgets)
+                monkeypatch.setattr(prsearch, "DEFAULT_NODE_BUDGET", budget)
                 want = _reference_search(a, pattern, r, budget, reverse)
                 got = _engine_search(
-                    lambda: strong_pr_probe(a, pattern, r,
-                                            node_budget=budget,
-                                            reverse=reverse))
+                    lambda: strong_pr_probe(a, pattern, r, reverse=reverse))
                 assert got == want, (a, r, reverse, budget)
                 budget_errors += isinstance(want, str)
     assert budget_errors  # the budget path is compared too
@@ -389,13 +394,18 @@ def test_kernel_matches_reference_node_for_node(pattern):
 
 # -- thresholds against one fresh search per N ---------------------------------
 
-def _reference_threshold(pattern, r, nmax, instance_budget, node_budget):
+def _set_budgets(monkeypatch, instances, nodes):
+    """Set the instance and node budgets the searches that follow read."""
+    monkeypatch.setattr(prsearch, "DEFAULT_INSTANCE_BUDGET", instances)
+    monkeypatch.setattr(prsearch, "DEFAULT_NODE_BUDGET", nodes)
+
+
+def _reference_threshold(pattern, r, nmax):
     """The least forced N <= nmax from a fresh complete search at each N, or
     the type and text of the first error."""
     try:
         for n in range(1, nmax + 1):
-            cert = find_avoiding_coloring(n, r, pattern, instance_budget,
-                                          node_budget)
+            cert = find_avoiding_coloring(n, r, pattern)
             if cert.outcome == "forced":
                 return n
         return None
@@ -404,7 +414,7 @@ def _reference_threshold(pattern, r, nmax, instance_budget, node_budget):
 
 
 @pytest.mark.parametrize("pattern", KERNEL_PATTERNS, ids=lambda p: p.label)
-def test_threshold_matches_a_fresh_search_per_n(pattern):
+def test_threshold_matches_a_fresh_search_per_n(pattern, monkeypatch):
     """Where the fresh searches answer, the scan gives the same threshold.
     The scan never visits more nodes than the fresh search of its last N,
     so where they run out of nodes it may raise later or answer, but what
@@ -414,15 +424,13 @@ def test_threshold_matches_a_fresh_search_per_n(pattern):
     for r in range(1, 5):
         for nmax in (1, 6, 11, 23, 40):
             for instance_budget in (5, 200):
-                truth = _reference_threshold(pattern, r, nmax,
-                                             instance_budget, 10 ** 9)
+                _set_budgets(monkeypatch, instance_budget, 10 ** 9)
+                truth = _reference_threshold(pattern, r, nmax)
                 for node_budget in (3, 25, 4000):
-                    want = _reference_threshold(pattern, r, nmax,
-                                                instance_budget, node_budget)
+                    _set_budgets(monkeypatch, instance_budget, node_budget)
+                    want = _reference_threshold(pattern, r, nmax)
                     try:
-                        got = ramsey_threshold(pattern, r, nmax,
-                                               instance_budget,
-                                               node_budget).threshold
+                        got = ramsey_threshold(pattern, r, nmax).threshold
                     except (BudgetError, InputError) as exc:
                         got = type(exc), str(exc)
                     case = r, nmax, node_budget, instance_budget
@@ -442,16 +450,19 @@ def test_threshold_matches_a_fresh_search_per_n(pattern):
     (ap_pattern(4), 2, 35), (gap_grid_pattern(1), 2, 24),
     (equation_pattern(parse_polynomial("2x+3y-z")), 2, 53)],
     ids=lambda v: getattr(v, "label", str(v)))
-def test_threshold_node_budget_is_exactly_the_fresh_search_s(pattern, r, want):
+def test_threshold_node_budget_is_exactly_the_fresh_search_s(pattern, r, want,
+                                                            monkeypatch):
     """The node budget is an exact boundary on the scan's own count, which
     stays below the fresh search's at the threshold."""
     nodes = {("ap:3", 2): 45, ("ap:3", 3): 59_102, ("schur", 3): 417,
              ("ap:4", 2): 7_113, ("gap-grid:1", 2): 1_835,
              ("equation:2*x+3*y-z", 2): 1_937}[pattern.label, r]
     assert nodes < find_avoiding_coloring(want, r, pattern).nodes
-    assert ramsey_threshold(pattern, r, want, node_budget=nodes).threshold == want
+    monkeypatch.setattr(prsearch, "DEFAULT_NODE_BUDGET", nodes)
+    assert ramsey_threshold(pattern, r, want).threshold == want
+    monkeypatch.setattr(prsearch, "DEFAULT_NODE_BUDGET", nodes - 1)
     with pytest.raises(BudgetError, match=f"^budget-exceeded: {nodes} "):
-        ramsey_threshold(pattern, r, want, node_budget=nodes - 1)
+        ramsey_threshold(pattern, r, want)
 
 
 CONTRACT_PATTERNS = KERNEL_PATTERNS + (
@@ -474,19 +485,21 @@ def test_instances_below_n_are_the_instances_of_n_minus_one(pattern):
 # -- the forward-checking threshold scan against the reference -----------------
 
 @pytest.mark.parametrize("pattern", CONTRACT_PATTERNS, ids=lambda p: p.label)
-def test_scan_stops_at_the_reference_coloring_after_each_step(pattern):
+def test_scan_stops_at_the_reference_coloring_after_each_step(pattern,
+                                                              monkeypatch):
     """After step N the scan holds the reference's canonical coloring of
     [1..N] (or both find N forced), having visited no more nodes than the
     reference's fresh search of [1..N]; so does one search of [1..N] with
     every position added at once."""
+    monkeypatch.setattr(prsearch, "DEFAULT_NODE_BUDGET", 10 ** 9)
     for r in range(1, 5):
-        search, drawn = _ForwardCheck(r, 10 ** 9), 0
+        search, drawn = _ForwardCheck(r), 0
         for n in range(1, 25):
             drawn, new = pattern.draw(n, n, drawn=drawn)
             search.add([n], new)
             colors, nodes = reference_backtrack(
                 range(1, n + 1), r, pattern.instances(n), 10 ** 9, False)
-            whole = _ForwardCheck(r, 10 ** 9)
+            whole = _ForwardCheck(r)
             whole.add(range(1, n + 1), pattern.instances(n))
             for engine in (search, whole):
                 avoiding = engine.run()
@@ -510,17 +523,19 @@ def _random_hypergraph(rng, nmax):
     return Pattern("random", between)
 
 
-def test_scan_resumes_to_the_reference_coloring_on_random_hypergraphs():
+def test_scan_resumes_to_the_reference_coloring_on_random_hypergraphs(
+        monkeypatch):
     """On shapes no named pattern makes, after each step N the scan holds the
     reference's canonical coloring of [1..N] (or both find N forced),
     having visited no more nodes than the reference's fresh search.  An
     instance appended under a colored position whose lower cells share its
     color must survive the retraction of later positions of that color."""
+    monkeypatch.setattr(prsearch, "DEFAULT_NODE_BUDGET", 10 ** 9)
     rng = random.Random(7)
     for case in range(60):
         pattern = _random_hypergraph(rng, 20)
         for r in range(1, 5):
-            search, drawn = _ForwardCheck(r, 10 ** 9), 0
+            search, drawn = _ForwardCheck(r), 0
             for n in range(1, 21):
                 drawn, new = pattern.draw(n, n, drawn=drawn)
                 search.add([n], new)
@@ -545,7 +560,7 @@ def test_threshold_reaches_the_guo_sun_rado_numbers(text, want):
     assert ramsey_threshold(pattern, 2, want + 3).threshold == want
 
 
-def test_threshold_with_a_one_cell_instance():
+def test_threshold_with_a_one_cell_instance(monkeypatch):
     """A one-cell instance leaves its position no color: the scan is forced
     there, or earlier, as the fresh searches are."""
     ap3 = ap_pattern(3)
@@ -556,9 +571,10 @@ def test_threshold_with_a_one_cell_instance():
             yield (7,)
 
     pattern = Pattern("ap:3+{7}", between)
+    _set_budgets(monkeypatch, 1000, 10 ** 6)
     for r in range(1, 4):
         for nmax in (6, 7, 12):
-            want = _reference_threshold(pattern, r, nmax, 1000, 10 ** 6)
+            want = _reference_threshold(pattern, r, nmax)
             assert ramsey_threshold(pattern, r, nmax).threshold == want
     assert ramsey_threshold(pattern, 2, 12).threshold == 7
     # (30, 30) solves x^2 = 30y and is the only solution in [1..40]: the
@@ -679,7 +695,6 @@ def test_solved_enumeration_stops_within_a_few_rows(monkeypatch):
     """A row is evaluated whole, but no further rows are once the budget
     is spent: x^2+y^2 = z^2 over [1..2000] overflows 10 solutions within
     the first dozen values of x, not after 2000^2 evaluations."""
-    from finembed import prsearch
     rows = []
     row = prsearch._row
 
@@ -689,8 +704,9 @@ def test_solved_enumeration_stops_within_a_few_rows(monkeypatch):
 
     monkeypatch.setattr(prsearch, "_row", spy)
     pattern = equation_pattern(parse_polynomial("x^2+y^2-z^2"))
+    monkeypatch.setattr(prsearch, "DEFAULT_INSTANCE_BUDGET", 10)
     with pytest.raises(BudgetError, match="more than 10 instances"):
-        pattern.instances(2000, budget=10)
+        pattern.instances(2000)
     assert rows == list(range(1, len(rows) + 1))
     assert len(rows) <= 12
 
