@@ -25,6 +25,11 @@ from .errors import BudgetError, InputError, parse_int
 
 DEFAULT_INSTANCE_BUDGET = 500_000
 DEFAULT_NODE_BUDGET = 2_000_000
+# Both engines hold a mask of up to p bits for position p, n(n-1)/2 bits in
+# all: 2^16 positions keep that under 2^31 bits.
+MAX_POSITIONS = 1 << 16
+# The most values _solutions walks, N^w for w walked variables over [1..N].
+MAX_WALK = 1 << 24
 
 VARS = "xyzw"
 
@@ -329,6 +334,9 @@ def _solutions(poly: Polynomial,
             roots.setdefault(-c * z ** exps[k], []).append((z,))
         rest = [mono for mono in poly.monomials if not mono[1][k]]
     walked = poly.nvars - (k < poly.nvars)  # the variables other than v
+    if len(vals) ** walked > MAX_WALK:
+        raise BudgetError(f"budget-exceeded: more than {MAX_WALK} equation "
+                          f"values to walk")
     if not walked:  # Q is a constant
         yield from roots.get(sum(m[0] for m in rest), ())
         return
@@ -424,6 +432,9 @@ def _backtrack(order: Sequence[int], instances: Iterable[tuple[int, ...]],
     search runs on an explicit stack, one color cursor per position, so its
     depth is not bounded by the interpreter's recursion limit.
     """
+    if len(order) > MAX_POSITIONS:
+        raise BudgetError(f"budget-exceeded: more than {MAX_POSITIONS} "
+                          f"positions")
     bit_of = {v: 1 << p for p, v in enumerate(order)}
     by_last: list[list[int]] = [[] for _ in bit_of]
     for inst in instances:
@@ -512,6 +523,9 @@ class _ForwardCheck:
             self.bit_of, self.filed, self.forb, self.saved, self.colors,
             self.held, self.i)
         for v in values:
+            if len(colors) >= MAX_POSITIONS:
+                raise BudgetError(f"budget-exceeded: more than "
+                                  f"{MAX_POSITIONS} positions")
             bit_of[v] = 1 << len(colors)
             filed.append([])
             saved.append(0)
@@ -601,8 +615,11 @@ def _search(elements: Sequence[int], pattern: Pattern, r: int,
     if len(elements) < n:  # a set with gaps keeps the instances inside it
         inside = set(elements)
         instances = [inst for inst in instances if inside.issuperset(inst)]
-    colors, nodes = _backtrack(elements[::-1] if reverse else elements,
-                               instances, r)
+    if 1 in map(len, instances):  # a one-cell instance: no color for its cell
+        colors, nodes = None, 0
+    else:
+        colors, nodes = _backtrack(elements[::-1] if reverse else elements,
+                                   instances, r)
     elements = tuple(elements)
     if colors is None:
         return ColoringCertificate("forced", elements, None, nodes, True,

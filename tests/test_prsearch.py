@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +12,9 @@ from hypothesis import strategies as st
 from conftest import (brute_instances_ap, brute_instances_equation,
                       brute_instances_gap_grid, brute_instances_schur,
                       reference_backtrack)
+import finembed
 from finembed import prsearch
+from finembed.cli import dispatch
 from finembed.errors import BudgetError, InputError
 from finembed.prsearch import (MAX_EXPONENT, Pattern, Polynomial, _canonicalize,
                                _ForwardCheck, _isolated_variable, _solutions,
@@ -305,6 +311,61 @@ def test_node_budget(monkeypatch):
     monkeypatch.setattr(prsearch, "DEFAULT_NODE_BUDGET", 5)
     with pytest.raises(BudgetError):
         find_avoiding_coloring(9, 2, ap_pattern(3))
+
+
+def test_position_budget(monkeypatch):
+    """Both engines answer at MAX_POSITIONS positions and raise one past
+    it; a scan forced below the cap never reaches it."""
+    monkeypatch.setattr(prsearch, "MAX_POSITIONS", 10)
+    ap3 = ap_pattern(3)
+    assert find_avoiding_coloring(10, 3, ap3).outcome == "avoiding"
+    assert strong_pr_probe(range(5, 15), ap3, 3).outcome == "avoiding"
+    assert ramsey_threshold(ap3, 3, 10).threshold is None
+    assert ramsey_threshold(ap3, 2, 30).threshold == 9
+    for search in (lambda: find_avoiding_coloring(11, 3, ap3),
+                   lambda: strong_pr_probe(range(5, 16), ap3, 3),
+                   lambda: ramsey_threshold(ap3, 3, 11)):
+        with pytest.raises(BudgetError,
+                           match="^budget-exceeded: more than 10 positions$"):
+            search()
+
+
+MANY_POSITIONS_SCRIPT = """
+import resource, sys
+cap = 3 << 29  # 1.5 GiB of address space: a MemoryError, not an OOM kill
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from finembed.cli import dispatch
+sys.exit(dispatch(["pr", "search", "--pattern", "poly:2:1:1", "--colors", "2",
+                   "--n", "200000"]))
+"""
+
+
+def test_search_past_the_position_budget_exits_2_before_the_masks():
+    # 200,000 positions would hold 2 * 10^10 bits of masks
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(finembed.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", MANY_POSITIONS_SCRIPT],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 2, out.stderr
+    assert ("error: budget-exceeded: more than 65536 positions"
+            in out.stderr.splitlines())
+
+
+def test_search_with_a_one_cell_instance_is_forced_without_a_node():
+    """(30, 30) solves x^2 = 30y and is the only solution in [1..40]: no
+    color is left for 30, so every search of a set holding 30 is forced at
+    once, as the threshold scan is; a set without 30 is searched."""
+    poly = parse_polynomial("x^2-30y")
+    pattern = equation_pattern(poly)
+    for r in range(1, 4):
+        for reverse in (False, True):
+            cert = find_avoiding_coloring(30, r, pattern, reverse=reverse)
+            assert (cert.outcome, cert.colors, cert.nodes, cert.exhaustive
+                    ) == ("forced", None, 0, True), (r, reverse)
+    assert strong_pr_probe([3, 30, 31], pattern, 2).nodes == 0
+    assert homogeneous_pr_check(poly, 2, 40, strict=False).nodes == 0
+    gapped = strong_pr_probe([v for v in range(1, 41) if v != 30], pattern, 1)
+    assert gapped.outcome == "avoiding" and gapped.nodes == 39
 
 
 @settings(max_examples=30)
@@ -709,6 +770,37 @@ def test_solved_enumeration_stops_within_a_few_rows(monkeypatch):
         pattern.instances(2000)
     assert rows == list(range(1, len(rows) + 1))
     assert len(rows) <= 12
+
+
+def test_equation_walk_is_budgeted(monkeypatch):
+    """The walk covers N^w values, w the variables walked: at MAX_WALK it
+    runs, and one value past it raises before the first row."""
+    monkeypatch.setattr(prsearch, "MAX_WALK", 100)
+    rows = []
+    row = prsearch._row
+    monkeypatch.setattr(prsearch, "_row", lambda *a: rows.append(a) or row(*a))
+    solved = parse_polynomial("x*y-z")  # z is read from a table: w = 2
+    assert list(_solutions(solved, range(1, 11))) == _tuple_walk(
+        solved, range(1, 11))
+    walk = parse_polynomial("x*y-z*w")  # no isolated variable: w = 4
+    assert list(_solutions(walk, [1, 2, 3])) == _tuple_walk(walk, [1, 2, 3])
+    rows.clear()
+    for poly, domain in ((solved, range(1, 12)), (walk, range(1, 5))):
+        with pytest.raises(BudgetError, match="^budget-exceeded: more than "
+                           "100 equation values to walk$"):
+            next(_solutions(poly, domain))
+    with pytest.raises(BudgetError, match="more than 100 equation values"):
+        equation_pattern(solved).instances(11)
+    assert not rows
+
+
+def test_equation_walk_past_the_budget_exits_2(capsys):
+    # x*y = z walks N^2 (x, y) values: 4 * 10^8 at N = 20,000
+    code = dispatch(["pr", "equation", "--poly", "x*y-z", "--colors", "2",
+                     "--n", "20000"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: budget-exceeded: more than 16777216 equation values to walk\n")
 
 
 @pytest.mark.parametrize("text", [
