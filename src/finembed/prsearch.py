@@ -10,6 +10,12 @@ index may only be introduced after all smaller ones), so "forced" outcomes
 are exhaustion proofs and avoiding colorings come out canonical and
 lexicographically least.  Threshold scans run the same search with forward
 checking on color masks (_ForwardCheck): the same colorings, fewer nodes.
+An instance with one cell leaves that cell no color, so every search
+answers forced there without a node.
+
+The budgets are the module constants below, each read where it is checked:
+instances drawn in Pattern.draw, nodes in both engines, positions before an
+engine builds a mask, and values walked before an equation's first row.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ DEFAULT_NODE_BUDGET = 2_000_000
 # Both engines hold a mask of up to p bits for position p, n(n-1)/2 bits in
 # all: 2^16 positions keep that under 2^31 bits.
 MAX_POSITIONS = 1 << 16
-# The most values _solutions walks, N^w for w walked variables over [1..N].
+# The most values _solutions walks: N^w, for w variables walked over N values.
 MAX_WALK = 1 << 24
 
 VARS = "xyzw"
@@ -170,6 +176,7 @@ class Pattern:
     _between(lo, hi) yields the instances inside [1..hi] whose largest
     element is at least lo, before deduplication (the same for any larger
     hi): by largest element for AP, Schur and grids, else by filtering.
+    draw reads at most DEFAULT_INSTANCE_BUDGET + 1 of them in all.
     """
 
     label: str
@@ -298,7 +305,8 @@ def equation_pattern(poly: Polynomial, distinct: bool = False) -> Pattern:
     monomial, like z in x^2+y^2-z^2) is read from a table of its values for
     each of the N^(v-1) values of the rest, evaluated a row at a time;
     otherwise P itself is evaluated in N^(v-1) rows of N values, so a sparse
-    equation such as x*y-z*w costs N^v values whatever the budget.
+    equation such as x*y-z*w costs N^v values whatever the instance budget.
+    More than MAX_WALK values raise before the first row.
     """
     if poly.nvars < 1:
         raise InputError("zero-variables: the equation needs a variable")
@@ -498,6 +506,9 @@ class _ForwardCheck:
     prefix that sorts before that coloring gains an avoiding extension, so
     the next run() resumes from the coloring a fresh search stops at.
 
+    The node budget is read once, at construction, so one scan keeps one
+    value; add raises past MAX_POSITIONS positions before it appends one.
+
     _search stays on _backtrack (ROADMAP item 11): this engine with its
     wipeout test off matches it node for node but is slower at r = 2.
     """
@@ -669,15 +680,16 @@ def ramsey_threshold(pattern: Pattern, r: int, nmax: int) -> ThresholdResult:
     """Least N <= nmax at which no avoiding coloring exists.
 
     Once some N is forced every larger N is too (its colorings restrict),
-    so the scan stops at the first forced verdict.  One forward-checking
-    search (_ForwardCheck) resumes across N: step N adds N and the
-    instances whose largest element is N, and goes on from the lex-least
-    avoiding coloring of [1..N-1], which step N-1 stopped at as a fresh
-    search of [1..N-1] would.  The node budget bounds the nodes of the whole
-    scan, which never outnumber those of find_avoiding_coloring(N), so the
-    scan raises no earlier than a fresh search per N would.  Step N draws only
-    the instances ending at N and counts the instance budget over [1..N], so
-    it overflows at the N a fresh search would.
+    so the scan stops at the first forced verdict, at once at an N that is
+    an instance alone.  One forward-checking search (_ForwardCheck) resumes
+    across N: step N adds N and the instances whose largest element is N,
+    and goes on from the lex-least avoiding coloring of [1..N-1], which step
+    N-1 stopped at as a fresh search of [1..N-1] would.  The node budget
+    bounds the nodes of the whole scan, which never outnumber those of
+    find_avoiding_coloring(N), so the scan raises no earlier than a fresh
+    search per N would.  Step N draws only the instances ending at N and
+    counts the instance budget over [1..N], and adds one position, so it
+    overflows either budget at the N a fresh search would.
     """
     if nmax < 1:
         raise InputError("nmax must be >= 1")
