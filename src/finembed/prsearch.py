@@ -515,7 +515,7 @@ class _ForwardCheck:
 
     def __init__(self, r: int):
         self.r = r
-        self.node_budget = DEFAULT_NODE_BUDGET  # one value for the whole scan
+        self.node_budget = DEFAULT_NODE_BUDGET
         self.bit_of: dict[int, int] = {}
         self.filed: list[list[tuple[int, int]]] = []
         self.forb: list[int] = []
