@@ -14,9 +14,13 @@ first shift x attaining it (the identity wins ties):
   members a_0 < ... < a_{m-1} of A in [1, W], L(c) = 1 + min_j (a_{j+c-1} -
   a_j) is the shortest interval holding c members, so index n counts
   max{c : L(c) <= n}, and its first best shift is max(0, a_{j+c-1} - n) for
-  the first j whose span a_{j+c-1} - a_j is at most n - 1.  One subtraction
-  and one argmin over the members per count c: O(M |A|), M the best count
-  at the last index.
+  the first j whose span a_{j+c-1} - a_j is at most n - 1.  With g = L(2) - 1
+  the least gap, every span of c members is at least L(c-1) - 1 + g, so
+  when count c-1's first best is j = 0 and a_{c-1} - a_{c-2} = g, j = 0 is
+  count c's first best and L(c) = a_{c-1} - a_0 + 1: a run of such gaps is
+  settled at once.  One subtraction and one argmin over the members per
+  count not settled so, plus O(|A|): at most O(M |A|), M the best count at
+  the last index, and O(|A|) on an arithmetic progression.
 - Incremental, for every other numeric net and for dense additive sets:
   counts_n[x] = counts_{n-1}[x] + sum of A[v . x] over the new v in F_n,
   one numpy slice of the membership bytes per v: O(|F_N| W) additive,
@@ -249,27 +253,37 @@ def _per_index_best_spans(A: GroundSet, N: int):
     docstring); the same answer as _per_index_best_numeric.  Step c finds
     L(c) and the first j of least span, which is j* for n = L(c); for
     L(c) < n < L(c+1), j* is the first j before it whose span is at most
-    n - 1, read off the prefix minima of the spans below L(c+1) - 1."""
+    n - 1, read off the prefix minima of the spans below L(c+1) - 1.  Count
+    1 needs no spans, count 2's are the gaps, and after a count whose j* is
+    0 the following run of least gaps settles its counts with j* = 0 and
+    no span vector, cut at N by one searchsorted."""
     a = np.flatnonzero(A.array()[1:]).astype(np.int32) + 1
     m = len(a)
+    gaps = np.diff(a)  # the count-2 spans; g = L(2) - 1 is their least
     n = np.arange(1, N + 1)
     first = np.zeros(N, np.intp)  # j* per index, once settled
     lengths: list[int] = []  # L(1), L(2), ...
-    prev = None  # (j, spans, L) of the count before
+    prev = 0, None  # (j*, spans) of the count before, whose L ends lengths
     bufs = np.empty((2, m), np.int32)
-    for c in range(1, m + 2):
-        if c <= m:
-            spans = np.subtract(a[c - 1:], a[:m - c + 1],
-                                out=bufs[c & 1, :m - c + 1])
+    # where the gaps differ from g, and the last c with a_{c-1} - a_0 < N
+    breaks = reach = None
+    c = 0
+    while True:
+        c += 1
+        if c > m:
+            L = N + 1
+        elif c == 1:
+            j, spans, L = 0, None, 1
+        else:
+            spans = gaps if c == 2 else np.subtract(
+                a[c - 1:], a[:m - c + 1], out=bufs[c & 1, :m - c + 1])
             j = int(spans.argmin())
             L = int(spans[j]) + 1
-        else:
-            L = N + 1
-        if prev is not None:  # settle n in [L(c-1), min(L(c) - 1, N)]
-            pj, pspans, pL = prev
-            hi = min(L - 1, N)
+        pj, pspans = prev
+        if pj:  # settle n in [L(c-1), min(L(c) - 1, N)]; first holds 0 already
+            pL, hi = lengths[-1], min(L - 1, N)
             first[pL - 1:hi] = pj
-            if pj and hi > pL:
+            if hi > pL:
                 below = np.flatnonzero(pspans[:pj] < hi)
                 if len(below):
                     lows = np.minimum.accumulate(pspans[below])[::-1]
@@ -279,7 +293,23 @@ def _per_index_best_spans(A: GroundSet, N: int):
         if L > N:
             break
         lengths.append(L)
-        prev = j, spans, L
+        prev = j, spans
+        if j or c < 2 or c == m or gaps[c - 1] != lengths[1] - 1:
+            continue
+        # A span of c + 1 members is one of c members plus a gap, so at
+        # least L(c) - 1 + g; window 0 meets that bound when a_c - a_{c-1}
+        # = g, so it is count c + 1's first best, with L(c + 1) = a_c - a_0
+        # + 1.  The same holds along the whole run of gaps equal to g.
+        if breaks is None:
+            breaks = np.flatnonzero(gaps != lengths[1] - 1)
+            reach = int(np.searchsorted(a, a[0] + N - 1, "right"))
+        b = np.searchsorted(breaks, c - 1)
+        end = int(breaks[b]) + 1 if b < len(breaks) else m
+        lengths.extend((a[c:min(end, reach)] - (a[0] - 1)).tolist())
+        if reach < end:  # L(reach + 1) = a_reach - a_0 + 1 > N
+            break
+        c = end
+        prev = 0, None
     counts = np.searchsorted(lengths, n, "right")
     shifts = a[first + counts - 1] - n if m else first
     np.maximum(shifts, 0, out=shifts)

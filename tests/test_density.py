@@ -280,6 +280,79 @@ def test_span_kernel_matches_incremental_and_brute_force():
     assert min(sides.values()) >= 40, sides
 
 
+def least_gap_shapes(rng):
+    """(label, W, members, N): seeded sets whose counts the span kernel
+    settles from the least gap g, and sets on either side of that step."""
+    W = rng.randint(60, 400)
+    g = rng.randint(1, 5)
+    start = rng.randrange(W // 4)
+    run = list(range(start, W + 1, g))[:rng.randint(2, 40)]
+    # random members whose gaps all exceed g
+    rest = [v for v in range(run[-1] + g + 1, W + 1, g + 1)
+            if rng.random() < 0.3]
+    yield "least-gap AP, then random", W, run + rest, rng.randint(1, W)
+    # the run's L values a_c - a_0 + 1 pass N inside the run
+    yield "least-gap run past N", W, run, rng.randint(1, run[-1] - start)
+    # a longer gap, then a shorter run of g: the count that spans the
+    # longer gap is scanned, keeps j* = 0, and the second run settles
+    second = range(run[-1] + g + 1 + rng.randrange(8), W + 1, g)
+    yield "two least-gap runs", W, run + list(second)[:len(run) - 1], \
+        rng.randint(1, W)
+    # the first gap is not the least: count 2's first best is j > 0
+    lo = rng.randint(1, W // 3)
+    values = [lo, lo + g + 1 + rng.randrange(5),
+              *range(lo + 12, W + 1, g)]
+    yield "first gap not the least", W, values, rng.randint(1, W)
+    period = rng.randint(2, 9)
+    residues = rng.sample(range(period), rng.randint(1, period))
+    offset = rng.randrange(W // 2)
+    yield "residues with an offset", W, [
+        v for v in range(offset, W + 1) if v % period in residues], \
+        rng.randint(1, W)
+    yield "one member", W, [rng.randint(0, W)], rng.randint(1, W)
+    yield "two members", W, rng.sample(range(W + 1), 2), rng.randint(1, W)
+    yield "full window", W, range(W + 1), rng.randint(1, W)
+
+
+def test_span_kernel_least_gap_runs():
+    # Each shape at 30 seeds: the span kernel agrees with the incremental
+    # one, and with brute_density where that is cheap.
+    rng = random.Random(49)
+    for _ in range(30):
+        for label, W, values, N in least_gap_shapes(rng):
+            A = GroundSet.from_values(make_window(ADDITIVE, W), values)
+            spans, incremental, report = kernel_results(A, N, 1)
+            assert spans == incremental, (label, W, N, values)
+            if N * N * W <= 200_000:
+                assert (report.value, report.witnesses,
+                        report.skipped_shifts) == brute_density(
+                    set(values), A.window, interval_net(N), 1), (label, N)
+
+
+def test_span_kernel_settles_least_gap_runs_without_a_scan(monkeypatch):
+    # Counts 1 and 2 take no subtraction (count 2's spans are the gaps), a
+    # count settled from the least gap takes none, and every other count up
+    # to M(N) + 1 takes one.
+    calls = []
+    subtract = np.subtract
+    monkeypatch.setattr(density.np, "subtract", lambda *args, **kw: (
+        calls.append(1), subtract(*args, **kw))[1])
+    win = make_window(ADDITIVE, 20_000)
+    # the multiples of 7 and the full window settle every count; the
+    # 50-member prefix 50, 53, ..., 197 settles counts 3..50 and leaves the
+    # gaps 6 and 15 after it, so counts 51..M(N) + 1 scan
+    for values, settled in ((range(0, 20_001, 7), None),
+                            (range(20_001), None),
+                            ([v for v in range(50, 20_001, 3)
+                              if v < 200 or v % 7 < 2], 50)):
+        calls.clear()
+        A = GroundSet.from_values(win, values)
+        best, skipped = density._per_index_best_spans(A, 1000)
+        assert (best, skipped) == density._per_index_best_numeric(
+            A, interval_net(1000))
+        assert len(calls) == (best[0][-1] + 1 - settled if settled else 0)
+
+
 def test_span_rule_sides():
     # the rule's intended sides: sparse periodic sets on long nets go to
     # spans, the full window and small dense sets stay incremental
