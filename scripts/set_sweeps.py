@@ -2,27 +2,30 @@
 
     PYTHONPATH=src python scripts/set_sweeps.py --side change > sweeps.json
     PYTHONPATH=src python scripts/set_sweeps.py --side change --only density
+    PYTHONPATH=src python scripts/set_sweeps.py --side change --smoke
 
 Times the predicate fill of every builtin atom and of a union, on additive
 and multiplicative windows, longest_ap, is_thick_window on both numeric
 carriers, the piecewise-syndetic probe, upper_density (additive interval
 nets on sparse and dense sets, on both sides of the rule that picks its
-kernel, a multiplicative interval net and an additive net that is not an
-interval), the density report end to end (upper_density, its JSON payload
-and the dumped bytes) at growing W and, at W = 1e5, at growing N, the
-density value of 200 sparse sets as the density-mono suite reads it, the
-AP certificate of the evens end to end, the affine and translation
-embedding kernels (translations on both numeric carriers) and a
-geoarithmetic bounded scan that answers unknown, each on fresh sets at
-growing W, in-process and single-threaded, plus two affine scans that run
-past the kernel's row budget, affine searches into 5 to 400 random members
-on both sides of the kernel's row limit (anchors (0, 1), (0, 2) and
-(1, 3)), the fixed cost of a CLI call and batches of small word-window
-decides (translations left and right and word-suffix, sets read from JSON
-bodies) at word lengths L = 4..8.  A case
+kernel, a multiplicative interval net, an additive net that is not an
+interval, and two sets that are not periodic: a least-gap prefix then
+random members, and random sparse members at W = 1e5), the density report
+end to end (upper_density, its JSON payload and the dumped bytes) at
+growing W and, at W = 1e5, at growing N, the density value of 200 sparse
+sets as the density-mono suite reads it, the AP certificate of the evens
+end to end, the affine and translation embedding kernels (translations on
+both numeric carriers) and a geoarithmetic bounded scan that answers
+unknown, each on fresh sets at growing W, in-process and single-threaded,
+plus two affine scans that run past the kernel's row budget, affine
+searches into 5 to 400 random members on both sides of the kernel's row
+limit (anchors (0, 1), (0, 2) and (1, 3)), the fixed cost of a CLI call
+and batches of small word-window decides (translations left and right and
+word-suffix, sets read from JSON bodies) at word lengths L = 4..8.  A case
 stops growing W once a first run takes longer than MAX_SECONDS, so slow
 (quadratic) implementations can be swept with the same script.  Only the
-public API and the CLI entry point are used.
+public API and the CLI entry point are used.  --smoke runs each selected
+case once, at its smallest size, to check that the cases still run.
 
 Each record holds the raw best-of-REPEATS seconds and the normalized
 seconds: the best run scaled by REF_NOMINAL_S over the median time of a
@@ -220,6 +223,21 @@ def density_dense(spec):
         else:
             A = GroundSet.full(win) if spec == "window" else fresh(W, spec)
             A.count()
+        net = interval_net(1000)
+        return lambda: str(upper_density(A, net).value)
+    return build
+
+
+def density_nonperiodic(prefix):
+    # interval:1000 on random members at p = 0.02, after the prefix 1..200
+    # when `prefix` (its gap 1 is the least, so the span kernel settles the
+    # prefix's counts without a scan) and alone otherwise
+    def build(W):
+        rng = random.Random(W)
+        win = make_window(ADDITIVE, W)
+        start = 201 if prefix else 0
+        A = GroundSet.from_values(win, [*range(1, start)] + [
+            v for v in range(start, W + 1) if rng.random() < 0.02])
         net = interval_net(1000)
         return lambda: str(upper_density(A, net).value)
     return build
@@ -432,6 +450,10 @@ CASES = tuple(
      "density.upper_density", density_dense("window"), DENSITY_SIZES),
     ("upper_density interval:1000 on a random half",
      "density.upper_density", density_dense("half"), DENSITY_SIZES),
+    ("upper_density interval:1000, least-gap prefix then random members",
+     "density.upper_density", density_nonperiodic(True), DENSITY_SIZES),
+    ("upper_density interval:1000, random sparse at W=1e5",
+     "density.upper_density", density_nonperiodic(False), (100_000,)),
     ("upper_density interval:30, 200 random halves", "density.upper_density",
      density_small(0), (400,)),
     ("upper_density interval:30, 200 sets of 10 members",
@@ -467,20 +489,21 @@ CASES = tuple(
 
 def sweep(cases, side: str, how: str, max_seconds: float = MAX_SECONDS,
           counters=lambda result, best: {"result": result},
-          only: str = "") -> list[dict]:
+          only: str = "", smoke: bool = False) -> list[dict]:
     """One record per case (name, layer, build, sizes) and size: build(size)
     gives a fresh run(), timed best of REPEATS with the reference loop just
     before and after each run, and each run is repeated at once for the
     warm time.  A case stops growing once a first run takes longer than
     max_seconds; counters(result, best) fills the record's counters from
-    the last first run's result."""
+    the last first run's result.  smoke runs each case once, at its least
+    size."""
     records = []
     for case, layer, build, sizes in cases:
         if only not in case:
             continue
-        for size in sizes:
+        for size in (min(sizes),) if smoke else sizes:
             best, warm, refs, result = float("inf"), float("inf"), [], None
-            for _ in range(REPEATS):
+            for _ in range(1 if smoke else REPEATS):
                 run = build(size)
                 refs.append(reference_loop())
                 t0 = time.perf_counter()
@@ -512,13 +535,17 @@ def main() -> None:
     ap.add_argument("--side", required=True, help="label for the records")
     ap.add_argument("--only", default="",
                     help="run only the cases whose name contains this")
+    ap.add_argument("--smoke", action="store_true",
+                    help="each case once, at its smallest size")
     args = ap.parse_args()
     how = (f"scripts/set_sweeps.py, best of {REPEATS}, raw and normalized "
            f"to a reference loop of {REF_NOMINAL_S * 1e3:g} ms, set filled "
            "before timing except for the fill cases; warm = the same call "
            "repeated at once on the same build")
-    json.dump(sweep(CASES, args.side, how, only=args.only), sys.stdout,
-              indent=1)
+    if args.smoke:
+        how += "; smoke: one run per case at its smallest size"
+    json.dump(sweep(CASES, args.side, how, only=args.only, smoke=args.smoke),
+              sys.stdout, indent=1)
     print()
 
 
